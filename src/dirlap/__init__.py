@@ -49,7 +49,6 @@ from .transform import (
     directed_variation,
     energy_identity,
     forward,
-    frequency_order,
     inverse,
     spectral_perturbation_bound,
     spectral_signal,
@@ -62,7 +61,6 @@ from .sampling import (
     RecoveryReport,
     SamplingPlan,
     approx_band_certificate,
-    conservative_noise_certificate,
     make_band,
     noise_certificate,
     plan_sampling,
@@ -123,7 +121,6 @@ __all__ = [
     "total_variation",
     "directed_variation",
     "tv_bounds",
-    "frequency_order",
     "spectral_perturbation_bound",
     # sampling
     "BandModel",
@@ -134,7 +131,6 @@ __all__ = [
     "plan_sampling",
     "recover",
     "noise_certificate",
-    "conservative_noise_certificate",
     "approx_band_certificate",
     "select_sampling_set",
     # experiments

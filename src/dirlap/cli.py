@@ -24,13 +24,14 @@ from .errors import (
     RankDeficientError,
 )
 from . import fileio
+from .eigen import SpectralDecomposition, decompose
 from .experiments import (
     ExperimentConfig,
     analyze_graph,
     run_noise_sweep,
     run_spectrum_comparison,
 )
-from .graphs import gen_directed_cycle, gen_perturbed_cycle
+from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 from .sampling import make_band, plan_sampling, recover, select_sampling_set
 from .transform import SPECTRAL, VERTEX, apply_filter, forward, inverse
 
@@ -62,11 +63,9 @@ def _with_exit_codes(fn):
     return wrapper
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
+def _load_decomposition(graph_path) -> SpectralDecomposition:
+    """Read an edge list and decompose its directed Laplacian."""
+    return decompose(directed_laplacian(fileio.read_edge_list(graph_path)))
 
 
 def _metrics_payload(report, spectrum_csv: str | None) -> dict:
@@ -109,12 +108,7 @@ def gen(kind, n, p, w, seed, out):
         g = gen_directed_cycle(n)
     else:
         g = gen_perturbed_cycle(n, p, w, seed)
-    if out is None:
-        lines = ["src,dst,weight"]
-        lines += [f"{e.src},{e.dst},{fileio.fmt(e.weight)}" for e in g.edges]
-        click.echo("\n".join(lines))
-    else:
-        fileio.write_edge_list(g, out)
+    fileio.write_edge_list(g, out)
 
 
 @main.command()
@@ -125,11 +119,11 @@ def gen(kind, n, p, w, seed, out):
 @_with_exit_codes
 def analyze(graph_path, out, fmt, spectrum_out):
     """Asymmetry/normality metrics and spectrum of a graph's Laplacian."""
-    g = fileio.read_edge_list(graph_path)
-    report, dec = analyze_graph(g, Path(graph_path).stem)
+    dec = _load_decomposition(graph_path)
+    report = analyze_graph(dec, Path(graph_path).stem)
     if spectrum_out is not None:
         fileio.write_spectrum(dec.lambdas, spectrum_out)
-    _emit(_render_metrics(_metrics_payload(report, spectrum_out), fmt), out)
+    fileio.write_text(_render_metrics(_metrics_payload(report, spectrum_out), fmt), out)
 
 
 @main.command()
@@ -140,11 +134,7 @@ def analyze(graph_path, out, fmt, spectrum_out):
 @_with_exit_codes
 def gft(graph_path, signal_path, direction, out):
     """Graph Fourier transform of a signal (dual-basis analysis/synthesis)."""
-    from .eigen import decompose
-    from .graphs import directed_laplacian
-
-    g = fileio.read_edge_list(graph_path)
-    dec = decompose(directed_laplacian(g))
+    dec = _load_decomposition(graph_path)
     if direction == "forward":
         sig = fileio.read_signal(signal_path, VERTEX)
         fileio.write_signal(forward(sig, dec), out)
@@ -162,12 +152,8 @@ def gft(graph_path, signal_path, direction, out):
 @_with_exit_codes
 def filter_cmd(graph_path, signal_path, spec_path, out):
     """Apply a diagonal spectral filter to a vertex signal."""
-    from .eigen import decompose
-    from .graphs import directed_laplacian
-
-    g = fileio.read_edge_list(graph_path)
-    dec = decompose(directed_laplacian(g))
-    filt = fileio.read_filter_spec(spec_path, g.n)
+    dec = _load_decomposition(graph_path)
+    filt = fileio.read_filter_spec(spec_path, dec.n)
     sig = fileio.read_signal(signal_path, VERTEX)
     fileio.write_signal(apply_filter(sig, filt, dec), out)
 
@@ -188,11 +174,9 @@ def filter_cmd(graph_path, signal_path, spec_path, out):
 @_with_exit_codes
 def sample(graph_path, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
     """Plan a sampling set for a band and optionally recover a signal."""
-    from .eigen import decompose
-    from .graphs import directed_laplacian
-
-    g = fileio.read_edge_list(graph_path)
-    dec = decompose(directed_laplacian(g))
+    if signal_path is not None and recover_out is None:
+        raise click.UsageError("--signal requires --recover-out")
+    dec = _load_decomposition(graph_path)
     band = make_band(dec, k)
     if sample_set is not None:
         try:
@@ -204,25 +188,11 @@ def sample(graph_path, k, m, strategy, seed, sample_set, out, signal_path, recov
             raise click.UsageError("provide either --m or --sample-set")
         vertices = select_sampling_set(band, m, strategy=strategy, seed=seed)
     plan = plan_sampling(band, vertices)
-    if out is None:
-        payload = {
-            "omega": [int(i) for i in band.omega],
-            "sample_set": [int(i) for i in plan.sample_set],
-            "gamma": fileio.round12(plan.gamma),
-            "b_norm": fileio.round12(plan.b_norm),
-            "certificate": fileio.round12(band.synthesis_norm / plan.gamma)
-            if plan.gamma > 0
-            else None,
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        fileio.write_plan(plan, band, out)
+    fileio.write_plan(plan, band, out)
     if signal_path is not None:
-        if recover_out is None:
-            raise click.UsageError("--signal requires --recover-out")
         sig = fileio.read_signal(signal_path, VERTEX)
-        if sig.n != g.n:
-            raise DimensionMismatchError(f"signal has length {sig.n}, graph has {g.n}")
+        if sig.n != dec.n:
+            raise DimensionMismatchError(f"signal has length {sig.n}, graph has {dec.n}")
         report = recover(plan, band, sig.values[plan.sample_set])
         fileio.write_signal(report.x_rec, recover_out)
 

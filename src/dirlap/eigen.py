@@ -22,7 +22,6 @@ followed by shifted QR iteration) as exposed by ``numpy.linalg.eig``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +50,8 @@ class SpectralDecomposition:
         kappa: 2-norm condition number sigma_max(V) / sigma_min(V)
         sigma_min, sigma_max: extreme singular values of V
         residual: max_k ||L v_k - lambda_k v_k||_2
+        v_lu: LU factors of ``v`` (``scipy.linalg.lu_factor``), the one
+            factorization behind both ``u`` and :meth:`solve_synthesis`
     """
 
     matrix: np.ndarray
@@ -61,23 +62,20 @@ class SpectralDecomposition:
     sigma_min: float
     sigma_max: float
     residual: float
+    v_lu: tuple
 
     @property
     def n(self) -> int:
         return self.lambdas.shape[0]
 
-    @cached_property
-    def _v_lu(self):
-        return scipy.linalg.lu_factor(self.v)
-
     def solve_synthesis(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``V z = rhs`` with a cached LU factorization.
+        """Solve ``V z = rhs`` with the stored LU factorization.
 
         This is the analysis direction: ``z`` holds the coefficients of
         ``rhs`` in the right eigenbasis, identical to ``u.conj().T @ rhs``
         but better conditioned than forming the inverse explicitly.
         """
-        return scipy.linalg.lu_solve(self._v_lu, rhs)
+        return scipy.linalg.lu_solve(self.v_lu, rhs)
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,11 @@ def _normalize_columns(vec: np.ndarray) -> np.ndarray:
     return vec / (lead / np.abs(lead))
 
 
-def decompose(l, *, kappa_limit: float = DEFECTIVE_KAPPA_LIMIT) -> SpectralDecomposition:
+def decompose(l) -> SpectralDecomposition:
     """Eigendecompose a square matrix and build the dual (left) basis.
 
     Raises:
-        NearDefectiveError: if ``kappa(V) > kappa_limit`` or the computed
+        NearDefectiveError: if ``kappa(V) > DEFECTIVE_KAPPA_LIMIT`` or the computed
             dual basis fails biorthogonality beyond ``n * 1e-8`` in
             Frobenius norm. Both signal an (effectively) defective operator
             for which the diagonalization is numerically meaningless.
@@ -155,9 +153,9 @@ def decompose(l, *, kappa_limit: float = DEFECTIVE_KAPPA_LIMIT) -> SpectralDecom
     s = np.linalg.svd(vec, compute_uv=False)
     sigma_max, sigma_min = float(s[0]), float(s[-1])
     kappa = np.inf if sigma_min == 0.0 else sigma_max / sigma_min
-    if kappa > kappa_limit:
+    if kappa > DEFECTIVE_KAPPA_LIMIT:
         raise NearDefectiveError(
-            f"eigenvector condition number {kappa:.3e} exceeds {kappa_limit:.1e}; "
+            f"eigenvector condition number {kappa:.3e} exceeds {DEFECTIVE_KAPPA_LIMIT:.1e}; "
             "the operator is numerically defective"
         )
 
@@ -179,6 +177,7 @@ def decompose(l, *, kappa_limit: float = DEFECTIVE_KAPPA_LIMIT) -> SpectralDecom
         sigma_min=sigma_min,
         sigma_max=sigma_max,
         residual=residual,
+        v_lu=lu,
     )
 
 
@@ -196,7 +195,7 @@ def dc_mode_check(dec: SpectralDecomposition) -> DcModeReport:
     v1 = dec.v[:, 0]
     resid = v1 - np.vdot(ones, v1) * ones
     angle = float(np.arcsin(min(1.0, np.linalg.norm(resid))))
-    isolated = (
+    isolated = bool(
         abs(dec.lambdas[0]) <= ZERO_EIGENVALUE_TOL
         and mult == 1
         and angle <= DC_ANGLE_TOL

@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .eigen import SpectralDecomposition, decompose, henrici_departure
 from .graphs import (
-    DirectedGraph,
     asymmetry_index,
     directed_laplacian,
     gen_directed_cycle,
@@ -131,11 +130,10 @@ class NoiseSweep:
     generator: str = GENERATOR_NAME
 
 
-def analyze_graph(g: DirectedGraph, name: str = "graph") -> tuple[GraphReport, SpectralDecomposition]:
-    """Laplacian metrics and decomposition for one graph."""
-    lap = directed_laplacian(g)
-    dec = decompose(lap)
-    report = GraphReport(
+def analyze_graph(dec: SpectralDecomposition, name: str = "graph") -> GraphReport:
+    """Normality metrics of the Laplacian a decomposition was built from."""
+    lap = dec.matrix
+    return GraphReport(
         name=name,
         alpha=asymmetry_index(lap),
         delta=normality_departure(lap),
@@ -143,17 +141,19 @@ def analyze_graph(g: DirectedGraph, name: str = "graph") -> tuple[GraphReport, S
         kappa=dec.kappa,
         lambdas=dec.lambdas,
     )
-    return report, dec
 
 
 def reference_pair(config: ExperimentConfig) -> dict[str, tuple[GraphReport, SpectralDecomposition]]:
     """The cycle / perturbed-cycle pair the experiments compare."""
-    return {
-        "cycle": analyze_graph(gen_directed_cycle(config.n), "cycle"),
-        "perturbed": analyze_graph(
-            gen_perturbed_cycle(config.n, config.p, config.w, config.seed), "perturbed"
-        ),
+    graphs = {
+        "cycle": gen_directed_cycle(config.n),
+        "perturbed": gen_perturbed_cycle(config.n, config.p, config.w, config.seed),
     }
+    pair = {}
+    for name, g in graphs.items():
+        dec = decompose(directed_laplacian(g))
+        pair[name] = (analyze_graph(dec, name), dec)
+    return pair
 
 
 def run_spectrum_comparison(config: ExperimentConfig) -> SpectrumComparison:

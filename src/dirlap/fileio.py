@@ -1,12 +1,14 @@
 """Readers and writers for the on-disk formats.
 
+Writers that take ``path=None`` print to stdout instead, through the one
+sink :func:`write_text`, so stdout carries exactly the bytes of the file.
+
 Formats (all numeric output uses 12 significant digits):
 
 - edge list CSV, header ``src,dst,weight``; zero-based integer vertices
 - signal CSV, header ``vertex,re,im``; for spectral-domain signals the
   first column holds the frequency bin instead of a vertex
 - spectrum CSV, header ``k,re_lambda,im_lambda,abs_lambda``
-- complex matrix CSV, cells as ``re;im``
 - filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` or
   ``{"kind": "diagonal", "response": [[re, im], ...]}``
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,14 +54,19 @@ def _check_header(rows: list[list[str]], expected: list[str], path) -> list[list
     return rows[1:]
 
 
+def write_text(text: str, path=None) -> None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 # -- edge lists ---------------------------------------------------------------
 
-def write_edge_list(g: DirectedGraph, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src", "dst", "weight"])
-        for src, dst, weight in g.edges:
-            writer.writerow([src, dst, fmt(weight)])
+def write_edge_list(g: DirectedGraph, path=None) -> None:
+    rows = [f"{src},{dst},{fmt(weight)}\n" for src, dst, weight in g.edges]
+    write_text("src,dst,weight\n" + "".join(rows), path)
 
 
 def read_edge_list(path, n: int | None = None) -> DirectedGraph:
@@ -104,9 +112,12 @@ def read_signal(path, domain: str = VERTEX) -> GraphSignal:
         if len(row) != 3:
             raise FileFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         try:
-            entries[int(row[0])] = complex(float(row[1]), float(row[2]))
+            index, value = int(row[0]), complex(float(row[1]), float(row[2]))
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        if index in entries:
+            raise FileFormatError(f"{path}:{lineno}: index {index} appears more than once")
+        entries[index] = value
     n = len(entries)
     if n == 0:
         raise FileFormatError(f"{path}: no signal rows")
@@ -142,38 +153,16 @@ def read_spectrum(path) -> np.ndarray:
     return np.array(lams, dtype=np.complex128)
 
 
-# -- complex matrices ---------------------------------------------------------
-
-def write_matrix(m: np.ndarray, path) -> None:
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in m:
-            writer.writerow([f"{fmt(z.real)};{fmt(z.imag)}" for z in row])
-
-
-def read_matrix(path) -> np.ndarray:
-    rows = _open_rows(path)
-    if not rows:
-        raise FileFormatError(f"{path}: empty matrix file")
-    out = []
-    for lineno, row in enumerate(rows, start=1):
-        parsed = []
-        for cell in row:
-            try:
-                re, im = cell.split(";")
-                parsed.append(complex(float(re), float(im)))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad cell {cell!r}") from exc
-        out.append(parsed)
-    if len({len(r) for r in out}) != 1:
-        raise FileFormatError(f"{path}: ragged rows")
-    return np.array(out, dtype=np.complex128)
-
-
 # -- filters ------------------------------------------------------------------
 
-def filter_from_spec(spec: dict, n: int) -> SpectralFilter:
+def read_filter_spec(path, n: int) -> SpectralFilter:
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"cannot parse filter spec {path}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise FileFormatError(f"{path}: filter spec must be a JSON object")
     kind = spec.get("kind")
     if kind == "ideal":
         try:
@@ -191,30 +180,9 @@ def filter_from_spec(spec: dict, n: int) -> SpectralFilter:
     raise FileFormatError(f"unknown filter kind {kind!r}")
 
 
-def read_filter_spec(path, n: int) -> SpectralFilter:
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot parse filter spec {path}: {exc}") from exc
-    return filter_from_spec(spec, n)
-
-
-def write_filter_spec(filt: SpectralFilter, path) -> None:
-    resp = filt.response
-    if np.all(np.isin(resp, [0.0 + 0j, 1.0 + 0j])):
-        spec = {"kind": "ideal", "omega": [int(i) for i in np.flatnonzero(resp == 1.0)]}
-    else:
-        spec = {
-            "kind": "diagonal",
-            "response": [[round12(z.real), round12(z.imag)] for z in resp],
-        }
-    Path(path).write_text(json.dumps(spec, indent=2) + "\n")
-
-
 # -- sampling plans -----------------------------------------------------------
 
-def write_plan(plan: SamplingPlan, band: BandModel, path) -> None:
+def write_plan(plan: SamplingPlan, band: BandModel, path=None) -> None:
     """Export a plan with its unit-noise certificate ``||V_omega||_2 / gamma``."""
     payload = {
         "omega": [int(i) for i in band.omega],
@@ -223,7 +191,7 @@ def write_plan(plan: SamplingPlan, band: BandModel, path) -> None:
         "b_norm": round12(plan.b_norm),
         "certificate": round12(band.synthesis_norm / plan.gamma) if plan.gamma > 0 else None,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
 def read_plan(path) -> dict:
@@ -287,28 +255,3 @@ def read_summary_csv(path) -> list[tuple[str, float, float, float, float, float]
         except (ValueError, IndexError) as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
     return out
-
-
-# -- decomposition bundles ----------------------------------------------------
-
-def write_decomposition_bundle(
-    dec, henrici: float, path, v_path=None, u_path=None
-) -> None:
-    """JSON summary of a decomposition; eigenvalues as ``[re, im]`` pairs.
-
-    ``v_path``/``u_path`` optionally dump the bases as complex matrix CSVs
-    and are recorded in the bundle when given.
-    """
-    payload = {
-        "lambdas": [[round12(l.real), round12(l.imag)] for l in dec.lambdas],
-        "kappa": round12(dec.kappa),
-        "henrici": round12(henrici),
-        "residual": round12(dec.residual),
-    }
-    if v_path is not None:
-        write_matrix(dec.v, v_path)
-        payload["v_csv"] = str(v_path)
-    if u_path is not None:
-        write_matrix(dec.u, u_path)
-        payload["u_csv"] = str(u_path)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

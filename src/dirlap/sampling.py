@@ -30,15 +30,14 @@ RANK_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class BandModel:
-    """Frequency index set plus its synthesis submatrix ``V_omega``.
+    """Frequency index set of one decomposition.
 
-    Indices are distinct, sorted, and in range; ``v_omega`` holds the
-    decomposition's eigenvector columns for those indices, unmodified.
+    Indices are distinct, sorted, and in range; ``v_omega`` is derived from
+    them as the decomposition's eigenvector columns for those indices.
     """
 
     decomposition: SpectralDecomposition
     omega: np.ndarray
-    v_omega: np.ndarray
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=int)
@@ -49,8 +48,6 @@ class BandModel:
             raise ValueError("band indices must be distinct and sorted")
         if omega.min() < 0 or omega.max() >= n:
             raise ValueError(f"band indices must lie in [0, {n})")
-        if not np.array_equal(self.v_omega, self.decomposition.v[:, omega]):
-            raise ValueError("v_omega must be the decomposition's columns, unchanged")
         object.__setattr__(self, "omega", omega)
 
     @property
@@ -59,7 +56,12 @@ class BandModel:
 
     @property
     def n(self) -> int:
-        return self.v_omega.shape[0]
+        return self.decomposition.n
+
+    @cached_property
+    def v_omega(self) -> np.ndarray:
+        """Synthesis submatrix ``V_omega``, a C-ordered copy of the band's columns."""
+        return np.ascontiguousarray(self.decomposition.v[:, self.omega])
 
     @cached_property
     def synthesis_norm(self) -> float:
@@ -106,8 +108,7 @@ def make_band(dec: SpectralDecomposition, k: int) -> BandModel:
     """Low-pass band: the ``k`` smallest-magnitude eigenvalue indices."""
     if not 1 <= k <= dec.n:
         raise ValueError(f"band size must lie in [1, {dec.n}], got {k}")
-    omega = np.arange(k)
-    return BandModel(decomposition=dec, omega=omega, v_omega=dec.v[:, :k].copy())
+    return BandModel(decomposition=dec, omega=np.arange(k))
 
 
 def synthesize_bandlimited(band: BandModel, c) -> GraphSignal:
@@ -180,21 +181,6 @@ def noise_certificate(plan: SamplingPlan, band: BandModel, eta_norm: float) -> f
     if eta_norm < 0.0:
         raise ValueError("noise norm must be nonnegative")
     return band.synthesis_norm * eta_norm / plan.gamma
-
-
-def conservative_noise_certificate(
-    plan: SamplingPlan, band: BandModel, eta_norm: float
-) -> float:
-    """Coarser ceiling ``sigma_max(V) * eta_norm / gamma``.
-
-    Always at least :func:`noise_certificate` since
-    ``||V_omega||_2 <= sigma_max(V)``; useful when only whole-basis
-    conditioning is known.
-    """
-    _require_full_rank(plan)
-    if eta_norm < 0.0:
-        raise ValueError("noise norm must be nonnegative")
-    return band.decomposition.sigma_max * eta_norm / plan.gamma
 
 
 def approx_band_certificate(

@@ -118,8 +118,8 @@ class TvBounds:
 def forward(x: GraphSignal, dec: SpectralDecomposition) -> GraphSignal:
     """Analysis transform ``xhat = V^{-1} x`` (projection on the dual basis).
 
-    Computed by solving ``V xhat = x`` against a factorization cached on the
-    decomposition rather than forming ``V^{-1}`` explicitly.
+    Computed by solving ``V xhat = x`` against the LU factorization stored
+    on the decomposition rather than forming ``V^{-1}`` explicitly.
     """
     _expect(x, VERTEX, dec.n)
     return GraphSignal(dec.solve_synthesis(x.values), SPECTRAL)
@@ -194,23 +194,6 @@ def tv_bounds(x: GraphSignal, dec: SpectralDecomposition) -> TvBounds:
         spectral_energy=spectral_energy,
         actual=total_variation(dec.matrix, x),
     )
-
-
-#: tie groups are argument-sorted, so magnitudes may locally dip by a rounding margin
-_ORDER_SLACK = 1e-9
-
-
-def frequency_order(dec: SpectralDecomposition) -> np.ndarray:
-    """Permutation ordering modes by frequency (non-decreasing |lambda|).
-
-    Decompositions are already stored in this order, so the result is the
-    identity permutation; it exists so callers can assert the contract and
-    order externally supplied spectra consistently.
-    """
-    mags = np.abs(dec.lambdas)
-    if np.any(np.diff(mags) < -_ORDER_SLACK * (1.0 + mags[:-1])):
-        raise RuntimeError("decomposition violates the magnitude ordering contract")
-    return np.arange(dec.n)
 
 
 def spectral_perturbation_bound(

@@ -151,6 +151,18 @@ class TestFilter:
         assert result.exit_code == 0
         assert fileio.read_signal(out).n == 20
 
+    def test_repeated_signal_index_exit_code(self, perturbed_csv, runner, tmp_path):
+        sig = tmp_path / "x.csv"
+        sig.write_text("vertex,re,im\n0,1,0\n1,2,0\n1,5,0\n")
+        spec = tmp_path / "filter.json"
+        spec.write_text(json.dumps({"kind": "ideal", "omega": [0]}))
+        result = runner.invoke(
+            main,
+            ["filter", str(perturbed_csv), str(sig), "--spec", str(spec),
+             "--out", str(tmp_path / "y.csv")],
+        )
+        assert result.exit_code == EXIT_PARSE
+
     def test_bad_spec_exit_code(self, perturbed_csv, runner, tmp_path):
         sig = tmp_path / "x.csv"
         fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(20)), sig)
@@ -208,10 +220,42 @@ class TestSample:
         )
         assert result.exit_code == EXIT_RANK_DEFICIENT
 
+    def test_signal_without_recover_out_writes_nothing(self, perturbed_csv, runner, tmp_path):
+        sig = tmp_path / "x.csv"
+        fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(20)), sig)
+        plan_path = tmp_path / "plan.json"
+        result = runner.invoke(
+            main,
+            ["sample", str(perturbed_csv), "--k", "3", "--m", "6", "--signal", str(sig),
+             "--out", str(plan_path)],
+        )
+        assert result.exit_code == 2
+        assert not plan_path.exists()
+
     def test_stdout_plan(self, perturbed_csv, runner):
         result = runner.invoke(main, ["sample", str(perturbed_csv), "--k", "2", "--m", "4"])
         assert result.exit_code == 0
         assert json.loads(result.output)["omega"] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "perturbed-cycle", "--n", "20", "--seed", "7"],
+        ["analyze", "{graph}"],
+        ["analyze", "{graph}", "--format", "csv"],
+        ["sample", "{graph}", "--k", "5", "--m", "8"],
+    ],
+    ids=["gen", "analyze-json", "analyze-csv", "sample"],
+)
+def test_stdout_matches_out_file(argv, perturbed_csv, runner, tmp_path):
+    argv = [arg.format(graph=perturbed_csv) for arg in argv]
+    printed = runner.invoke(main, argv)
+    out = tmp_path / "out"
+    written = runner.invoke(main, argv + ["--out", str(out)])
+    assert printed.exit_code == written.exit_code == 0
+    assert written.output == ""
+    assert printed.stdout_bytes == out.read_bytes()
 
 
 class TestExperimentCommands:

@@ -55,14 +55,21 @@ class TestDecompose:
         assert np.allclose(np.abs(dec.v[:, 1]), 1 / np.sqrt(2), atol=1e-12)
         assert dec.v[0, 1] == pytest.approx(-dec.v[1, 1], abs=1e-12)
 
-    def test_magnitude_ordering_with_argument_tiebreak(self, cycle20):
-        _, dec = cycle20
-        mags = np.abs(dec.lambdas)
-        assert np.all(np.diff(mags) >= -1e-9 * (1 + mags[:-1]))
-        # conjugate pairs adjacent, negative argument first
-        for k in range(1, 19, 2):
-            assert dec.lambdas[k].imag < 0 < dec.lambdas[k + 1].imag
-            assert dec.lambdas[k] == pytest.approx(np.conj(dec.lambdas[k + 1]), abs=1e-9)
+    def test_magnitude_ordering_with_argument_tiebreak(self, cycle20, perturbed20):
+        for _, dec in (cycle20, perturbed20):
+            mags = np.abs(dec.lambdas)
+            assert np.all(np.diff(mags) >= -1e-9 * (1 + mags[:-1]))
+            # conjugate pairs adjacent, negative argument first
+            k = 0
+            while k < dec.n:
+                if abs(dec.lambdas[k].imag) <= 1e-9:
+                    k += 1
+                    continue
+                assert dec.lambdas[k].imag < 0 < dec.lambdas[k + 1].imag
+                assert dec.lambdas[k] == pytest.approx(np.conj(dec.lambdas[k + 1]), abs=1e-9)
+                k += 2
+        # the cycle's spectrum is 0, nine conjugate pairs, then the real mode 2
+        assert np.all(cycle20[1].lambdas[1:19:2].imag < 0)
 
     def test_unit_norm_and_phase_fixed_columns(self, perturbed20):
         _, dec = perturbed20
@@ -148,6 +155,14 @@ class TestDcMode:
         report = dc_mode_check(dec)
         assert not report
         assert report.zero_multiplicity == 2
+
+    @pytest.mark.parametrize(
+        "lap",
+        [np.diag([1.0, 2.0]), np.array([[1.0, -1.0], [-1.0, 1.0]])],
+        ids=["no-zero-mode", "two-cycle"],
+    )
+    def test_isolated_is_python_bool(self, lap):
+        assert type(dc_mode_check(decompose(lap)).isolated) is bool
 
 
 class TestGramMatrix:

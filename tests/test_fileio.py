@@ -7,7 +7,6 @@ from dirlap import (
     FileFormatError,
     SpectralFilter,
     gen_perturbed_cycle,
-    henrici_departure,
     make_band,
     plan_sampling,
     spectral_signal,
@@ -67,6 +66,13 @@ class TestSignals:
         with pytest.raises(FileFormatError, match="cover"):
             fileio.read_signal(path)
 
+    def test_repeated_index_rejected(self, tmp_path):
+        # each index appears exactly once; a repeat must not overwrite the earlier row
+        path = tmp_path / "x.csv"
+        path.write_text("vertex,re,im\n0,1,0\n1,2,0\n1,5,0\n")
+        with pytest.raises(FileFormatError, match=r":4: index 1 appears more than once"):
+            fileio.read_signal(path)
+
 
 class TestSpectrumCsv:
     def test_round_trip(self, tmp_path, cycle4):
@@ -83,35 +89,27 @@ class TestSpectrumCsv:
         assert "3.14159265359" in text
 
 
-class TestMatrixCsv:
-    def test_round_trip(self, tmp_path, rng):
-        m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        path = tmp_path / "m.csv"
-        fileio.write_matrix(m, path)
-        assert np.allclose(fileio.read_matrix(path), m, atol=1e-11)
-
-    def test_bad_cell(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1;0,2\n")
-        with pytest.raises(FileFormatError):
-            fileio.read_matrix(path)
-
-
 class TestFilterSpec:
     def test_ideal_round_trip(self, tmp_path):
         filt = SpectralFilter.ideal([0, 2, 3], 6)
         path = tmp_path / "f.json"
-        fileio.write_filter_spec(filt, path)
+        path.write_text(json.dumps({"kind": "ideal", "omega": [0, 2, 3]}))
         back = fileio.read_filter_spec(path, 6)
         assert np.array_equal(back.response, filt.response)
-        assert json.loads(path.read_text())["kind"] == "ideal"
 
     def test_diagonal_round_trip(self, tmp_path, rng):
         filt = SpectralFilter(rng.standard_normal(5) + 1j * rng.standard_normal(5))
         path = tmp_path / "f.json"
-        fileio.write_filter_spec(filt, path)
+        response = [[z.real, z.imag] for z in filt.response]
+        path.write_text(json.dumps({"kind": "diagonal", "response": response}))
         back = fileio.read_filter_spec(path, 5)
-        assert np.allclose(back.response, filt.response, atol=1e-11)
+        assert np.array_equal(back.response, filt.response)
+
+    def test_non_object_spec(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([0, 1]))
+        with pytest.raises(FileFormatError, match="JSON object"):
+            fileio.read_filter_spec(path, 3)
 
     def test_wrong_tap_count(self, tmp_path):
         path = tmp_path / "f.json"
@@ -159,20 +157,3 @@ class TestTrialsCsv:
         assert back[0][2] == "cycle"
         assert back[1] == (0.5, 3, "perturbed", 1.25, 9.5)
         assert back[0][3] == pytest.approx(0.0123456789012, rel=1e-11)
-
-
-class TestDecompositionBundle:
-    def test_bundle_with_bases(self, tmp_path, cycle4):
-        lap, dec = cycle4
-        path = tmp_path / "dec.json"
-        v_path = tmp_path / "v.csv"
-        u_path = tmp_path / "u.csv"
-        fileio.write_decomposition_bundle(
-            dec, henrici_departure(lap, dec), path, v_path=v_path, u_path=u_path
-        )
-        payload = json.loads(path.read_text())
-        assert len(payload["lambdas"]) == 4
-        assert payload["kappa"] == pytest.approx(1.0, abs=1e-9)
-        assert payload["henrici"] == pytest.approx(0.0, abs=1e-6)
-        assert np.allclose(fileio.read_matrix(v_path), dec.v, atol=1e-11)
-        assert np.allclose(fileio.read_matrix(u_path), dec.u, atol=1e-11)

@@ -11,7 +11,6 @@ from dirlap import (
     directed_variation,
     energy_identity,
     forward,
-    frequency_order,
     gen_directed_cycle,
     gen_perturbed_cycle,
     gram_matrix,
@@ -203,10 +202,6 @@ class TestTvBounds:
 
 
 class TestFrequencyOrder:
-    def test_identity_permutation(self, perturbed20):
-        _, dec = perturbed20
-        assert np.array_equal(frequency_order(dec), np.arange(20))
-
     def test_cycle4_magnitude_sequence(self, cycle4):
         _, dec = cycle4
         assert np.allclose(np.abs(dec.lambdas), [0.0, np.sqrt(2), np.sqrt(2), 2.0], atol=1e-9)
