@@ -18,18 +18,14 @@ from .errors import (
     RankDeficientError,
 )
 from .graphs import (
-    AsymmetryReport,
     DirectedGraph,
-    Edge,
     adjacency,
     asymmetry_index,
-    asymmetry_report,
     directed_laplacian,
     gen_directed_cycle,
     gen_perturbed_cycle,
     gershgorin_disks,
     normality_departure,
-    two_disjoint_cycles,
 )
 from .eigen import (
     DcModeReport,
@@ -87,18 +83,14 @@ __all__ = [
     "NearDefectiveError",
     "RankDeficientError",
     # graphs
-    "Edge",
     "DirectedGraph",
-    "AsymmetryReport",
     "adjacency",
     "directed_laplacian",
     "asymmetry_index",
     "normality_departure",
-    "asymmetry_report",
     "gershgorin_disks",
     "gen_directed_cycle",
     "gen_perturbed_cycle",
-    "two_disjoint_cycles",
     # eigen
     "SpectralDecomposition",
     "DcModeReport",

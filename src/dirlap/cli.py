@@ -223,8 +223,6 @@ def _config_from(config_path, n, p, w, k, sigmas, trials, seed, real_noise) -> E
             raise click.UsageError(f"bad --sigmas: {exc}") from exc
     merged = {key: val for key, val in base.items()}
     merged.update({key: val for key, val in overrides.items() if val is not None})
-    if "sigmas" in merged:
-        merged["sigmas"] = tuple(merged["sigmas"])
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:

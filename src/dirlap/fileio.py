@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FileFormatError
-from .graphs import DirectedGraph, Edge
+from .graphs import DirectedGraph
 from .sampling import BandModel, SamplingPlan
 from .transform import GraphSignal, SpectralFilter, VERTEX
 
@@ -65,7 +65,10 @@ def write_text(text: str, path=None) -> None:
 # -- edge lists ---------------------------------------------------------------
 
 def write_edge_list(g: DirectedGraph, path=None) -> None:
-    rows = [f"{src},{dst},{fmt(weight)}\n" for src, dst, weight in g.edges]
+    rows = [
+        f"{src},{dst},{fmt(weight)}\n"
+        for src, dst, weight in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
+    ]
     write_text("src,dst,weight\n" + "".join(rows), path)
 
 
@@ -77,20 +80,23 @@ def read_edge_list(path, n: int | None = None) -> DirectedGraph:
     isolated vertices.
     """
     body = _check_header(_open_rows(path), ["src", "dst", "weight"], path)
-    edges = []
+    src, dst, weight = [], [], []
     for lineno, row in enumerate(body, start=2):
         if len(row) != 3:
             raise FileFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         try:
-            edges.append(Edge(int(row[0]), int(row[1]), float(row[2])))
+            s, d, w = int(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        src.append(s)
+        dst.append(d)
+        weight.append(w)
     if n is None:
-        if not edges:
+        if not src:
             raise FileFormatError(f"{path}: empty edge list needs an explicit vertex count")
-        n = max(max(e.src, e.dst) for e in edges) + 1
+        n = max(max(src), max(dst)) + 1
     try:
-        return DirectedGraph(n, tuple(edges))
+        return DirectedGraph(n, src, dst, weight)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -140,19 +146,6 @@ def write_spectrum(lambdas: np.ndarray, path) -> None:
             writer.writerow([k, fmt(lam.real), fmt(lam.imag), fmt(abs(lam))])
 
 
-def read_spectrum(path) -> np.ndarray:
-    body = _check_header(
-        _open_rows(path), ["k", "re_lambda", "im_lambda", "abs_lambda"], path
-    )
-    lams = []
-    for lineno, row in enumerate(body, start=2):
-        try:
-            lams.append(complex(float(row[1]), float(row[2])))
-        except (ValueError, IndexError) as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(lams, dtype=np.complex128)
-
-
 # -- filters ------------------------------------------------------------------
 
 def read_filter_spec(path, n: int) -> SpectralFilter:
@@ -171,12 +164,12 @@ def read_filter_spec(path, n: int) -> SpectralFilter:
             raise FileFormatError(f"bad ideal filter spec: {exc}") from exc
     if kind == "diagonal":
         try:
-            response = np.array([complex(re, im) for re, im in spec["response"]])
+            filt = SpectralFilter([complex(re, im) for re, im in spec["response"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"bad diagonal filter spec: {exc}") from exc
-        if response.shape != (n,):
-            raise FileFormatError(f"diagonal filter has {response.shape[0]} taps, graph has {n}")
-        return SpectralFilter(response)
+        if filt.response.shape != (n,):
+            raise FileFormatError(f"diagonal filter has {filt.response.shape[0]} taps, graph has {n}")
+        return filt
     raise FileFormatError(f"unknown filter kind {kind!r}")
 
 
@@ -194,18 +187,6 @@ def write_plan(plan: SamplingPlan, band: BandModel, path=None) -> None:
     write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
-def read_plan(path) -> dict:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot parse plan {path}: {exc}") from exc
-    for key in ("omega", "sample_set", "gamma", "b_norm", "certificate"):
-        if key not in payload:
-            raise FileFormatError(f"{path}: plan is missing {key!r}")
-    return payload
-
-
 # -- experiment sweeps --------------------------------------------------------
 
 def write_trials_csv(rows: Iterable[Sequence], path) -> None:
@@ -215,19 +196,6 @@ def write_trials_csv(rows: Iterable[Sequence], path) -> None:
         writer.writerow(["sigma", "trial", "graph", "err_l2", "bound"])
         for sigma, trial, graph, err, bound in rows:
             writer.writerow([fmt(sigma), trial, graph, fmt(err), fmt(bound)])
-
-
-def read_trials_csv(path) -> list[tuple[float, int, str, float, float]]:
-    body = _check_header(
-        _open_rows(path), ["sigma", "trial", "graph", "err_l2", "bound"], path
-    )
-    out = []
-    for lineno, row in enumerate(body, start=2):
-        try:
-            out.append((float(row[0]), int(row[1]), row[2], float(row[3]), float(row[4])))
-        except (ValueError, IndexError) as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    return out
 
 
 def write_summary_csv(rows, path) -> None:
@@ -240,18 +208,3 @@ def write_summary_csv(rows, path) -> None:
                 [row.graph, fmt(row.sigma), fmt(row.err_mean), fmt(row.err_std),
                  fmt(row.err_abs_mean), fmt(row.bound_mean)]
             )
-
-
-def read_summary_csv(path) -> list[tuple[str, float, float, float, float, float]]:
-    body = _check_header(
-        _open_rows(path),
-        ["graph", "sigma", "err_mean", "err_std", "err_abs_mean", "bound_mean"],
-        path,
-    )
-    out = []
-    for lineno, row in enumerate(body, start=2):
-        try:
-            out.append((row[0],) + tuple(float(v) for v in row[1:6]))
-        except (ValueError, IndexError) as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    return out

@@ -6,6 +6,9 @@ With this row convention every row of ``L`` sums to zero, so the constant
 vector is always in the null space and acts as the DC mode of the spectral
 analysis built on top.
 
+A graph is three parallel arrays ``src``, ``dst`` and ``weight``, validated
+in numpy; ``A`` is those weighted arcs scattered into a dense matrix.
+
 Two scalar indices separate plain asymmetry from non-normality:
 
 - ``asymmetry_index``:  alpha(M) = ||M - M^T||_F / ||M||_F
@@ -17,34 +20,16 @@ random edges drives delta > 0 and degrades eigenvector conditioning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 
-class Edge(NamedTuple):
-    src: int
-    dst: int
-    weight: float
-
-
-@dataclass(frozen=True)
-class AsymmetryReport:
-    """Asymmetry and normality-departure indices of one matrix.
-
-    ``alpha`` is 0 iff the matrix is symmetric and stays within [0, sqrt(2)]
-    for graph-derived matrices (adjacency and Laplacian entries make the
-    Frobenius inner product <M, M^T> nonnegative). ``delta`` is 0 iff the
-    matrix is normal.
-    """
-
-    alpha: float
-    delta: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Weighted directed graph on vertices ``0 .. n-1``.
+
+    The ``k``-th edge runs ``src[k] -> dst[k]`` with weight ``weight[k]``;
+    the three arrays are stored as read-only int64, int64 and float64 copies.
 
     Self-loops are rejected: a loop adds the same amount to the out-degree
     and the adjacency, so it cancels in the Laplacian while still inflating
@@ -53,38 +38,57 @@ class DirectedGraph:
     """
 
     n: int
-    edges: tuple[Edge, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
-        normalized = []
-        seen = set()
-        for e in self.edges:
-            src, dst, weight = e
-            src, dst, weight = int(src), int(dst), float(weight)
-            if not (0 <= src < self.n and 0 <= dst < self.n):
-                raise ValueError(f"edge ({src}, {dst}) out of range for n={self.n}")
-            if src == dst:
-                raise ValueError(f"self-loop at vertex {src} rejected")
-            if not np.isfinite(weight) or weight <= 0.0:
-                raise ValueError(f"edge ({src}, {dst}) needs a finite positive weight, got {weight}")
-            if (src, dst) in seen:
-                raise ValueError(f"duplicate edge ({src}, {dst})")
-            seen.add((src, dst))
-            normalized.append(Edge(src, dst, weight))
-        object.__setattr__(self, "edges", tuple(normalized))
+        n = int(self.n)
+        try:
+            src = np.array(self.src, dtype=np.int64)
+            dst = np.array(self.dst, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"vertex index out of range for n={n}: {exc}") from exc
+        weight = np.array(self.weight, dtype=np.float64)
+        if not (src.ndim == dst.ndim == weight.ndim == 1 and src.size == dst.size == weight.size):
+            raise ValueError(
+                "src, dst and weight must be 1-D arrays of equal length, got shapes "
+                f"{src.shape}, {dst.shape}, {weight.shape}"
+            )
+        bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"edge ({src[k]}, {dst[k]}) out of range for n={n}")
+        bad = np.flatnonzero(src == dst)
+        if bad.size:
+            raise ValueError(f"self-loop at vertex {src[bad[0]]} rejected")
+        bad = np.flatnonzero(~(np.isfinite(weight) & (weight > 0.0)))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"edge ({src[k]}, {dst[k]}) needs a finite positive weight, got {weight[k]}"
+            )
+        order = np.lexsort((dst, src))
+        s, d = src[order], dst[order]
+        bad = np.flatnonzero((s[1:] == s[:-1]) & (d[1:] == d[:-1]))
+        if bad.size:
+            raise ValueError(f"duplicate edge ({s[bad[0]]}, {d[bad[0]]})")
+        for name, arr in (("src", src), ("dst", dst), ("weight", weight)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n", n)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(self.src.size)
 
 
 def adjacency(g: DirectedGraph) -> np.ndarray:
     """Dense adjacency matrix: ``A[i, j] = w(i, j)``, rows index sources."""
     a = np.zeros((g.n, g.n))
-    for src, dst, weight in g.edges:
-        a[src, dst] = weight
+    a[g.src, g.dst] = g.weight
     return a
 
 
@@ -120,10 +124,6 @@ def normality_departure(m) -> float:
     return float(np.linalg.norm(m @ mh - mh @ m, "fro") / fro2)
 
 
-def asymmetry_report(m) -> AsymmetryReport:
-    return AsymmetryReport(alpha=asymmetry_index(m), delta=normality_departure(m))
-
-
 def gershgorin_disks(l) -> list[tuple[float, float]]:
     """Row disks ``(center, radius)`` of a Laplacian-like matrix.
 
@@ -139,42 +139,43 @@ def gershgorin_disks(l) -> list[tuple[float, float]]:
     return disks
 
 
-def gen_directed_cycle(n: int) -> DirectedGraph:
-    """Unweighted directed cycle ``0 -> 1 -> ... -> n-1 -> 0`` (n >= 2)."""
+def _cycle_arcs(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise ValueError(f"a directed cycle needs n >= 2, got {n}")
-    return DirectedGraph(n, tuple(Edge(i, (i + 1) % n, 1.0) for i in range(n)))
+    src = np.arange(n)
+    return src, (src + 1) % n
+
+
+def gen_directed_cycle(n: int) -> DirectedGraph:
+    """Unweighted directed cycle ``0 -> 1 -> ... -> n-1 -> 0`` (n >= 2)."""
+    src, dst = _cycle_arcs(n)
+    return DirectedGraph(n, src, dst, np.ones(n))
 
 
 def gen_perturbed_cycle(n: int, p: float, w: float, seed: int) -> DirectedGraph:
     """Directed cycle plus random extra edges of weight ``w``.
 
     Every ordered pair ``(i, j)`` that is neither a self-loop nor a cycle
-    edge receives an edge independently with probability ``p``. Pairs are
-    visited in lexicographic order drawing exactly one uniform variate per
-    candidate pair from a PCG64 generator, so the result is a pure function
-    of ``(n, p, w, seed)``. Cycle edges keep weight exactly 1.0.
+    edge receives an edge independently with probability ``p``. One uniform
+    variate per candidate pair is drawn from a PCG64 generator, pairs in
+    lexicographic order, so the result is a pure function of
+    ``(n, p, w, seed)``. The cycle edges come first and keep weight exactly
+    1.0; the extra edges follow in lexicographic order.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     if not np.isfinite(w) or w <= 0.0:
         raise ValueError(f"perturbation weight must be positive, got {w}")
-    base = gen_directed_cycle(n)
-    cycle_pairs = {(i, (i + 1) % n) for i in range(n)}
-    rng = np.random.default_rng(seed)
-    extra = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or (i, j) in cycle_pairs:
-                continue
-            if rng.random() < p:
-                extra.append(Edge(i, j, float(w)))
-    return DirectedGraph(n, base.edges + tuple(extra))
-
-
-def two_disjoint_cycles(block: int = 3) -> DirectedGraph:
-    """Two vertex-disjoint directed cycles; useful as a graph whose Laplacian
-    null space is two-dimensional (no isolated DC mode)."""
-    edges = [Edge(i, (i + 1) % block, 1.0) for i in range(block)]
-    edges += [Edge(block + i, block + (i + 1) % block, 1.0) for i in range(block)]
-    return DirectedGraph(2 * block, tuple(edges))
+    cycle_src, cycle_dst = _cycle_arcs(n)
+    candidate = np.ones((n, n), dtype=bool)
+    candidate[cycle_src, cycle_src] = False
+    candidate[cycle_src, cycle_dst] = False
+    hit = candidate.copy()
+    hit[candidate] = np.random.default_rng(seed).random(int(candidate.sum())) < p
+    extra_src, extra_dst = np.nonzero(hit)
+    return DirectedGraph(
+        n,
+        np.concatenate([cycle_src, extra_src]),
+        np.concatenate([cycle_dst, extra_dst]),
+        np.concatenate([np.ones(n), np.full(extra_src.size, float(w))]),
+    )

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +14,18 @@ from dirlap.cli import (
     EXIT_RANK_DEFICIENT,
     main,
 )
+
+
+def csv_body(path, header):
+    """Rows of a CSV file after checking its header."""
+    with open(path, newline="") as fh:
+        first, *rows = csv.reader(fh)
+    assert first == header
+    return rows
+
+
+SPECTRUM_HEADER = ["k", "re_lambda", "im_lambda", "abs_lambda"]
+TRIALS_HEADER = ["sigma", "trial", "graph", "err_l2", "bound"]
 
 
 @pytest.fixture
@@ -50,6 +64,22 @@ class TestGen:
         assert a.exit_code == b.exit_code == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (["--n", "20", "--seed", "7"],
+             "9ebd53610a6ae6ef2b21992f6966065907cf36ddd0bf8b5c864344d3a40747b7"),
+            (["--n", "200", "--p", "0.2", "--w", "0.8", "--seed", "3"],
+             "ca888200451cfdc1616d469b7c82c3d5871259beda03ee68de1a8edbb3614564"),
+        ],
+        ids=["n20", "n200"],
+    )
+    def test_golden_hash(self, runner, args, sha256):
+        # pins the PCG64 stream contract: one variate per candidate pair, lexicographic order
+        result = runner.invoke(main, ["gen", "perturbed-cycle"] + args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == sha256
+
     def test_stdout_mode(self, runner):
         result = runner.invoke(main, ["gen", "cycle", "--n", "3"])
         assert result.exit_code == 0
@@ -72,7 +102,7 @@ class TestAnalyze:
         assert payload["henrici"] <= 1e-6
         assert payload["kappa"] <= 1 + 1e-6
         assert payload["alpha"] == pytest.approx(1.0, abs=1e-11)
-        assert len(fileio.read_spectrum(spectrum)) == 20
+        assert len(csv_body(spectrum, SPECTRUM_HEADER)) == 20
 
     def test_perturbed_metrics(self, perturbed_csv, runner):
         result = runner.invoke(main, ["analyze", str(perturbed_csv)])
@@ -167,13 +197,15 @@ class TestFilter:
         sig = tmp_path / "x.csv"
         fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(20)), sig)
         spec = tmp_path / "filter.json"
-        spec.write_text(json.dumps({"kind": "nonsense"}))
-        result = runner.invoke(
-            main,
-            ["filter", str(perturbed_csv), str(sig), "--spec", str(spec),
-             "--out", str(tmp_path / "y.csv")],
-        )
-        assert result.exit_code == EXIT_PARSE
+        non_finite = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 19
+        for payload in ({"kind": "nonsense"}, {"kind": "diagonal", "response": non_finite}):
+            spec.write_text(json.dumps(payload))
+            result = runner.invoke(
+                main,
+                ["filter", str(perturbed_csv), str(sig), "--spec", str(spec),
+                 "--out", str(tmp_path / "y.csv")],
+            )
+            assert result.exit_code == EXIT_PARSE, payload
 
 
 class TestSample:
@@ -184,7 +216,7 @@ class TestSample:
             ["sample", str(perturbed_csv), "--k", "5", "--m", "8", "--out", str(plan_path)],
         )
         assert result.exit_code == 0
-        payload = fileio.read_plan(plan_path)
+        payload = json.loads(plan_path.read_text())
         assert payload["omega"] == [0, 1, 2, 3, 4]
         assert len(payload["sample_set"]) == 8
         assert payload["gamma"] > 0
@@ -268,8 +300,8 @@ class TestExperimentCommands:
         bundle = json.loads((out / "metrics.json").read_text())
         assert bundle["graphs"]["cycle"]["henrici"] <= 1e-6
         assert bundle["graphs"]["perturbed"]["kappa"] > 1
-        assert len(fileio.read_spectrum(out / "cycle.spectrum.csv")) == 12
-        assert len(fileio.read_spectrum(out / "perturbed.spectrum.csv")) == 12
+        assert len(csv_body(out / "cycle.spectrum.csv", SPECTRUM_HEADER)) == 12
+        assert len(csv_body(out / "perturbed.spectrum.csv", SPECTRUM_HEADER)) == 12
 
     def test_fig2_outputs_and_determinism(self, runner, tmp_path):
         args = ["experiment", "fig2", "--n", "10", "--k", "3", "--trials", "10",
@@ -279,9 +311,12 @@ class TestExperimentCommands:
         assert runner.invoke(main, args + ["--out-dir", str(b)]).exit_code == 0
         assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
-        trials = fileio.read_trials_csv(a / "trials.csv")
+        trials = csv_body(a / "trials.csv", TRIALS_HEADER)
         assert len(trials) == 2 * 2 * 10
-        summary = fileio.read_summary_csv(a / "summary.csv")
+        summary = csv_body(
+            a / "summary.csv",
+            ["graph", "sigma", "err_mean", "err_std", "err_abs_mean", "bound_mean"],
+        )
         assert len(summary) == 4
         bundle = json.loads((a / "bundle.json").read_text())
         assert bundle["config"]["n"] == 10
@@ -301,6 +336,14 @@ class TestExperimentCommands:
         assert bundle["config"]["n"] == 8
         assert bundle["config"]["trials"] == 6
 
+    def test_fig2_config_sigmas_not_a_list(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigmas": 5}))
+        result = runner.invoke(
+            main, ["experiment", "fig2", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+        )
+        assert result.exit_code == EXIT_PARSE
+
     def test_fig2_noiseless_sanity(self, runner, tmp_path):
         out = tmp_path / "zero"
         result = runner.invoke(
@@ -309,5 +352,5 @@ class TestExperimentCommands:
              "--sigmas", "0", "--out-dir", str(out)],
         )
         assert result.exit_code == 0
-        for row in fileio.read_trials_csv(out / "trials.csv"):
-            assert row[3] <= 1e-9
+        for row in csv_body(out / "trials.csv", TRIALS_HEADER):
+            assert float(row[3]) <= 1e-9

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -15,12 +16,23 @@ from dirlap import (
 from dirlap import fileio
 
 
+def read_spectrum(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["k", "re_lambda", "im_lambda", "abs_lambda"]
+    return np.array([complex(float(re), float(im)) for _, re, im, _ in rows])
+
+
 class TestEdgeList:
     def test_round_trip(self, tmp_path):
         g = gen_perturbed_cycle(12, 0.3, 0.8, seed=5)
         path = tmp_path / "g.csv"
         fileio.write_edge_list(g, path)
-        assert fileio.read_edge_list(path).edges == g.edges
+        back = fileio.read_edge_list(path)
+        assert back.n == g.n
+        assert np.array_equal(back.src, g.src)
+        assert np.array_equal(back.dst, g.dst)
+        assert np.array_equal(back.weight, g.weight)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -38,6 +50,12 @@ class TestEdgeList:
         path = tmp_path / "g.csv"
         path.write_text("src,dst,weight\n0,1,1\n")
         assert fileio.read_edge_list(path, n=5).n == 5
+
+    def test_index_beyond_int64_becomes_format_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"src,dst,weight\n0,{2**63},1\n")
+        with pytest.raises(FileFormatError, match="out of range"):
+            fileio.read_edge_list(path)
 
     def test_duplicate_edge_becomes_format_error(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -79,7 +97,7 @@ class TestSpectrumCsv:
         _, dec = cycle4
         path = tmp_path / "spec.csv"
         fileio.write_spectrum(dec.lambdas, path)
-        assert np.allclose(fileio.read_spectrum(path), dec.lambdas, atol=1e-11)
+        assert np.allclose(read_spectrum(path), dec.lambdas, atol=1e-11)
 
     def test_twelve_significant_digits(self, tmp_path):
         path = tmp_path / "spec.csv"
@@ -131,7 +149,8 @@ class TestPlanJson:
         plan = plan_sampling(band, range(0, 20, 2))
         path = tmp_path / "plan.json"
         fileio.write_plan(plan, band, path)
-        payload = fileio.read_plan(path)
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"omega", "sample_set", "gamma", "b_norm", "certificate"}
         assert payload["omega"] == [0, 1, 2, 3]
         assert payload["sample_set"] == list(range(0, 20, 2))
         assert payload["gamma"] == pytest.approx(plan.gamma, rel=1e-11)
@@ -145,7 +164,7 @@ class TestPlanJson:
         plan = plan_sampling(band, [0, 1])
         path = tmp_path / "plan.json"
         fileio.write_plan(plan, band, path)
-        assert fileio.read_plan(path)["certificate"] is None
+        assert json.loads(path.read_text())["certificate"] is None
 
 
 class TestTrialsCsv:
@@ -153,7 +172,9 @@ class TestTrialsCsv:
         rows = [(0.01, 0, "cycle", 0.0123456789012, 0.02), (0.5, 3, "perturbed", 1.25, 9.5)]
         path = tmp_path / "trials.csv"
         fileio.write_trials_csv(rows, path)
-        back = fileio.read_trials_csv(path)
-        assert back[0][2] == "cycle"
-        assert back[1] == (0.5, 3, "perturbed", 1.25, 9.5)
-        assert back[0][3] == pytest.approx(0.0123456789012, rel=1e-11)
+        with open(path, newline="") as fh:
+            back = list(csv.reader(fh))
+        assert back[0] == ["sigma", "trial", "graph", "err_l2", "bound"]
+        assert back[1][2] == "cycle"
+        assert back[2] == ["0.5", "3", "perturbed", "1.25", "9.5"]
+        assert float(back[1][3]) == pytest.approx(0.0123456789012, rel=1e-11)

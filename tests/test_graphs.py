@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from dirlap import (
     DirectedGraph,
-    Edge,
     adjacency,
     asymmetry_index,
-    asymmetry_report,
     directed_laplacian,
     gen_directed_cycle,
     gen_perturbed_cycle,
@@ -16,32 +14,50 @@ from dirlap import (
 )
 
 
+def same_graph(a, b):
+    return a.n == b.n and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("src", "dst", "weight")
+    )
+
+
 class TestDirectedGraph:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            DirectedGraph(3, (Edge(1, 1, 1.0),))
+        with pytest.raises(ValueError, match="self-loop at vertex 1 rejected"):
+            DirectedGraph(3, [0, 1], [1, 1], [1.0, 1.0])
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            DirectedGraph(3, (Edge(0, 1, 1.0), Edge(0, 1, 2.0)))
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            DirectedGraph(3, [0, 1, 0], [1, 2, 1], [1.0, 1.0, 2.0])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            DirectedGraph(2, (Edge(0, 2, 1.0),))
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range for n=2"):
+            DirectedGraph(2, [1, 0], [0, 2], [1.0, 1.0])
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_weight(self, weight):
-        with pytest.raises(ValueError):
-            DirectedGraph(2, (Edge(0, 1, weight),))
+        with pytest.raises(ValueError, match=rf"edge \(0, 1\) needs .* got {weight}"):
+            DirectedGraph(2, [0], [1], [weight])
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            DirectedGraph(0, ())
+            DirectedGraph(0, [], [], [])
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            DirectedGraph(3, [0, 1], [1, 2], [1.0])
+
+    def test_stores_read_only_copies(self):
+        src = np.array([0, 1])
+        g = DirectedGraph(3, src, [1, 2], [1, 2])
+        assert (g.src.dtype, g.dst.dtype, g.weight.dtype) == (np.int64, np.int64, np.float64)
+        assert src.flags.writeable and not g.src.flags.writeable
+        with pytest.raises(ValueError):
+            g.weight[0] = 5.0
 
 
 class TestAdjacency:
     def test_single_edge(self):
-        g = DirectedGraph(2, (Edge(0, 1, 1.0),))
+        g = DirectedGraph(2, [0], [1], [1.0])
         assert np.array_equal(adjacency(g), [[0.0, 1.0], [0.0, 0.0]])
 
     def test_cycle_is_cyclic_shift(self):
@@ -51,7 +67,7 @@ class TestAdjacency:
         assert np.array_equal(a, shift)
 
     def test_empty_graph(self):
-        assert np.array_equal(adjacency(DirectedGraph(3, ())), np.zeros((3, 3)))
+        assert np.array_equal(adjacency(DirectedGraph(3, [], [], [])), np.zeros((3, 3)))
 
 
 class TestLaplacian:
@@ -60,7 +76,7 @@ class TestLaplacian:
         assert np.array_equal(directed_laplacian(g), np.eye(4) - adjacency(g))
 
     def test_single_weighted_edge(self):
-        g = DirectedGraph(2, (Edge(0, 1, 2.0),))
+        g = DirectedGraph(2, [0], [1], [2.0])
         assert np.array_equal(directed_laplacian(g), [[2.0, -2.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -120,7 +136,7 @@ class TestGershgorin:
         assert disks == [(1.0, 1.0)] * 5
 
     def test_isolated_vertex_gets_degenerate_disk(self):
-        g = DirectedGraph(3, (Edge(0, 1, 1.0),))
+        g = DirectedGraph(3, [0], [1], [1.0])
         disks = gershgorin_disks(directed_laplacian(g))
         assert disks[0] == (1.0, 1.0)
         assert disks[1] == (0.0, 0.0)
@@ -138,8 +154,9 @@ class TestGershgorin:
 class TestGenerators:
     def test_cycle_n3(self):
         g = gen_directed_cycle(3)
-        assert {(e.src, e.dst) for e in g.edges} == {(0, 1), (1, 2), (2, 0)}
-        assert all(e.weight == 1.0 for e in g.edges)
+        assert np.array_equal(g.src, [0, 1, 2])
+        assert np.array_equal(g.dst, [1, 2, 0])
+        assert np.array_equal(g.weight, [1.0, 1.0, 1.0])
 
     def test_cycle_n2_symmetric_laplacian(self):
         lap = directed_laplacian(gen_directed_cycle(2))
@@ -150,25 +167,40 @@ class TestGenerators:
             gen_directed_cycle(1)
 
     def test_perturbed_p0_is_plain_cycle(self):
-        assert gen_perturbed_cycle(9, 0.0, 0.8, seed=3).edges == gen_directed_cycle(9).edges
+        assert same_graph(gen_perturbed_cycle(9, 0.0, 0.8, seed=3), gen_directed_cycle(9))
 
     def test_perturbed_deterministic(self):
         a = gen_perturbed_cycle(20, 0.2, 0.8, seed=42)
         b = gen_perturbed_cycle(20, 0.2, 0.8, seed=42)
-        assert a.edges == b.edges
+        assert same_graph(a, b)
 
     def test_perturbed_seed_changes_edges(self):
         a = gen_perturbed_cycle(20, 0.2, 0.8, seed=0)
         b = gen_perturbed_cycle(20, 0.2, 0.8, seed=1)
-        assert a.edges != b.edges
+        assert not same_graph(a, b)
 
     def test_perturbed_keeps_cycle_weights(self):
         g = gen_perturbed_cycle(12, 1.0, 0.8, seed=0)
-        weights = {(e.src, e.dst): e.weight for e in g.edges}
-        for i in range(12):
-            assert weights[(i, (i + 1) % 12)] == 1.0
+        cycle = np.arange(12)
+        assert np.array_equal(adjacency(g)[cycle, (cycle + 1) % 12], np.ones(12))
         # p=1 adds every candidate pair
         assert g.edge_count == 12 * 11
+
+    @pytest.mark.parametrize(
+        "n, p, seed", [(2, 0.5, 0), (3, 1.0, 1), (7, 0.3, 2), (20, 0.2, 7), (33, 0.05, 9)]
+    )
+    def test_perturbed_matches_pair_loop(self, n, p, seed):
+        # reference: one scalar draw per candidate pair, pairs in lexicographic order
+        rng = np.random.default_rng(seed)
+        src, dst = list(range(n)), [(i + 1) % n for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if j != i and j != (i + 1) % n and rng.random() < p:
+                    src.append(i)
+                    dst.append(j)
+        weight = [1.0] * n + [0.8] * (len(src) - n)
+        expected = DirectedGraph(n, src, dst, weight)
+        assert same_graph(gen_perturbed_cycle(n, p, 0.8, seed), expected)
 
     def test_perturbed_validates_params(self):
         with pytest.raises(ValueError):
@@ -186,6 +218,5 @@ class TestGenerators:
 def test_generated_laplacian_invariants(n, p, seed):
     lap = directed_laplacian(gen_perturbed_cycle(n, p, 0.8, seed))
     assert np.max(np.abs(lap @ np.ones(n))) < 1e-12
-    report = asymmetry_report(lap)
-    assert 0.0 <= report.alpha <= np.sqrt(2.0) + 1e-12
-    assert report.delta >= 0.0
+    assert 0.0 <= asymmetry_index(lap) <= np.sqrt(2.0) + 1e-12
+    assert normality_departure(lap) >= 0.0
