@@ -24,18 +24,15 @@ from .graphs import (
     directed_laplacian,
     gen_directed_cycle,
     gen_perturbed_cycle,
-    gershgorin_disks,
     normality_departure,
 )
 from .eigen import (
     DcModeReport,
-    NormalityDiagnostics,
     SpectralDecomposition,
     dc_mode_check,
     decompose,
     gram_matrix,
     henrici_departure,
-    normality_diagnostics,
 )
 from .transform import (
     GraphSignal,
@@ -88,18 +85,15 @@ __all__ = [
     "directed_laplacian",
     "asymmetry_index",
     "normality_departure",
-    "gershgorin_disks",
     "gen_directed_cycle",
     "gen_perturbed_cycle",
     # eigen
     "SpectralDecomposition",
     "DcModeReport",
-    "NormalityDiagnostics",
     "decompose",
     "dc_mode_check",
     "gram_matrix",
     "henrici_departure",
-    "normality_diagnostics",
     # transform
     "GraphSignal",
     "SpectralFilter",

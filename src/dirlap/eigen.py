@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NearDefectiveError
 
@@ -46,12 +45,10 @@ class SpectralDecomposition:
         matrix: the decomposed operator (kept for residual/variation checks)
         lambdas: eigenvalues, non-decreasing in magnitude
         v: right eigenvectors as columns, unit norm, phase-fixed
-        u: dual basis columns with ``u.conj().T @ v == I``
+        u: dual basis columns, ``u.conj().T = V^{-1}`` (the analysis operator)
         kappa: 2-norm condition number sigma_max(V) / sigma_min(V)
         sigma_min, sigma_max: extreme singular values of V
         residual: max_k ||L v_k - lambda_k v_k||_2
-        v_lu: LU factors of ``v`` (``scipy.linalg.lu_factor``), the one
-            factorization behind both ``u`` and :meth:`solve_synthesis`
     """
 
     matrix: np.ndarray
@@ -62,20 +59,10 @@ class SpectralDecomposition:
     sigma_min: float
     sigma_max: float
     residual: float
-    v_lu: tuple
 
     @property
     def n(self) -> int:
         return self.lambdas.shape[0]
-
-    def solve_synthesis(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``V z = rhs`` with the stored LU factorization.
-
-        This is the analysis direction: ``z`` holds the coefficients of
-        ``rhs`` in the right eigenbasis, identical to ``u.conj().T @ rhs``
-        but better conditioned than forming the inverse explicitly.
-        """
-        return scipy.linalg.lu_solve(self.v_lu, rhs)
 
 
 @dataclass(frozen=True)
@@ -88,21 +75,6 @@ class DcModeReport:
 
     def __bool__(self) -> bool:
         return self.isolated
-
-
-@dataclass(frozen=True)
-class NormalityDiagnostics:
-    """Non-normality of one operator seen through three equivalent lenses.
-
-    ``henrici`` (departure from normality), ``kappa`` (eigenvector
-    conditioning) and the extreme eigenvalues of the Gram matrix ``V* V``
-    all degenerate together: henrici = 0 iff kappa = 1 iff the Gram matrix
-    is the identity.
-    """
-
-    henrici: float
-    kappa: float
-    gram_extremes: tuple[float, float]
 
 
 def _frequency_sort(lambdas: np.ndarray) -> np.ndarray:
@@ -159,8 +131,7 @@ def decompose(l) -> SpectralDecomposition:
             "the operator is numerically defective"
         )
 
-    lu = scipy.linalg.lu_factor(vec)
-    vinv = scipy.linalg.lu_solve(lu, np.eye(n, dtype=np.complex128))
+    vinv = np.linalg.inv(vec)
     ortho_defect = np.linalg.norm(vinv @ vec - np.eye(n), "fro")
     if ortho_defect > n * 1e-8:
         raise NearDefectiveError(
@@ -177,7 +148,6 @@ def decompose(l) -> SpectralDecomposition:
         sigma_min=sigma_min,
         sigma_max=sigma_max,
         residual=residual,
-        v_lu=lu,
     )
 
 
@@ -222,13 +192,3 @@ def henrici_departure(l, dec: SpectralDecomposition) -> float:
     l = np.asarray(l)
     gap = np.linalg.norm(l, "fro") ** 2 - float(np.sum(np.abs(dec.lambdas) ** 2))
     return float(np.sqrt(max(0.0, gap)))
-
-
-def normality_diagnostics(l, dec: SpectralDecomposition) -> NormalityDiagnostics:
-    """Bundle the Henrici departure, kappa(V) and the Gram-matrix extremes."""
-    gram_eigs = np.linalg.eigvalsh(gram_matrix(dec))
-    return NormalityDiagnostics(
-        henrici=henrici_departure(l, dec),
-        kappa=dec.kappa,
-        gram_extremes=(float(gram_eigs[0]), float(gram_eigs[-1])),
-    )

@@ -160,7 +160,7 @@ def read_filter_spec(path, n: int) -> SpectralFilter:
     if kind == "ideal":
         try:
             return SpectralFilter.ideal([int(i) for i in spec["omega"]], n)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FileFormatError(f"bad ideal filter spec: {exc}") from exc
     if kind == "diagonal":
         try:

@@ -124,21 +124,6 @@ def normality_departure(m) -> float:
     return float(np.linalg.norm(m @ mh - mh @ m, "fro") / fro2)
 
 
-def gershgorin_disks(l) -> list[tuple[float, float]]:
-    """Row disks ``(center, radius)`` of a Laplacian-like matrix.
-
-    Centers are the diagonal entries, radii the off-diagonal absolute row
-    sums; for a directed Laplacian both equal the out-degree, which places
-    every eigenvalue in the closed right half plane.
-    """
-    l = _square(l)
-    disks = []
-    for i in range(l.shape[0]):
-        radius = float(np.sum(np.abs(l[i]))) - abs(float(np.real(l[i, i])))
-        disks.append((float(np.real(l[i, i])), radius))
-    return disks
-
-
 def _cycle_arcs(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise ValueError(f"a directed cycle needs n >= 2, got {n}")

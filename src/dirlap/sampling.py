@@ -127,11 +127,15 @@ def plan_sampling(band: BandModel, sample_set: Iterable[int]) -> SamplingPlan:
     fewer samples than band size the rank is deficient by counting, so
     ``gamma = 0`` without further analysis.
     """
-    sample = np.unique(np.asarray(list(sample_set), dtype=int))
+    out_of_range = f"sample vertices must lie in [0, {band.n})"
+    try:
+        sample = np.unique(np.asarray(list(sample_set), dtype=int))
+    except OverflowError as exc:
+        raise ValueError(out_of_range) from exc
     if sample.size == 0:
         raise ValueError("sample set must not be empty")
     if sample.min() < 0 or sample.max() >= band.n:
-        raise ValueError(f"sample vertices must lie in [0, {band.n})")
+        raise ValueError(out_of_range)
     b = band.v_omega[sample, :]
     s = np.linalg.svd(b, compute_uv=False)
     gamma = float(s[-1]) if sample.size >= band.k else 0.0

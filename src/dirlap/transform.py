@@ -92,9 +92,13 @@ class SpectralFilter:
     def ideal(cls, omega: Iterable[int], n: int) -> "SpectralFilter":
         """Indicator response on the index set ``omega`` (entries in {0, 1})."""
         response = np.zeros(n, dtype=np.complex128)
-        idx = np.asarray(list(omega), dtype=int)
+        out_of_range = f"band indices must lie in [0, {n})"
+        try:
+            idx = np.asarray(list(omega), dtype=int)
+        except OverflowError as exc:
+            raise ValueError(out_of_range) from exc
         if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError(f"band indices must lie in [0, {n})")
+            raise ValueError(out_of_range)
         response[idx] = 1.0
         return cls(response)
 
@@ -116,13 +120,9 @@ class TvBounds:
 
 
 def forward(x: GraphSignal, dec: SpectralDecomposition) -> GraphSignal:
-    """Analysis transform ``xhat = V^{-1} x`` (projection on the dual basis).
-
-    Computed by solving ``V xhat = x`` against the LU factorization stored
-    on the decomposition rather than forming ``V^{-1}`` explicitly.
-    """
+    """Analysis transform ``xhat = U* x = V^{-1} x`` (projection on the dual basis)."""
     _expect(x, VERTEX, dec.n)
-    return GraphSignal(dec.solve_synthesis(x.values), SPECTRAL)
+    return GraphSignal(dec.u.conj().T @ x.values, SPECTRAL)
 
 
 def inverse(xhat: GraphSignal, dec: SpectralDecomposition) -> GraphSignal:

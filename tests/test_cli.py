@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dirlap
 from dirlap import fileio
 from dirlap.cli import (
     EXIT_DIMENSION,
@@ -198,7 +203,9 @@ class TestFilter:
         fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(20)), sig)
         spec = tmp_path / "filter.json"
         non_finite = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 19
-        for payload in ({"kind": "nonsense"}, {"kind": "diagonal", "response": non_finite}):
+        for payload in ({"kind": "nonsense"}, {"kind": "diagonal", "response": non_finite},
+                        {"kind": "ideal", "omega": [1e30]},
+                        {"kind": "ideal", "omega": [float("inf")]}):
             spec.write_text(json.dumps(payload))
             result = runner.invoke(
                 main,
@@ -268,6 +275,13 @@ class TestSample:
         result = runner.invoke(main, ["sample", str(perturbed_csv), "--k", "2", "--m", "4"])
         assert result.exit_code == 0
         assert json.loads(result.output)["omega"] == [0, 1]
+
+    def test_sample_set_index_beyond_int64_is_usage_error(self, cycle_csv, runner):
+        result = runner.invoke(
+            main, ["sample", str(cycle_csv), "--k", "2", "--sample-set", "0,99999999999999999999999"]
+        )
+        assert result.exit_code == 2
+        assert "sample vertices must lie in [0, 20)" in result.output
 
 
 @pytest.mark.parametrize(
@@ -354,3 +368,14 @@ class TestExperimentCommands:
         assert result.exit_code == 0
         for row in csv_body(out / "trials.csv", TRIALS_HEADER):
             assert float(row[3]) <= 1e-9
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the library and its CLI run on numpy alone
+    src = str(Path(dirlap.__file__).resolve().parents[1])
+    code = "import sys, dirlap.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
