@@ -225,8 +225,13 @@ def _config_from(config_path, n, p, w, k, sigmas, trials, seed, real_noise) -> E
     merged.update({key: val for key, val in overrides.items() if val is not None})
     try:
         return ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise FileFormatError(f"bad config: {exc}") from exc
+    except (TypeError, ValueError):
+        # the file is at fault (exit 3) if its values are bad on their own, else a flag (exit 2)
+        try:
+            ExperimentConfig(**base)
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"bad config {config_path}: {exc}") from exc
+        raise
 
 
 _config_options = [

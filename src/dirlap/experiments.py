@@ -14,12 +14,14 @@ relative ell-2, reported next to the theoretical ceiling
 exposes the conditioning penalty directly.
 
 Every number is a pure function of the configuration: graph generation uses
-the configured seed and each (graph, sigma, trial) cell draws from its own
-PCG64 stream spawned from that seed, so results do not depend on execution
-order.
+the configured seed and each (graph, sigma, trial) draws from its own PCG64
+stream spawned from that seed, so results do not depend on execution order.
+The trials of a (graph, sigma) cell run as blocks, one trial per column, but
+each trial still draws all its variates from its own stream.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from statistics import fmean
 
@@ -34,8 +36,8 @@ from .graphs import (
     gen_perturbed_cycle,
     normality_departure,
 )
-from .sampling import make_band, synthesize_bandlimited
-from .transform import SpectralFilter, apply_filter, vertex_signal
+from .sampling import make_band
+from .transform import SpectralFilter, _filter_values
 
 GENERATOR_NAME = "PCG64"
 
@@ -43,6 +45,9 @@ DEFAULT_SIGMAS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
 
 #: stable stream indices for the two reference graphs
 _GRAPH_STREAM = {"cycle": 0, "perturbed": 1}
+
+#: trials per block of the noise sweep; a block's draws and products stay small
+TRIAL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -61,13 +66,15 @@ class ExperimentConfig:
             raise ValueError("n must be at least 2")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.w <= 0.0:
-            raise ValueError("w must be positive")
+        if not (math.isfinite(self.w) and self.w > 0.0):
+            raise ValueError(f"w must be finite and positive, got {self.w}")
         if not 1 <= self.k <= self.n:
             raise ValueError("k must lie in [1, n]")
         sigmas = tuple(float(s) for s in self.sigmas)
         if not sigmas:
             raise ValueError("sigma grid must not be empty")
+        if not all(math.isfinite(s) for s in sigmas):
+            raise ValueError(f"sigmas must be finite, got {list(sigmas)}")
         if any(s < 0 for s in sigmas) or list(sigmas) != sorted(sigmas):
             raise ValueError("sigmas must be nonnegative and ascending")
         object.__setattr__(self, "sigmas", sigmas)
@@ -161,15 +168,27 @@ def run_spectrum_comparison(config: ExperimentConfig) -> SpectrumComparison:
     return SpectrumComparison(config=config, reports={k: rep for k, (rep, _) in pair.items()})
 
 
-def _trial_rng(config: ExperimentConfig, graph: str, sigma_index: int, trial: int):
-    seq = np.random.SeedSequence(
-        entropy=config.seed, spawn_key=(_GRAPH_STREAM[graph], sigma_index, trial)
-    )
-    return np.random.default_rng(seq)
+def _cell_draws(
+    config: ExperimentConfig, graph: str, sigma_index: int, trials: range
+) -> np.ndarray:
+    """Standard normal variates of a block of trials, one row per trial.
+
+    Each trial draws ``2k`` variates for its coefficients and ``2n`` (``n``
+    for real noise) for its noise in one call on its own PCG64 stream.
+    """
+    noise = config.n if config.real_noise else 2 * config.n
+    z = np.empty((len(trials), 2 * config.k + noise))
+    for row, trial in zip(z, trials):
+        seq = np.random.SeedSequence(
+            entropy=config.seed, spawn_key=(_GRAPH_STREAM[graph], sigma_index, trial)
+        )
+        np.random.default_rng(seq).standard_normal(out=row)
+    return z
 
 
-def _complex_gaussian(rng, size: int) -> np.ndarray:
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+def _circular(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Circular complex Gaussian variates with unit variance from their two parts."""
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
@@ -180,36 +199,34 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     ``sigma^2`` (circular complex Gaussian, or real Gaussian when
     ``real_noise`` is set), reconstruct with the ideal low-pass projector,
     and record the relative error alongside its theoretical ceiling.
+
+    The trials of a (graph, sigma) cell run in blocks of ``TRIAL_BLOCK``,
+    one column per trial, so each block is a few dense matrix products.
     """
     pair = reference_pair(config)
+    k, n = config.k, config.n
     trials: list[TrialRow] = []
     summary: list[SummaryRow] = []
     for graph, (report, dec) in pair.items():
-        band = make_band(dec, config.k)
-        low_pass = SpectralFilter.ideal(band.omega, config.n)
+        band = make_band(dec, k)
+        low_pass = SpectralFilter.ideal(band.omega, n)
         for sigma_index, sigma in enumerate(config.sigmas):
             cell: list[TrialRow] = []
-            for trial in range(config.trials):
-                rng = _trial_rng(config, graph, sigma_index, trial)
-                c = _complex_gaussian(rng, config.k)
-                x0 = synthesize_bandlimited(band, c)
+            for start in range(0, config.trials, TRIAL_BLOCK):
+                block = range(start, min(start + TRIAL_BLOCK, config.trials))
+                z = _cell_draws(config, graph, sigma_index, block)
+                x0 = band.v_omega @ _circular(z[:, :k], z[:, k : 2 * k]).T
                 if config.real_noise:
-                    eta = sigma * rng.standard_normal(config.n)
+                    eta = sigma * z[:, 2 * k :].T
                 else:
-                    eta = sigma * _complex_gaussian(rng, config.n)
-                y = vertex_signal(x0.values + eta)
-                x_rec = apply_filter(y, low_pass, dec)
-                err_abs = float(np.linalg.norm(x_rec.values - x0.values))
-                x0_norm = x0.norm()
-                cell.append(
-                    TrialRow(
-                        sigma=sigma,
-                        trial=trial,
-                        graph=graph,
-                        err_l2=err_abs / x0_norm,
-                        err_abs=err_abs,
-                        bound=dec.kappa * float(np.linalg.norm(eta)) / x0_norm,
-                    )
+                    eta = sigma * _circular(z[:, 2 * k : 2 * k + n], z[:, 2 * k + n :]).T
+                x_rec = _filter_values(x0 + eta, low_pass.response, dec)
+                err_abs = np.linalg.norm(x_rec - x0, axis=0)
+                x0_norm = np.linalg.norm(x0, axis=0)
+                bound = dec.kappa * np.linalg.norm(eta, axis=0) / x0_norm
+                cell.extend(
+                    TrialRow(sigma=sigma, trial=t, graph=graph, err_l2=e / x, err_abs=e, bound=b)
+                    for t, e, x, b in zip(block, err_abs.tolist(), x0_norm.tolist(), bound.tolist())
                 )
             trials.extend(cell)
             errs = [t.err_l2 for t in cell]

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: largest vertex count a graph may have: every operator is a dense n x n matrix
+MAX_VERTICES = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
@@ -30,6 +33,8 @@ class DirectedGraph:
 
     The ``k``-th edge runs ``src[k] -> dst[k]`` with weight ``weight[k]``;
     the three arrays are stored as read-only int64, int64 and float64 copies.
+    ``n`` is at most ``MAX_VERTICES``, checked before anything of size ``n``
+    is allocated.
 
     Self-loops are rejected: a loop adds the same amount to the out-degree
     and the adjacency, so it cancels in the Laplacian while still inflating
@@ -51,6 +56,8 @@ class DirectedGraph:
             dst = np.array(self.dst, dtype=np.int64)
         except OverflowError as exc:
             raise ValueError(f"vertex index out of range for n={n}: {exc}") from exc
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} exceeds MAX_VERTICES = {MAX_VERTICES}")
         weight = np.array(self.weight, dtype=np.float64)
         if not (src.ndim == dst.ndim == weight.ndim == 1 and src.size == dst.size == weight.size):
             raise ValueError(
@@ -127,6 +134,8 @@ def normality_departure(m) -> float:
 def _cycle_arcs(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise ValueError(f"a directed cycle needs n >= 2, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n must be at most MAX_VERTICES = {MAX_VERTICES}, got {n}")
     src = np.arange(n)
     return src, (src + 1) % n
 

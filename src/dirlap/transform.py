@@ -156,8 +156,15 @@ def apply_filter(x: GraphSignal, filt: SpectralFilter, dec: SpectralDecompositio
         raise DimensionMismatchError(
             f"filter has {filt.response.shape[0]} taps, decomposition has n={dec.n}"
         )
-    xhat = forward(x, dec)
-    return inverse(GraphSignal(filt.response * xhat.values, SPECTRAL), dec)
+    return GraphSignal(_filter_values(x.values, filt.response, dec), VERTEX)
+
+
+def _filter_values(
+    values: np.ndarray, response: np.ndarray, dec: SpectralDecomposition
+) -> np.ndarray:
+    """``V diag(h) U* values`` for one signal ``(n,)`` or a block ``(n, T)`` of column signals."""
+    xhat = dec.u.conj().T @ values
+    return dec.v @ (response.reshape(response.shape + (1,) * (values.ndim - 1)) * xhat)
 
 
 def total_variation(l, x: GraphSignal) -> float:

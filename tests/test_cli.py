@@ -95,6 +95,12 @@ class TestGen:
         result = runner.invoke(main, ["gen", "cycle", "--n", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("kind", ["cycle", "perturbed-cycle"])
+    def test_n_beyond_max_vertices_is_usage_error(self, runner, kind):
+        result = runner.invoke(main, ["gen", kind, "--n", "99999999999999999999"])
+        assert result.exit_code == 2
+        assert "n must be at most MAX_VERTICES = 10000" in result.output
+
 
 class TestAnalyze:
     def test_cycle_metrics(self, cycle_csv, runner, tmp_path):
@@ -130,6 +136,13 @@ class TestAnalyze:
         bad.write_text("src,dst\n0,1\n")
         result = runner.invoke(main, ["analyze", str(bad)])
         assert result.exit_code == EXIT_PARSE
+
+    def test_vertex_count_beyond_max_is_parse_error(self, tmp_path, runner):
+        path = tmp_path / "sparse.csv"
+        path.write_text("src,dst,weight\n0,60000,1\n")
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == EXIT_PARSE
+        assert "vertex count 60001 exceeds MAX_VERTICES = 10000" in result.output
 
     def test_near_defective_exit_code(self, tmp_path, runner):
         # directed path graph: defective Laplacian
@@ -368,6 +381,82 @@ class TestExperimentCommands:
         assert result.exit_code == 0
         for row in csv_body(out / "trials.csv", TRIALS_HEADER):
             assert float(row[3]) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "args, digests",
+        [
+            ([], ("44791bdfc80c341febaf95906cc08f40668a5ace5598ddd7d878ee3c4107597b",
+                  "e2242db767404a8c912142fce0e7e03b0b4d0cb21d5e54d05df13a8138337c63")),
+            (["--real-noise"],
+             ("a19f97c3e251637ad540188b44393b351b7d98ceb807947ebd1ee03e56674c91",
+              "2cf56459857a2dccf8dfd0afc4c128955a5db65defa534bccf3f983da9e25ad9")),
+        ],
+        ids=["complex", "real"],
+    )
+    def test_fig2_golden_hash(self, runner, tmp_path, args, digests):
+        # pins the per-(graph, sigma, trial) PCG64 streams; 300 trials is not a whole
+        # number of sweep blocks
+        out = tmp_path / "fig2"
+        result = runner.invoke(
+            main,
+            ["experiment", "fig2", "--n", "10", "--k", "3", "--trials", "300",
+             "--sigmas", "0.05,0.3", "--seed", "2", *args, "--out-dir", str(out)],
+        )
+        assert result.exit_code == 0
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("summary.csv", "bundle.json")) == digests
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sigmas", "nan"], "sigmas must be finite"),
+            (["--sigmas", "inf"], "sigmas must be finite"),
+            (["--sigmas", "0.1,inf"], "sigmas must be finite"),
+            (["--w", "inf"], "w must be finite and positive"),
+        ],
+    )
+    def test_fig2_non_finite_flag_is_usage_error(self, runner, tmp_path, flags, message):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", "fig2", *flags, "--out-dir", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"sigmas": [NaN]}', "sigmas must be finite"),
+            ('{"sigmas": [0.1, Infinity]}', "sigmas must be finite"),
+            ('{"w": Infinity}', "w must be finite and positive"),
+        ],
+    )
+    def test_fig2_non_finite_config_is_parse_error(self, runner, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["experiment", "fig2", "--config", str(cfg), "--out-dir", str(out)]
+        )
+        assert result.exit_code == EXIT_PARSE
+        assert message in result.output
+        assert not out.exists()
+
+    def test_config_valid_only_with_flags_is_accepted(self, runner, tmp_path):
+        # k = 12 needs n >= 12, which the flag gives; a flag alone at fault is exit 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 12, "trials": 2, "sigmas": [0.1]}))
+        args = ["experiment", "fig2", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+        assert runner.invoke(main, args + ["--n", "30"]).exit_code == 0
+        assert runner.invoke(main, args + ["--k", "0"]).exit_code == 2
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    def test_n_beyond_max_vertices_is_usage_error(self, runner, tmp_path, command):
+        result = runner.invoke(
+            main, ["experiment", command, "--n", "99999999999999999999",
+                   "--out-dir", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2
+        assert "n must be at most MAX_VERTICES = 10000" in result.output
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from dirlap import ExperimentConfig, run_noise_sweep, run_spectrum_comparison
+from dirlap import (
+    ExperimentConfig,
+    SpectralFilter,
+    apply_filter,
+    make_band,
+    run_noise_sweep,
+    run_spectrum_comparison,
+    synthesize_bandlimited,
+    vertex_signal,
+)
+from dirlap.experiments import TRIAL_BLOCK, reference_pair
 
 
 class TestConfig:
@@ -27,6 +37,20 @@ class TestConfig:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"sigmas": (float("nan"),)}, "sigmas"),
+            ({"sigmas": (float("inf"),)}, "sigmas"),
+            ({"sigmas": (0.1, float("inf"))}, "sigmas"),
+            ({"w": float("inf")}, "w"),
+            ({"w": float("nan")}, "w"),
+        ],
+    )
+    def test_non_finite_rejected_by_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ExperimentConfig(**kwargs)
 
     def test_to_dict_round_trips(self):
@@ -95,3 +119,57 @@ class TestNoiseSweep:
         row = next(r for r in sweep.summary if r.graph == "cycle" and r.sigma == 0.05)
         assert row.err_mean == pytest.approx(np.mean(rows), rel=1e-12)
         assert row.err_std == pytest.approx(np.std(rows), rel=1e-9)
+
+
+def per_trial_sweep(config):
+    """The sweep as one Python iteration per trial: four draws, one filter call each."""
+    rows = []
+    for graph, (_, dec) in reference_pair(config).items():
+        band = make_band(dec, config.k)
+        low_pass = SpectralFilter.ideal(band.omega, config.n)
+        stream = {"cycle": 0, "perturbed": 1}[graph]
+        for sigma_index, sigma in enumerate(config.sigmas):
+            for trial in range(config.trials):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=config.seed, spawn_key=(stream, sigma_index, trial))
+                )
+                c = (rng.standard_normal(config.k) + 1j * rng.standard_normal(config.k)) / np.sqrt(2.0)
+                x0 = synthesize_bandlimited(band, c)
+                if config.real_noise:
+                    eta = sigma * rng.standard_normal(config.n)
+                else:
+                    eta = sigma * (
+                        rng.standard_normal(config.n) + 1j * rng.standard_normal(config.n)
+                    ) / np.sqrt(2.0)
+                x_rec = apply_filter(vertex_signal(x0.values + eta), low_pass, dec)
+                err_abs = float(np.linalg.norm(x_rec.values - x0.values))
+                rows.append((graph, sigma, trial, err_abs / x0.norm(), err_abs,
+                             dec.kappa * float(np.linalg.norm(eta)) / x0.norm()))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"sigmas": (0.0, 0.05, 0.3), "trials": 2 * TRIAL_BLOCK + 3, "seed": 4},
+        {"sigmas": (0.0, 0.05, 0.3), "trials": 2 * TRIAL_BLOCK + 3, "seed": 4, "real_noise": True},
+        {"n": 9, "k": 2, "sigmas": (0.2,), "trials": 1, "seed": 1},
+        {"n": 9, "k": 2, "sigmas": (0.2,), "trials": 1, "seed": 1, "real_noise": True},
+    ],
+    ids=["complex", "real", "one-trial-complex", "one-trial-real"],
+)
+def test_sweep_matches_per_trial_loop(kwargs):
+    # blocks of trials draw from the same per-trial streams as one call per trial
+    config = ExperimentConfig(**kwargs)
+    expected = per_trial_sweep(config)
+    got = run_noise_sweep(config).trials
+    assert [(t.graph, t.sigma, t.trial) for t in got] == [row[:3] for row in expected]
+    for t, (_, sigma, _, err_l2, err_abs, bound) in zip(got, expected):
+        if sigma == 0.0:
+            # noiseless reconstruction: both errors are rounding noise and the bound is 0
+            assert t.bound == bound == 0.0
+            assert max(t.err_l2, err_l2, t.err_abs, err_abs) < 1e-14
+        else:
+            assert t.err_l2 == pytest.approx(err_l2, rel=1e-12)
+            assert t.err_abs == pytest.approx(err_abs, rel=1e-12)
+            assert t.bound == pytest.approx(bound, rel=1e-12)

@@ -57,6 +57,13 @@ class TestEdgeList:
         with pytest.raises(FileFormatError, match="out of range"):
             fileio.read_edge_list(path)
 
+    def test_vertex_count_beyond_max_becomes_format_error(self, tmp_path):
+        # one row would otherwise make every later stage allocate a 60001 x 60001 matrix
+        path = tmp_path / "sparse.csv"
+        path.write_text("src,dst,weight\n0,60000,1\n")
+        with pytest.raises(FileFormatError, match="vertex count 60001 exceeds MAX_VERTICES"):
+            fileio.read_edge_list(path)
+
     def test_duplicate_edge_becomes_format_error(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("src,dst,weight\n0,1,1\n0,1,2\n")

@@ -11,6 +11,7 @@ from dirlap import (
     gen_perturbed_cycle,
     normality_departure,
 )
+from dirlap.graphs import MAX_VERTICES
 
 
 def same_graph(a, b):
@@ -40,6 +41,14 @@ class TestDirectedGraph:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             DirectedGraph(0, [], [], [])
+
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**20])
+    def test_rejects_more_than_max_vertices(self, n):
+        with pytest.raises(ValueError, match=f"vertex count {n} exceeds MAX_VERTICES = {MAX_VERTICES}"):
+            DirectedGraph(n, [0], [1], [1.0])
+
+    def test_accepts_max_vertices(self):
+        assert DirectedGraph(MAX_VERTICES, [0], [MAX_VERTICES - 1], [1.0]).n == MAX_VERTICES
 
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -146,6 +155,13 @@ class TestGenerators:
         assert np.array_equal(g.src, [0, 1, 2])
         assert np.array_equal(g.dst, [1, 2, 0])
         assert np.array_equal(g.weight, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**20])
+    def test_generators_reject_more_than_max_vertices(self, n):
+        # checked before any array of size n is allocated
+        for make in (gen_directed_cycle, lambda n: gen_perturbed_cycle(n, 0.2, 0.8, 0)):
+            with pytest.raises(ValueError, match=f"n must be at most MAX_VERTICES = {MAX_VERTICES}"):
+                make(n)
 
     def test_cycle_n2_symmetric_laplacian(self):
         lap = directed_laplacian(gen_directed_cycle(2))
