@@ -12,12 +12,25 @@ comes first). Ties in magnitude are broken by ascending complex argument in
 (-pi, pi] and then by the original index, which keeps conjugate pairs
 adjacent and makes the output deterministic.
 
-Eigenvector columns have unit 2-norm with the phase rotated so the
-largest-magnitude entry is real and positive; all remaining freedom lives in
+Eigenvector columns have unit 2-norm with the phase rotated so the lead
+entry is real and positive. The lead is the first entry whose modulus is
+within a relative 1e-8 of the column's largest, so a flat column (a Fourier
+mode of a circulant graph) always leads with its first entry rather than
+with whichever entry rounding made largest. All remaining freedom lives in
 ``U`` via ``U* = V^{-1}``.
 
-The backend is LAPACK's dense non-symmetric solver (Hessenberg reduction
-followed by shifted QR iteration) as exposed by ``numpy.linalg.eig``.
+The backend is LAPACK's dense real non-symmetric solver ``dgeev`` (Hessenberg
+reduction followed by shifted QR iteration) as exposed by ``numpy.linalg.eig``
+on the real matrix. It returns each complex eigenvalue with its exact
+conjugate, stored next to it (+imag first), and the conjugate eigenvector.
+Every O(n^3) step after it runs on the real basis ``W``: real eigenvectors as
+they are, and each conjugate pair ``v, conj(v)`` replaced by the columns
+``sqrt2 Re v, sqrt2 Im v``. Then ``V = W T`` with ``T`` unitary, so ``kappa``
+and the extreme singular values come from a real SVD of ``W``, the
+biorthogonality defect ``||W^{-1} W - I||_F`` equals ``||V^{-1} V - I||_F``,
+and ``U* = T^H W^{-1}`` after one real inverse. The pairs are taken from
+LAPACK's storage order, never by matching eigenvalues, so repeated pairs
+stay distinct.
 """
 from __future__ import annotations
 
@@ -35,6 +48,8 @@ ZERO_EIGENVALUE_TOL = 1e-8
 DC_ANGLE_TOL = 1e-6
 #: kappa(V) beyond which the dual basis is numerically meaningless
 DEFECTIVE_KAPPA_LIMIT = 1e12
+#: relative gap under which an entry's modulus ties the column maximum
+_FLAT_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,14 +110,22 @@ def _frequency_sort(lambdas: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=int)
 
 
-def _normalize_columns(vec: np.ndarray) -> np.ndarray:
-    vec = vec / np.linalg.norm(vec, axis=0)
-    lead = vec[np.argmax(np.abs(vec), axis=0), np.arange(vec.shape[1])]
-    return vec / (lead / np.abs(lead))
+def _normalize_columns(vec: np.ndarray) -> None:
+    """Scale columns in place to unit norm, the lead entry real and positive.
+
+    The lead is the first entry whose modulus is within ``_FLAT_RTOL`` of the
+    column maximum, so flat columns (Fourier modes) do not take it from
+    rounding noise.
+    """
+    vec /= np.linalg.norm(vec, axis=0)
+    mags = np.abs(vec)
+    first = np.argmax(mags >= (1.0 - _FLAT_RTOL) * mags.max(axis=0), axis=0)
+    lead = vec[first, np.arange(vec.shape[1])]
+    vec /= lead / np.abs(lead)
 
 
 def decompose(l) -> SpectralDecomposition:
-    """Eigendecompose a square matrix and build the dual (left) basis.
+    """Eigendecompose a real square matrix and build the dual (left) basis.
 
     Raises:
         NearDefectiveError: if ``kappa(V) > DEFECTIVE_KAPPA_LIMIT`` or the computed
@@ -113,16 +136,34 @@ def decompose(l) -> SpectralDecomposition:
     a = np.asarray(l)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if np.iscomplexobj(a):
+        raise ValueError("matrix entries must be real")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
+    a = a.astype(np.float64, copy=False)
     n = a.shape[0]
 
-    lambdas, vec = np.linalg.eig(a.astype(np.complex128))
+    lambdas, vec = np.linalg.eig(a)
+    # dgeev stores each conjugate pair next to each other, +imag member first;
+    # p and q are the sorted positions of the two members
+    first = np.flatnonzero(lambdas.imag > 0)
     order = _frequency_sort(lambdas)
-    lambdas = lambdas[order]
-    vec = _normalize_columns(vec[:, order])
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    p, q = rank[first], rank[first + 1]
+    lambdas = lambdas[order].astype(np.complex128, copy=False)
+    vec = vec[:, order].astype(np.complex128, copy=False)
+    _normalize_columns(vec)
 
-    s = np.linalg.svd(vec, compute_uv=False)
+    # real basis W = V T^H: [v_p v_q] = sqrt2 [Re v_p, Im v_p] T with T unitary,
+    # so W has the singular values of V and V^{-1} = T^H W^{-1}
+    scale = np.ones(n)
+    scale[p] = scale[q] = np.sqrt(2.0)
+    w = vec.real.copy()
+    w[:, q] = vec.imag[:, p]
+    w *= scale
+
+    s = np.linalg.svd(w, compute_uv=False)
     sigma_max, sigma_min = float(s[0]), float(s[-1])
     kappa = np.inf if sigma_min == 0.0 else sigma_max / sigma_min
     if kappa > DEFECTIVE_KAPPA_LIMIT:
@@ -131,19 +172,41 @@ def decompose(l) -> SpectralDecomposition:
             "the operator is numerically defective"
         )
 
-    vinv = np.linalg.inv(vec)
-    ortho_defect = np.linalg.norm(vinv @ vec - np.eye(n), "fro")
+    # L W - W Re(Lambda) plus the pair terms; ||r_p||^2 + ||r_q||^2 is twice
+    # the squared residual of each of v_p and v_q
+    r = a @ w
+    r -= w * lambdas.real
+    beta = lambdas.imag[p]
+    r[:, p] += w[:, q] * beta
+    r[:, q] -= w[:, p] * beta
+    col2 = np.einsum("ij,ij->j", r, r)
+    del r
+    col2[p] = col2[q] = 0.5 * (col2[p] + col2[q])
+    residual = float(np.sqrt(np.max(col2)))
+
+    winv = np.linalg.inv(w)
+    d = winv @ w
+    del w
+    d.flat[:: n + 1] -= 1.0
+    ortho_defect = np.linalg.norm(d, "fro")
+    del d
     if ortho_defect > n * 1e-8:
         raise NearDefectiveError(
             f"dual basis fails biorthogonality (defect {ortho_defect:.3e} > {n * 1e-8:.1e})"
         )
 
-    residual = float(np.max(np.linalg.norm(a @ vec - vec * lambdas, axis=0)))
+    # u = (V^{-1})* = W^{-T} T: u_p = (row p + i row q of W^{-1}) / sqrt2, u_q = conj(u_p)
+    winv /= scale[:, None]
+    u = winv.T.astype(np.complex128)
+    del winv
+    u.imag[:, p] = u.real[:, q]
+    u.real[:, q] = u.real[:, p]
+    u.imag[:, q] = -u.imag[:, p]
     return SpectralDecomposition(
         matrix=np.array(a, copy=True),
         lambdas=lambdas,
         v=vec,
-        u=vinv.conj().T,
+        u=u,
         kappa=float(kappa),
         sigma_min=sigma_min,
         sigma_max=sigma_max,
@@ -186,9 +249,13 @@ def gram_matrix(dec: SpectralDecomposition) -> np.ndarray:
 def henrici_departure(l, dec: SpectralDecomposition) -> float:
     """Henrici departure from normality ``sqrt(||L||_F^2 - sum |lambda_k|^2)``.
 
-    Zero iff ``L`` is normal. The radicand is clamped at 0: rounding in the
-    eigenvalues can push it a few ulps negative for normal matrices.
+    Zero iff ``L`` is normal. A radicand at or below the rounding floor
+    ``n * eps * ||L||_F^2`` reads as 0: for a normal matrix the two sums agree
+    only to rounding, and the square root would magnify that noise.
     """
     l = np.asarray(l)
-    gap = np.linalg.norm(l, "fro") ** 2 - float(np.sum(np.abs(dec.lambdas) ** 2))
-    return float(np.sqrt(max(0.0, gap)))
+    fro2 = np.linalg.norm(l, "fro") ** 2
+    gap = fro2 - float(np.sum(np.abs(dec.lambdas) ** 2))
+    if gap <= l.shape[0] * np.finfo(np.float64).eps * fro2:
+        return 0.0
+    return float(np.sqrt(gap))

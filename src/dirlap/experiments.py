@@ -22,6 +22,7 @@ each trial still draws all its variates from its own stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from statistics import fmean
 
@@ -62,6 +63,10 @@ class ExperimentConfig:
     real_noise: bool = False
 
     def __post_init__(self):
+        for name in ("n", "k", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not 0.0 <= self.p <= 1.0:

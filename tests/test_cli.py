@@ -441,6 +441,28 @@ class TestExperimentCommands:
         assert message in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": 20.5}', "n must be an integer, got 20.5"),
+            ('{"k": 2.5}', "k must be an integer, got 2.5"),
+            ('{"trials": 2.5}', "trials must be an integer, got 2.5"),
+            ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_fig2_non_integer_config_is_parse_error(self, runner, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["experiment", "fig2", "--config", str(cfg), "--out-dir", str(out)]
+        )
+        assert result.exit_code == EXIT_PARSE
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_config_valid_only_with_flags_is_accepted(self, runner, tmp_path):
         # k = 12 needs n >= 12, which the flag gives; a flag alone at fault is exit 2
         cfg = tmp_path / "cfg.json"

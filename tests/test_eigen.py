@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 from dirlap import (
     DirectedGraph,
     NearDefectiveError,
+    SpectralDecomposition,
     dc_mode_check,
     decompose,
     directed_laplacian,
@@ -14,11 +15,40 @@ from dirlap import (
     henrici_departure,
     normality_departure,
 )
+from dirlap.eigen import _frequency_sort, _normalize_columns
 
 
 def circulant_cycle_eigenvalues(n):
     """Closed-form spectrum of the unit directed n-cycle Laplacian."""
     return 1.0 - np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def bidirectional_cycle(n):
+    ring = np.arange(n)
+    src = np.concatenate([ring, (ring + 1) % n])
+    dst = np.concatenate([(ring + 1) % n, ring])
+    return DirectedGraph(n, src, dst, np.ones(2 * n))
+
+
+def complete_graph(n):
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    return DirectedGraph(n, src, dst, np.ones(src.size))
+
+
+def complex_decompose(lap):
+    """Reference: the decomposition in complex arithmetic, without the checks."""
+    lambdas, vec = np.linalg.eig(lap.astype(np.complex128))
+    order = _frequency_sort(lambdas)
+    lambdas = lambdas[order]
+    vec = vec[:, order]
+    _normalize_columns(vec)
+    s = np.linalg.svd(vec, compute_uv=False)
+    vinv = np.linalg.inv(vec)
+    residual = float(np.max(np.linalg.norm(lap @ vec - vec * lambdas, axis=0)))
+    return SpectralDecomposition(
+        matrix=lap, lambdas=lambdas, v=vec, u=vinv.conj().T, kappa=float(s[0] / s[-1]),
+        sigma_min=float(s[-1]), sigma_max=float(s[0]), residual=residual,
+    )
 
 
 def match_multisets(computed, expected):
@@ -46,10 +76,8 @@ class TestDecompose:
         assert np.allclose(dec.lambdas, [0.0, 2.0], atol=1e-12)
         assert dec.kappa == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(np.abs(dec.v[:, 0]), 1 / np.sqrt(2), atol=1e-12)
-        # second mode is (1,-1)/sqrt(2) up to the phase convention (tied
-        # magnitudes leave the sign to floating-point argmax)
-        assert np.allclose(np.abs(dec.v[:, 1]), 1 / np.sqrt(2), atol=1e-12)
-        assert dec.v[0, 1] == pytest.approx(-dec.v[1, 1], abs=1e-12)
+        # second mode is (1,-1)/sqrt(2): both moduli tie, so the first entry leads
+        assert np.allclose(dec.v[:, 1], np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-12)
 
     def test_magnitude_ordering_with_argument_tiebreak(self, cycle20, perturbed20):
         for _, dec in (cycle20, perturbed20):
@@ -125,9 +153,82 @@ class TestDecompose:
 
     def test_directed_path_raises_near_defective(self):
         # the path Laplacian has eigenvalue 1 with full algebraic, unit geometric multiplicity
-        g = DirectedGraph(8, np.arange(7), np.arange(1, 8), np.ones(7))
-        with pytest.raises(NearDefectiveError):
-            decompose(directed_laplacian(g))
+        for n in (3, 8, 40):
+            g = DirectedGraph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+            with pytest.raises(NearDefectiveError):
+                decompose(directed_laplacian(g))
+
+    def test_rejects_complex(self):
+        with pytest.raises(ValueError, match="must be real"):
+            decompose(np.array([[1.0, 1j], [0.0, 2.0]]))
+
+
+def _perturbed(n, seed):
+    return directed_laplacian(gen_perturbed_cycle(n, 0.2, 0.8, seed))
+
+
+def _real_spectrum():
+    # similar to diag(1..7) by a random basis: real eigenvalues, non-normal
+    s = np.random.default_rng(3).standard_normal((7, 7))
+    return s @ np.diag(np.arange(1.0, 8.0)) @ np.linalg.inv(s)
+
+
+class TestRealArithmetic:
+    """The real-basis decomposition against the complex one it replaced."""
+
+    @pytest.mark.parametrize(
+        "lap",
+        [
+            _perturbed(20, 7),
+            _perturbed(150, 1),
+            _perturbed(400, 2),
+            # two vertex-disjoint 3-cycles: each conjugate pair occurs twice
+            directed_laplacian(
+                DirectedGraph(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], np.ones(6))
+            ),
+            _real_spectrum(),
+        ],
+        ids=["perturbed20", "perturbed150", "perturbed400", "two-3-cycles", "real-spectrum"],
+    )
+    def test_matches_complex_reference(self, lap):
+        dec, ref = decompose(lap), complex_decompose(lap)
+        scale = np.linalg.norm(lap, 2)
+        assert np.abs(dec.lambdas - ref.lambdas).max() <= 1e-13 * scale
+        assert np.abs(dec.v - ref.v).max() <= 1e-11
+        assert np.abs(dec.u - ref.u).max() <= 1e-12 * ref.kappa
+        assert dec.kappa == pytest.approx(ref.kappa, rel=1e-11)
+        assert dec.sigma_min == pytest.approx(ref.sigma_min, rel=1e-11)
+        assert dec.sigma_max == pytest.approx(ref.sigma_max, rel=1e-11)
+        # both residuals are rounding noise; a wrong pair term would be O(|Im lambda|)
+        assert abs(dec.residual - ref.residual) <= 1e-14 * scale * dec.n
+        direct = np.linalg.norm(lap @ dec.v - dec.v * dec.lambdas, axis=0).max()
+        assert abs(dec.residual - direct) <= 1e-14 * scale * dec.n
+
+    def test_conjugate_pairs_are_exact(self):
+        dec = decompose(_perturbed(150, 1))
+        for k in np.flatnonzero(dec.lambdas.imag > 0):
+            partner = np.flatnonzero(dec.lambdas == np.conj(dec.lambdas[k]))
+            assert partner.size == 1
+            assert np.array_equal(dec.v[:, partner[0]], dec.v[:, k].conj())
+            assert np.array_equal(dec.u[:, partner[0]], dec.u[:, k].conj())
+
+    def test_real_eigenvalues_are_exactly_real(self):
+        dec = decompose(_real_spectrum())
+        assert np.all(dec.lambdas.imag == 0.0)
+        assert np.all(dec.v.imag == 0.0)
+        assert np.all(dec.u.imag == 0.0)
+
+    @pytest.mark.parametrize(
+        "g",
+        [gen_directed_cycle(20), gen_directed_cycle(400), gen_directed_cycle(2)],
+        ids=["cycle20", "cycle400", "bidirectional-2-cycle"],
+    )
+    def test_flat_eigenvectors_same_as_complex_eig(self, g):
+        # every column is flat, so the tie rule leads with entry 0
+        lap = directed_laplacian(g)
+        dec = decompose(lap)
+        assert np.abs(dec.v - complex_decompose(lap).v).max() <= 1e-12
+        assert np.allclose(dec.v[0], 1.0 / np.sqrt(g.n), rtol=0.0, atol=1e-12)
 
 
 class TestDcMode:
@@ -178,6 +279,21 @@ class TestGramMatrix:
 
 
 class TestHenrici:
+    @pytest.mark.parametrize(
+        "g",
+        [gen_directed_cycle(20), gen_directed_cycle(400), bidirectional_cycle(8),
+         complete_graph(6)],
+        ids=["cycle20", "cycle400", "bidirectional8", "K6"],
+    )
+    def test_normal_graphs_read_exactly_zero(self, g):
+        lap = directed_laplacian(g)
+        assert henrici_departure(lap, decompose(lap)) == 0.0
+
+    def test_floor_leaves_perturbed20_unchanged(self, perturbed20):
+        # the value before the rounding floor existed
+        lap, dec = perturbed20
+        assert henrici_departure(lap, dec) == pytest.approx(6.322010113563914, rel=1e-12)
+
     def test_cycle20_is_normal(self, cycle20):
         lap, dec = cycle20
         assert henrici_departure(lap, dec) <= 1e-6

@@ -53,6 +53,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"n": 20.5}, "n"),
+            ({"n": 20.0}, "n"),
+            ({"n": True}, "n"),
+            ({"k": 2.5}, "k"),
+            ({"trials": 2.5}, "trials"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": False}, "seed"),
+        ],
+    )
+    def test_non_integer_rejected_by_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = ExperimentConfig(n=np.int64(12), k=np.int32(3), trials=np.int64(4), seed=np.uint8(9))
+        assert (cfg.n, cfg.k, cfg.trials, cfg.seed) == (12, 3, 4, 9)
+
     def test_to_dict_round_trips(self):
         cfg = ExperimentConfig(sigmas=(0.1, 0.2), trials=3)
         assert ExperimentConfig(**{**cfg.to_dict(), "sigmas": tuple(cfg.to_dict()["sigmas"])}) == cfg
