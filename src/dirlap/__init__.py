@@ -39,13 +39,9 @@ from .transform import (
     SpectralFilter,
     TvBounds,
     apply_filter,
-    directed_variation,
     energy_identity,
     forward,
     inverse,
-    spectral_perturbation_bound,
-    spectral_signal,
-    total_variation,
     tv_bounds,
     vertex_signal,
 )
@@ -53,7 +49,6 @@ from .sampling import (
     BandModel,
     RecoveryReport,
     SamplingPlan,
-    approx_band_certificate,
     make_band,
     noise_certificate,
     plan_sampling,
@@ -99,15 +94,11 @@ __all__ = [
     "SpectralFilter",
     "TvBounds",
     "vertex_signal",
-    "spectral_signal",
     "forward",
     "inverse",
     "energy_identity",
     "apply_filter",
-    "total_variation",
-    "directed_variation",
     "tv_bounds",
-    "spectral_perturbation_bound",
     # sampling
     "BandModel",
     "SamplingPlan",
@@ -117,7 +108,6 @@ __all__ = [
     "plan_sampling",
     "recover",
     "noise_certificate",
-    "approx_band_certificate",
     "select_sampling_set",
     # experiments
     "ExperimentConfig",

@@ -63,9 +63,15 @@ def _with_exit_codes(fn):
     return wrapper
 
 
-def _load_decomposition(graph_path) -> SpectralDecomposition:
-    """Read an edge list and decompose its directed Laplacian."""
-    return decompose(directed_laplacian(fileio.read_edge_list(graph_path)))
+def _load_decomposition(graph_path, n: int | None) -> SpectralDecomposition:
+    """Read an edge list on ``n`` vertices (default: inferred) and decompose its directed Laplacian."""
+    return decompose(directed_laplacian(fileio.read_edge_list(graph_path, n)))
+
+
+_vertex_count_option = click.option(
+    "--n", type=int, default=None,
+    help="Vertex count [default: largest index + 1]; counts trailing isolated vertices.",
+)
 
 
 def _metrics_payload(report, spectrum_csv: str | None) -> dict:
@@ -113,13 +119,14 @@ def gen(kind, n, p, w, seed, out):
 
 @main.command()
 @click.argument("graph_path", type=click.Path(exists=True, dir_okay=False))
+@_vertex_count_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Metrics file (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--spectrum-out", type=click.Path(dir_okay=False), default=None, help="Eigenvalue CSV path.")
 @_with_exit_codes
-def analyze(graph_path, out, fmt, spectrum_out):
+def analyze(graph_path, n, out, fmt, spectrum_out):
     """Asymmetry/normality metrics and spectrum of a graph's Laplacian."""
-    dec = _load_decomposition(graph_path)
+    dec = _load_decomposition(graph_path, n)
     report = analyze_graph(dec, Path(graph_path).stem)
     if spectrum_out is not None:
         fileio.write_spectrum(dec.lambdas, spectrum_out)
@@ -129,12 +136,13 @@ def analyze(graph_path, out, fmt, spectrum_out):
 @main.command()
 @click.argument("graph_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("signal_path", type=click.Path(exists=True, dir_okay=False))
+@_vertex_count_option
 @click.option("--direction", type=click.Choice(["forward", "inverse"]), default="forward", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output signal CSV.")
 @_with_exit_codes
-def gft(graph_path, signal_path, direction, out):
+def gft(graph_path, signal_path, n, direction, out):
     """Graph Fourier transform of a signal (dual-basis analysis/synthesis)."""
-    dec = _load_decomposition(graph_path)
+    dec = _load_decomposition(graph_path, n)
     if direction == "forward":
         sig = fileio.read_signal(signal_path, VERTEX)
         fileio.write_signal(forward(sig, dec), out)
@@ -146,13 +154,14 @@ def gft(graph_path, signal_path, direction, out):
 @main.command(name="filter")
 @click.argument("graph_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("signal_path", type=click.Path(exists=True, dir_okay=False))
+@_vertex_count_option
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Filter spec JSON (ideal or diagonal).")
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Filtered signal CSV.")
 @_with_exit_codes
-def filter_cmd(graph_path, signal_path, spec_path, out):
+def filter_cmd(graph_path, signal_path, n, spec_path, out):
     """Apply a diagonal spectral filter to a vertex signal."""
-    dec = _load_decomposition(graph_path)
+    dec = _load_decomposition(graph_path, n)
     filt = fileio.read_filter_spec(spec_path, dec.n)
     sig = fileio.read_signal(signal_path, VERTEX)
     fileio.write_signal(apply_filter(sig, filt, dec), out)
@@ -160,6 +169,7 @@ def filter_cmd(graph_path, signal_path, spec_path, out):
 
 @main.command()
 @click.argument("graph_path", type=click.Path(exists=True, dir_okay=False))
+@_vertex_count_option
 @click.option("--k", type=int, required=True, help="Band size (lowest-|lambda| modes).")
 @click.option("--m", type=int, default=None, help="Sample budget for automatic selection.")
 @click.option("--strategy", type=click.Choice(["greedy-gamma", "random"]), default="greedy-gamma",
@@ -172,11 +182,13 @@ def filter_cmd(graph_path, signal_path, spec_path, out):
 @click.option("--recover-out", type=click.Path(dir_okay=False), default=None,
               help="Recovered signal CSV (requires --signal).")
 @_with_exit_codes
-def sample(graph_path, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
+def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
     """Plan a sampling set for a band and optionally recover a signal."""
     if signal_path is not None and recover_out is None:
         raise click.UsageError("--signal requires --recover-out")
-    dec = _load_decomposition(graph_path)
+    if recover_out is not None and signal_path is None:
+        raise click.UsageError("--recover-out requires --signal")
+    dec = _load_decomposition(graph_path, n)
     band = make_band(dec, k)
     if sample_set is not None:
         try:

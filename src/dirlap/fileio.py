@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FileFormatError
-from .graphs import DirectedGraph
+from .graphs import MAX_VERTICES, DirectedGraph
 from .sampling import BandModel, SamplingPlan
 from .transform import GraphSignal, SpectralFilter, VERTEX
 
@@ -77,8 +77,15 @@ def read_edge_list(path, n: int | None = None) -> DirectedGraph:
 
     The format carries no vertex count, so ``n`` defaults to the largest
     vertex index plus one; pass it explicitly for graphs with trailing
-    isolated vertices.
+    isolated vertices or no edges at all.
+
+    Raises:
+        ValueError: ``n`` is outside ``[1, MAX_VERTICES]`` or below the
+            largest vertex index plus one (the argument is at fault).
+        FileFormatError: the file is unreadable or its rows are invalid.
     """
+    if n is not None and not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"n must lie in [1, MAX_VERTICES = {MAX_VERTICES}], got {n}")
     body = _check_header(_open_rows(path), ["src", "dst", "weight"], path)
     src, dst, weight = [], [], []
     for lineno, row in enumerate(body, start=2):
@@ -91,10 +98,13 @@ def read_edge_list(path, n: int | None = None) -> DirectedGraph:
         src.append(s)
         dst.append(d)
         weight.append(w)
+    top = max(max(src), max(dst)) + 1 if src else 0
     if n is None:
         if not src:
             raise FileFormatError(f"{path}: empty edge list needs an explicit vertex count")
-        n = max(max(src), max(dst)) + 1
+        n = top
+    elif n < top:
+        raise ValueError(f"n={n} is below the largest vertex index plus one in {path} ({top})")
     try:
         return DirectedGraph(n, src, dst, weight)
     except ValueError as exc:

@@ -26,6 +26,10 @@ from .transform import GraphSignal, VERTEX
 
 #: singular values below RANK_RTOL * sigma_max count as zero (rank boundary)
 RANK_RTOL = 1e-12
+#: stop once every secular step moves its root by at most this relative amount
+_SECULAR_RTOL = 4.0 * np.finfo(float).eps
+#: secular iteration cap; the model step converges in a handful, bisection only guards it
+_SECULAR_MAX_ITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,25 +191,6 @@ def noise_certificate(plan: SamplingPlan, band: BandModel, eta_norm: float) -> f
     return band.synthesis_norm * eta_norm / plan.gamma
 
 
-def approx_band_certificate(
-    plan: SamplingPlan, band: BandModel, r_samples_norm: float, eta_norm: float
-) -> float:
-    """Bias-variance ceiling for approximately bandlimited signals.
-
-    For ``x = V_omega c + r`` with out-of-band remainder ``r``, recovery
-    treats the sampled remainder as extra noise:
-
-        ||x_rec - V_omega c|| <= ||V_omega||_2 (||P_M r|| + ||eta||) / gamma
-
-    ``r_samples_norm`` is the remainder measured at the sampled vertices,
-    not over the whole graph.
-    """
-    _require_full_rank(plan)
-    if r_samples_norm < 0.0 or eta_norm < 0.0:
-        raise ValueError("norms must be nonnegative")
-    return band.synthesis_norm * (r_samples_norm + eta_norm) / plan.gamma
-
-
 def select_sampling_set(
     band: BandModel, m: int, strategy: str = "greedy-gamma", seed: int = 0
 ) -> np.ndarray:
@@ -213,10 +198,32 @@ def select_sampling_set(
 
     ``"greedy-gamma"`` grows the set one vertex at a time, each step adding
     the vertex that maximizes the smallest singular value of the augmented
-    sample matrix (ties resolved to the lowest index). Below ``k`` rows the
-    smallest *computed* singular value is used, which greedily builds rank
-    until gamma proper becomes positive. ``"random"`` draws a uniform
-    sample without replacement from a PCG64 generator seeded with ``seed``.
+    sample matrix ``[B; r]``. Below ``k`` rows the smallest *computed*
+    singular value is used, which greedily builds rank until gamma proper
+    becomes positive. Each step scores every remaining candidate at once:
+
+    - with ``j < k`` rows chosen, by one batched SVD of the ``(candidates,
+      j + 1, k)`` stack of augmented matrices, ``O(n j^2 k)`` per step;
+    - from ``k`` rows on, by one SVD of the chosen rows ``B = U diag(s) W*``
+      (``O(j k^2)``), one product ``z = r W`` for all candidates
+      (``O(n k^2)``) and a secular equation per candidate (``O(k)`` per
+      iteration). With ``s_1`` the smallest singular value, the new one is
+      the root ``w`` in ``[s_1, min(s_2, sqrt(s_1^2 + ||z||^2))]`` of
+
+          1 + sum_i |z_i|^2 / ((s_i - w)(s_i + w)) = 0,
+
+      written in the singular values themselves, so ``B* B`` and its
+      squared-singular-value rounding never arise (see :func:`_secular_root`).
+
+    Ties: candidates scoring within ``RANK_RTOL * ||V_omega||_2`` of the
+    step's best count as tied and the lowest index wins. That is the rank
+    boundary's resolution: every score is a singular value of rows of
+    ``V_omega``, computed to an absolute error of a few ``eps * ||V_omega||_2``
+    whichever way it is scored. So exact ties (every vertex of a circulant
+    graph, say) are decided by the rule, not by rounding, even where the
+    scores themselves are tiny.
+    ``"random"`` draws a uniform sample without replacement from a PCG64
+    generator seeded with ``seed``.
     """
     if not band.k <= m <= band.n:
         raise ValueError(f"sample budget must lie in [{band.k}, {band.n}], got {m}")
@@ -226,15 +233,79 @@ def select_sampling_set(
     if strategy != "greedy-gamma":
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    v, k = band.v_omega, band.k
+    tie = RANK_RTOL * band.synthesis_norm
     chosen: list[int] = []
-    remaining = set(range(band.n))
-    for _ in range(m):
-        best_val, best_vertex = -1.0, -1
-        for cand in sorted(remaining):
-            rows = chosen + [cand]
-            s = np.linalg.svd(band.v_omega[rows, :], compute_uv=False)
-            if s[-1] > best_val:
-                best_val, best_vertex = float(s[-1]), cand
-        chosen.append(best_vertex)
-        remaining.remove(best_vertex)
+    free = np.ones(band.n, dtype=bool)
+    for j in range(m):
+        cand = np.flatnonzero(free)
+        if j < k:
+            stack = np.empty((cand.size, j + 1, k), dtype=v.dtype)
+            stack[:, :j] = v[chosen]
+            stack[:, j] = v[cand]
+            scores = np.linalg.svd(stack, compute_uv=False)[:, -1]
+        else:
+            scores = _rank_one_sigma_min(v[chosen], v[cand])
+        best = cand[np.argmax(scores >= scores.max() - tie)]
+        chosen.append(int(best))
+        free[best] = False
     return np.sort(np.array(chosen, dtype=int))
+
+
+def _rank_one_sigma_min(b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sigma_min([b; r])`` for each row ``r`` of ``rows``; ``b`` has at least as many rows as columns."""
+    _, s, wh = np.linalg.svd(b, full_matrices=False)
+    s, wh = s[::-1], wh[::-1]                      # ascending singular values
+    weights = np.abs(rows @ wh.conj().T) ** 2      # |z_i|^2, one row per candidate
+    s1 = s[0]
+    if s.size == 1:
+        return np.sqrt(s1 * s1 + weights[:, 0])
+    mu = _secular_root((s[1:] - s1) * (s[1:] + s1), weights[:, 0], weights[:, 1:])
+    return np.sqrt(s1 * s1 + mu)
+
+
+def _secular_root(delta: np.ndarray, a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Smallest root ``mu >= 0`` of ``1 - a/mu + sum_i rest_i / (delta_i - mu)``, per row.
+
+    This is the σ-form secular equation shifted to its smallest pole:
+    ``mu = (w - s_1)(w + s_1)`` and ``delta_i = (s_i - s_1)(s_i + s_1)``
+    (ascending), so every denominator ``(s_i - w)(s_i + w) = delta_i - mu``
+    is a difference of products of singular values. The root lies in
+    ``[0, min(delta_1, a + sum(rest))]``; it is ``delta_1`` itself when the
+    pole there has no weight.
+
+    Each iteration keeps ``-a/mu`` exact and models the other terms as
+    ``p + q / (delta_1 - mu)``, matched in value and slope at the iterate
+    (Bunch, Nielsen & Sorensen 1978); the model's root is one quadratic.
+    A step that leaves the bracket of sign changes is replaced by bisection,
+    and the iteration stops once every step is within rounding of its root.
+    """
+    d1 = delta[0]
+    if d1 == 0.0:                                  # repeated smallest singular value stays put
+        return np.zeros(a.shape)
+    on_pole = np.count_nonzero(delta == d1)
+    q_pole = rest[:, :on_pole].sum(axis=1)
+    far_w, far_d = rest[:, on_pole:], delta[on_pole:]
+    lo = np.zeros(a.shape)
+    hi = np.minimum(d1, a + rest.sum(axis=1))
+    mu = lo.copy()
+    for _ in range(_SECULAR_MAX_ITER):
+        gap = d1 - mu
+        inv = 1.0 / (far_d - mu[:, None])
+        ratio = gap[:, None] * inv
+        p = 1.0 + (far_w * (1.0 - ratio) * inv).sum(axis=1)
+        q = q_pole + (far_w * ratio * ratio).sum(axis=1)
+        # sign of the secular function at mu, times mu * (d1 - mu) >= 0
+        g = p * mu * gap + q * mu - a * gap
+        lo = np.where(g <= 0.0, mu, lo)
+        hi = np.where(g >= 0.0, mu, hi)
+        pd, b = p * d1, p * d1 + q + a
+        disc = (pd - a) ** 2 + q * (q + 2.0 * (pd + a))
+        step = 2.0 * a * d1 / (b + np.sqrt(disc))
+        # a step within rounding of mu has converged, even if rounding put it outside the bracket
+        done = np.abs(step - mu) <= _SECULAR_RTOL * step
+        mu = np.where(done | ((step >= lo) & (step <= hi)), step, 0.5 * (lo + hi))
+        if done.all():
+            break
+    return mu
+

@@ -63,10 +63,6 @@ def vertex_signal(values) -> GraphSignal:
     return GraphSignal(np.asarray(values), VERTEX)
 
 
-def spectral_signal(values) -> GraphSignal:
-    return GraphSignal(np.asarray(values), SPECTRAL)
-
-
 def _expect(x: GraphSignal, domain: str, n: int) -> None:
     if x.domain != domain:
         raise ValueError(f"expected a {domain}-domain signal, got {x.domain}-domain")
@@ -167,57 +163,21 @@ def _filter_values(
     return dec.v @ (response.reshape(response.shape + (1,) * (values.ndim - 1)) * xhat)
 
 
-def total_variation(l, x: GraphSignal) -> float:
-    """Directed total variation ``||L x||_2^2``.
-
-    The squared graph derivative energy; zero exactly on the null space of
-    ``L`` (constant signals for strongly connected graphs). The sum of
-    squared moduli is real by construction.
-    """
-    l = np.asarray(l)
-    _expect(x, VERTEX, l.shape[0])
-    lx = l @ x.values
-    return float(np.real(np.vdot(lx, lx)))
-
-
-def directed_variation(l, x: GraphSignal) -> float:
-    """Unsquared semi-norm ``||L x||_2`` (square root of total_variation)."""
-    return float(np.sqrt(total_variation(l, x)))
-
-
 def tv_bounds(x: GraphSignal, dec: SpectralDecomposition) -> TvBounds:
     """Sandwich the directed total variation by spectral energies.
 
-    ``spectral_energy = sum |lambda_k|^2 |xhat_k|^2`` and the actual
-    variation ``||L x||^2`` lies between ``sigma_min(V)^2`` and
-    ``sigma_max(V)^2`` times that sum.
+    The actual variation is ``||L x||^2``, the squared graph-derivative
+    energy: zero exactly on the null space of ``L`` (constant signals for
+    strongly connected graphs). It lies between ``sigma_min(V)^2`` and
+    ``sigma_max(V)^2`` times ``spectral_energy = sum |lambda_k|^2 |xhat_k|^2``.
     """
     _expect(x, VERTEX, dec.n)
     xhat = forward(x, dec).values
     spectral_energy = float(np.sum((np.abs(dec.lambdas) * np.abs(xhat)) ** 2))
+    lx = dec.matrix @ x.values
     return TvBounds(
         lower=dec.sigma_min**2 * spectral_energy,
         upper=dec.sigma_max**2 * spectral_energy,
         spectral_energy=spectral_energy,
-        actual=total_variation(dec.matrix, x),
+        actual=float(np.real(np.vdot(lx, lx))),
     )
-
-
-def spectral_perturbation_bound(
-    xhat: GraphSignal, eta_norm: float, dec: SpectralDecomposition
-) -> float:
-    """Worst-case relative vertex-domain error from spectral-domain noise.
-
-    If the spectral coefficients are perturbed by noise of norm
-    ``eta_norm``, the relative error of the synthesized signal is at most
-    ``kappa(V) * eta_norm / ||xhat||``. Equality is attained when the noise
-    aligns with the top singular direction of ``V`` and the signal with the
-    bottom one.
-    """
-    _expect(xhat, SPECTRAL, dec.n)
-    if eta_norm < 0.0:
-        raise ValueError("noise norm must be nonnegative")
-    nrm = xhat.norm()
-    if nrm == 0.0:
-        raise ValueError("zero signal has no relative error bound")
-    return dec.kappa * eta_norm / nrm

@@ -284,6 +284,17 @@ class TestSample:
         assert result.exit_code == 2
         assert not plan_path.exists()
 
+    def test_recover_out_without_signal_is_usage_error(self, perturbed_csv, runner, tmp_path):
+        plan_path, rec = tmp_path / "plan.json", tmp_path / "rec.csv"
+        result = runner.invoke(
+            main,
+            ["sample", str(perturbed_csv), "--k", "3", "--m", "6", "--recover-out", str(rec),
+             "--out", str(plan_path)],
+        )
+        assert result.exit_code == 2
+        assert "--recover-out requires --signal" in result.output
+        assert not plan_path.exists() and not rec.exists()
+
     def test_stdout_plan(self, perturbed_csv, runner):
         result = runner.invoke(main, ["sample", str(perturbed_csv), "--k", "2", "--m", "4"])
         assert result.exit_code == 0
@@ -295,6 +306,85 @@ class TestSample:
         )
         assert result.exit_code == 2
         assert "sample vertices must lie in [0, 20)" in result.output
+
+
+class TestVertexCount:
+    """``--n`` on the commands that read a graph: the edge list carries no vertex count."""
+
+    @pytest.fixture
+    def triangle_csv(self, tmp_path):
+        path = tmp_path / "triangle.csv"
+        path.write_text("src,dst,weight\n0,1,1\n1,2,1\n2,0,1\n")
+        return path
+
+    @pytest.fixture
+    def signal5(self, tmp_path):
+        path = tmp_path / "x5.csv"
+        fileio.write_signal(dirlap.vertex_signal(np.arange(1.0, 6.0)), path)
+        return path
+
+    @pytest.fixture
+    def lowpass(self, tmp_path):
+        path = tmp_path / "lowpass.json"
+        path.write_text('{"kind": "ideal", "omega": [0, 1]}')
+        return path
+
+    def commands(self, graph, signal, spec, out):
+        return {
+            "analyze": ["analyze", str(graph)],
+            "gft": ["gft", str(graph), str(signal), "--out", str(out)],
+            "filter": ["filter", str(graph), str(signal), "--spec", str(spec), "--out", str(out)],
+            "sample": ["sample", str(graph), "--k", "2", "--m", "3"],
+        }
+
+    def test_trailing_isolated_vertices(self, triangle_csv, runner, tmp_path):
+        spectrum = tmp_path / "spec.csv"
+        result = runner.invoke(
+            main, ["analyze", str(triangle_csv), "--n", "5", "--spectrum-out", str(spectrum)]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["n"] == 5
+        moduli = [float(row[3]) for row in csv_body(spectrum, SPECTRUM_HEADER)]
+        assert len(moduli) == 5
+        assert sum(abs(z) < 1e-12 for z in moduli) == 3   # the triangle's DC mode + 2 isolated
+
+    @pytest.mark.parametrize("command", ["analyze", "gft", "filter", "sample"])
+    def test_every_graph_command_takes_n(self, command, triangle_csv, signal5, lowpass,
+                                         runner, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = self.commands(triangle_csv, signal5, lowpass, out)[command]
+        assert runner.invoke(main, argv + ["--n", "5"]).exit_code == 0
+        if command in ("gft", "filter"):
+            assert len(fileio.read_signal(out, "spectral" if command == "gft" else "vertex").values) == 5
+            # without --n the graph has 3 vertices and the 5-vertex signal does not fit
+            assert runner.invoke(main, argv).exit_code == EXIT_DIMENSION
+
+    def test_empty_edge_list(self, tmp_path, runner):
+        path = tmp_path / "empty.csv"
+        path.write_text("src,dst,weight\n")
+        result = runner.invoke(main, ["analyze", str(path), "--n", "3"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["n"] == 3 and payload["kappa"] == 1.0
+        missing = runner.invoke(main, ["analyze", str(path)])
+        assert missing.exit_code == EXIT_PARSE
+        assert "needs an explicit vertex count" in missing.output
+
+    @pytest.mark.parametrize("command", ["analyze", "gft", "filter", "sample"])
+    def test_n_below_largest_index_is_usage_error(self, command, triangle_csv, signal5, lowpass,
+                                                  runner, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = self.commands(triangle_csv, signal5, lowpass, out)[command]
+        result = runner.invoke(main, argv + ["--n", "2"])
+        assert result.exit_code == 2
+        assert "n=2 is below the largest vertex index plus one" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "10001", "99999999999999999999"])
+    def test_n_outside_vertex_range_is_usage_error(self, n, triangle_csv, runner):
+        result = runner.invoke(main, ["analyze", str(triangle_csv), "--n", n])
+        assert result.exit_code == 2
+        assert "n must lie in [1, MAX_VERTICES = 10000]" in result.output
 
 
 @pytest.mark.parametrize(

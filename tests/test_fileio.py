@@ -6,11 +6,11 @@ import pytest
 
 from dirlap import (
     FileFormatError,
+    GraphSignal,
     SpectralFilter,
     gen_perturbed_cycle,
     make_band,
     plan_sampling,
-    spectral_signal,
     vertex_signal,
 )
 from dirlap import fileio
@@ -51,6 +51,25 @@ class TestEdgeList:
         path.write_text("src,dst,weight\n0,1,1\n")
         assert fileio.read_edge_list(path, n=5).n == 5
 
+    def test_explicit_vertex_count_on_empty_edge_list(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("src,dst,weight\n")
+        g = fileio.read_edge_list(path, n=3)
+        assert (g.n, g.edge_count) == (3, 0)
+
+    @pytest.mark.parametrize("n, message", [
+        (1, "n=1 is below the largest vertex index plus one"),
+        (0, "n must lie in"),
+        (10_001, "n must lie in"),
+    ])
+    def test_bad_explicit_vertex_count_is_value_error(self, tmp_path, n, message):
+        # the argument is at fault, not the file
+        path = tmp_path / "g.csv"
+        path.write_text("src,dst,weight\n0,1,1\n")
+        with pytest.raises(ValueError, match=message) as info:
+            fileio.read_edge_list(path, n=n)
+        assert not isinstance(info.value, FileFormatError)
+
     def test_index_beyond_int64_becomes_format_error(self, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text(f"src,dst,weight\n0,{2**63},1\n")
@@ -82,7 +101,7 @@ class TestSignals:
 
     def test_spectral_domain_flag(self, tmp_path):
         path = tmp_path / "xhat.csv"
-        fileio.write_signal(spectral_signal([1.0, 2.0]), path)
+        fileio.write_signal(GraphSignal(np.array([1.0, 2.0]), "spectral"), path)
         assert fileio.read_signal(path, domain="spectral").domain == "spectral"
 
     def test_gap_in_indices_rejected(self, tmp_path):

@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dirlap import (
     DimensionMismatchError,
+    NearDefectiveError,
     RankDeficientError,
-    approx_band_certificate,
     decompose,
     directed_laplacian,
     forward,
@@ -19,10 +20,25 @@ from dirlap import (
     select_sampling_set,
     synthesize_bandlimited,
 )
+from dirlap.sampling import RANK_RTOL
 
 
 def complex_gaussian(rng, size):
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+
+
+def reference_greedy(band, m):
+    """Greedy gamma selection by one SVD per (step, candidate), with the selector's tie rule."""
+    chosen, remaining = [], list(range(band.n))
+    for _ in range(m):
+        scores = np.array([
+            np.linalg.svd(band.v_omega[chosen + [cand]], compute_uv=False)[-1]
+            for cand in remaining
+        ])
+        best = remaining[int(np.argmax(scores >= scores.max() - RANK_RTOL * band.synthesis_norm))]
+        chosen.append(best)
+        remaining.remove(best)
+    return np.sort(np.array(chosen, dtype=int))
 
 
 class TestMakeBand:
@@ -175,7 +191,6 @@ class TestCertificates:
         band = make_band(dec, 4)
         plan = plan_sampling(band, range(12))
         assert noise_certificate(plan, band, 0.0) == 0.0
-        assert approx_band_certificate(plan, band, 0.0, 0.0) == 0.0
 
     def test_orthonormal_band_certificate(self, cycle20):
         # cycle eigenvectors are orthonormal: ||V_omega|| = 1, bound = eta/gamma
@@ -198,16 +213,9 @@ class TestCertificates:
             err = np.linalg.norm(x_rec - x.values)
             assert err <= noise_certificate(plan, band, np.linalg.norm(eta))
 
-    def test_approx_band_reduces_to_noise_certificate(self, perturbed20):
-        _, dec = perturbed20
-        band = make_band(dec, 5)
-        plan = plan_sampling(band, range(0, 20, 2))
-        assert approx_band_certificate(plan, band, 0.0, 0.7) == pytest.approx(
-            noise_certificate(plan, band, 0.7)
-        )
-
     def test_out_of_band_tail_bounded(self, perturbed20, rng):
-        # x = V_omega c + r with r spanned by the complementary modes, no noise
+        # x = V_omega c + r with r spanned by the complementary modes, no noise:
+        # recovery treats the sampled remainder P_M r as noise
         _, dec = perturbed20
         band = make_band(dec, 5)
         plan = plan_sampling(band, range(0, 20, 2))
@@ -220,9 +228,7 @@ class TestCertificates:
             y = (in_band + tail)[plan.sample_set]
             x_rec = band.v_omega @ (pinv @ y)
             err = np.linalg.norm(x_rec - in_band)
-            cert = approx_band_certificate(
-                plan, band, np.linalg.norm(tail[plan.sample_set]), 0.0
-            )
+            cert = noise_certificate(plan, band, np.linalg.norm(tail[plan.sample_set]))
             assert err <= cert * (1 + 1e-10)
 
     def test_rank_deficient_plan_rejected(self, perturbed20):
@@ -294,6 +300,78 @@ class TestSelectSamplingSet:
         _, dec = perturbed20
         with pytest.raises(ValueError):
             select_sampling_set(make_band(dec, 2), 3, "simulated-annealing")
+
+    def test_cycle_first_pick_is_vertex_zero(self, cycle20):
+        # every row of a Fourier band has the same norm, so every candidate of the
+        # first step ties and the lowest index wins whatever the rounding
+        _, dec = cycle20
+        assert np.array_equal(select_sampling_set(make_band(dec, 1), 1), [0])
+        for k in range(1, 7):
+            band = make_band(dec, k)
+            norms = np.linalg.norm(band.v_omega, axis=1)
+            assert np.ptp(norms) <= RANK_RTOL * band.synthesis_norm
+            assert select_sampling_set(band, k)[0] == 0
+
+    @pytest.mark.parametrize("seed, expected", [
+        (1, [0, 2, 3, 5, 6, 7, 10, 11, 13, 15, 17, 21, 22, 24, 26, 27, 29, 31, 32, 33, 34, 35,
+             38, 39, 40, 41, 42, 43, 45, 47, 48, 49, 50, 54, 55, 59, 60, 61, 62, 63, 64, 65,
+             69, 70, 71, 72, 75, 76, 77, 79, 83, 84, 88, 91, 92, 93, 94, 96, 97, 98, 99, 100,
+             107, 110, 111, 113, 115, 116, 117, 120, 121, 122, 123, 124, 126, 129, 130, 131,
+             132, 133, 135, 137, 139, 140, 141, 143, 144, 146, 147, 148]),
+        (2, [0, 2, 3, 4, 5, 6, 7, 8, 11, 13, 14, 16, 17, 18, 19, 20, 22, 23, 25, 27, 28, 31,
+             34, 35, 38, 41, 42, 43, 45, 46, 48, 51, 52, 53, 54, 56, 58, 61, 62, 63, 67, 68,
+             69, 72, 74, 76, 77, 79, 80, 81, 83, 84, 85, 86, 90, 91, 92, 93, 97, 98, 100, 101,
+             102, 103, 106, 107, 108, 109, 111, 112, 113, 114, 115, 116, 120, 121, 122, 125,
+             126, 127, 129, 133, 134, 135, 136, 143, 145, 146, 148, 149]),
+    ])
+    def test_pinned_sets_at_n150(self, seed, expected):
+        # chosen by the per-candidate SVD loop; no step of these runs is near a tie
+        g = gen_perturbed_cycle(150, 0.05, 0.8, seed)
+        band = make_band(decompose(directed_laplacian(g)), 15)
+        assert select_sampling_set(band, 90).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    p=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_greedy_matches_reference_on_perturbed_cycles(n, p, seed, data):
+    try:
+        dec = decompose(directed_laplacian(gen_perturbed_cycle(n, p, 0.8, seed)))
+    except NearDefectiveError:
+        assume(False)
+    k = data.draw(st.integers(1, min(6, n)), label="k")
+    m = data.draw(st.integers(k, n), label="m")
+    band = make_band(dec, k)
+    assert np.array_equal(select_sampling_set(band, m), reference_greedy(band, m))
+
+
+@pytest.mark.parametrize("n, p, seed, k, m", [
+    (8, 0.11257226178967854, 207194120, 4, 6),
+    (10, 0.11571890634799628, 916389845, 3, 6),
+    (25, 0.03509087503658459, 464503419, 6, 10),
+])
+def test_greedy_matches_reference_on_ill_conditioned_bands(n, p, seed, k, m):
+    # kappa ~ 1e8 and gamma ~ 3e-8: the scores carry relative rounding errors near
+    # 1e-9, and distinct candidates agree to within them; a tie band relative to
+    # the best score would let the two scorers pick different vertices here
+    dec = decompose(directed_laplacian(gen_perturbed_cycle(n, p, 1.0, seed)))
+    band = make_band(dec, k)
+    assert np.array_equal(select_sampling_set(band, m), reference_greedy(band, m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 40), data=st.data())
+def test_greedy_matches_reference_on_directed_cycles(n, data):
+    # circulant: exact ties at every step, settled by the tie rule on both sides
+    dec = decompose(directed_laplacian(gen_directed_cycle(n)))
+    k = data.draw(st.integers(1, min(6, n)), label="k")
+    m = data.draw(st.integers(k, n), label="m")
+    band = make_band(dec, k)
+    assert np.array_equal(select_sampling_set(band, m), reference_greedy(band, m))
 
 
 def test_exact_recovery_across_graphs(rng):

@@ -4,23 +4,25 @@ from hypothesis import given, settings, strategies as st
 
 from dirlap import (
     DimensionMismatchError,
+    GraphSignal,
     SpectralFilter,
     apply_filter,
     decompose,
     directed_laplacian,
-    directed_variation,
     energy_identity,
     forward,
     gen_directed_cycle,
     gen_perturbed_cycle,
     gram_matrix,
     inverse,
-    spectral_perturbation_bound,
-    spectral_signal,
-    total_variation,
     tv_bounds,
     vertex_signal,
 )
+from dirlap.transform import SPECTRAL
+
+
+def spectral_signal(values):
+    return GraphSignal(np.asarray(values), SPECTRAL)
 
 
 def random_signal(rng, n):
@@ -158,24 +160,19 @@ class TestFilters:
 
 class TestTotalVariation:
     def test_constant_signal_has_zero_variation(self, perturbed20):
-        lap, _ = perturbed20
-        assert total_variation(lap, vertex_signal(np.ones(20))) < 1e-20
+        _, dec = perturbed20
+        assert tv_bounds(vertex_signal(np.ones(20)), dec).actual < 1e-20
 
     def test_eigenvector_variation_is_eigenvalue_squared(self, perturbed20):
-        lap, dec = perturbed20
+        _, dec = perturbed20
         for k in (1, 7, 19):
-            tv = total_variation(lap, vertex_signal(dec.v[:, k]))
+            tv = tv_bounds(vertex_signal(dec.v[:, k]), dec).actual
             assert tv == pytest.approx(abs(dec.lambdas[k]) ** 2, rel=1e-8, abs=1e-12)
 
     def test_alternating_cycle_signal(self, cycle4):
         # x=(1,-1,1,-1) on the 4-cycle: Lx = 2x entrywise, so ||Lx||^2 = 16
-        lap, _ = cycle4
-        assert total_variation(lap, vertex_signal([1.0, -1.0, 1.0, -1.0])) == pytest.approx(16.0)
-
-    def test_seminorm_is_square_root(self, perturbed20, rng):
-        lap, _ = perturbed20
-        x = random_signal(rng, 20)
-        assert directed_variation(lap, x) == pytest.approx(np.sqrt(total_variation(lap, x)))
+        _, dec = cycle4
+        assert tv_bounds(vertex_signal([1.0, -1.0, 1.0, -1.0]), dec).actual == pytest.approx(16.0)
 
 
 class TestTvBounds:
@@ -212,10 +209,10 @@ class TestFrequencyOrder:
 
 
 class TestSpectralPerturbationBound:
-    def test_zero_noise_zero_bound(self, perturbed20, rng):
-        _, dec = perturbed20
-        xhat = forward(random_signal(rng, 20), dec)
-        assert spectral_perturbation_bound(xhat, 0.0, dec) == 0.0
+    """``kappa(V)`` bounds how far spectral-domain noise moves the synthesized signal:
+
+        ||V (xhat + eta) - V xhat|| / ||V xhat|| <= kappa * ||eta|| / ||xhat||
+    """
 
     def test_normal_graph_bound_is_tight_and_safe(self, cycle20, rng):
         _, dec = cycle20
@@ -223,7 +220,7 @@ class TestSpectralPerturbationBound:
             xhat = forward(random_signal(rng, 20), dec)
             x = inverse(xhat, dec)
             eta = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-            bound = spectral_perturbation_bound(xhat, np.linalg.norm(eta), dec)
+            bound = dec.kappa * np.linalg.norm(eta) / xhat.norm()
             assert bound == pytest.approx(np.linalg.norm(eta) / xhat.norm(), rel=1e-9)
             err = np.linalg.norm(
                 inverse(spectral_signal(xhat.values + eta), dec).values - x.values
@@ -236,7 +233,7 @@ class TestSpectralPerturbationBound:
             xhat = forward(random_signal(rng, 20), dec)
             x = inverse(xhat, dec)
             eta = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-            bound = spectral_perturbation_bound(xhat, np.linalg.norm(eta), dec)
+            bound = dec.kappa * np.linalg.norm(eta) / xhat.norm()
             err = np.linalg.norm(dec.v @ eta) / x.norm()
             assert err <= bound * (1 + 1e-10)
 
@@ -248,14 +245,9 @@ class TestSpectralPerturbationBound:
         eta = np.conj(vh[0])
         x = inverse(xhat, dec)
         err = np.linalg.norm(dec.v @ eta) / x.norm()
-        bound = spectral_perturbation_bound(xhat, np.linalg.norm(eta), dec)
+        bound = dec.kappa * np.linalg.norm(eta) / xhat.norm()
         assert err <= bound * (1 + 1e-10)
         assert err >= bound / 2.0
-
-    def test_zero_signal_rejected(self, cycle4):
-        _, dec = cycle4
-        with pytest.raises(ValueError):
-            spectral_perturbation_bound(spectral_signal(np.zeros(4)), 1.0, dec)
 
 
 @settings(max_examples=25, deadline=None)
