@@ -26,6 +26,7 @@ from .errors import (
 from . import fileio
 from .eigen import SpectralDecomposition, decompose
 from .experiments import (
+    GENERATOR_NAME,
     ExperimentConfig,
     analyze_graph,
     run_noise_sweep,
@@ -284,8 +285,8 @@ def fig1(config_path, n, p, w, k, trials, seed, out_dir):
         graphs[name] = _metrics_payload(report, spectrum_path.name)
     bundle = {
         "config": config.to_dict(),
-        "generator": result.generator,
-        "version": result.version,
+        "generator": GENERATOR_NAME,
+        "version": __version__,
         "graphs": graphs,
     }
     (out / "metrics.json").write_text(json.dumps(bundle, indent=2) + "\n")
@@ -311,8 +312,8 @@ def fig2(config_path, n, p, w, k, trials, seed, sigmas, real_noise, out_dir):
     fileio.write_summary_csv(result.summary, out / "summary.csv")
     bundle = {
         "config": config.to_dict(),
-        "generator": result.generator,
-        "version": result.version,
+        "generator": GENERATOR_NAME,
+        "version": __version__,
         "graphs": {name: _metrics_payload(rep, None) for name, rep in result.reports.items()},
         "summary": [
             {

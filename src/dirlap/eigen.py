@@ -93,21 +93,15 @@ class DcModeReport:
 
 
 def _frequency_sort(lambdas: np.ndarray) -> np.ndarray:
-    """Permutation ordering eigenvalues by (|lambda|, arg, original index)."""
-    mags = np.abs(lambdas)
-    order = list(np.argsort(mags, kind="stable"))
-    out: list[int] = []
-    i = 0
-    while i < len(order):
-        j = i + 1
-        # group near-ties so conjugate pairs sort by argument, not by rounding noise
-        while j < len(order) and (
-            mags[order[j]] - mags[order[j - 1]] <= _MAG_TIE_RTOL * (1.0 + mags[order[j]])
-        ):
-            j += 1
-        out.extend(sorted(order[i:j], key=lambda t: (np.angle(lambdas[t]), t)))
-        i = j
-    return np.array(out, dtype=int)
+    """Permutation ordering eigenvalues by (|lambda|, arg, original index).
+
+    Magnitudes within ``_MAG_TIE_RTOL`` of their sorted neighbour form one tie
+    group, so conjugate pairs sort by argument, not by rounding noise.
+    """
+    order = np.argsort(np.abs(lambdas), kind="stable")
+    mags = np.abs(lambdas[order])
+    group = np.cumsum(np.diff(mags, prepend=mags[:1]) > _MAG_TIE_RTOL * (1.0 + mags))
+    return order[np.lexsort((order, np.angle(lambdas[order]), group))]
 
 
 def _normalize_columns(vec: np.ndarray) -> None:
@@ -246,16 +240,15 @@ def gram_matrix(dec: SpectralDecomposition) -> np.ndarray:
     return dec.v.conj().T @ dec.v
 
 
-def henrici_departure(l, dec: SpectralDecomposition) -> float:
-    """Henrici departure from normality ``sqrt(||L||_F^2 - sum |lambda_k|^2)``.
+def henrici_departure(dec: SpectralDecomposition) -> float:
+    """Henrici departure from normality ``sqrt(||L||_F^2 - sum |lambda_k|^2)`` of ``dec.matrix``.
 
     Zero iff ``L`` is normal. A radicand at or below the rounding floor
     ``n * eps * ||L||_F^2`` reads as 0: for a normal matrix the two sums agree
     only to rounding, and the square root would magnify that noise.
     """
-    l = np.asarray(l)
-    fro2 = np.linalg.norm(l, "fro") ** 2
+    fro2 = np.linalg.norm(dec.matrix, "fro") ** 2
     gap = fro2 - float(np.sum(np.abs(dec.lambdas) ** 2))
-    if gap <= l.shape[0] * np.finfo(np.float64).eps * fro2:
+    if gap <= dec.n * np.finfo(np.float64).eps * fro2:
         return 0.0
     return float(np.sqrt(gap))

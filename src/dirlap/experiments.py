@@ -28,7 +28,6 @@ from statistics import fmean
 
 import numpy as np
 
-from . import __version__
 from .eigen import SpectralDecomposition, decompose, henrici_departure
 from .graphs import (
     asymmetry_index,
@@ -108,8 +107,6 @@ class GraphReport:
 class SpectrumComparison:
     config: ExperimentConfig
     reports: dict[str, GraphReport]
-    version: str = __version__
-    generator: str = GENERATOR_NAME
 
 
 @dataclass(frozen=True)
@@ -138,8 +135,6 @@ class NoiseSweep:
     reports: dict[str, GraphReport]
     trials: list[TrialRow]
     summary: list[SummaryRow]
-    version: str = __version__
-    generator: str = GENERATOR_NAME
 
 
 def analyze_graph(dec: SpectralDecomposition, name: str = "graph") -> GraphReport:
@@ -149,7 +144,7 @@ def analyze_graph(dec: SpectralDecomposition, name: str = "graph") -> GraphRepor
         name=name,
         alpha=asymmetry_index(lap),
         delta=normality_departure(lap),
-        henrici=henrici_departure(lap, dec),
+        henrici=henrici_departure(dec),
         kappa=dec.kappa,
         lambdas=dec.lambdas,
     )

@@ -13,6 +13,7 @@ Formats (all numeric output uses 12 significant digits):
   ``{"kind": "diagonal", "response": [[re, im], ...]}``
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
 - sweep trials CSV, header ``sigma,trial,graph,err_l2,bound``
+- sweep summary CSV, header ``graph,sigma,err_mean,err_std,err_abs_mean,bound_mean``
 """
 from __future__ import annotations
 

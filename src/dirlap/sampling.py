@@ -200,20 +200,18 @@ def select_sampling_set(
     the vertex that maximizes the smallest singular value of the augmented
     sample matrix ``[B; r]``. Below ``k`` rows the smallest *computed*
     singular value is used, which greedily builds rank until gamma proper
-    becomes positive. Each step scores every remaining candidate at once:
+    becomes positive. Each step scores every remaining candidate at once by
+    one SVD of the chosen rows ``B = U diag(s) W*`` (``O(j k^2)``), one
+    product ``z = r W`` for all candidates (``O(n k^2)``) and a secular
+    equation per candidate (``O(k)`` per iteration). With ``s_1`` the
+    smallest singular value, the new one is the root ``w`` in
+    ``[s_1, min(s_2, sqrt(s_1^2 + ||z||^2))]`` of
 
-    - with ``j < k`` rows chosen, by one batched SVD of the ``(candidates,
-      j + 1, k)`` stack of augmented matrices, ``O(n j^2 k)`` per step;
-    - from ``k`` rows on, by one SVD of the chosen rows ``B = U diag(s) W*``
-      (``O(j k^2)``), one product ``z = r W`` for all candidates
-      (``O(n k^2)``) and a secular equation per candidate (``O(k)`` per
-      iteration). With ``s_1`` the smallest singular value, the new one is
-      the root ``w`` in ``[s_1, min(s_2, sqrt(s_1^2 + ||z||^2))]`` of
+        1 + sum_i |z_i|^2 / ((s_i - w)(s_i + w)) = 0,
 
-          1 + sum_i |z_i|^2 / ((s_i - w)(s_i + w)) = 0,
-
-      written in the singular values themselves, so ``B* B`` and its
-      squared-singular-value rounding never arise (see :func:`_secular_root`).
+    written in the singular values themselves, so ``B* B`` and its
+    squared-singular-value rounding never arise (see :func:`_secular_root`).
+    Below ``k`` rows, ``s`` gains a 0 weighted by ``||r - (r W) W*||^2``.
 
     Ties: candidates scoring within ``RANK_RTOL * ||V_omega||_2`` of the
     step's best count as tied and the lowest index wins. That is the rank
@@ -233,19 +231,13 @@ def select_sampling_set(
     if strategy != "greedy-gamma":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    v, k = band.v_omega, band.k
+    v = band.v_omega
     tie = RANK_RTOL * band.synthesis_norm
     chosen: list[int] = []
     free = np.ones(band.n, dtype=bool)
-    for j in range(m):
+    for _ in range(m):
         cand = np.flatnonzero(free)
-        if j < k:
-            stack = np.empty((cand.size, j + 1, k), dtype=v.dtype)
-            stack[:, :j] = v[chosen]
-            stack[:, j] = v[cand]
-            scores = np.linalg.svd(stack, compute_uv=False)[:, -1]
-        else:
-            scores = _rank_one_sigma_min(v[chosen], v[cand])
+        scores = _rank_one_sigma_min(v[chosen], v[cand])
         best = cand[np.argmax(scores >= scores.max() - tie)]
         chosen.append(int(best))
         free[best] = False
@@ -253,10 +245,15 @@ def select_sampling_set(
 
 
 def _rank_one_sigma_min(b: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``sigma_min([b; r])`` for each row ``r`` of ``rows``; ``b`` has at least as many rows as columns."""
+    """Smallest computed singular value of ``[b; r]`` for each row ``r`` of ``rows``."""
     _, s, wh = np.linalg.svd(b, full_matrices=False)
     s, wh = s[::-1], wh[::-1]                      # ascending singular values
-    weights = np.abs(rows @ wh.conj().T) ** 2      # |z_i|^2, one row per candidate
+    z = rows @ wh.conj().T                         # one row per candidate
+    weights = np.abs(z) ** 2
+    if s.size < b.shape[1]:                        # pole 0 weighs the part outside b's row space
+        r_perp = rows - z @ wh
+        s = np.concatenate(([0.0], s))
+        weights = np.column_stack((np.linalg.norm(r_perp, axis=1) ** 2, weights))
     s1 = s[0]
     if s.size == 1:
         return np.sqrt(s1 * s1 + weights[:, 0])

@@ -71,7 +71,7 @@ def test_criterion_2_normality_trichotomy():
     lap = directed_laplacian(gen_directed_cycle(20))
     dec = decompose(lap)
     delta = normality_departure(lap)
-    henrici = henrici_departure(lap, dec)
+    henrici = henrici_departure(dec)
     ok = henrici <= 1e-6 and delta <= 1e-10 and dec.kappa <= 1 + 1e-6
     report(2, "directed cycle N=20 is normal (Henrici, commutator, kappa)", ok,
            f"Henrici {henrici:.2e}, delta {delta:.2e}, kappa-1 {dec.kappa - 1:.2e}")
@@ -82,7 +82,7 @@ def test_criterion_3_non_normal_regime():
     for seed in range(100):
         lap = directed_laplacian(gen_perturbed_cycle(20, 0.2, 0.8, seed))
         dec = decompose(lap)
-        if henrici_departure(lap, dec) > 0.5 and dec.kappa > 10:
+        if henrici_departure(dec) > 0.5 and dec.kappa > 10:
             hits += 1
         if dec.kappa > 50:
             strong += 1
@@ -115,7 +115,7 @@ def test_criterion_5_energy_identity():
     for _, g in graph_family():
         lap = directed_laplacian(g)
         dec = decompose(lap)
-        parseval = henrici_departure(lap, dec) <= 1e-8
+        parseval = henrici_departure(dec) <= 1e-8
         for _ in range(1000):
             x = vertex_signal(complex_gaussian(rng, dec.n))
             vertex_e, gram_e = energy_identity(x, dec)

@@ -287,33 +287,33 @@ class TestHenrici:
     )
     def test_normal_graphs_read_exactly_zero(self, g):
         lap = directed_laplacian(g)
-        assert henrici_departure(lap, decompose(lap)) == 0.0
+        assert henrici_departure(decompose(lap)) == 0.0
 
     def test_floor_leaves_perturbed20_unchanged(self, perturbed20):
         # the value before the rounding floor existed
         lap, dec = perturbed20
-        assert henrici_departure(lap, dec) == pytest.approx(6.322010113563914, rel=1e-12)
+        assert henrici_departure(dec) == pytest.approx(6.322010113563914, rel=1e-12)
 
     def test_cycle20_is_normal(self, cycle20):
         lap, dec = cycle20
-        assert henrici_departure(lap, dec) <= 1e-6
+        assert henrici_departure(dec) <= 1e-6
 
     def test_perturbed20_departure(self, perturbed20):
         lap, dec = perturbed20
-        assert henrici_departure(lap, dec) > 0.5
+        assert henrici_departure(dec) > 0.5
 
     def test_symmetric_matrix(self, rng):
         m = rng.standard_normal((7, 7))
         m = m + m.T
         dec = decompose(m)
-        assert henrici_departure(m, dec) <= 1e-8
+        assert henrici_departure(dec) <= 1e-8
 
     def test_diagnostics_consistency(self, perturbed20):
         lap, dec = perturbed20
         gram_eigs = np.linalg.eigvalsh(gram_matrix(dec))
         assert np.sqrt(gram_eigs[-1] / gram_eigs[0]) == pytest.approx(dec.kappa, rel=1e-8)
         fro2 = np.linalg.norm(lap, "fro") ** 2
-        assert henrici_departure(lap, dec) ** 2 == pytest.approx(
+        assert henrici_departure(dec) ** 2 == pytest.approx(
             fro2 - np.sum(np.abs(dec.lambdas) ** 2), abs=1e-8 * fro2
         )
 
@@ -324,7 +324,7 @@ def test_normality_trichotomy_on_cycles(n):
     lap = directed_laplacian(gen_directed_cycle(n))
     dec = decompose(lap)
     assert dec.kappa - 1.0 <= 1e-6
-    assert henrici_departure(lap, dec) <= 1e-6
+    assert henrici_departure(dec) <= 1e-6
     assert normality_departure(lap) <= 1e-6
 
 
@@ -334,7 +334,7 @@ def test_normality_trichotomy_on_symmetric(rng):
         m = m + m.T
         dec = decompose(m)
         assert dec.kappa - 1.0 <= 1e-6
-        assert henrici_departure(m, dec) <= 1e-6
+        assert henrici_departure(dec) <= 1e-6
         assert normality_departure(m) <= 1e-6
 
 
@@ -352,7 +352,7 @@ def test_trichotomy_on_random_circulants(rng):
         dec = decompose(m)
         assert normality_departure(m) <= 1e-8
         assert dec.kappa - 1.0 <= 1e-8
-        assert henrici_departure(m, dec) <= 1e-6 * max(1.0, np.linalg.norm(m, "fro"))
+        assert henrici_departure(dec) <= 1e-6 * max(1.0, np.linalg.norm(m, "fro"))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 20, 30])

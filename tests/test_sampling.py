@@ -20,7 +20,7 @@ from dirlap import (
     select_sampling_set,
     synthesize_bandlimited,
 )
-from dirlap.sampling import RANK_RTOL
+from dirlap.sampling import RANK_RTOL, _rank_one_sigma_min
 
 
 def complex_gaussian(rng, size):
@@ -372,6 +372,24 @@ def test_greedy_matches_reference_on_directed_cycles(n, data):
     m = data.draw(st.integers(k, n), label="m")
     band = make_band(dec, k)
     assert np.array_equal(select_sampling_set(band, m), reference_greedy(band, m))
+
+
+@pytest.mark.parametrize("j, k, rank", [
+    (0, 4, 0), (2, 4, 2), (4, 4, 4), (7, 4, 4),
+    (0, 1, 0), (1, 1, 1), (3, 1, 1),
+    (3, 5, 2),
+], ids=["j0", "j<k", "j=k", "j>k", "k1-j0", "k1-j1", "k1-j3", "rank-deficient"])
+def test_rank_one_sigma_min_matches_svd(rng, j, k, rank):
+    b = complex_gaussian(rng, (j, rank)) @ complex_gaussian(rng, (rank, k))
+    # two candidates inside b's row space, where ||r||^2 - ||r W||^2 would cancel
+    rows = np.vstack([complex_gaussian(rng, (6, k)), complex_gaussian(rng, (2, j)) @ b])
+    got = _rank_one_sigma_min(b, rows)
+    want = [np.linalg.svd(np.vstack([b, r]), compute_uv=False)[-1] for r in rows]
+    tol = 1e-12 * np.linalg.norm(np.vstack([b, rows]), 2)
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    if rank + 1 < min(j + 1, k):
+        # [b; r] has rank at most rank + 1, below its smaller dimension
+        np.testing.assert_allclose(got, 0.0, rtol=0, atol=tol)
 
 
 def test_exact_recovery_across_graphs(rng):
