@@ -60,7 +60,6 @@ from .experiments import (
     ExperimentConfig,
     GraphReport,
     NoiseSweep,
-    SpectrumComparison,
     analyze_graph,
     run_noise_sweep,
     run_spectrum_comparison,
@@ -112,7 +111,6 @@ __all__ = [
     # experiments
     "ExperimentConfig",
     "GraphReport",
-    "SpectrumComparison",
     "NoiseSweep",
     "analyze_graph",
     "run_spectrum_comparison",

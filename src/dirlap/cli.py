@@ -4,15 +4,14 @@ Subcommands: ``gen``, ``analyze``, ``gft``, ``filter``, ``sample``, and
 ``experiment fig1|fig2``. All numeric output is printed with 12 significant
 digits and every run is a deterministic function of its arguments and seed.
 
-Exit codes: 0 success, 2 bad usage/parameters, 3 file parse error,
-4 dimension mismatch, 5 rank-deficient sampling, 6 near-defective operator.
+Exit codes: 0 success, 2 bad usage/parameters (an unwritable output path
+included), 3 file parse error, 4 dimension mismatch, 5 rank-deficient
+sampling, 6 near-defective operator.
 """
 from __future__ import annotations
 
 import functools
-import json
 import sys
-from pathlib import Path
 
 import click
 
@@ -26,7 +25,6 @@ from .errors import (
 from . import fileio
 from .eigen import SpectralDecomposition, decompose
 from .experiments import (
-    GENERATOR_NAME,
     ExperimentConfig,
     analyze_graph,
     run_noise_sweep,
@@ -58,7 +56,10 @@ def _with_exit_codes(fn):
             code = next(c for exc, c in _EXIT_CODES if isinstance(err, exc))
             click.echo(f"error: {err}", err=True)
             sys.exit(code)
-        except ValueError as err:
+        except BrokenPipeError:
+            raise  # a reader that closed stdout early: click ends the run quietly
+        except (ValueError, OSError) as err:
+            # an output path that cannot be written is a bad parameter, like a bad value
             raise click.UsageError(str(err)) from err
 
     return wrapper
@@ -73,26 +74,6 @@ _vertex_count_option = click.option(
     "--n", type=int, default=None,
     help="Vertex count [default: largest index + 1]; counts trailing isolated vertices.",
 )
-
-
-def _metrics_payload(report, spectrum_csv: str | None) -> dict:
-    return {
-        "n": int(report.lambdas.shape[0]),
-        "alpha": fileio.round12(report.alpha),
-        "delta": fileio.round12(report.delta),
-        "henrici": fileio.round12(report.henrici),
-        "kappa": fileio.round12(report.kappa),
-        "spectrum_csv": spectrum_csv,
-    }
-
-
-def _render_metrics(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    lines = ["metric,value"]
-    for key, value in payload.items():
-        lines.append(f"{key},{value if value is not None else ''}")
-    return "\n".join(lines) + "\n"
 
 
 @click.group()
@@ -128,10 +109,9 @@ def gen(kind, n, p, w, seed, out):
 def analyze(graph_path, n, out, fmt, spectrum_out):
     """Asymmetry/normality metrics and spectrum of a graph's Laplacian."""
     dec = _load_decomposition(graph_path, n)
-    report = analyze_graph(dec, Path(graph_path).stem)
     if spectrum_out is not None:
         fileio.write_spectrum(dec.lambdas, spectrum_out)
-    fileio.write_text(_render_metrics(_metrics_payload(report, spectrum_out), fmt), out)
+    fileio.write_metrics(analyze_graph(dec), spectrum_out, fmt, out)
 
 
 @main.command()
@@ -216,15 +196,7 @@ def experiment():
 
 
 def _config_from(config_path, n, p, w, k, sigmas, trials, seed, real_noise) -> ExperimentConfig:
-    base = {}
-    if config_path is not None:
-        try:
-            with open(config_path) as fh:
-                base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FileFormatError(f"cannot parse config {config_path}: {exc}") from exc
-        if not isinstance(base, dict):
-            raise FileFormatError(f"{config_path}: config must be a JSON object")
+    base = {} if config_path is None else fileio.read_json_object(config_path, "config")
     overrides = {
         "n": n, "p": p, "w": w, "k": k, "trials": trials, "seed": seed,
         "real_noise": real_noise,
@@ -275,22 +247,8 @@ def _add_options(options):
 def fig1(config_path, n, p, w, k, trials, seed, out_dir):
     """Spectrum and normality-metrics comparison (writes metrics + spectra)."""
     config = _config_from(config_path, n, p, w, k, None, trials, seed, None)
-    result = run_spectrum_comparison(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    graphs = {}
-    for name, report in result.reports.items():
-        spectrum_path = out / f"{name}.spectrum.csv"
-        fileio.write_spectrum(report.lambdas, spectrum_path)
-        graphs[name] = _metrics_payload(report, spectrum_path.name)
-    bundle = {
-        "config": config.to_dict(),
-        "generator": GENERATOR_NAME,
-        "version": __version__,
-        "graphs": graphs,
-    }
-    (out / "metrics.json").write_text(json.dumps(bundle, indent=2) + "\n")
-    click.echo(str(out / "metrics.json"))
+    reports = run_spectrum_comparison(config)
+    click.echo(str(fileio.write_spectrum_comparison(config, reports, out_dir)))
 
 
 @experiment.command()
@@ -302,33 +260,7 @@ def fig1(config_path, n, p, w, k, trials, seed, out_dir):
 def fig2(config_path, n, p, w, k, trials, seed, sigmas, real_noise, out_dir):
     """Noise-sweep reconstruction error (writes trials.csv, summary.csv, bundle)."""
     config = _config_from(config_path, n, p, w, k, sigmas, trials, seed, real_noise)
-    result = run_noise_sweep(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    fileio.write_trials_csv(
-        [(t.sigma, t.trial, t.graph, t.err_l2, t.bound) for t in result.trials],
-        out / "trials.csv",
-    )
-    fileio.write_summary_csv(result.summary, out / "summary.csv")
-    bundle = {
-        "config": config.to_dict(),
-        "generator": GENERATOR_NAME,
-        "version": __version__,
-        "graphs": {name: _metrics_payload(rep, None) for name, rep in result.reports.items()},
-        "summary": [
-            {
-                "graph": row.graph,
-                "sigma": fileio.round12(row.sigma),
-                "err_mean": fileio.round12(row.err_mean),
-                "err_std": fileio.round12(row.err_std),
-                "err_abs_mean": fileio.round12(row.err_abs_mean),
-                "bound_mean": fileio.round12(row.bound_mean),
-            }
-            for row in result.summary
-        ],
-    }
-    (out / "bundle.json").write_text(json.dumps(bundle, indent=2) + "\n")
-    click.echo(str(out / "bundle.json"))
+    click.echo(str(fileio.write_noise_sweep(config, run_noise_sweep(config), out_dir)))
 
 
 if __name__ == "__main__":

@@ -66,6 +66,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not 0.0 <= self.p <= 1.0:
@@ -95,18 +97,11 @@ class ExperimentConfig:
 class GraphReport:
     """Normality metrics of one graph (the spectrum-comparison data product)."""
 
-    name: str
     alpha: float
     delta: float
     henrici: float
     kappa: float
     lambdas: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumComparison:
-    config: ExperimentConfig
-    reports: dict[str, GraphReport]
 
 
 @dataclass(frozen=True)
@@ -131,17 +126,15 @@ class SummaryRow:
 
 @dataclass(frozen=True, eq=False)
 class NoiseSweep:
-    config: ExperimentConfig
     reports: dict[str, GraphReport]
     trials: list[TrialRow]
     summary: list[SummaryRow]
 
 
-def analyze_graph(dec: SpectralDecomposition, name: str = "graph") -> GraphReport:
+def analyze_graph(dec: SpectralDecomposition) -> GraphReport:
     """Normality metrics of the Laplacian a decomposition was built from."""
     lap = dec.matrix
     return GraphReport(
-        name=name,
         alpha=asymmetry_index(lap),
         delta=normality_departure(lap),
         henrici=henrici_departure(dec),
@@ -159,13 +152,13 @@ def reference_pair(config: ExperimentConfig) -> dict[str, tuple[GraphReport, Spe
     pair = {}
     for name, g in graphs.items():
         dec = decompose(directed_laplacian(g))
-        pair[name] = (analyze_graph(dec, name), dec)
+        pair[name] = (analyze_graph(dec), dec)
     return pair
 
 
-def run_spectrum_comparison(config: ExperimentConfig) -> SpectrumComparison:
-    pair = reference_pair(config)
-    return SpectrumComparison(config=config, reports={k: rep for k, (rep, _) in pair.items()})
+def run_spectrum_comparison(config: ExperimentConfig) -> dict[str, GraphReport]:
+    """The normality metrics and spectrum of each graph of the reference pair."""
+    return {name: report for name, (report, _) in reference_pair(config).items()}
 
 
 def _cell_draws(
@@ -242,7 +235,6 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
                 )
             )
     return NoiseSweep(
-        config=config,
         reports={k: rep for k, (rep, _) in pair.items()},
         trials=trials,
         summary=summary,

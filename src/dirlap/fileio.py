@@ -1,7 +1,9 @@
-"""Readers and writers for the on-disk formats.
+"""Readers, and the one renderer and writer of every output file.
 
-Writers that take ``path=None`` print to stdout instead, through the one
-sink :func:`write_text`, so stdout carries exactly the bytes of the file.
+Every output byte leaves through :func:`write_text`, the one sink; it
+writes to stdout when ``path`` is None, so stdout carries exactly the
+bytes of the file. CSV files are rendered by one CSV renderer, JSON files
+by :func:`write_json`.
 
 Formats (all numeric output uses 12 significant digits):
 
@@ -12,12 +14,21 @@ Formats (all numeric output uses 12 significant digits):
 - filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` or
   ``{"kind": "diagonal", "response": [[re, im], ...]}``
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
+- metrics JSON (``analyze``), ``{n, alpha, delta, henrici, kappa, spectrum_csv}``
+- metrics CSV (``analyze --format csv``), header ``metric,value``, one row
+  per metrics JSON key; a ``null`` value is an empty cell
+- fig1 ``metrics.json``, ``{config, generator, version, graphs}``, with one
+  metrics JSON per graph; each ``spectrum_csv`` names its spectrum CSV
+- fig2 ``bundle.json``, the fig1 header with ``spectrum_csv`` null, plus
+  ``summary``: the sweep summary rows as objects
 - sweep trials CSV, header ``sigma,trial,graph,err_l2,bound``
 - sweep summary CSV, header ``graph,sigma,err_mean,err_std,err_abs_mean,bound_mean``
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -25,7 +36,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .errors import FileFormatError
+from .experiments import (
+    GENERATOR_NAME, ExperimentConfig, GraphReport, NoiseSweep, SummaryRow, TrialRow,
+)
 from .graphs import MAX_VERTICES, DirectedGraph
 from .sampling import BandModel, SamplingPlan
 from .transform import GraphSignal, SpectralFilter, VERTEX
@@ -55,22 +70,32 @@ def _check_header(rows: list[list[str]], expected: list[str], path) -> list[list
     return rows[1:]
 
 
-def write_text(text: str, path=None) -> None:
-    """Write ``text`` to ``path``, or to stdout when ``path`` is None."""
+def write_text(text: str | Iterable[str], path=None) -> None:
+    """Write a string, or stream an iterable of strings, to ``path`` (stdout when None)."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text)
+        with open(path, "w", newline="") as fh:
+            fh.writelines(chunks)
+
+
+def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]], path=None) -> None:
+    """Write ``header`` and ``rows`` of rendered cells as comma-separated lines."""
+    lines = (",".join(row) + "\n" for row in rows)
+    write_text(itertools.chain([",".join(header) + "\n"], lines), path)
+
+
+def write_json(payload, path=None) -> None:
+    """Write ``payload`` as JSON indented by two spaces, with a final newline."""
+    write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
 # -- edge lists ---------------------------------------------------------------
 
 def write_edge_list(g: DirectedGraph, path=None) -> None:
-    rows = [
-        f"{src},{dst},{fmt(weight)}\n"
-        for src, dst, weight in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
-    ]
-    write_text("src,dst,weight\n" + "".join(rows), path)
+    edges = zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
+    _write_csv(("src", "dst", "weight"), ((str(s), str(d), fmt(w)) for s, d, w in edges), path)
 
 
 def read_edge_list(path, n: int | None = None) -> DirectedGraph:
@@ -115,11 +140,8 @@ def read_edge_list(path, n: int | None = None) -> DirectedGraph:
 # -- signals ------------------------------------------------------------------
 
 def write_signal(signal: GraphSignal, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex", "re", "im"])
-        for i, z in enumerate(signal.values):
-            writer.writerow([i, fmt(z.real), fmt(z.imag)])
+    rows = ((str(i), fmt(z.real), fmt(z.imag)) for i, z in enumerate(signal.values))
+    _write_csv(("vertex", "re", "im"), rows, path)
 
 
 def read_signal(path, domain: str = VERTEX) -> GraphSignal:
@@ -150,23 +172,26 @@ def read_signal(path, domain: str = VERTEX) -> GraphSignal:
 # -- spectra ------------------------------------------------------------------
 
 def write_spectrum(lambdas: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "re_lambda", "im_lambda", "abs_lambda"])
-        for k, lam in enumerate(lambdas):
-            writer.writerow([k, fmt(lam.real), fmt(lam.imag), fmt(abs(lam))])
+    rows = ((str(k), fmt(lam.real), fmt(lam.imag), fmt(abs(lam))) for k, lam in enumerate(lambdas))
+    _write_csv(("k", "re_lambda", "im_lambda", "abs_lambda"), rows, path)
 
 
 # -- filters ------------------------------------------------------------------
 
-def read_filter_spec(path, n: int) -> SpectralFilter:
+def read_json_object(path, what: str) -> dict:
+    """Parse a JSON file that must hold an object; ``what`` names it in errors."""
     try:
         with open(path) as fh:
-            spec = json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot parse filter spec {path}: {exc}") from exc
-    if not isinstance(spec, dict):
-        raise FileFormatError(f"{path}: filter spec must be a JSON object")
+        raise FileFormatError(f"cannot parse {what} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
+def read_filter_spec(path, n: int) -> SpectralFilter:
+    spec = read_json_object(path, "filter spec")
     kind = spec.get("kind")
     if kind == "ideal":
         try:
@@ -195,27 +220,71 @@ def write_plan(plan: SamplingPlan, band: BandModel, path=None) -> None:
         "b_norm": round12(plan.b_norm),
         "certificate": round12(band.synthesis_norm / plan.gamma) if plan.gamma > 0 else None,
     }
-    write_text(json.dumps(payload, indent=2) + "\n", path)
+    write_json(payload, path)
 
 
-# -- experiment sweeps --------------------------------------------------------
+# -- metrics and experiment outputs --------------------------------------------
 
-def write_trials_csv(rows: Iterable[Sequence], path) -> None:
-    """Rows of ``(sigma, trial, graph, err_l2, bound)``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sigma", "trial", "graph", "err_l2", "bound"])
-        for sigma, trial, graph, err, bound in rows:
-            writer.writerow([fmt(sigma), trial, graph, fmt(err), fmt(bound)])
+def _metrics_payload(report: GraphReport, spectrum_csv: str | None) -> dict:
+    metrics = {key: round12(getattr(report, key)) for key in ("alpha", "delta", "henrici", "kappa")}
+    return {"n": int(report.lambdas.shape[0]), **metrics, "spectrum_csv": spectrum_csv}
 
 
-def write_summary_csv(rows, path) -> None:
-    """Rows with fields (graph, sigma, err_mean, err_std, err_abs_mean, bound_mean)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["graph", "sigma", "err_mean", "err_std", "err_abs_mean", "bound_mean"])
-        for row in rows:
-            writer.writerow(
-                [row.graph, fmt(row.sigma), fmt(row.err_mean), fmt(row.err_std),
-                 fmt(row.err_abs_mean), fmt(row.bound_mean)]
-            )
+def write_metrics(report: GraphReport, spectrum_csv: str | None, form: str, path=None) -> None:
+    """Export the metrics of one graph as ``form``, ``json`` or ``csv``."""
+    payload = _metrics_payload(report, spectrum_csv)
+    if form == "json":
+        write_json(payload, path)
+    else:
+        cells = ((key, "" if value is None else str(value)) for key, value in payload.items())
+        _write_csv(("metric", "value"), cells, path)
+
+
+def _bundle(config: ExperimentConfig, graphs: dict) -> dict:
+    return {"config": config.to_dict(), "generator": GENERATOR_NAME, "version": __version__,
+            "graphs": graphs}
+
+
+def write_spectrum_comparison(
+    config: ExperimentConfig, reports: dict[str, GraphReport], out_dir
+) -> Path:
+    """Write fig1 into ``out_dir``: ``<graph>.spectrum.csv`` per graph, then ``metrics.json``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    graphs = {}
+    for name, report in reports.items():
+        spectrum = f"{name}.spectrum.csv"
+        write_spectrum(report.lambdas, out / spectrum)
+        graphs[name] = _metrics_payload(report, spectrum)
+    write_json(_bundle(config, graphs), out / "metrics.json")
+    return out / "metrics.json"
+
+
+def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> Path:
+    """Write fig2 into ``out_dir``: ``trials.csv``, ``summary.csv``, then ``bundle.json``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_trials_csv(sweep.trials, out / "trials.csv")
+    write_summary_csv(sweep.summary, out / "summary.csv")
+    graphs = {name: _metrics_payload(report, None) for name, report in sweep.reports.items()}
+    summary = [dict(zip(_SUMMARY_FIELDS, _summary_cells(row, round12))) for row in sweep.summary]
+    write_json({**_bundle(config, graphs), "summary": summary}, out / "bundle.json")
+    return out / "bundle.json"
+
+
+def write_trials_csv(rows: Iterable[TrialRow], path) -> None:
+    cells = ((fmt(t.sigma), str(t.trial), t.graph, fmt(t.err_l2), fmt(t.bound)) for t in rows)
+    _write_csv(("sigma", "trial", "graph", "err_l2", "bound"), cells, path)
+
+
+_SUMMARY_FIELDS = tuple(field.name for field in dataclasses.fields(SummaryRow))
+
+
+def _summary_cells(row: SummaryRow, number) -> list:
+    """The graph name, then each number field of ``row`` through ``number``."""
+    graph, *numbers = (getattr(row, name) for name in _SUMMARY_FIELDS)
+    return [graph, *map(number, numbers)]
+
+
+def write_summary_csv(rows: Iterable[SummaryRow], path) -> None:
+    _write_csv(_SUMMARY_FIELDS, (_summary_cells(row, fmt) for row in rows), path)

@@ -127,6 +127,20 @@ class TestAnalyze:
         payload = json.loads(runner.invoke(main, ["analyze", str(path)]).output)
         assert payload["alpha"] == 0.0
 
+    def test_golden_hash(self, perturbed_csv, runner, tmp_path, monkeypatch):
+        # pins the metrics JSON (with a spectrum path), the metrics CSV (with its null
+        # spectrum_csv as an empty cell) and the spectrum CSV of the perturbed 20-cycle
+        monkeypatch.chdir(tmp_path)
+        as_json = runner.invoke(main, ["analyze", str(perturbed_csv), "--spectrum-out", "spectrum.csv"])
+        as_csv = runner.invoke(main, ["analyze", str(perturbed_csv), "--format", "csv"])
+        assert as_json.exit_code == as_csv.exit_code == 0
+        outputs = (as_json.stdout_bytes, as_csv.stdout_bytes, (tmp_path / "spectrum.csv").read_bytes())
+        assert tuple(hashlib.sha256(data).hexdigest() for data in outputs) == (
+            "e88bca778de3d8e1074b22b8eb16be9239a133579e0d2ed7faed54cf47d2bfb1",
+            "b3dbe718013f9cb9c2471788bbcef2d546befb985e1bdf736917e4138307835d",
+            "c06932711e86f969496b932e2198b8d1917e00a5ab2dcfc1e7fd8ee29fbbabba",
+        )
+
     def test_csv_format(self, cycle_csv, runner):
         result = runner.invoke(main, ["analyze", str(cycle_csv), "--format", "csv"])
         assert result.output.splitlines()[0] == "metric,value"
@@ -420,6 +434,17 @@ class TestExperimentCommands:
         assert len(csv_body(out / "cycle.spectrum.csv", SPECTRUM_HEADER)) == 12
         assert len(csv_body(out / "perturbed.spectrum.csv", SPECTRUM_HEADER)) == 12
 
+    def test_fig1_golden_hash(self, runner, tmp_path):
+        out = tmp_path / "fig1"
+        result = runner.invoke(main, ["experiment", "fig1", "--seed", "7", "--out-dir", str(out)])
+        assert result.exit_code == 0
+        names = ("metrics.json", "cycle.spectrum.csv", "perturbed.spectrum.csv")
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names) == (
+            "c561e34d6f7c7bb63533ae93ee62c3f265b0be730d45813a81fcdd19f4479b20",
+            "2064913930e07940834a9cd02b86f77f4d9b8f45d0c3559980234720610d09ff",
+            "c06932711e86f969496b932e2198b8d1917e00a5ab2dcfc1e7fd8ee29fbbabba",
+        )
+
     def test_fig2_outputs_and_determinism(self, runner, tmp_path):
         args = ["experiment", "fig2", "--n", "10", "--k", "3", "--trials", "10",
                 "--sigmas", "0.1,0.3", "--seed", "2"]
@@ -497,6 +522,25 @@ class TestExperimentCommands:
                      for name in ("summary.csv", "bundle.json")) == digests
 
     @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ([], "cc46d5b4acdf6749c15ee0d31c5355efb7b7ab0fbc53278bfa6649c108587db7"),
+            (["--real-noise"], "a8ebf50a8157c6d321727c091d0e63143ec321cb2e32841acd8e9d2502197213"),
+        ],
+        ids=["complex", "real"],
+    )
+    def test_fig2_trials_golden_hash(self, runner, tmp_path, args, digest):
+        # the test_fig2_golden_hash sweep: 2 graphs x 2 sigmas x 300 trials
+        out = tmp_path / "fig2"
+        result = runner.invoke(
+            main,
+            ["experiment", "fig2", "--n", "10", "--k", "3", "--trials", "300",
+             "--sigmas", "0.05,0.3", "--seed", "2", *args, "--out-dir", str(out)],
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--sigmas", "nan"], "sigmas must be finite"),
@@ -553,6 +597,20 @@ class TestExperimentCommands:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    @pytest.mark.parametrize("via_config, code", [(False, 2), (True, EXIT_PARSE)],
+                             ids=["flag", "config"])
+    def test_negative_seed_names_the_field(self, runner, tmp_path, command, via_config, code):
+        # a bad flag is a usage error (2); a config file whose own value is bad is a parse error (3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        seed = ["--config", str(cfg)] if via_config else ["--seed", "-1"]
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", command, *seed, "--out-dir", str(out)])
+        assert result.exit_code == code
+        assert "seed must be nonnegative, got -1" in result.output
+        assert not out.exists()
+
     def test_config_valid_only_with_flags_is_accepted(self, runner, tmp_path):
         # k = 12 needs n >= 12, which the flag gives; a flag alone at fault is exit 2
         cfg = tmp_path / "cfg.json"
@@ -569,6 +627,68 @@ class TestExperimentCommands:
         )
         assert result.exit_code == 2
         assert "n must be at most MAX_VERTICES = 10000" in result.output
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (["gen", "cycle", "--n", "5", "--out", "{missing}/g.csv"], "missing"),
+        (["analyze", "{graph}", "--out", "{missing}/m.json"], "missing"),
+        (["analyze", "{graph}", "--spectrum-out", "{missing}/s.csv"], "missing"),
+        (["gft", "{graph}", "{signal}", "--out", "{missing}/x.csv"], "missing"),
+        (["filter", "{graph}", "{signal}", "--spec", "{spec}", "--out", "{missing}/y.csv"],
+         "missing"),
+        (["sample", "{graph}", "--k", "2", "--m", "3", "--out", "{missing}/plan.json"], "missing"),
+        (["sample", "{graph}", "--k", "2", "--m", "3", "--out", "{tmp}/plan.json",
+          "--signal", "{signal}", "--recover-out", "{missing}/r.csv"], "missing"),
+        (["experiment", "fig1", "--n", "6", "--out-dir", "{afile}/sub"], "afile"),
+        (["experiment", "fig2", "--n", "6", "--k", "2", "--trials", "2", "--sigmas", "0.1",
+          "--out-dir", "{afile}/sub"], "afile"),
+    ],
+    ids=["gen", "analyze", "analyze-spectrum", "gft", "filter", "sample", "sample-recover",
+         "fig1", "fig2"],
+)
+def test_unwritable_output_path_is_usage_error(argv, culprit, runner, tmp_path):
+    graph = tmp_path / "g.csv"
+    graph.write_text("src,dst,weight\n0,1,1\n1,2,1\n2,0,1\n")
+    signal = tmp_path / "x.csv"
+    signal.write_text("vertex,re,im\n0,1,0\n1,2,0\n2,3,0\n")
+    spec = tmp_path / "lp.json"
+    spec.write_text(json.dumps({"kind": "ideal", "omega": [0]}))
+    (tmp_path / "afile").write_text("")
+    names = {"graph": graph, "signal": signal, "spec": spec, "tmp": tmp_path,
+             "missing": tmp_path / "missing", "afile": tmp_path / "afile"}
+    result = runner.invoke(main, [arg.format(**names) for arg in argv])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert culprit in result.output
+    assert "Traceback" not in result.output
+
+
+def test_unwritable_output_path_prints_no_traceback(tmp_path):
+    src = str(Path(dirlap.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "dirlap.cli", "gen", "cycle", "--n", "5",
+         "--out", str(tmp_path / "missing" / "g.csv")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "No such file or directory" in done.stderr
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # 10,000 edge rows outgrow the pipe buffer, so the writer meets the closed pipe
+    src = str(Path(dirlap.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "dirlap.cli", "gen", "cycle", "--n", "10000"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"src,dst,weight\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert stderr == b""
 
 
 def test_cli_import_loads_no_scipy():

@@ -33,6 +33,7 @@ class TestConfig:
             {"sigmas": (0.5, 0.1)},
             {"sigmas": (-0.1, 0.2)},
             {"trials": 0},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -81,7 +82,7 @@ class TestConfig:
 class TestSpectrumComparison:
     def test_metric_separation(self):
         res = run_spectrum_comparison(ExperimentConfig(seed=7))
-        cyc, per = res.reports["cycle"], res.reports["perturbed"]
+        cyc, per = res["cycle"], res["perturbed"]
         assert cyc.henrici <= 1e-6
         assert cyc.kappa <= 1 + 1e-6
         assert cyc.delta <= 1e-10
@@ -93,7 +94,7 @@ class TestSpectrumComparison:
 
     def test_cycle_spectrum_on_shifted_unit_circle(self):
         res = run_spectrum_comparison(ExperimentConfig())
-        lams = res.reports["cycle"].lambdas
+        lams = res["cycle"].lambdas
         assert np.max(np.abs(np.abs(lams - 1.0) - 1.0)) < 1e-9
 
 

@@ -14,6 +14,7 @@ from dirlap import (
     vertex_signal,
 )
 from dirlap import fileio
+from dirlap.experiments import TrialRow
 
 
 def read_spectrum(path):
@@ -193,9 +194,19 @@ class TestPlanJson:
         assert json.loads(path.read_text())["certificate"] is None
 
 
+class TestWriteText:
+    def test_streams_an_iterable_to_a_file_and_to_stdout(self, tmp_path, capsys):
+        lines = ["a,b\n", "1,2\n"]
+        fileio.write_text(iter(lines), tmp_path / "t.csv")
+        fileio.write_text(iter(lines))
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\n1,2\n"
+        assert capsys.readouterr().out == "a,b\n1,2\n"
+
+
 class TestTrialsCsv:
     def test_round_trip(self, tmp_path):
-        rows = [(0.01, 0, "cycle", 0.0123456789012, 0.02), (0.5, 3, "perturbed", 1.25, 9.5)]
+        rows = [TrialRow(0.01, 0, "cycle", 0.0123456789012, 0.0001, 0.02),
+                TrialRow(0.5, 3, "perturbed", 1.25, 2.5, 9.5)]
         path = tmp_path / "trials.csv"
         fileio.write_trials_csv(rows, path)
         with open(path, newline="") as fh:
