@@ -15,9 +15,11 @@ exposes the conditioning penalty directly.
 
 Every number is a pure function of the configuration: graph generation uses
 the configured seed and each (graph, sigma, trial) draws from its own PCG64
-stream spawned from that seed, so results do not depend on execution order.
-The trials of a (graph, sigma) cell run as blocks, one trial per column, but
-each trial still draws all its variates from its own stream.
+stream, seeded by ``SeedSequence(entropy=seed, spawn_key=(graph, sigma,
+trial))``, so results do not depend on execution order. The trials of a
+(graph, sigma) cell run as blocks, one trial per column. The seeds of a
+block's streams are computed together, and each trial still draws all its
+variates from its own stream; this needs ``trials < 2**32``.
 """
 from __future__ import annotations
 
@@ -86,6 +88,9 @@ class ExperimentConfig:
         object.__setattr__(self, "sigmas", sigmas)
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.trials >= 2**32:
+            # the trial index is one 32-bit word of its stream's seed key (see _trial_seeds)
+            raise ValueError("trials must be below 2**32")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -161,21 +166,87 @@ def run_spectrum_comparison(config: ExperimentConfig) -> dict[str, GraphReport]:
     return {name: report for name, (report, _) in reference_pair(config).items()}
 
 
+#: SeedSequence's hash constants (O'Neill's seed_seq_fe), stable under NumPy's NEP 19
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, calls: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constant before and after each of ``count`` steps that follow ``calls`` steps."""
+    hash_const = init * pow(mult, calls, 1 << 32) & _MASK32
+    before, after = [], []
+    for _ in range(count):
+        before.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        after.append(hash_const)
+    return np.array(before, np.uint32), np.array(after, np.uint32)
+
+
+def _trial_seeds(seed: int, graph: int, sigma_index: int, trials: range) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, t)).generate_state(4, np.uint64)``
+    for every ``t`` in ``trials`` (each below ``2**32``), one row per trial.
+
+    The parent ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index))``
+    holds in its ``pool`` the mixer state every child reaches before its
+    trial word, the last word of its entropy, is mixed in. What is left is
+    replayed over the trial column: the four ``hashmix``/``mix`` steps of that
+    word, then ``generate_state``'s hash of the pool into eight 32-bit words.
+    """
+    parent = np.random.SeedSequence(entropy=seed, spawn_key=(graph, sigma_index))
+    # the parent's entropy: the seed's 32-bit words, padded to the pool size 4, then the key;
+    # mixing it took 16 hashmix steps for the first four words and 4 for each further word
+    words = max(-(-int(seed).bit_length() // 32), 4) + 2
+    before, after = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (words - 4), 4)
+    shift = np.uint32(16)
+    t = np.arange(trials.start, trials.stop, dtype=np.uint32)[:, None]
+    hashed = (t ^ before) * after
+    hashed ^= hashed >> shift
+    pool = np.array([_MIX_MULT_L * int(word) & _MASK32 for word in parent.pool], np.uint32)
+    mixer = pool - np.uint32(_MIX_MULT_R) * hashed
+    mixer ^= mixer >> shift
+    before, after = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+    state = (np.tile(mixer, 2) ^ before) * after
+    state ^= state >> shift
+    # little-endian pairs of 32-bit words, as generate_state(4, np.uint64) returns them
+    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+
+
+class _SeedRow:
+    """One trial's seed words, as numpy's ``ISeedSequence`` interface hands them to PCG64."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        assert n_words == 4 and dtype == np.uint64, "PCG64 asks for four 64-bit words"
+        return self.state
+
+
 def _cell_draws(
     config: ExperimentConfig, graph: str, sigma_index: int, trials: range
 ) -> np.ndarray:
     """Standard normal variates of a block of trials, one row per trial.
 
     Each trial draws ``2k`` variates for its coefficients and ``2n`` (``n``
-    for real noise) for its noise in one call on its own PCG64 stream.
+    for real noise) for its noise in one call on its own PCG64 stream, the
+    one ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, trial))``
+    seeds. The seeds of the block are computed together by ``_trial_seeds``.
     """
+    # registered on use, not at import, so that start-up does not import numpy.random;
+    # registering again is a no-op
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedRow)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     noise = config.n if config.real_noise else 2 * config.n
     z = np.empty((len(trials), 2 * config.k + noise))
-    for row, trial in zip(z, trials):
-        seq = np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(_GRAPH_STREAM[graph], sigma_index, trial)
-        )
-        np.random.default_rng(seq).standard_normal(out=row)
+    seeds = _trial_seeds(config.seed, _GRAPH_STREAM[graph], sigma_index, trials)
+    for row, seed in zip(z, seeds):
+        generator(pcg64(_SeedRow(seed))).standard_normal(out=row)
     return z
 
 

@@ -16,7 +16,8 @@ Formats (all numeric output uses 12 significant digits):
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
 - metrics JSON (``analyze``), ``{n, alpha, delta, henrici, kappa, spectrum_csv}``
 - metrics CSV (``analyze --format csv``), header ``metric,value``, one row
-  per metrics JSON key; a ``null`` value is an empty cell
+  per metrics JSON key; a ``null`` value is an empty cell, and a
+  ``spectrum_csv`` path holding a comma, a double quote, CR or LF is quoted
 - fig1 ``metrics.json``, ``{config, generator, version, graphs}``, with one
   metrics JSON per graph; each ``spectrum_csv`` names its spectrum CSV
 - fig2 ``bundle.json``, the fig1 header with ``spectrum_csv`` null, plus
@@ -78,6 +79,13 @@ def write_text(text: str | Iterable[str], path=None) -> None:
     else:
         with open(path, "w", newline="") as fh:
             fh.writelines(chunks)
+
+
+def _quote(cell: str) -> str:
+    """``cell`` quoted, its ``"`` doubled, when it holds ``,``, ``"``, CR or LF."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]], path=None) -> None:
@@ -236,7 +244,9 @@ def write_metrics(report: GraphReport, spectrum_csv: str | None, form: str, path
     if form == "json":
         write_json(payload, path)
     else:
-        cells = ((key, "" if value is None else str(value)) for key, value in payload.items())
+        # spectrum_csv is a user-given path, the one cell of any CSV output that may need quoting
+        cells = ((key, "" if value is None else _quote(str(value)))
+                 for key, value in payload.items())
         _write_csv(("metric", "value"), cells, path)
 
 

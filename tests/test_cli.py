@@ -145,6 +145,16 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", str(cycle_csv), "--format", "csv"])
         assert result.output.splitlines()[0] == "metric,value"
 
+    def test_csv_format_quotes_a_path_with_a_comma(self, cycle_csv, runner, tmp_path):
+        spectrum = str(tmp_path / 'a,b"c.csv')
+        result = runner.invoke(
+            main, ["analyze", str(cycle_csv), "--format", "csv", "--spectrum-out", spectrum]
+        )
+        assert result.exit_code == 0
+        rows = list(csv.reader(result.output.splitlines()))
+        assert all(len(row) == 2 for row in rows)
+        assert rows[-1] == ["spectrum_csv", spectrum]
+
     def test_parse_failure_exit_code(self, tmp_path, runner):
         bad = tmp_path / "bad.csv"
         bad.write_text("src,dst\n0,1\n")
@@ -547,6 +557,7 @@ class TestExperimentCommands:
             (["--sigmas", "inf"], "sigmas must be finite"),
             (["--sigmas", "0.1,inf"], "sigmas must be finite"),
             (["--w", "inf"], "w must be finite and positive"),
+            (["--trials", "4294967297", "--sigmas", "0.1"], "trials must be below 2**32"),
         ],
     )
     def test_fig2_non_finite_flag_is_usage_error(self, runner, tmp_path, flags, message):
@@ -562,6 +573,7 @@ class TestExperimentCommands:
             ('{"sigmas": [NaN]}', "sigmas must be finite"),
             ('{"sigmas": [0.1, Infinity]}', "sigmas must be finite"),
             ('{"w": Infinity}', "w must be finite and positive"),
+            ('{"trials": 4294967296, "sigmas": [0.1]}', "trials must be below 2**32"),
         ],
     )
     def test_fig2_non_finite_config_is_parse_error(self, runner, tmp_path, text, message):
@@ -700,3 +712,14 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy_random():
+    # numpy.random is imported by the first sweep, not at start-up
+    src = str(Path(dirlap.__file__).resolve().parents[1])
+    code = "import dirlap.cli, sys; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"

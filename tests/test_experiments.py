@@ -11,7 +11,7 @@ from dirlap import (
     synthesize_bandlimited,
     vertex_signal,
 )
-from dirlap.experiments import TRIAL_BLOCK, reference_pair
+from dirlap.experiments import TRIAL_BLOCK, _cell_draws, _trial_seeds, reference_pair
 
 
 class TestConfig:
@@ -33,6 +33,7 @@ class TestConfig:
             {"sigmas": (0.5, 0.1)},
             {"sigmas": (-0.1, 0.2)},
             {"trials": 0},
+            {"trials": 2**32},
             {"seed": -1},
         ],
     )
@@ -69,6 +70,10 @@ class TestConfig:
     def test_non_integer_rejected_by_field(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             ExperimentConfig(**kwargs)
+
+    def test_largest_trials_accepted(self):
+        # the trial index is one 32-bit word of its stream's seed key
+        assert ExperimentConfig(trials=2**32 - 1).trials == 2**32 - 1
 
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig(n=np.int64(12), k=np.int32(3), trials=np.int64(4), seed=np.uint8(9))
@@ -194,3 +199,40 @@ def test_sweep_matches_per_trial_loop(kwargs):
             assert t.err_l2 == pytest.approx(err_l2, rel=1e-12)
             assert t.err_abs == pytest.approx(err_abs, rel=1e-12)
             assert t.bound == pytest.approx(bound, rel=1e-12)
+
+
+class TestTrialStreams:
+    TRIALS = (0, 1, 127, 128, 129, 2**32 - 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**160 - 1, 2**200])
+    def test_seed_rows_match_seed_sequence(self, seed):
+        for graph in (0, 1):
+            for sigma_index in (0, 5):
+                for trial in self.TRIALS:
+                    expected = np.random.SeedSequence(
+                        entropy=seed, spawn_key=(graph, sigma_index, trial)
+                    ).generate_state(4, np.uint64)
+                    got = _trial_seeds(seed, graph, sigma_index, range(trial, trial + 1))
+                    assert got.dtype == np.uint64
+                    assert got.tolist() == [expected.tolist()]
+
+    def test_seed_rows_of_a_block(self):
+        rows = _trial_seeds(2**32, 1, 2, range(100, 100 + TRIAL_BLOCK))
+        assert rows.shape == (TRIAL_BLOCK, 4)
+        for trial, row in zip(range(100, 100 + TRIAL_BLOCK), rows.tolist()):
+            seq = np.random.SeedSequence(entropy=2**32, spawn_key=(1, 2, trial))
+            assert row == seq.generate_state(4, np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "seed, graph, sigma_index, trial, head",
+        [
+            (0, "cycle", 0, 0,
+             ["-0x1.81323c6fa478ap+0", "-0x1.2380ff4b1dfe5p-1", "-0x1.78d36113ffac6p+0"]),
+            (2**64 + 1, "perturbed", 5, 129,
+             ["-0x1.970629100883dp-1", "-0x1.4fb74bccb9017p-1", "-0x1.05554fc55adabp+1"]),
+        ],
+    )
+    def test_first_variates_pinned(self, seed, graph, sigma_index, trial, head):
+        # fixed values, so a seeding fault shows even if numpy's SeedSequence changed with it
+        z = _cell_draws(ExperimentConfig(seed=seed), graph, sigma_index, range(trial, trial + 1))
+        assert [float.hex(float(v)) for v in z[0, :3]] == head

@@ -14,7 +14,7 @@ from dirlap import (
     vertex_signal,
 )
 from dirlap import fileio
-from dirlap.experiments import TrialRow
+from dirlap.experiments import GraphReport, TrialRow
 
 
 def read_spectrum(path):
@@ -201,6 +201,23 @@ class TestWriteText:
         fileio.write_text(iter(lines))
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\n1,2\n"
         assert capsys.readouterr().out == "a,b\n1,2\n"
+
+
+class TestMetricsCsv:
+    @pytest.mark.parametrize(
+        "spectrum, quoted",
+        [("s.csv", "s.csv"), ("a,b.csv", '"a,b.csv"'), ('say "hi".csv', '"say ""hi"".csv"'),
+         ("line\nbreak", '"line\nbreak"'), ("cr\r", '"cr\r"')],
+    )
+    def test_spectrum_path_quoted_only_when_needed(self, tmp_path, spectrum, quoted):
+        report = GraphReport(0.5, 0.25, 0.125, 2.0, np.zeros(3, complex))
+        fileio.write_metrics(report, spectrum, "csv", tmp_path / "m.csv")
+        text = (tmp_path / "m.csv").read_bytes().decode()
+        assert text.endswith(f"\nspectrum_csv,{quoted}\n")
+        with open(tmp_path / "m.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 2 for row in rows)
+        assert rows[-1] == ["spectrum_csv", spectrum]
 
 
 class TestTrialsCsv:
