@@ -10,7 +10,9 @@ Eigenvalues are ordered by non-decreasing magnitude, which is the frequency
 ordering appropriate for Laplacians (the zero eigenvalue, i.e. the DC mode,
 comes first). Ties in magnitude are broken by ascending complex argument in
 (-pi, pi] and then by the original index, which keeps conjugate pairs
-adjacent and makes the output deterministic.
+adjacent and makes the output deterministic. The tie gap and the zero test
+are relative to the largest magnitude, so scaling every weight scales the
+spectrum and changes neither the order nor the DC report.
 
 Eigenvector columns have unit 2-norm with the phase rotated so the lead
 entry is real and positive. The lead is the first entry whose modulus is
@@ -40,10 +42,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NearDefectiveError
 
-#: relative gap under which two eigenvalue magnitudes count as tied
+#: gap, relative to the largest magnitude, under which two eigenvalue magnitudes count as tied
 _MAG_TIE_RTOL = 1e-9
-#: |lambda| below this is treated as a zero eigenvalue (DC mode)
-ZERO_EIGENVALUE_TOL = 1e-8
+#: |lambda| at or below this times the largest magnitude is a zero eigenvalue (DC mode)
+ZERO_EIGENVALUE_RTOL = 1e-8
 #: angular tolerance for "parallel to the constant vector"
 DC_ANGLE_TOL = 1e-6
 #: kappa(V) beyond which the dual basis is numerically meaningless
@@ -95,12 +97,13 @@ class DcModeReport:
 def _frequency_sort(lambdas: np.ndarray) -> np.ndarray:
     """Permutation ordering eigenvalues by (|lambda|, arg, original index).
 
-    Magnitudes within ``_MAG_TIE_RTOL`` of their sorted neighbour form one tie
-    group, so conjugate pairs sort by argument, not by rounding noise.
+    Magnitudes within ``_MAG_TIE_RTOL`` times the largest of their sorted
+    neighbour form one tie group, so conjugate pairs sort by argument, not by
+    rounding noise.
     """
     order = np.argsort(np.abs(lambdas), kind="stable")
     mags = np.abs(lambdas[order])
-    group = np.cumsum(np.diff(mags, prepend=mags[:1]) > _MAG_TIE_RTOL * (1.0 + mags))
+    group = np.cumsum(np.diff(mags, prepend=mags[:1]) > _MAG_TIE_RTOL * mags[-1])
     return order[np.lexsort((order, np.angle(lambdas[order]), group))]
 
 
@@ -214,16 +217,19 @@ def dc_mode_check(dec: SpectralDecomposition) -> DcModeReport:
     True for strongly connected graphs, where the unique zero eigenvalue
     carries ``v_1 = 1/sqrt(n)``. Graphs with a multidimensional null space
     (e.g. disconnected ones) report ``isolated=False`` together with the
-    zero-eigenvalue multiplicity rather than raising.
+    zero-eigenvalue multiplicity rather than raising. An eigenvalue counts as
+    zero at or below ``ZERO_EIGENVALUE_RTOL`` times the largest magnitude.
     """
     n = dec.n
-    mult = int(np.count_nonzero(np.abs(dec.lambdas) <= ZERO_EIGENVALUE_TOL))
+    mags = np.abs(dec.lambdas)
+    zero = mags <= ZERO_EIGENVALUE_RTOL * mags.max()
+    mult = int(np.count_nonzero(zero))
     ones = np.ones(n) / np.sqrt(n)
     v1 = dec.v[:, 0]
     resid = v1 - np.vdot(ones, v1) * ones
     angle = float(np.arcsin(min(1.0, np.linalg.norm(resid))))
     isolated = bool(
-        abs(dec.lambdas[0]) <= ZERO_EIGENVALUE_TOL
+        zero[0]
         and mult == 1
         and angle <= DC_ANGLE_TOL
     )

@@ -20,13 +20,17 @@ trial))``, so results do not depend on execution order. The trials of a
 (graph, sigma) cell run as blocks, one trial per column. The seeds of a
 block's streams are computed together, and each trial still draws all its
 variates from its own stream; this needs ``trials < 2**32``.
+
+A sweep holds each cell's trials as arrays, one entry per trial, and
+summarizes a cell with ``math.fsum``, so each mean equals
+``statistics.fmean`` over the cell's trials.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from statistics import fmean
 
 import numpy as np
 
@@ -109,14 +113,15 @@ class GraphReport:
     lambdas: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    sigma: float
-    trial: int
+@dataclass(frozen=True, eq=False)
+class SweepCell:
+    """The trials of one (graph, sigma) cell; entry ``t`` of each array is trial ``t``."""
+
     graph: str
-    err_l2: float
-    err_abs: float
-    bound: float
+    sigma: float
+    err_l2: np.ndarray
+    err_abs: np.ndarray
+    bound: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ class SummaryRow:
 @dataclass(frozen=True, eq=False)
 class NoiseSweep:
     reports: dict[str, GraphReport]
-    trials: list[TrialRow]
+    cells: list[SweepCell]
     summary: list[SummaryRow]
 
 
@@ -213,17 +218,24 @@ def _trial_seeds(seed: int, graph: int, sigma_index: int, trials: range) -> np.n
     return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
 
 
-class _SeedRow:
-    """One trial's seed words, as numpy's ``ISeedSequence`` interface hands them to PCG64."""
+@functools.cache
+def _seed_row_type() -> type:
+    """``_SeedRow``, defined on first use so that start-up does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("state",)
+    class _SeedRow(ISeedSequence):
+        """One trial's seed words, as numpy's ``ISeedSequence`` interface hands them to PCG64."""
 
-    def __init__(self, state: np.ndarray):
-        self.state = state
+        __slots__ = ("state",)
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        assert n_words == 4 and dtype == np.uint64, "PCG64 asks for four 64-bit words"
-        return self.state
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            assert n_words == 4 and dtype == np.uint64, "PCG64 asks for four 64-bit words"
+            return self.state
+
+    return _SeedRow
 
 
 def _cell_draws(
@@ -236,23 +248,37 @@ def _cell_draws(
     one ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, trial))``
     seeds. The seeds of the block are computed together by ``_trial_seeds``.
     """
-    # registered on use, not at import, so that start-up does not import numpy.random;
-    # registering again is a no-op
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_SeedRow)
-    generator, pcg64 = np.random.Generator, np.random.PCG64
+    seed_row, generator, pcg64 = _seed_row_type(), np.random.Generator, np.random.PCG64
     noise = config.n if config.real_noise else 2 * config.n
     z = np.empty((len(trials), 2 * config.k + noise))
     seeds = _trial_seeds(config.seed, _GRAPH_STREAM[graph], sigma_index, trials)
     for row, seed in zip(z, seeds):
-        generator(pcg64(_SeedRow(seed))).standard_normal(out=row)
+        generator(pcg64(seed_row(seed))).standard_normal(out=row)
     return z
 
 
 def _circular(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Circular complex Gaussian variates with unit variance from their two parts."""
     return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _fmean(values: np.ndarray) -> float:
+    """The mean of ``values`` as ``statistics.fmean`` computes it: ``fsum`` over the count."""
+    return math.fsum(values.tolist()) / values.size
+
+
+def _summarize(cell: SweepCell) -> SummaryRow:
+    mean = _fmean(cell.err_l2)
+    # float_power squares through libm pow, as Python's ``**`` does, so err_std is
+    # exactly sqrt(fmean([(e - mean) ** 2 for e in err_l2]))
+    return SummaryRow(
+        graph=cell.graph,
+        sigma=cell.sigma,
+        err_mean=mean,
+        err_std=math.sqrt(_fmean(np.float_power(cell.err_l2 - mean, 2.0))),
+        err_abs_mean=_fmean(cell.err_abs),
+        bound_mean=_fmean(cell.bound),
+    )
 
 
 def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
@@ -269,13 +295,12 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     """
     pair = reference_pair(config)
     k, n = config.k, config.n
-    trials: list[TrialRow] = []
-    summary: list[SummaryRow] = []
+    cells: list[SweepCell] = []
     for graph, (report, dec) in pair.items():
         band = make_band(dec, k)
         low_pass = SpectralFilter.ideal(band.omega, n)
         for sigma_index, sigma in enumerate(config.sigmas):
-            cell: list[TrialRow] = []
+            err_abs, x0_norm, bound = [], [], []
             for start in range(0, config.trials, TRIAL_BLOCK):
                 block = range(start, min(start + TRIAL_BLOCK, config.trials))
                 z = _cell_draws(config, graph, sigma_index, block)
@@ -285,28 +310,14 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
                 else:
                     eta = sigma * _circular(z[:, 2 * k : 2 * k + n], z[:, 2 * k + n :]).T
                 x_rec = _filter_values(x0 + eta, low_pass.response, dec)
-                err_abs = np.linalg.norm(x_rec - x0, axis=0)
-                x0_norm = np.linalg.norm(x0, axis=0)
-                bound = dec.kappa * np.linalg.norm(eta, axis=0) / x0_norm
-                cell.extend(
-                    TrialRow(sigma=sigma, trial=t, graph=graph, err_l2=e / x, err_abs=e, bound=b)
-                    for t, e, x, b in zip(block, err_abs.tolist(), x0_norm.tolist(), bound.tolist())
-                )
-            trials.extend(cell)
-            errs = [t.err_l2 for t in cell]
-            mean = fmean(errs)
-            summary.append(
-                SummaryRow(
-                    graph=graph,
-                    sigma=sigma,
-                    err_mean=mean,
-                    err_std=float(np.sqrt(fmean([(e - mean) ** 2 for e in errs]))),
-                    err_abs_mean=fmean([t.err_abs for t in cell]),
-                    bound_mean=fmean([t.bound for t in cell]),
-                )
-            )
+                err_abs.append(np.linalg.norm(x_rec - x0, axis=0))
+                x0_norm.append(np.linalg.norm(x0, axis=0))
+                bound.append(dec.kappa * np.linalg.norm(eta, axis=0) / x0_norm[-1])
+            err = np.concatenate(err_abs)
+            cells.append(SweepCell(graph=graph, sigma=sigma, err_l2=err / np.concatenate(x0_norm),
+                                   err_abs=err, bound=np.concatenate(bound)))
     return NoiseSweep(
-        reports={k: rep for k, (rep, _) in pair.items()},
-        trials=trials,
-        summary=summary,
+        reports={name: rep for name, (rep, _) in pair.items()},
+        cells=cells,
+        summary=[_summarize(cell) for cell in cells],
     )

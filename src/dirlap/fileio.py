@@ -2,8 +2,11 @@
 
 Every output byte leaves through :func:`write_text`, the one sink; it
 writes to stdout when ``path`` is None, so stdout carries exactly the
-bytes of the file. CSV files are rendered by one CSV renderer, JSON files
-by :func:`write_json`.
+bytes of the file. JSON files are rendered by :func:`write_json`. CSV
+files are rendered by one columnar renderer: a writer hands it whole
+columns and one ``%`` code per column (``%d``, ``%s`` or ``%.12g``), and
+it renders each bounded chunk of rows with a single ``%`` operation, so no
+cell costs a call of its own. ``%.12g`` renders exactly as :func:`fmt`.
 
 Formats (all numeric output uses 12 significant digits):
 
@@ -22,7 +25,8 @@ Formats (all numeric output uses 12 significant digits):
   metrics JSON per graph; each ``spectrum_csv`` names its spectrum CSV
 - fig2 ``bundle.json``, the fig1 header with ``spectrum_csv`` null, plus
   ``summary``: the sweep summary rows as objects
-- sweep trials CSV, header ``sigma,trial,graph,err_l2,bound``
+- sweep trials CSV, header ``sigma,trial,graph,err_l2,bound``, one row per
+  trial, rendered from the sweep's per-cell arrays
 - sweep summary CSV, header ``graph,sigma,err_mean,err_std,err_abs_mean,bound_mean``
 """
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from . import __version__
 from .errors import FileFormatError
 from .experiments import (
-    GENERATOR_NAME, ExperimentConfig, GraphReport, NoiseSweep, SummaryRow, TrialRow,
+    GENERATOR_NAME, ExperimentConfig, GraphReport, NoiseSweep, SummaryRow, SweepCell,
 )
 from .graphs import MAX_VERTICES, DirectedGraph
 from .sampling import BandModel, SamplingPlan
@@ -88,10 +92,27 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]], path=None) -> None:
-    """Write ``header`` and ``rows`` of rendered cells as comma-separated lines."""
-    lines = (",".join(row) + "\n" for row in rows)
-    write_text(itertools.chain([",".join(header) + "\n"], lines), path)
+#: rows rendered by one ``%`` operation; bounds the text held at once, whatever the row count
+_CHUNK_ROWS = 4096
+
+
+def _write_csv(header: Sequence[str], codes: Sequence[str], columns: Sequence, path=None) -> None:
+    """Write ``header``, then one line per row of ``columns``, cell ``j`` rendered by ``codes[j]``.
+
+    ``columns`` are equally long arrays or lists. Each chunk of ``_CHUNK_ROWS``
+    rows is rendered by one ``%`` operation over its interleaved cells.
+    """
+    line = ",".join(codes) + "\n"
+    rows = len(columns[0])
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for start in range(0, rows, _CHUNK_ROWS):
+            parts = [col[start : start + _CHUNK_ROWS] for col in columns]
+            parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+            yield line * len(parts[0]) % tuple(itertools.chain.from_iterable(zip(*parts)))
+
+    write_text(lines(), path)
 
 
 def write_json(payload, path=None) -> None:
@@ -102,8 +123,7 @@ def write_json(payload, path=None) -> None:
 # -- edge lists ---------------------------------------------------------------
 
 def write_edge_list(g: DirectedGraph, path=None) -> None:
-    edges = zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
-    _write_csv(("src", "dst", "weight"), ((str(s), str(d), fmt(w)) for s, d, w in edges), path)
+    _write_csv(("src", "dst", "weight"), ("%d", "%d", "%.12g"), (g.src, g.dst, g.weight), path)
 
 
 def read_edge_list(path, n: int | None = None) -> DirectedGraph:
@@ -148,8 +168,9 @@ def read_edge_list(path, n: int | None = None) -> DirectedGraph:
 # -- signals ------------------------------------------------------------------
 
 def write_signal(signal: GraphSignal, path) -> None:
-    rows = ((str(i), fmt(z.real), fmt(z.imag)) for i, z in enumerate(signal.values))
-    _write_csv(("vertex", "re", "im"), rows, path)
+    values = signal.values
+    columns = (np.arange(values.shape[0]), values.real, values.imag)
+    _write_csv(("vertex", "re", "im"), ("%d", "%.12g", "%.12g"), columns, path)
 
 
 def read_signal(path, domain: str = VERTEX) -> GraphSignal:
@@ -180,8 +201,11 @@ def read_signal(path, domain: str = VERTEX) -> GraphSignal:
 # -- spectra ------------------------------------------------------------------
 
 def write_spectrum(lambdas: np.ndarray, path) -> None:
-    rows = ((str(k), fmt(lam.real), fmt(lam.imag), fmt(abs(lam))) for k, lam in enumerate(lambdas))
-    _write_csv(("k", "re_lambda", "im_lambda", "abs_lambda"), rows, path)
+    # Python's complex abs, not np.abs: numpy's vectorized modulus may differ in the last bit
+    columns = (np.arange(lambdas.shape[0]), lambdas.real, lambdas.imag,
+               [abs(lam) for lam in lambdas.tolist()])
+    codes = ("%d", "%.12g", "%.12g", "%.12g")
+    _write_csv(("k", "re_lambda", "im_lambda", "abs_lambda"), codes, columns, path)
 
 
 # -- filters ------------------------------------------------------------------
@@ -245,9 +269,8 @@ def write_metrics(report: GraphReport, spectrum_csv: str | None, form: str, path
         write_json(payload, path)
     else:
         # spectrum_csv is a user-given path, the one cell of any CSV output that may need quoting
-        cells = ((key, "" if value is None else _quote(str(value)))
-                 for key, value in payload.items())
-        _write_csv(("metric", "value"), cells, path)
+        values = ["" if value is None else _quote(str(value)) for value in payload.values()]
+        _write_csv(("metric", "value"), ("%s", "%s"), (list(payload), values), path)
 
 
 def _bundle(config: ExperimentConfig, graphs: dict) -> dict:
@@ -274,27 +297,33 @@ def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> P
     """Write fig2 into ``out_dir``: ``trials.csv``, ``summary.csv``, then ``bundle.json``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trials_csv(sweep.trials, out / "trials.csv")
+    write_trials_csv(sweep.cells, out / "trials.csv")
     write_summary_csv(sweep.summary, out / "summary.csv")
     graphs = {name: _metrics_payload(report, None) for name, report in sweep.reports.items()}
-    summary = [dict(zip(_SUMMARY_FIELDS, _summary_cells(row, round12))) for row in sweep.summary]
+    summary = [{"graph": row.graph, **{key: round12(getattr(row, key)) for key in _SUMMARY_NUMBERS}}
+               for row in sweep.summary]
     write_json({**_bundle(config, graphs), "summary": summary}, out / "bundle.json")
     return out / "bundle.json"
 
 
-def write_trials_csv(rows: Iterable[TrialRow], path) -> None:
-    cells = ((fmt(t.sigma), str(t.trial), t.graph, fmt(t.err_l2), fmt(t.bound)) for t in rows)
-    _write_csv(("sigma", "trial", "graph", "err_l2", "bound"), cells, path)
+def write_trials_csv(cells: Sequence[SweepCell], path) -> None:
+    """One row per trial, the cells in order and each cell's trials by index."""
+    sizes = [cell.err_l2.size for cell in cells]
+    columns = (
+        np.repeat([cell.sigma for cell in cells], sizes),
+        np.concatenate([np.arange(size) for size in sizes]),
+        np.repeat([cell.graph for cell in cells], sizes),
+        np.concatenate([cell.err_l2 for cell in cells]),
+        np.concatenate([cell.bound for cell in cells]),
+    )
+    _write_csv(("sigma", "trial", "graph", "err_l2", "bound"),
+               ("%.12g", "%d", "%s", "%.12g", "%.12g"), columns, path)
 
 
 _SUMMARY_FIELDS = tuple(field.name for field in dataclasses.fields(SummaryRow))
+_SUMMARY_NUMBERS = _SUMMARY_FIELDS[1:]
 
 
-def _summary_cells(row: SummaryRow, number) -> list:
-    """The graph name, then each number field of ``row`` through ``number``."""
-    graph, *numbers = (getattr(row, name) for name in _SUMMARY_FIELDS)
-    return [graph, *map(number, numbers)]
-
-
-def write_summary_csv(rows: Iterable[SummaryRow], path) -> None:
-    _write_csv(_SUMMARY_FIELDS, (_summary_cells(row, fmt) for row in rows), path)
+def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
+    columns = [[getattr(row, name) for row in rows] for name in _SUMMARY_FIELDS]
+    _write_csv(_SUMMARY_FIELDS, ("%s",) + ("%.12g",) * len(_SUMMARY_NUMBERS), columns, path)

@@ -715,11 +715,11 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_numpy_random():
-    # numpy.random is imported by the first sweep, not at start-up
+    # numpy.random is imported by the first sweep, not at start-up; statistics not at all
     src = str(Path(dirlap.__file__).resolve().parents[1])
-    code = "import dirlap.cli, sys; print('numpy.random' in sys.modules)"
+    code = "import dirlap.cli, sys; print([m in sys.modules for m in ('numpy.random', 'statistics')])"
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"

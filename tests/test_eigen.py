@@ -13,6 +13,7 @@ from dirlap import (
     gen_perturbed_cycle,
     gram_matrix,
     henrici_departure,
+    make_band,
     normality_departure,
 )
 from dirlap.eigen import _frequency_sort, _normalize_columns
@@ -259,6 +260,25 @@ class TestDcMode:
     )
     def test_isolated_is_python_bool(self, lap):
         assert type(dc_mode_check(decompose(lap)).isolated) is bool
+
+
+class TestScaleInvariance:
+    LAP = directed_laplacian(gen_perturbed_cycle(20, 0.2, 0.8, seed=0))
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_order_band_and_dc_report_do_not_depend_on_scale(self, scale):
+        # every weight times ``scale``: the tie gap and the zero test move with the spectrum
+        ref = decompose(self.LAP)
+        dec = decompose(scale * self.LAP)
+        top = np.abs(ref.lambdas).max()
+        np.testing.assert_allclose(np.abs(dec.lambdas) / scale, np.abs(ref.lambdas),
+                                   rtol=0.0, atol=1e-9 * top)
+        np.testing.assert_allclose(dec.lambdas / scale, ref.lambdas, rtol=0.0, atol=1e-9 * top)
+        band, ref_band = make_band(dec, 5), make_band(ref, 5)
+        np.testing.assert_allclose(band.v_omega, ref_band.v_omega, rtol=0.0, atol=1e-9)
+        report, ref_report = dc_mode_check(dec), dc_mode_check(ref)
+        assert report.zero_multiplicity == ref_report.zero_multiplicity == 1
+        assert report.isolated and ref_report.isolated
 
 
 class TestGramMatrix:

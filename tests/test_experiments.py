@@ -1,3 +1,6 @@
+import math
+import statistics
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,9 @@ from dirlap import (
     synthesize_bandlimited,
     vertex_signal,
 )
-from dirlap.experiments import TRIAL_BLOCK, _cell_draws, _trial_seeds, reference_pair
+from dirlap.experiments import (
+    TRIAL_BLOCK, SweepCell, _cell_draws, _summarize, _trial_seeds, reference_pair,
+)
 
 
 class TestConfig:
@@ -111,7 +116,8 @@ def sweep():
 class TestNoiseSweep:
     def test_deterministic(self, sweep):
         again = run_noise_sweep(ExperimentConfig(sigmas=(0.05, 0.2), trials=40, seed=3))
-        assert [t.err_l2 for t in again.trials] == [t.err_l2 for t in sweep.trials]
+        for cell, other in zip(again.cells, sweep.cells, strict=True):
+            assert cell.err_l2.tolist() == other.err_l2.tolist()
 
     def test_noiseless_reconstruction_is_exact(self):
         res = run_noise_sweep(ExperimentConfig(sigmas=(0.0,), trials=5))
@@ -127,24 +133,47 @@ class TestNoiseSweep:
             assert per[sigma] / cyc[sigma] <= kappa
 
     def test_bound_never_violated(self, sweep):
-        for t in sweep.trials:
-            assert t.err_l2 <= t.bound
+        for cell in sweep.cells:
+            assert np.all(cell.err_l2 <= cell.bound)
 
     def test_trial_grid_complete(self, sweep):
-        assert len(sweep.trials) == 2 * 2 * 40
-        assert {t.graph for t in sweep.trials} == {"cycle", "perturbed"}
+        assert [(cell.graph, cell.sigma) for cell in sweep.cells] == [
+            ("cycle", 0.05), ("cycle", 0.2), ("perturbed", 0.05), ("perturbed", 0.2)
+        ]
+        for cell in sweep.cells:
+            assert cell.err_l2.shape == cell.err_abs.shape == cell.bound.shape == (40,)
 
     def test_real_noise_flag(self):
         res = run_noise_sweep(
             ExperimentConfig(sigmas=(0.1,), trials=10, real_noise=True)
         )
-        assert all(np.isfinite(t.err_l2) for t in res.trials)
+        assert all(np.all(np.isfinite(cell.err_l2)) for cell in res.cells)
 
     def test_summary_consistent_with_trials(self, sweep):
-        rows = [t.err_l2 for t in sweep.trials if t.graph == "cycle" and t.sigma == 0.05]
+        cell = next(c for c in sweep.cells if c.graph == "cycle" and c.sigma == 0.05)
         row = next(r for r in sweep.summary if r.graph == "cycle" and r.sigma == 0.05)
-        assert row.err_mean == pytest.approx(np.mean(rows), rel=1e-12)
-        assert row.err_std == pytest.approx(np.std(rows), rel=1e-9)
+        assert row.err_mean == pytest.approx(np.mean(cell.err_l2), rel=1e-12)
+        assert row.err_std == pytest.approx(np.std(cell.err_l2), rel=1e-9)
+
+    @pytest.mark.parametrize("trials", [1, 40, TRIAL_BLOCK + 1])
+    def test_summary_is_fmean_of_trials(self, trials):
+        # exact: the summary bytes rest on it
+        res = run_noise_sweep(ExperimentConfig(sigmas=(0.0, 0.05, 0.2), trials=trials, seed=3))
+        for cell, row in zip(res.cells, res.summary, strict=True):
+            errs = cell.err_l2.tolist()
+            mean = statistics.fmean(errs)
+            assert (row.graph, row.sigma) == (cell.graph, cell.sigma)
+            assert row.err_mean == mean
+            assert row.err_std == math.sqrt(statistics.fmean([(e - mean) ** 2 for e in errs]))
+            assert row.err_abs_mean == statistics.fmean(cell.err_abs.tolist())
+            assert row.bound_mean == statistics.fmean(cell.bound.tolist())
+
+    def test_err_std_squares_as_python_pow(self):
+        # x * x and Python's x ** 2 round apart on these deviations, and so do the two err_std
+        errs = [0.792, 0.969, 0.318]
+        cell = SweepCell("cycle", 0.1, np.array(errs), np.array(errs), np.array(errs))
+        mean = statistics.fmean(errs)
+        assert _summarize(cell).err_std == math.sqrt(statistics.fmean([(e - mean) ** 2 for e in errs]))
 
 
 def per_trial_sweep(config):
@@ -188,17 +217,22 @@ def test_sweep_matches_per_trial_loop(kwargs):
     # blocks of trials draw from the same per-trial streams as one call per trial
     config = ExperimentConfig(**kwargs)
     expected = per_trial_sweep(config)
-    got = run_noise_sweep(config).trials
-    assert [(t.graph, t.sigma, t.trial) for t in got] == [row[:3] for row in expected]
-    for t, (_, sigma, _, err_l2, err_abs, bound) in zip(got, expected):
+    got = [
+        (cell.graph, cell.sigma, trial, *values)
+        for cell in run_noise_sweep(config).cells
+        for trial, values in enumerate(zip(cell.err_l2.tolist(), cell.err_abs.tolist(),
+                                           cell.bound.tolist()))
+    ]
+    assert [row[:3] for row in got] == [row[:3] for row in expected]
+    for (_, _, _, t_l2, t_abs, t_bound), (_, sigma, _, err_l2, err_abs, bound) in zip(got, expected):
         if sigma == 0.0:
             # noiseless reconstruction: both errors are rounding noise and the bound is 0
-            assert t.bound == bound == 0.0
-            assert max(t.err_l2, err_l2, t.err_abs, err_abs) < 1e-14
+            assert t_bound == bound == 0.0
+            assert max(t_l2, err_l2, t_abs, err_abs) < 1e-14
         else:
-            assert t.err_l2 == pytest.approx(err_l2, rel=1e-12)
-            assert t.err_abs == pytest.approx(err_abs, rel=1e-12)
-            assert t.bound == pytest.approx(bound, rel=1e-12)
+            assert t_l2 == pytest.approx(err_l2, rel=1e-12)
+            assert t_abs == pytest.approx(err_abs, rel=1e-12)
+            assert t_bound == pytest.approx(bound, rel=1e-12)
 
 
 class TestTrialStreams:

@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dirlap import (
     FileFormatError,
@@ -14,7 +18,7 @@ from dirlap import (
     vertex_signal,
 )
 from dirlap import fileio
-from dirlap.experiments import GraphReport, TrialRow
+from dirlap.experiments import GraphReport, SweepCell
 
 
 def read_spectrum(path):
@@ -88,6 +92,41 @@ class TestEdgeList:
         path = tmp_path / "dup.csv"
         path.write_text("src,dst,weight\n0,1,1\n0,1,2\n")
         with pytest.raises(FileFormatError, match="duplicate"):
+            fileio.read_edge_list(path)
+
+    # the tokens the reader accepts today, read by int() and float() cell by cell
+    @pytest.mark.parametrize("row, edge", [
+        ("1_0,0,1", (10, 0, 1.0)),
+        ("+3,0,1", (3, 0, 1.0)),
+        (" 7 ,0,1", (7, 0, 1.0)),
+        ("0, 1 , 2 ", (0, 1, 2.0)),
+        ("\uff11,0,1", (1, 0, 1.0)),
+        ("0,1,1e3", (0, 1, 1000.0)),
+        ("0,1,1_0", (0, 1, 10.0)),
+        ("0,1,+1.5", (0, 1, 1.5)),
+        ("0,1,.5", (0, 1, 0.5)),
+    ])
+    def test_accepted_tokens_pinned(self, tmp_path, row, edge):
+        path = tmp_path / "g.csv"
+        path.write_text(f"src,dst,weight\n{row}\n", encoding="utf-8")
+        g = fileio.read_edge_list(path, n=20)
+        assert (g.src.tolist(), g.dst.tolist(), g.weight.tolist()) == tuple([x] for x in edge)
+
+    @pytest.mark.parametrize("row, message", [
+        ("7.0,0,1", ":2: invalid literal for int"),
+        ("0x10,0,1", ":2: invalid literal for int"),
+        ("0,1,0x1p1", ":2: could not convert string to float"),
+        ("0,1,nan", "needs a finite positive weight, got nan"),
+        ("0,1,inf", "needs a finite positive weight, got inf"),
+        ("0,1,-inf", "needs a finite positive weight, got -inf"),
+        ("0,1,1e400", "needs a finite positive weight, got inf"),
+        (f"{2**63},0,1", "vertex index out of range"),
+        (f"{2**63 - 1},0,1", "exceeds MAX_VERTICES"),
+    ])
+    def test_rejected_tokens_pinned(self, tmp_path, row, message):
+        path = tmp_path / "g.csv"
+        path.write_text(f"src,dst,weight\n{row}\n")
+        with pytest.raises(FileFormatError, match=message):
             fileio.read_edge_list(path)
 
 
@@ -222,13 +261,46 @@ class TestMetricsCsv:
 
 class TestTrialsCsv:
     def test_round_trip(self, tmp_path):
-        rows = [TrialRow(0.01, 0, "cycle", 0.0123456789012, 0.0001, 0.02),
-                TrialRow(0.5, 3, "perturbed", 1.25, 2.5, 9.5)]
+        cells = [SweepCell("cycle", 0.01, np.array([0.0123456789012]), np.array([0.0001]),
+                           np.array([0.02])),
+                 SweepCell("perturbed", 0.5, np.arange(4.0) / 8 + 0.875, np.arange(4.0),
+                           np.arange(4.0) + 6.5)]
         path = tmp_path / "trials.csv"
-        fileio.write_trials_csv(rows, path)
+        fileio.write_trials_csv(cells, path)
         with open(path, newline="") as fh:
             back = list(csv.reader(fh))
         assert back[0] == ["sigma", "trial", "graph", "err_l2", "bound"]
-        assert back[1][2] == "cycle"
-        assert back[2] == ["0.5", "3", "perturbed", "1.25", "9.5"]
+        assert len(back) == 1 + 1 + 4
+        assert back[1][:3] == ["0.01", "0", "cycle"]
+        assert back[2] == ["0.5", "0", "perturbed", "0.875", "6.5"]
+        assert back[5] == ["0.5", "3", "perturbed", "1.25", "9.5"]
         assert float(back[1][3]) == pytest.approx(0.0123456789012, rel=1e-11)
+
+
+def render_csv(header, codes, columns) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        fileio._write_csv(header, codes, columns)
+    return buf.getvalue()
+
+
+class TestCsvRenderer:
+    @given(st.lists(st.tuples(st.floats(), st.integers(-2**63, 2**63 - 1), st.integers(), st.text())))
+    @example([(-0.0, 2**53 + 1, 2**64, "100%"), (float("nan"), -2**63, -2**70, "%s%d"),
+              (float("inf"), 2**63 - 1, 0, "%"), (-float("inf"), 0, 2**53 + 1, "a,b"),
+              (5e-324, 1, 1, ""), (2.2e-308, 2, 2, "x"), (1e16, 3, 3, "y"), (float(2**60), 4, 4, "")])
+    def test_cells_render_as_fmt_and_str(self, rows):
+        # floats and int64 pass as arrays, as the writers pass them; Python ints and text as lists
+        columns = [np.array([r[0] for r in rows], dtype=np.float64),
+                   np.array([r[1] for r in rows], dtype=np.int64),
+                   [r[2] for r in rows], [r[3] for r in rows]]
+        text = render_csv(("x", "i", "j", "s"), ("%.12g", "%d", "%d", "%s"), columns)
+        assert text == "x,i,j,s\n" + "".join(
+            f"{fileio.fmt(x)},{i},{j},{s}\n" for x, i, j, s in rows
+        )
+
+    def test_rows_across_chunks(self):
+        rows = 2 * fileio._CHUNK_ROWS + 1
+        values = np.arange(rows) / 7.0
+        text = render_csv(("i", "x"), ("%d", "%.12g"), (np.arange(rows), values))
+        assert text == "i,x\n" + "".join(f"{i},{fileio.fmt(x)}\n" for i, x in enumerate(values))
