@@ -5,7 +5,8 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from click.testing import CliRunner
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirlap import (
@@ -18,7 +19,9 @@ from dirlap import (
     vertex_signal,
 )
 from dirlap import fileio
+from dirlap.cli import EXIT_PARSE, main
 from dirlap.experiments import GraphReport, SweepCell
+from dirlap.graphs import MAX_VERTICES
 
 
 def read_spectrum(path):
@@ -128,6 +131,194 @@ class TestEdgeList:
         path.write_text(f"src,dst,weight\n{row}\n")
         with pytest.raises(FileFormatError, match=message):
             fileio.read_edge_list(path)
+
+
+
+# -- fuzzing the edge-list boundary ------------------------------------------------
+
+EDGE_HEADER = "src,dst,weight"
+
+
+def reference_edges(text: str):
+    """What ``csv.reader`` and ``int``/``float`` cell by cell read from ``text``.
+
+    Returns the ``(src, dst, weight)`` lists, or None where that reading fails.
+    """
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    if not rows or [cell.strip() for cell in rows[0]] != EDGE_HEADER.split(","):
+        return None
+    try:
+        edges = [(int(s), int(d), float(w)) for s, d, w in rows[1:]]
+    except ValueError:  # a bad token, or a row of other than three cells
+        return None
+    return tuple(list(column) for column in zip(*edges)) if edges else ([], [], [])
+
+
+def assert_edges_equal(g, edges):
+    src, dst, weight = edges
+    assert g.src.tolist() == src
+    assert g.dst.tolist() == dst
+    assert g.weight.view(np.uint64).tolist() == np.array(weight).view(np.uint64).tolist()
+
+
+def _positive_finite(token: str) -> bool:
+    try:
+        return 0.0 < float(token) < float("inf")
+    except ValueError:
+        return False
+
+
+#: how an index cell may be written: sign, surrounding spaces, leading zeros, quotes
+INT_FORMS = ("{}", "+{}", " {} ", "\t{}\t", "{:03d}", '"{}"', '" {} "')
+WEIGHT_FORMS = ("{}", " {} ", "\t{}", '"{}"')
+DECIMAL_TOKENS = st.builds(
+    lambda sign, whole, frac, exp: sign + whole + frac + exp,
+    st.sampled_from(["", "+"]),
+    st.text("0123456789", max_size=20),
+    st.just("") | st.text("0123456789", max_size=20).map(".{}".format),
+    st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                            st.integers(0, 330)),
+).filter(_positive_finite)
+WEIGHT_TOKENS = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).flatmap(
+        lambda w: st.sampled_from([repr(w), f"{w:.17e}", f"{w:.12g}", f"{w:E}"])
+    ),
+    DECIMAL_TOKENS,
+)
+
+
+@st.composite
+def valid_rows(draw):
+    """Rows of distinct, loop-free edges in ASCII decimal, each cell in a drawn form."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(
+        lambda pair: pair[0] != pair[1]), min_size=1, max_size=12, unique=True))
+    return [
+        ",".join([draw(st.sampled_from(INT_FORMS)).format(s),
+                  draw(st.sampled_from(INT_FORMS)).format(d),
+                  draw(st.sampled_from(WEIGHT_FORMS)).format(draw(WEIGHT_TOKENS))])
+        for s, d in pairs
+    ]
+
+
+def draw_layout(draw, header: str, rows: list[str]) -> tuple[str, list[int]]:
+    """The file text: ``header`` and ``rows`` with blank lines drawn around them.
+
+    Also returns the 1-based file line of each row.
+    """
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [""] * draw(st.integers(0, 1)) + [header]
+    numbers = []
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(row)
+        numbers.append(len(lines))
+    return eol.join(lines) + (eol if draw(st.booleans()) else ""), numbers
+
+
+@st.composite
+def valid_edge_files(draw):
+    return draw_layout(draw, EDGE_HEADER, draw(valid_rows()))[0]
+
+
+BAD_INDEX_TOKENS = ("7.0", "0x10", "1e3", "", " ", "x", "1 2", "--1", "nan", "0b1", "#1")
+BAD_WEIGHT_TOKENS = ("x", "", " ", "0x1p1", "1 2", "nan(1)", "1d3", "1e", "e1", "--1", "1j", "#1")
+NON_FINITE_WEIGHTS = ("nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400")
+WRONG_HEADERS = ("src,dst", "source,target,weight", "src,dst,weight,w", "dst,src,weight",
+                 "#src,dst,weight", "src;dst;weight", "0,1,1")
+#: faults confined to one row, whose error names that row's file line
+ROW_FAULTS = ("short", "long", "token", "quoted", "int64", "whitespace", "comment")
+FAULTS = ROW_FAULTS + ("non-finite", "negative", "max", "header", "empty")
+
+
+@st.composite
+def faulty_edge_files(draw):
+    """A valid edge list with one fault: ``(text, fault, line)``.
+
+    ``line`` is the 1-based file line of a row fault, None for the others.
+    """
+    rows = draw(valid_rows())
+    header = EDGE_HEADER
+    fault = draw(st.sampled_from(FAULTS))
+    at = draw(st.integers(0, len(rows) - 1))
+    cells = rows[at].split(",")
+    col = draw(st.integers(0, 1))
+    if fault == "short":
+        cells = cells[: draw(st.integers(1, 2))]
+    elif fault == "long":
+        cells.append(draw(st.sampled_from(["", "1", "0.5", " "])))
+    elif fault == "token":
+        col = draw(st.integers(0, 2))
+        cells[col] = draw(st.sampled_from(BAD_WEIGHT_TOKENS if col == 2 else BAD_INDEX_TOKENS))
+    elif fault == "quoted":
+        cells[draw(st.integers(0, 2))] = draw(st.sampled_from(['"1,2"', '"x"', '" 1 2 "', '""']))
+    elif fault == "int64":
+        cells[col] = str(draw(st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63) - 1)))
+    elif fault == "non-finite":
+        cells[2] = draw(st.sampled_from(NON_FINITE_WEIGHTS))
+    elif fault == "negative":
+        cells[col] = str(draw(st.integers(-(2**63), -1)))
+    elif fault == "max":
+        cells[col] = str(draw(st.integers(MAX_VERTICES, 2**63 - 1)))
+    elif fault == "header":
+        header = draw(st.sampled_from(WRONG_HEADERS))
+    rows[at] = ",".join(cells)
+    if fault == "whitespace":
+        rows.insert(at, draw(st.text(" \t\x0b\x0c", min_size=1, max_size=4)))
+    elif fault == "comment":
+        rows.insert(at, "#" + draw(st.text("ab 01,", max_size=8)))
+    elif fault == "empty":
+        rows = []
+    text, numbers = draw_layout(draw, header, rows)
+    return text, fault, numbers[at] if fault in ROW_FAULTS else None
+
+
+#: characters of the cells fed to the reader unchecked: digits, signs, exponents, quotes,
+#: ASCII and other whitespace, non-ASCII digits and ASCII information separators
+FUZZ_CHARS = "0123456789+-._eE \t\x0b\x0c\"#xnaif\xa0 １١Ǿ\x1c\x1f"
+FUZZ_CELLS = st.one_of(
+    st.integers(0, 30).map(str),
+    st.text(FUZZ_CHARS, max_size=5),
+    st.sampled_from(["nan", "inf", "1_0", "+3", " 7 ", "1e3", ".5", "１", "Ǿ", '"2"']),
+)
+FUZZ_LINES = st.just("") | st.lists(FUZZ_CELLS, min_size=1, max_size=4).map(",".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.csv"
+
+
+class TestEdgeListFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(valid_edge_files())
+    def test_ascii_decimal_files_read_as_int_and_float(self, fuzz_path, text):
+        fuzz_path.write_bytes(text.encode())
+        assert_edges_equal(fileio.read_edge_list(fuzz_path), reference_edges(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FUZZ_LINES, max_size=6), st.sampled_from(["\n", "\r\n"]))
+    def test_accepts_nothing_that_int_and_float_reject(self, fuzz_path, lines, eol):
+        text = eol.join([EDGE_HEADER, *lines]) + eol
+        fuzz_path.write_bytes(text.encode())
+        try:
+            g = fileio.read_edge_list(fuzz_path)
+        except FileFormatError:
+            return
+        edges = reference_edges(text)
+        assert edges is not None
+        assert_edges_equal(g, edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(faulty_edge_files())
+    def test_faulty_file_is_a_parse_error(self, fuzz_path, case):
+        text, fault, line = case
+        fuzz_path.write_bytes(text.encode())
+        with pytest.raises(FileFormatError) as info:
+            fileio.read_edge_list(fuzz_path)
+        assert str(info.value).startswith(f"{fuzz_path}")
+        result = CliRunner().invoke(main, ["analyze", str(fuzz_path)])
+        assert result.exit_code == EXIT_PARSE, result.output
+        assert result.output.startswith("error: ")
 
 
 class TestSignals:
