@@ -1,5 +1,21 @@
 """Readers, and the one renderer and writer of every output file.
 
+The edge list and the signal are read by one parse: the header line is
+checked, then a single ``np.loadtxt`` call reads every row into a record
+array. Their cells follow one grammar:
+
+- integers are ASCII decimal, with an optional sign and surrounding spaces
+  (``+3``, `` 7 ``); no ``_`` separators and no other scripts' digits;
+- floats are what numpy parses: decimal or exponent notation, ``nan`` and
+  ``inf`` included (the readers then reject non-finite values);
+- a cell may be quoted with ``"``;
+- blank lines are skipped, while a line of spaces is a row of one cell;
+- there are no comments: a ``#`` line is a bad row;
+- a file holding any character outside ASCII, or one of the separators
+  0x1c-0x1f, is rejected.
+
+A bad row raises :class:`FileFormatError` naming its 1-based file line.
+
 Every output byte leaves through :func:`write_text`, the one sink; it
 writes to stdout when ``path`` is None, so stdout carries exactly the
 bytes of the file. JSON files are rendered by :func:`write_json`. CSV
@@ -33,9 +49,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import itertools
 import json
+import re
 import sys
+import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -61,18 +80,83 @@ def round12(x: float) -> float:
     return float(fmt(x))
 
 
-def _open_rows(path) -> list[list[str]]:
+#: the ASCII separators 0x1c-0x1f, which numpy's parser strips as whitespace
+#: where ``int()`` and ``float()`` refuse them (it also reads some non-ASCII
+#: letters as digits). A body holding one of them or a non-ASCII character is
+#: refused: ``str.isascii`` and ``in`` test for them, and ``_FOREIGN``, a scan
+#: about 60 times slower, only finds the line of the one that is there.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_FOREIGN = re.compile(r"[^\x00-\x1b\x20-\x7f]")
+#: ``np.loadtxt``'s two row errors: a cell that does not convert, its row
+#: counted from 0, and a row of the wrong width, counted from 1; both count
+#: the non-blank lines it was given
+_CELL_ERROR = re.compile(
+    r"could not convert string '(.*)' to (int64|float64) at row (\d+), column (\d+)\.", re.DOTALL
+)
+_WIDTH_ERROR = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+);")
+_DECIMAL = re.compile(r"\s*[+-]?\d+\s*")
+
+
+def _row_fault(message: str) -> tuple[int, str] | None:
+    """The row, counted from 0, and the fault that ``np.loadtxt``'s ``message`` names."""
+    if cell := _CELL_ERROR.fullmatch(message):
+        token, kind, row, column = cell.groups()
+        if kind == "float64":
+            fault = f"could not convert string to float: {token!r}"
+        elif _DECIMAL.fullmatch(token):
+            fault = f"vertex index out of range: {token!r}"
+        else:
+            fault = f"invalid literal for int: {token!r}"
+        return int(row), f"{fault} (column {column})"
+    if width := _WIDTH_ERROR.search(message):
+        expected, got, row = width.groups()
+        return int(row) - 1, f"expected {expected} columns, got {got}"
+    return None
+
+
+def _read_table(path, header: str, dtype: np.dtype):
+    """Parse a CSV file of ``header`` and numeric rows into a record array of ``dtype``.
+
+    Blank lines are skipped, the first other line must be ``header`` (cells
+    stripped, quotes allowed), and one ``np.loadtxt`` call parses every row
+    after it. Returns the array and ``line``, which maps a row of the array
+    to its 1-based line in the file.
+    """
     try:
-        with open(path, newline="") as fh:
-            return [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    stripped = text.lstrip("\n")
+    start = len(text) - len(stripped) + 2  # the file line of the body's first line
+    first, _, body = stripped.partition("\n")
+    try:
+        cells = [cell.strip() for cell in next(csv.reader([first]))]
+    except csv.Error:  # a cell beyond csv's field size limit
+        cells = None
+    if cells != header.split(","):
+        raise FileFormatError(f"{path}: expected header {header}")
 
+    def line(row: int) -> int:
+        numbered = itertools.compress(itertools.count(start), body.split("\n"))  # non-blank lines
+        return next(itertools.islice(numbered, row, None))
 
-def _check_header(rows: list[list[str]], expected: list[str], path) -> list[list[str]]:
-    if not rows or [c.strip() for c in rows[0]] != expected:
-        raise FileFormatError(f"{path}: expected header {','.join(expected)}")
-    return rows[1:]
+    if not body.isascii() or any(c in body for c in _SEPARATORS):
+        bad = _FOREIGN.search(body)
+        lineno = start + body.count("\n", 0, bad.start())
+        raise FileFormatError(f"{path}:{lineno}: character {bad.group()!r} in a number")
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is a table of no rows, not a fault
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None,
+                               quotechar='"', ndmin=1)
+    except ValueError as exc:
+        fault = _row_fault(str(exc))
+        if fault is None:
+            raise FileFormatError(f"{path}: {exc}") from exc
+        raise FileFormatError(f"{path}:{line(fault[0])}: {fault[1]}") from exc
+    return table, line
 
 
 def write_text(text: str | Iterable[str], path=None) -> None:
@@ -126,6 +210,9 @@ def write_edge_list(g: DirectedGraph, path=None) -> None:
     _write_csv(("src", "dst", "weight"), ("%d", "%d", "%.12g"), (g.src, g.dst, g.weight), path)
 
 
+_EDGE_DTYPE = np.dtype([("src", "i8"), ("dst", "i8"), ("weight", "f8")])
+
+
 def read_edge_list(path, n: int | None = None) -> DirectedGraph:
     """Parse an edge-list CSV.
 
@@ -140,21 +227,11 @@ def read_edge_list(path, n: int | None = None) -> DirectedGraph:
     """
     if n is not None and not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"n must lie in [1, MAX_VERTICES = {MAX_VERTICES}], got {n}")
-    body = _check_header(_open_rows(path), ["src", "dst", "weight"], path)
-    src, dst, weight = [], [], []
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        try:
-            s, d, w = int(row[0]), int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-        src.append(s)
-        dst.append(d)
-        weight.append(w)
-    top = max(max(src), max(dst)) + 1 if src else 0
+    edges, _ = _read_table(path, "src,dst,weight", _EDGE_DTYPE)
+    src, dst, weight = edges["src"], edges["dst"], edges["weight"]
+    top = int(max(src.max(), dst.max())) + 1 if src.size else 0
     if n is None:
-        if not src:
+        if not src.size:
             raise FileFormatError(f"{path}: empty edge list needs an explicit vertex count")
         n = top
     elif n < top:
@@ -173,25 +250,25 @@ def write_signal(signal: GraphSignal, path) -> None:
     _write_csv(("vertex", "re", "im"), ("%d", "%.12g", "%.12g"), columns, path)
 
 
+_SIGNAL_DTYPE = np.dtype([("index", "i8"), ("re", "f8"), ("im", "f8")])
+
+
 def read_signal(path, domain: str = VERTEX) -> GraphSignal:
-    body = _check_header(_open_rows(path), ["vertex", "re", "im"], path)
-    entries = {}
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        try:
-            index, value = int(row[0]), complex(float(row[1]), float(row[2]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-        if index in entries:
-            raise FileFormatError(f"{path}:{lineno}: index {index} appears more than once")
-        entries[index] = value
-    n = len(entries)
+    table, line = _read_table(path, "vertex,re,im", _SIGNAL_DTYPE)
+    index = table["index"]
+    n = index.size
     if n == 0:
         raise FileFormatError(f"{path}: no signal rows")
-    if sorted(entries) != list(range(n)):
+    repeated = np.ones(n, dtype=bool)
+    repeated[np.unique(index, return_index=True)[1]] = False
+    if repeated.any():
+        row = int(np.argmax(repeated))
+        raise FileFormatError(f"{path}:{line(row)}: index {index[row]} appears more than once")
+    if index.min() != 0 or index.max() != n - 1:
         raise FileFormatError(f"{path}: indices must cover 0..{n - 1} exactly once")
-    values = np.array([entries[i] for i in range(n)])
+    values = np.empty(n, dtype=np.complex128)
+    values.real[index] = table["re"]
+    values.imag[index] = table["im"]
     try:
         return GraphSignal(values, domain)
     except ValueError as exc:
@@ -309,15 +386,20 @@ def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> P
 def write_trials_csv(cells: Sequence[SweepCell], path) -> None:
     """One row per trial, the cells in order and each cell's trials by index."""
     sizes = [cell.err_l2.size for cell in cells]
+
+    def per_cell(values) -> list:
+        # one value per cell (its sigma rendered once, its graph), repeated over its trials
+        return list(itertools.chain.from_iterable(map(itertools.repeat, values, sizes)))
+
     columns = (
-        np.repeat([cell.sigma for cell in cells], sizes),
+        per_cell([fmt(cell.sigma) for cell in cells]),
         np.concatenate([np.arange(size) for size in sizes]),
-        np.repeat([cell.graph for cell in cells], sizes),
+        per_cell([cell.graph for cell in cells]),
         np.concatenate([cell.err_l2 for cell in cells]),
         np.concatenate([cell.bound for cell in cells]),
     )
     _write_csv(("sigma", "trial", "graph", "err_l2", "bound"),
-               ("%.12g", "%d", "%s", "%.12g", "%.12g"), columns, path)
+               ("%s", "%d", "%s", "%.12g", "%.12g"), columns, path)
 
 
 _SUMMARY_FIELDS = tuple(field.name for field in dataclasses.fields(SummaryRow))
