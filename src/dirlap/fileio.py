@@ -149,6 +149,9 @@ def _read_table(path, header: str, dtype: np.dtype):
         with warnings.catch_warnings():
             # a header-only file is a table of no rows, not a fault
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # numpy before 2.0 reads a non-integer cell of an integer column as a float
+            # and only warns; made an error, the warning fails that cell's conversion
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
             table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None,
                                quotechar='"', ndmin=1)
     except ValueError as exc:

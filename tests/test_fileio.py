@@ -2,6 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dirlap
 from dirlap import (
     FileFormatError,
     GraphSignal,
@@ -178,6 +184,25 @@ class TestEdgeList:
         path.write_bytes(b"src,dst,weight\n0,1,\xff\n")
         with pytest.raises(FileFormatError, match="cannot read"):
             fileio.read_edge_list(path)
+
+    @pytest.mark.parametrize("row", ["7.0,0,1", "2.9,0,1", "1e3,0,1", "0,1.5,1"])
+    def test_non_integer_index_rejected_under_any_warning_filter(self, tmp_path, row):
+        # numpy before 2.0 reads such a cell as a float and only warns; the CLI runs
+        # with Python's default filters, which ignore that warning
+        path = tmp_path / "g.csv"
+        path.write_text(f"src,dst,weight\n{row}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(FileFormatError, match=":2: invalid literal for int"):
+                fileio.read_edge_list(path)
+        src = str(Path(dirlap.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "dirlap.cli", "analyze", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert done.returncode == EXIT_PARSE
+        assert f"{path}:2: invalid literal for int" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 # -- fuzzing the edge-list boundary ------------------------------------------------
@@ -436,6 +461,14 @@ class TestSignals:
         path.write_text("vertex,re,im\n" + body, encoding="utf-8")
         with pytest.raises(FileFormatError, match=message):
             fileio.read_signal(path)
+
+    def test_non_integer_index_rejected_under_any_warning_filter(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("vertex,re,im\n0,0,0\n1.5,1,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(FileFormatError, match=":3: invalid literal for int: '1.5'"):
+                fileio.read_signal(path)
 
 
 class TestSpectrumCsv:
