@@ -5,23 +5,18 @@ Subcommands: ``gen``, ``analyze``, ``gft``, ``filter``, ``sample``, and
 digits and every run is a deterministic function of its arguments and seed.
 
 Exit codes: 0 success, 2 bad usage/parameters (an unwritable output path
-included), 3 file parse error, 4 dimension mismatch, 5 rank-deficient
-sampling, 6 near-defective operator.
+included), and for a library fault the ``exit_code`` of its
+:mod:`dirlap.errors` type: 3 file parse error, 4 dimension mismatch, 5
+rank-deficient sampling, 6 near-defective operator.
 """
 from __future__ import annotations
 
-import functools
 import sys
 
 import click
 
 from . import __version__
-from .errors import (
-    DimensionMismatchError,
-    FileFormatError,
-    NearDefectiveError,
-    RankDeficientError,
-)
+from .errors import DimensionMismatchError, DirlapError, FileFormatError
 from . import fileio
 from .eigen import SpectralDecomposition, decompose
 from .experiments import (
@@ -34,35 +29,28 @@ from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 from .sampling import make_band, plan_sampling, recover, select_sampling_set
 from .transform import SPECTRAL, VERTEX, apply_filter, forward, inverse
 
-EXIT_PARSE = 3
-EXIT_DIMENSION = 4
-EXIT_RANK_DEFICIENT = 5
-EXIT_NEAR_DEFECTIVE = 6
 
-_EXIT_CODES = [
-    (FileFormatError, EXIT_PARSE),
-    (DimensionMismatchError, EXIT_DIMENSION),
-    (RankDeficientError, EXIT_RANK_DEFICIENT),
-    (NearDefectiveError, EXIT_NEAR_DEFECTIVE),
-]
+class _Command(click.Command):
+    """A command whose run maps a fault to its exit code: the one handler of every command."""
 
-
-def _with_exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except tuple(exc for exc, _ in _EXIT_CODES) as err:
-            code = next(c for exc, c in _EXIT_CODES if isinstance(err, exc))
+            return super().invoke(ctx)
+        except DirlapError as err:
             click.echo(f"error: {err}", err=True)
-            sys.exit(code)
+            sys.exit(err.exit_code)  # SystemExit, so an in-process caller reads the code too
         except BrokenPipeError:
             raise  # a reader that closed stdout early: click ends the run quietly
         except (ValueError, OSError) as err:
             # an output path that cannot be written is a bad parameter, like a bad value
-            raise click.UsageError(str(err)) from err
+            raise click.UsageError(str(err), ctx) from err
 
-    return wrapper
+
+class _Group(click.Group):
+    """A group whose commands, and its subgroups' commands, are :class:`_Command`."""
+
+    command_class = _Command
+    group_class = type
 
 
 def _load_decomposition(graph_path, n: int | None) -> SpectralDecomposition:
@@ -76,7 +64,7 @@ _vertex_count_option = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(__version__)
 def main():
     """Spectral analysis, filtering, and sampling on directed graphs."""
@@ -89,7 +77,6 @@ def main():
 @click.option("--w", type=float, default=0.8, show_default=True, help="Extra-edge weight.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Generator seed (PCG64).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Edge CSV path (default stdout).")
-@_with_exit_codes
 def gen(kind, n, p, w, seed, out):
     """Generate a reference graph as an edge-list CSV."""
     if kind == "cycle":
@@ -105,7 +92,6 @@ def gen(kind, n, p, w, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Metrics file (default stdout).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--spectrum-out", type=click.Path(dir_okay=False), default=None, help="Eigenvalue CSV path.")
-@_with_exit_codes
 def analyze(graph_path, n, out, fmt, spectrum_out):
     """Asymmetry/normality metrics and spectrum of a graph's Laplacian."""
     dec = _load_decomposition(graph_path, n)
@@ -120,7 +106,6 @@ def analyze(graph_path, n, out, fmt, spectrum_out):
 @_vertex_count_option
 @click.option("--direction", type=click.Choice(["forward", "inverse"]), default="forward", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output signal CSV.")
-@_with_exit_codes
 def gft(graph_path, signal_path, n, direction, out):
     """Graph Fourier transform of a signal (dual-basis analysis/synthesis)."""
     dec = _load_decomposition(graph_path, n)
@@ -139,7 +124,6 @@ def gft(graph_path, signal_path, n, direction, out):
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Filter spec JSON (ideal or diagonal).")
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Filtered signal CSV.")
-@_with_exit_codes
 def filter_cmd(graph_path, signal_path, n, spec_path, out):
     """Apply a diagonal spectral filter to a vertex signal."""
     dec = _load_decomposition(graph_path, n)
@@ -162,7 +146,6 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
               help="Vertex signal CSV; restricted to the sample set and recovered.")
 @click.option("--recover-out", type=click.Path(dir_okay=False), default=None,
               help="Recovered signal CSV (requires --signal).")
-@_with_exit_codes
 def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
     """Plan a sampling set for a band and optionally recover a signal."""
     if signal_path is not None and recover_out is None:
@@ -195,21 +178,16 @@ def experiment():
     """Reproducible comparison experiments on the cycle / perturbed-cycle pair."""
 
 
-def _config_from(config_path, n, p, w, k, sigmas, trials, seed, real_noise) -> ExperimentConfig:
+def _config_from(config_path, sigmas=None, **flags) -> ExperimentConfig:
     base = {} if config_path is None else fileio.read_json_object(config_path, "config")
-    overrides = {
-        "n": n, "p": p, "w": w, "k": k, "trials": trials, "seed": seed,
-        "real_noise": real_noise,
-    }
+    overrides = {key: val for key, val in flags.items() if val is not None}
     if sigmas is not None:
         try:
             overrides["sigmas"] = tuple(float(t) for t in sigmas.split(","))
         except ValueError as exc:
             raise click.UsageError(f"bad --sigmas: {exc}") from exc
-    merged = {key: val for key, val in base.items()}
-    merged.update({key: val for key, val in overrides.items() if val is not None})
     try:
-        return ExperimentConfig(**merged)
+        return ExperimentConfig(**{**base, **overrides})
     except (TypeError, ValueError):
         # the file is at fault (exit 3) if its values are bad on their own, else a flag (exit 2)
         try:
@@ -222,12 +200,12 @@ def _config_from(config_path, n, p, w, k, sigmas, trials, seed, real_noise) -> E
 _config_options = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="JSON config; explicit flags override it."),
-    click.option("--n", type=int, default=None, help="Graph size [default: 20]."),
-    click.option("--p", type=float, default=None, help="Perturbation probability [default: 0.2]."),
-    click.option("--w", type=float, default=None, help="Perturbation weight [default: 0.8]."),
-    click.option("--k", type=int, default=None, help="Band size [default: 5]."),
-    click.option("--trials", type=int, default=None, help="Trials per noise level [default: 200]."),
-    click.option("--seed", type=int, default=None, help="Base seed [default: 0]."),
+    *(click.option(f"--{name}", type=kind, default=None,
+                   help=f"{what} [default: {getattr(ExperimentConfig, name)}].")
+      for name, kind, what in (("n", int, "Graph size"), ("p", float, "Perturbation probability"),
+                               ("w", float, "Perturbation weight"), ("k", int, "Band size"),
+                               ("trials", int, "Trials per noise level"),
+                               ("seed", int, "Base seed"))),
 ]
 
 
@@ -243,10 +221,9 @@ def _add_options(options):
 @experiment.command()
 @_add_options(_config_options)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@_with_exit_codes
-def fig1(config_path, n, p, w, k, trials, seed, out_dir):
+def fig1(config_path, out_dir, **flags):
     """Spectrum and normality-metrics comparison (writes metrics + spectra)."""
-    config = _config_from(config_path, n, p, w, k, None, trials, seed, None)
+    config = _config_from(config_path, **flags)
     reports = run_spectrum_comparison(config)
     click.echo(str(fileio.write_spectrum_comparison(config, reports, out_dir)))
 
@@ -256,10 +233,9 @@ def fig1(config_path, n, p, w, k, trials, seed, out_dir):
 @click.option("--sigmas", default=None, help="Comma-separated ascending noise levels.")
 @click.option("--real-noise", is_flag=True, default=None, help="Real Gaussian noise instead of circular complex.")
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@_with_exit_codes
-def fig2(config_path, n, p, w, k, trials, seed, sigmas, real_noise, out_dir):
+def fig2(config_path, sigmas, out_dir, **flags):
     """Noise-sweep reconstruction error (writes trials.csv, summary.csv, bundle)."""
-    config = _config_from(config_path, n, p, w, k, sigmas, trials, seed, real_noise)
+    config = _config_from(config_path, sigmas, **flags)
     click.echo(str(fileio.write_noise_sweep(config, run_noise_sweep(config), out_dir)))
 
 

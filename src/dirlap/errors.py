@@ -1,16 +1,36 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Each type carries the exit code the CLI ends with when it is raised, as
+click's own ``ClickException.exit_code`` does.
+"""
 
 
 class DirlapError(Exception):
     """Base class for all library-specific errors."""
 
+    exit_code: int
+
 
 class FileFormatError(DirlapError, ValueError):
     """A CSV or JSON input could not be parsed into the expected shape."""
 
+    exit_code = 3
+
 
 class DimensionMismatchError(DirlapError, ValueError):
     """Vector or matrix sizes do not agree with the graph/decomposition."""
+
+    exit_code = 4
+
+
+class RankDeficientError(DirlapError, ArithmeticError):
+    """A sampling matrix does not have full column rank.
+
+    Recovery from such samples is ambiguous (aliasing), so it is refused
+    instead of returning one of infinitely many least-squares solutions.
+    """
+
+    exit_code = 5
 
 
 class NearDefectiveError(DirlapError, ArithmeticError):
@@ -22,10 +42,4 @@ class NearDefectiveError(DirlapError, ArithmeticError):
     transforms would silently return garbage.
     """
 
-
-class RankDeficientError(DirlapError, ArithmeticError):
-    """A sampling matrix does not have full column rank.
-
-    Recovery from such samples is ambiguous (aliasing), so it is refused
-    instead of returning one of infinitely many least-squares solutions.
-    """
+    exit_code = 6

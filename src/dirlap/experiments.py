@@ -56,6 +56,23 @@ _GRAPH_STREAM = {"cycle": 0, "perturbed": 1}
 TRIAL_BLOCK = 128
 
 
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is a ``kind``; a bool is a bool only, never a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+#: the type of each scalar field of :class:`ExperimentConfig`, checked before its value
+_FIELD_KINDS = (
+    ("n", numbers.Integral, "an integer"),
+    ("k", numbers.Integral, "an integer"),
+    ("trials", numbers.Integral, "an integer"),
+    ("seed", numbers.Integral, "an integer"),
+    ("p", numbers.Real, "a real number"),
+    ("w", numbers.Real, "a real number"),
+    ("real_noise", bool, "true or false"),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int = 20
@@ -68,10 +85,10 @@ class ExperimentConfig:
     real_noise: bool = False
 
     def __post_init__(self):
-        for name in ("n", "k", "trials", "seed"):
+        for name, kind, what in _FIELD_KINDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not _is_a(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n < 2:
@@ -82,7 +99,10 @@ class ExperimentConfig:
             raise ValueError(f"w must be finite and positive, got {self.w}")
         if not 1 <= self.k <= self.n:
             raise ValueError("k must lie in [1, n]")
-        sigmas = tuple(float(s) for s in self.sigmas)
+        sigmas = tuple(self.sigmas)
+        if not all(_is_a(s, numbers.Real) for s in sigmas):
+            raise ValueError(f"sigmas must be real numbers, got {self.sigmas!r}")
+        sigmas = tuple(float(s) for s in sigmas)
         if not sigmas:
             raise ValueError("sigma grid must not be empty")
         if not all(math.isfinite(s) for s in sigmas):

@@ -14,7 +14,8 @@ array. Their cells follow one grammar:
 - a file holding any character outside ASCII, or one of the separators
   0x1c-0x1f, is rejected.
 
-A bad row raises :class:`FileFormatError` naming its 1-based file line.
+A bad row raises :class:`FileFormatError` naming the 1-based file line
+where it begins; a line break inside a quoted cell continues its row.
 
 Every output byte leaves through :func:`write_text`, the one sink; it
 writes to stdout when ``path`` is None, so stdout carries exactly the
@@ -30,7 +31,7 @@ Formats (all numeric output uses 12 significant digits):
 - signal CSV, header ``vertex,re,im``; for spectral-domain signals the
   first column holds the frequency bin instead of a vertex
 - spectrum CSV, header ``k,re_lambda,im_lambda,abs_lambda``
-- filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` or
+- filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` (integer indices) or
   ``{"kind": "diagonal", "response": [[re, im], ...]}``
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
 - metrics JSON (``analyze``), ``{n, alpha, delta, henrici, kappa, spectrum_csv}``
@@ -89,7 +90,7 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 _FOREIGN = re.compile(r"[^\x00-\x1b\x20-\x7f]")
 #: ``np.loadtxt``'s two row errors: a cell that does not convert, its row
 #: counted from 0, and a row of the wrong width, counted from 1; both count
-#: the non-blank lines it was given
+#: rows, not lines (see ``line`` in :func:`_read_table`)
 _CELL_ERROR = re.compile(
     r"could not convert string '(.*)' to (int64|float64) at row (\d+), column (\d+)\.", re.DOTALL
 )
@@ -120,7 +121,7 @@ def _read_table(path, header: str, dtype: np.dtype):
     Blank lines are skipped, the first other line must be ``header`` (cells
     stripped, quotes allowed), and one ``np.loadtxt`` call parses every row
     after it. Returns the array and ``line``, which maps a row of the array
-    to its 1-based line in the file.
+    to the 1-based file line where it begins.
     """
     try:
         with open(path) as fh:
@@ -138,8 +139,15 @@ def _read_table(path, header: str, dtype: np.dtype):
         raise FileFormatError(f"{path}: expected header {header}")
 
     def line(row: int) -> int:
-        numbered = itertools.compress(itertools.count(start), body.split("\n"))  # non-blank lines
-        return next(itertools.islice(numbered, row, None))
+        # a row begins on a non-blank line outside quotes; a line break inside a quoted cell
+        # continues its row. Every row before ``row`` parsed, so its quotes come in pairs
+        quoted = False
+        for lineno, part in enumerate(body.split("\n"), start):
+            if part and not quoted:
+                if row == 0:
+                    return lineno
+                row -= 1
+            quoted ^= part.count('"') % 2 == 1
 
     if not body.isascii() or any(c in body for c in _SEPARATORS):
         bad = _FOREIGN.search(body)
@@ -307,8 +315,8 @@ def read_filter_spec(path, n: int) -> SpectralFilter:
     kind = spec.get("kind")
     if kind == "ideal":
         try:
-            return SpectralFilter.ideal([int(i) for i in spec["omega"]], n)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return SpectralFilter.ideal(spec["omega"], n)
+        except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"bad ideal filter spec: {exc}") from exc
     if kind == "diagonal":
         try:

@@ -18,6 +18,7 @@ the squared eigenvector condition number.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -86,11 +87,18 @@ class SpectralFilter:
 
     @classmethod
     def ideal(cls, omega: Iterable[int], n: int) -> "SpectralFilter":
-        """Indicator response on the index set ``omega`` (entries in {0, 1})."""
+        """Indicator response on the index set ``omega`` (entries in {0, 1}).
+
+        Each index must be an integer: a float, bool or string is refused, not truncated.
+        """
+        indices = list(omega)
+        for i in indices:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ValueError(f"band indices must be integers, got {i!r}")
         response = np.zeros(n, dtype=np.complex128)
         out_of_range = f"band indices must lie in [0, {n})"
         try:
-            idx = np.asarray(list(omega), dtype=int)
+            idx = np.asarray(indices, dtype=int)
         except OverflowError as exc:
             raise ValueError(out_of_range) from exc
         if idx.size and (idx.min() < 0 or idx.max() >= n):

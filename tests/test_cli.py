@@ -6,18 +6,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import dirlap
 from dirlap import fileio
-from dirlap.cli import (
-    EXIT_DIMENSION,
-    EXIT_NEAR_DEFECTIVE,
-    EXIT_PARSE,
-    EXIT_RANK_DEFICIENT,
-    main,
+from dirlap.cli import main
+from dirlap.errors import (
+    DimensionMismatchError,
+    FileFormatError,
+    NearDefectiveError,
+    RankDeficientError,
 )
 
 
@@ -56,6 +57,36 @@ def perturbed_csv(tmp_path, runner):
     )
     assert result.exit_code == 0
     return path
+
+
+def test_each_error_type_carries_its_exit_code():
+    # the documented exit codes live on the error types, nowhere else
+    codes = {FileFormatError: 3, DimensionMismatchError: 4, RankDeficientError: 5,
+             NearDefectiveError: 6}
+    assert {error: error.exit_code for error in codes} == codes
+
+
+def leaf_commands(group):
+    for cmd in group.commands.values():
+        yield from leaf_commands(cmd) if isinstance(cmd, click.Group) else [cmd]
+
+
+@pytest.mark.parametrize(
+    "error", [FileFormatError, DimensionMismatchError, RankDeficientError, NearDefectiveError]
+)
+def test_every_command_ends_a_fault_with_its_exit_code(error, monkeypatch, capsys):
+    commands = list(leaf_commands(main))
+    assert sorted(cmd.name for cmd in commands) == [
+        "analyze", "fig1", "fig2", "filter", "gen", "gft", "sample"]
+    for cmd in commands:
+        def fail():
+            raise error("boom")
+
+        monkeypatch.setattr(cmd, "callback", fail)
+        with click.Context(cmd) as ctx, pytest.raises(SystemExit) as info:
+            cmd.invoke(ctx)
+        assert info.value.code == error.exit_code
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestGen:
@@ -159,13 +190,13 @@ class TestAnalyze:
         bad = tmp_path / "bad.csv"
         bad.write_text("src,dst\n0,1\n")
         result = runner.invoke(main, ["analyze", str(bad)])
-        assert result.exit_code == EXIT_PARSE
+        assert result.exit_code == FileFormatError.exit_code
 
     def test_vertex_count_beyond_max_is_parse_error(self, tmp_path, runner):
         path = tmp_path / "sparse.csv"
         path.write_text("src,dst,weight\n0,60000,1\n")
         result = runner.invoke(main, ["analyze", str(path)])
-        assert result.exit_code == EXIT_PARSE
+        assert result.exit_code == FileFormatError.exit_code
         assert "vertex count 60001 exceeds MAX_VERTICES = 10000" in result.output
 
     def test_near_defective_exit_code(self, tmp_path, runner):
@@ -173,7 +204,7 @@ class TestAnalyze:
         path = tmp_path / "path.csv"
         path.write_text("src,dst,weight\n" + "".join(f"{i},{i+1},1\n" for i in range(7)))
         result = runner.invoke(main, ["analyze", str(path)])
-        assert result.exit_code == EXIT_NEAR_DEFECTIVE
+        assert result.exit_code == NearDefectiveError.exit_code
 
 
 class TestGft:
@@ -207,7 +238,7 @@ class TestGft:
         result = runner.invoke(
             main, ["gft", str(cycle_csv), str(sig), "--out", str(tmp_path / "o.csv")]
         )
-        assert result.exit_code == EXIT_DIMENSION
+        assert result.exit_code == DimensionMismatchError.exit_code
 
 
 class TestFilter:
@@ -233,7 +264,7 @@ class TestFilter:
             ["filter", str(perturbed_csv), str(sig), "--spec", str(spec),
              "--out", str(tmp_path / "y.csv")],
         )
-        assert result.exit_code == EXIT_PARSE
+        assert result.exit_code == FileFormatError.exit_code
 
     def test_bad_spec_exit_code(self, perturbed_csv, runner, tmp_path):
         sig = tmp_path / "x.csv"
@@ -242,14 +273,17 @@ class TestFilter:
         non_finite = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 19
         for payload in ({"kind": "nonsense"}, {"kind": "diagonal", "response": non_finite},
                         {"kind": "ideal", "omega": [1e30]},
-                        {"kind": "ideal", "omega": [float("inf")]}):
+                        {"kind": "ideal", "omega": [float("inf")]},
+                        {"kind": "ideal", "omega": [0.9]}, {"kind": "ideal", "omega": [1.5]},
+                        {"kind": "ideal", "omega": [True]}, {"kind": "ideal", "omega": ["2"]},
+                        {"kind": "ideal", "omega": "12"}, {"kind": "ideal", "omega": 5}):
             spec.write_text(json.dumps(payload))
             result = runner.invoke(
                 main,
                 ["filter", str(perturbed_csv), str(sig), "--spec", str(spec),
                  "--out", str(tmp_path / "y.csv")],
             )
-            assert result.exit_code == EXIT_PARSE, payload
+            assert result.exit_code == FileFormatError.exit_code, payload
 
 
 class TestSample:
@@ -294,7 +328,7 @@ class TestSample:
             ["sample", str(perturbed_csv), "--k", "5", "--sample-set", "0,1",
              "--signal", str(sig), "--recover-out", str(tmp_path / "r.csv")],
         )
-        assert result.exit_code == EXIT_RANK_DEFICIENT
+        assert result.exit_code == RankDeficientError.exit_code
 
     def test_signal_without_recover_out_writes_nothing(self, perturbed_csv, runner, tmp_path):
         sig = tmp_path / "x.csv"
@@ -381,7 +415,7 @@ class TestVertexCount:
         if command in ("gft", "filter"):
             assert len(fileio.read_signal(out, "spectral" if command == "gft" else "vertex").values) == 5
             # without --n the graph has 3 vertices and the 5-vertex signal does not fit
-            assert runner.invoke(main, argv).exit_code == EXIT_DIMENSION
+            assert runner.invoke(main, argv).exit_code == DimensionMismatchError.exit_code
 
     def test_empty_edge_list(self, tmp_path, runner):
         path = tmp_path / "empty.csv"
@@ -391,7 +425,7 @@ class TestVertexCount:
         payload = json.loads(result.output)
         assert payload["n"] == 3 and payload["kappa"] == 1.0
         missing = runner.invoke(main, ["analyze", str(path)])
-        assert missing.exit_code == EXIT_PARSE
+        assert missing.exit_code == FileFormatError.exit_code
         assert "needs an explicit vertex count" in missing.output
 
     @pytest.mark.parametrize("command", ["analyze", "gft", "filter", "sample"])
@@ -494,7 +528,7 @@ class TestExperimentCommands:
         result = runner.invoke(
             main, ["experiment", "fig2", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
         )
-        assert result.exit_code == EXIT_PARSE
+        assert result.exit_code == FileFormatError.exit_code
 
     def test_fig2_noiseless_sanity(self, runner, tmp_path):
         out = tmp_path / "zero"
@@ -583,7 +617,7 @@ class TestExperimentCommands:
         result = runner.invoke(
             main, ["experiment", "fig2", "--config", str(cfg), "--out-dir", str(out)]
         )
-        assert result.exit_code == EXIT_PARSE
+        assert result.exit_code == FileFormatError.exit_code
         assert message in result.output
         assert not out.exists()
 
@@ -594,6 +628,10 @@ class TestExperimentCommands:
             ('{"k": 2.5}', "k must be an integer, got 2.5"),
             ('{"trials": 2.5}', "trials must be an integer, got 2.5"),
             ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+            ('{"p": true, "w": true}', "p must be a real number, got True"),
+            ('{"w": "0.8"}', "w must be a real number, got '0.8'"),
+            ('{"sigmas": ["0.1"]}', "sigmas must be real numbers, got ['0.1']"),
+            ('{"real_noise": "false"}', "real_noise must be true or false, got 'false'"),
         ],
     )
     def test_fig2_non_integer_config_is_parse_error(self, runner, tmp_path, text, message):
@@ -603,14 +641,14 @@ class TestExperimentCommands:
         result = runner.invoke(
             main, ["experiment", "fig2", "--config", str(cfg), "--out-dir", str(out)]
         )
-        assert result.exit_code == EXIT_PARSE
+        assert result.exit_code == FileFormatError.exit_code
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fig1", "fig2"])
-    @pytest.mark.parametrize("via_config, code", [(False, 2), (True, EXIT_PARSE)],
+    @pytest.mark.parametrize("via_config, code", [(False, 2), (True, FileFormatError.exit_code)],
                              ids=["flag", "config"])
     def test_negative_seed_names_the_field(self, runner, tmp_path, command, via_config, code):
         # a bad flag is a usage error (2); a config file whose own value is bad is a parse error (3)

@@ -76,6 +76,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"p": True}, "p must be a real number"),
+            ({"p": "0.2"}, "p must be a real number"),
+            ({"w": True}, "w must be a real number"),
+            ({"w": "0.8"}, "w must be a real number"),
+            ({"sigmas": ("0.1",)}, "sigmas must be real numbers"),
+            ({"sigmas": (0.1, True)}, "sigmas must be real numbers"),
+            ({"sigmas": "0.1"}, "sigmas must be real numbers"),
+            ({"real_noise": "false"}, "real_noise must be true or false"),
+            ({"real_noise": 1}, "real_noise must be true or false"),
+        ],
+    )
+    def test_wrong_type_rejected_by_field(self, kwargs, field):
+        # JSON gives strings and booleans; neither may pass for a number, nor a string for a flag
+        with pytest.raises(ValueError, match=f"^{field}, got "):
+            ExperimentConfig(**kwargs)
+
+    def test_integers_accepted_as_reals(self):
+        cfg = ExperimentConfig(p=1, w=2, sigmas=(0, 1), real_noise=True)
+        assert (cfg.p, cfg.w, cfg.sigmas, cfg.real_noise) == (1, 2, (0.0, 1.0), True)
+
     def test_largest_trials_accepted(self):
         # the trial index is one 32-bit word of its stream's seed key
         assert ExperimentConfig(trials=2**32 - 1).trials == 2**32 - 1

@@ -25,7 +25,7 @@ from dirlap import (
     vertex_signal,
 )
 from dirlap import fileio
-from dirlap.cli import EXIT_PARSE, main
+from dirlap.cli import main
 from dirlap.experiments import GraphReport, SweepCell
 from dirlap.graphs import MAX_VERTICES
 
@@ -147,7 +147,8 @@ class TestEdgeList:
         path.write_text(f"src,dst,weight\n{row}\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match=message):
             fileio.read_edge_list(path)
-        assert CliRunner().invoke(main, ["analyze", str(path)]).exit_code == EXIT_PARSE
+        result = CliRunner().invoke(main, ["analyze", str(path)])
+        assert result.exit_code == FileFormatError.exit_code
 
     @pytest.mark.parametrize("row, message", [
         ("0,1,heavy", ":4: could not convert string to float: 'heavy' \\(column 3\\)"),
@@ -163,6 +164,16 @@ class TestEdgeList:
             fileio.read_edge_list(path)
         path.write_text(f"src,dst,weight\r\n1,2,1\r\n{row}\r\n\r\n")
         with pytest.raises(FileFormatError, match=":3:"):
+            fileio.read_edge_list(path)
+
+    def test_line_counts_a_line_break_inside_quotes(self, tmp_path):
+        # numpy counts rows; the row after a quoted line break begins one line further down
+        path = tmp_path / "g.csv"
+        path.write_text('src,dst,weight\n0,1,"2\n"\n1,2,x\n')
+        with pytest.raises(FileFormatError, match=":4: could not convert string to float: 'x'"):
+            fileio.read_edge_list(path)
+        path.write_text('src,dst,weight\n"0\n\n",1,"\n2"\n\n1,2\n')
+        with pytest.raises(FileFormatError, match=":7: expected 3 columns, got 2"):
             fileio.read_edge_list(path)
 
     def test_header_only_file_is_an_empty_edge_list(self, tmp_path):
@@ -200,7 +211,7 @@ class TestEdgeList:
             [sys.executable, "-m", "dirlap.cli", "analyze", str(path)],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
-        assert done.returncode == EXIT_PARSE
+        assert done.returncode == FileFormatError.exit_code
         assert f"{path}:2: invalid literal for int" in done.stderr
         assert "Traceback" not in done.stderr
 
@@ -239,9 +250,10 @@ def _positive_finite(token: str) -> bool:
         return False
 
 
-#: how an index cell may be written: sign, surrounding spaces, leading zeros, quotes
-INT_FORMS = ("{}", "+{}", " {} ", "\t{}\t", "{:03d}", '"{}"', '" {} "')
-WEIGHT_FORMS = ("{}", " {} ", "\t{}", '"{}"')
+#: how an index cell may be written: sign, surrounding spaces, leading zeros, quotes,
+#: a line break inside quotes
+INT_FORMS = ("{}", "+{}", " {} ", "\t{}\t", "{:03d}", '"{}"', '" {} "', '"{}\n"')
+WEIGHT_FORMS = ("{}", " {} ", "\t{}", '"{}"', '"\n{}"')
 DECIMAL_TOKENS = st.builds(
     lambda sign, whole, frac, exp: sign + whole + frac + exp,
     st.sampled_from(["", "+"]),
@@ -274,15 +286,16 @@ def valid_rows(draw):
 def draw_layout(draw, header: str, rows: list[str]) -> tuple[str, list[int]]:
     """The file text: ``header`` and ``rows`` with blank lines drawn around them.
 
-    Also returns the 1-based file line of each row.
+    Also returns the 1-based file line where each row begins; a row whose
+    quoted cell holds a line break spans more than one line.
     """
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [""] * draw(st.integers(0, 1)) + [header]
     numbers = []
     for row in rows:
         lines += [""] * draw(st.integers(0, 2))
+        numbers.append(eol.join(lines).count("\n") + 2)
         lines.append(row)
-        numbers.append(len(lines))
     return eol.join(lines) + (eol if draw(st.booleans()) else ""), numbers
 
 
@@ -397,7 +410,7 @@ class TestEdgeListFuzz:
             fileio.read_edge_list(fuzz_path)
         assert str(info.value).startswith(f"{fuzz_path}")
         result = CliRunner().invoke(main, ["analyze", str(fuzz_path)])
-        assert result.exit_code == EXIT_PARSE, result.output
+        assert result.exit_code == FileFormatError.exit_code, result.output
         assert result.output.startswith("error: ")
         if line is not None:
             assert str(info.value).startswith(f"{fuzz_path}:{line}: ")
@@ -434,6 +447,12 @@ class TestSignals:
         path = tmp_path / "x.csv"
         path.write_text("vertex,re,im\n\n2,1,0\n0,1,0\n\n\n2,5,0\n1,2,0\n0,1,0\n")
         with pytest.raises(FileFormatError, match=r":7: index 2 appears more than once"):
+            fileio.read_signal(path)
+
+    def test_repeat_after_a_quoted_line_break(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text('vertex,re,im\n0,1,"0\n\n"\n1,2,0\n0,3,0\n')
+        with pytest.raises(FileFormatError, match=r":6: index 0 appears more than once"):
             fileio.read_signal(path)
 
     def test_rows_in_any_order(self, tmp_path):
