@@ -23,16 +23,6 @@ class DimensionMismatchError(DirlapError, ValueError):
     exit_code = 4
 
 
-class RankDeficientError(DirlapError, ArithmeticError):
-    """A sampling matrix does not have full column rank.
-
-    Recovery from such samples is ambiguous (aliasing), so it is refused
-    instead of returning one of infinitely many least-squares solutions.
-    """
-
-    exit_code = 5
-
-
 class NearDefectiveError(DirlapError, ArithmeticError):
     """The eigenbasis is numerically too ill-conditioned to trust.
 
@@ -43,3 +33,13 @@ class NearDefectiveError(DirlapError, ArithmeticError):
     """
 
     exit_code = 6
+
+
+class RankDeficientError(DirlapError, ArithmeticError):
+    """A sampling matrix does not have full column rank.
+
+    Recovery from such samples is ambiguous (aliasing), so it is refused
+    instead of returning one of infinitely many least-squares solutions.
+    """
+
+    exit_code = 5

@@ -276,7 +276,7 @@ class TestFilter:
                         {"kind": "ideal", "omega": [float("inf")]},
                         {"kind": "ideal", "omega": [0.9]}, {"kind": "ideal", "omega": [1.5]},
                         {"kind": "ideal", "omega": [True]}, {"kind": "ideal", "omega": ["2"]},
-                        {"kind": "ideal", "omega": "12"}, {"kind": "ideal", "omega": 5}):
+                        {"kind": "ideal", "omega": "12"}):
             spec.write_text(json.dumps(payload))
             result = runner.invoke(
                 main,

@@ -157,10 +157,6 @@ class TestFilters:
         with pytest.raises(ValueError, match="band indices must be integers"):
             SpectralFilter.ideal([0, index], 4)
 
-    def test_ideal_accepts_numpy_integers(self):
-        filt = SpectralFilter.ideal(np.array([0, 2], dtype=np.int32), 4)
-        np.testing.assert_array_equal(filt.response, [1, 0, 1, 0])
-
     def test_tap_count_mismatch(self, cycle4, rng):
         _, dec = cycle4
         with pytest.raises(DimensionMismatchError):
