@@ -47,7 +47,6 @@ from .transform import (
 )
 from .sampling import (
     BandModel,
-    RecoveryReport,
     SamplingPlan,
     make_band,
     noise_certificate,
@@ -101,7 +100,6 @@ __all__ = [
     # sampling
     "BandModel",
     "SamplingPlan",
-    "RecoveryReport",
     "make_band",
     "synthesize_bandlimited",
     "plan_sampling",

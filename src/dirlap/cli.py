@@ -75,7 +75,8 @@ def main():
 @click.option("--n", type=int, required=True, help="Vertex count.")
 @click.option("--p", type=float, default=0.2, show_default=True, help="Extra-edge probability.")
 @click.option("--w", type=float, default=0.8, show_default=True, help="Extra-edge weight.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Generator seed (PCG64).")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Generator seed (PCG64).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Edge CSV path (default stdout).")
 def gen(kind, n, p, w, seed, out):
     """Generate a reference graph as an edge-list CSV."""
@@ -139,7 +140,8 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
 @click.option("--m", type=int, default=None, help="Sample budget for automatic selection.")
 @click.option("--strategy", type=click.Choice(["greedy-gamma", "random"]), default="greedy-gamma",
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the random strategy.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Seed for the random strategy.")
 @click.option("--sample-set", default=None, help="Explicit comma-separated vertex list (overrides --m).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Plan JSON (default stdout).")
 @click.option("--signal", "signal_path", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -164,13 +166,12 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
             raise click.UsageError("provide either --m or --sample-set")
         vertices = select_sampling_set(band, m, strategy=strategy, seed=seed)
     plan = plan_sampling(band, vertices)
-    fileio.write_plan(plan, band, out)
+    fileio.write_plan(plan, out)
     if signal_path is not None:
         sig = fileio.read_signal(signal_path, VERTEX)
         if sig.n != dec.n:
             raise DimensionMismatchError(f"signal has length {sig.n}, graph has {dec.n}")
-        report = recover(plan, band, sig.values[plan.sample_set])
-        fileio.write_signal(report.x_rec, recover_out)
+        fileio.write_signal(recover(plan, sig.values[plan.sample_set]), recover_out)
 
 
 @main.group()

@@ -43,7 +43,7 @@ from .graphs import (
     normality_departure,
 )
 from .sampling import make_band
-from .transform import SpectralFilter, _filter_values
+from .transform import SpectralFilter, _filter_values, _is_a
 
 GENERATOR_NAME = "PCG64"
 
@@ -54,11 +54,6 @@ _GRAPH_STREAM = {"cycle": 0, "perturbed": 1}
 
 #: trials per block of the noise sweep; a block's draws and products stay small
 TRIAL_BLOCK = 128
-
-
-def _is_a(value, kind) -> bool:
-    """Whether ``value`` is a ``kind``; a bool is a bool only, never a number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 #: the type of each scalar field of :class:`ExperimentConfig`, checked before its value

@@ -32,7 +32,7 @@ Formats (all numeric output uses 12 significant digits):
   first column holds the frequency bin instead of a vertex
 - spectrum CSV, header ``k,re_lambda,im_lambda,abs_lambda``
 - filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` (integer indices) or
-  ``{"kind": "diagonal", "response": [[re, im], ...]}``
+  ``{"kind": "diagonal", "response": [[re, im], ...]}`` (real numbers, no bools)
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
 - metrics JSON (``analyze``), ``{n, alpha, delta, henrici, kappa, spectrum_csv}``
 - metrics CSV (``analyze --format csv``), header ``metric,value``, one row
@@ -53,6 +53,7 @@ import dataclasses
 import io
 import itertools
 import json
+import numbers
 import re
 import sys
 import warnings
@@ -62,13 +63,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import FileFormatError
+from .errors import FileFormatError, RankDeficientError
 from .experiments import (
     GENERATOR_NAME, ExperimentConfig, GraphReport, NoiseSweep, SummaryRow, SweepCell,
 )
 from .graphs import MAX_VERTICES, DirectedGraph
-from .sampling import BandModel, SamplingPlan
-from .transform import GraphSignal, SpectralFilter, VERTEX
+from .sampling import SamplingPlan, noise_certificate
+from .transform import GraphSignal, SpectralFilter, VERTEX, _is_a
 
 
 def fmt(x: float) -> str:
@@ -310,6 +311,13 @@ def read_json_object(path, what: str) -> dict:
     return obj
 
 
+def _tap(re, im) -> complex:
+    """One diagonal filter tap; a bool or string part is refused, not read as a number."""
+    if not (_is_a(re, numbers.Real) and _is_a(im, numbers.Real)):
+        raise ValueError(f"taps must be pairs of real numbers, got {[re, im]!r}")
+    return complex(re, im)
+
+
 def read_filter_spec(path, n: int) -> SpectralFilter:
     spec = read_json_object(path, "filter spec")
     kind = spec.get("kind")
@@ -320,8 +328,8 @@ def read_filter_spec(path, n: int) -> SpectralFilter:
             raise FileFormatError(f"bad ideal filter spec: {exc}") from exc
     if kind == "diagonal":
         try:
-            filt = SpectralFilter([complex(re, im) for re, im in spec["response"]])
-        except (KeyError, TypeError, ValueError) as exc:
+            filt = SpectralFilter([_tap(re, im) for re, im in spec["response"]])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FileFormatError(f"bad diagonal filter spec: {exc}") from exc
         if filt.response.shape != (n,):
             raise FileFormatError(f"diagonal filter has {filt.response.shape[0]} taps, graph has {n}")
@@ -331,14 +339,18 @@ def read_filter_spec(path, n: int) -> SpectralFilter:
 
 # -- sampling plans -----------------------------------------------------------
 
-def write_plan(plan: SamplingPlan, band: BandModel, path=None) -> None:
-    """Export a plan with its unit-noise certificate ``||V_omega||_2 / gamma``."""
+def write_plan(plan: SamplingPlan, path=None) -> None:
+    """Export a plan with its unit-noise certificate, ``null`` where recovery refuses the plan."""
+    try:
+        certificate = round12(noise_certificate(plan, 1.0))
+    except RankDeficientError:
+        certificate = None
     payload = {
-        "omega": [int(i) for i in band.omega],
+        "omega": [int(i) for i in plan.band.omega],
         "sample_set": [int(i) for i in plan.sample_set],
         "gamma": round12(plan.gamma),
         "b_norm": round12(plan.b_norm),
-        "certificate": round12(band.synthesis_norm / plan.gamma) if plan.gamma > 0 else None,
+        "certificate": certificate,
     }
     write_json(payload, path)
 

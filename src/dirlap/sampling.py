@@ -6,14 +6,17 @@ at a vertex set takes the rows of ``V_omega``:
 
     B = P_M V_omega,    y = B c (+ noise)
 
-Recovery is the least-squares solution ``c = pinv(B) y``, exact whenever
-``B`` has full column rank. Robustness is governed by two factors the
-certificates below keep separate: the sampling geometry through
+A plan carries its band. Recovery is the least-squares solution
+``c = pinv(B) y``, exact whenever ``B`` has full column rank; recovery and
+the noise certificate refuse the same plans, those with ``gamma`` at or
+below ``RANK_RTOL * sigma_max(B)``. Robustness is governed by two factors
+the certificate keeps separate: the sampling geometry through
 ``gamma = sigma_min(B)`` and the eigenvector geometry through
 ``||V_omega||_2`` (equal to 1 only when the synthesis basis is orthonormal).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -22,7 +25,7 @@ import numpy as np
 
 from .eigen import SpectralDecomposition
 from .errors import DimensionMismatchError, RankDeficientError
-from .transform import GraphSignal, VERTEX
+from .transform import GraphSignal, VERTEX, _indices, _is_a
 
 #: singular values below RANK_RTOL * sigma_max count as zero (rank boundary)
 RANK_RTOL = 1e-12
@@ -36,22 +39,19 @@ _SECULAR_MAX_ITER = 100
 class BandModel:
     """Frequency index set of one decomposition.
 
-    Indices are distinct, sorted, and in range; ``v_omega`` is derived from
-    them as the decomposition's eigenvector columns for those indices.
+    Indices are integers, distinct, sorted, and in range; ``v_omega`` holds
+    the decomposition's eigenvector columns for them.
     """
 
     decomposition: SpectralDecomposition
     omega: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=int)
-        n = self.decomposition.n
-        if omega.ndim != 1 or omega.size == 0:
+        omega = _indices(self.omega, self.decomposition.n, "band indices")
+        if omega.size == 0:
             raise ValueError("band needs at least one frequency index")
         if np.unique(omega).size != omega.size or not np.array_equal(omega, np.sort(omega)):
             raise ValueError("band indices must be distinct and sorted")
-        if omega.min() < 0 or omega.max() >= n:
-            raise ValueError(f"band indices must lie in [0, {n})")
         object.__setattr__(self, "omega", omega)
 
     @property
@@ -75,14 +75,16 @@ class BandModel:
 
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
-    """Vertex sample set with its sampling matrix and stability constants.
+    """Vertex sample set of a band, with its sampling matrix and stability constants.
 
-    ``gamma = sigma_min(B)`` is positive iff the samples identify the band
-    (full column rank, the no-aliasing condition); ``b_norm = sigma_max(B)``.
-    A plan with ``gamma == 0`` is a valid diagnostic object, recovery will
-    refuse it.
+    ``B = P_M V_omega`` takes the sampled rows of the band's synthesis
+    matrix; ``gamma = sigma_min(B)`` and ``b_norm = sigma_max(B)``. A plan
+    with ``gamma <= RANK_RTOL * b_norm`` does not identify the band (the
+    samples alias it); it stays a valid diagnostic object, but recovery
+    and the noise certificate refuse it.
     """
 
+    band: BandModel
     sample_set: np.ndarray
     b: np.ndarray
     gamma: float
@@ -93,23 +95,10 @@ class SamplingPlan:
         return self.sample_set.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class RecoveryReport:
-    """Least-squares reconstruction with its observable-misfit certificate.
-
-    ``error_bound`` bounds the reconstruction error attributable to the
-    visible least-squares misfit: ``||V_omega||_2 * residual / gamma``. For
-    a bound in terms of a known noise norm use :func:`noise_certificate`.
-    """
-
-    x_rec: GraphSignal
-    coeffs: np.ndarray
-    error_bound: float
-    residual: float
-
-
 def make_band(dec: SpectralDecomposition, k: int) -> BandModel:
     """Low-pass band: the ``k`` smallest-magnitude eigenvalue indices."""
+    if not _is_a(k, numbers.Integral):
+        raise ValueError(f"band size must be an integer, got {k!r}")
     if not 1 <= k <= dec.n:
         raise ValueError(f"band size must lie in [1, {dec.n}], got {k}")
     return BandModel(decomposition=dec, omega=np.arange(k))
@@ -131,19 +120,13 @@ def plan_sampling(band: BandModel, sample_set: Iterable[int]) -> SamplingPlan:
     fewer samples than band size the rank is deficient by counting, so
     ``gamma = 0`` without further analysis.
     """
-    out_of_range = f"sample vertices must lie in [0, {band.n})"
-    try:
-        sample = np.unique(np.asarray(list(sample_set), dtype=int))
-    except OverflowError as exc:
-        raise ValueError(out_of_range) from exc
+    sample = np.unique(_indices(sample_set, band.n, "sample vertices"))
     if sample.size == 0:
         raise ValueError("sample set must not be empty")
-    if sample.min() < 0 or sample.max() >= band.n:
-        raise ValueError(out_of_range)
     b = band.v_omega[sample, :]
     s = np.linalg.svd(b, compute_uv=False)
     gamma = float(s[-1]) if sample.size >= band.k else 0.0
-    return SamplingPlan(sample_set=sample, b=b, gamma=gamma, b_norm=float(s[0]))
+    return SamplingPlan(band=band, sample_set=sample, b=b, gamma=gamma, b_norm=float(s[0]))
 
 
 def _require_full_rank(plan: SamplingPlan) -> None:
@@ -154,8 +137,8 @@ def _require_full_rank(plan: SamplingPlan) -> None:
         )
 
 
-def recover(plan: SamplingPlan, band: BandModel, y) -> RecoveryReport:
-    """Least-squares recovery ``c = pinv(B) y``, ``x = V_omega c``.
+def recover(plan: SamplingPlan, y) -> GraphSignal:
+    """Least-squares recovery ``c = pinv(B) y``, returning ``x = V_omega c``.
 
     Exact (to rounding) when ``y`` consists of noiseless samples of a
     signal bandlimited to the plan's band.
@@ -170,25 +153,20 @@ def recover(plan: SamplingPlan, band: BandModel, y) -> RecoveryReport:
     if y.shape != (plan.m,):
         raise DimensionMismatchError(f"expected {plan.m} samples, got shape {y.shape}")
     coeffs = np.linalg.pinv(plan.b, rcond=RANK_RTOL) @ y
-    residual = float(np.linalg.norm(plan.b @ coeffs - y))
-    return RecoveryReport(
-        x_rec=GraphSignal(band.v_omega @ coeffs, VERTEX),
-        coeffs=coeffs,
-        error_bound=band.synthesis_norm * residual / plan.gamma,
-        residual=residual,
-    )
+    return GraphSignal(plan.band.v_omega @ coeffs, VERTEX)
 
 
-def noise_certificate(plan: SamplingPlan, band: BandModel, eta_norm: float) -> float:
+def noise_certificate(plan: SamplingPlan, eta_norm: float) -> float:
     """Guaranteed error ceiling ``||V_omega||_2 * eta_norm / gamma``.
 
     Bounds ``||x_rec - x||_2`` for least-squares recovery of a bandlimited
-    signal whose samples carry additive noise of norm ``eta_norm``.
+    signal whose samples carry additive noise of norm ``eta_norm``; raises
+    ``RankDeficientError`` on the plans :func:`recover` refuses.
     """
     _require_full_rank(plan)
     if eta_norm < 0.0:
         raise ValueError("noise norm must be nonnegative")
-    return band.synthesis_norm * eta_norm / plan.gamma
+    return plan.band.synthesis_norm * eta_norm / plan.gamma
 
 
 def select_sampling_set(

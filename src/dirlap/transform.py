@@ -64,6 +64,30 @@ def vertex_signal(values) -> GraphSignal:
     return GraphSignal(np.asarray(values), VERTEX)
 
 
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is a ``kind``; a bool is a bool only, never a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _indices(values: Iterable, n: int, what: str) -> np.ndarray:
+    """``values`` as an int array of indices in ``[0, n)``, ``what`` naming them in errors.
+
+    Each index must be an integer: a float, bool or string is refused, not truncated.
+    """
+    values = list(values)
+    for i in values:
+        if not _is_a(i, numbers.Integral):
+            raise ValueError(f"{what} must be integers, got {i!r}")
+    out_of_range = f"{what} must lie in [0, {n})"
+    try:
+        idx = np.asarray(values, dtype=int)
+    except OverflowError as exc:
+        raise ValueError(out_of_range) from exc
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(out_of_range)
+    return idx
+
+
 def _expect(x: GraphSignal, domain: str, n: int) -> None:
     if x.domain != domain:
         raise ValueError(f"expected a {domain}-domain signal, got {x.domain}-domain")
@@ -87,23 +111,9 @@ class SpectralFilter:
 
     @classmethod
     def ideal(cls, omega: Iterable[int], n: int) -> "SpectralFilter":
-        """Indicator response on the index set ``omega`` (entries in {0, 1}).
-
-        Each index must be an integer: a float, bool or string is refused, not truncated.
-        """
-        indices = list(omega)
-        for i in indices:
-            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-                raise ValueError(f"band indices must be integers, got {i!r}")
+        """Indicator response on the index set ``omega`` (entries in {0, 1})."""
         response = np.zeros(n, dtype=np.complex128)
-        out_of_range = f"band indices must lie in [0, {n})"
-        try:
-            idx = np.asarray(indices, dtype=int)
-        except OverflowError as exc:
-            raise ValueError(out_of_range) from exc
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError(out_of_range)
-        response[idx] = 1.0
+        response[_indices(omega, n, "band indices")] = 1.0
         return cls(response)
 
 

@@ -167,8 +167,8 @@ def test_criterion_7_exact_recovery():
             plan = plan_sampling(band, rng.choice(dec.n, size=m, replace=False))
         c = complex_gaussian(rng, k)
         x = synthesize_bandlimited(band, c)
-        rep = recover(plan, band, x.values[plan.sample_set])
-        worst = max(worst, np.linalg.norm(rep.x_rec.values - x.values) / x.norm())
+        x_rec = recover(plan, x.values[plan.sample_set])
+        worst = max(worst, np.linalg.norm(x_rec.values - x.values) / x.norm())
     refused = 0
     for _ in range(50):
         dec = pool[rng.integers(len(pool))]
@@ -177,7 +177,7 @@ def test_criterion_7_exact_recovery():
         m = int(rng.integers(1, k))
         plan = plan_sampling(band, rng.choice(dec.n, size=m, replace=False))
         with pytest.raises(RankDeficientError):
-            recover(plan, band, np.zeros(m, dtype=complex))
+            recover(plan, np.zeros(m, dtype=complex))
         refused += 1
     ok = worst <= 1e-9 and refused == 50
     report(7, "500 random full-rank recoveries exact; all m<K refused", ok,
@@ -207,7 +207,7 @@ def test_criterion_8_noise_bounds():
             recs = band.v_omega @ (pinv @ (x.values[plan.sample_set, None] + etas))
             errs = np.linalg.norm(recs - x.values[:, None], axis=0)
             bounds = np.array(
-                [noise_certificate(plan, band, float(e)) for e in np.linalg.norm(etas, axis=0)]
+                [noise_certificate(plan, float(e)) for e in np.linalg.norm(etas, axis=0)]
             )
             violations += int(np.sum(errs > bounds))
             total += trials_per_plan

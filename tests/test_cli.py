@@ -126,6 +126,11 @@ class TestGen:
         result = runner.invoke(main, ["gen", "cycle", "--n", "1"])
         assert result.exit_code == 2
 
+    def test_negative_seed_names_the_option(self, runner):
+        result = runner.invoke(main, ["gen", "perturbed-cycle", "--n", "5", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed': -1" in result.output
+
     @pytest.mark.parametrize("kind", ["cycle", "perturbed-cycle"])
     def test_n_beyond_max_vertices_is_usage_error(self, runner, kind):
         result = runner.invoke(main, ["gen", kind, "--n", "99999999999999999999"])
@@ -271,12 +276,17 @@ class TestFilter:
         fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(20)), sig)
         spec = tmp_path / "filter.json"
         non_finite = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 19
+        ones = [[1, 0]] * 19
         for payload in ({"kind": "nonsense"}, {"kind": "diagonal", "response": non_finite},
                         {"kind": "ideal", "omega": [1e30]},
                         {"kind": "ideal", "omega": [float("inf")]},
                         {"kind": "ideal", "omega": [0.9]}, {"kind": "ideal", "omega": [1.5]},
                         {"kind": "ideal", "omega": [True]}, {"kind": "ideal", "omega": ["2"]},
-                        {"kind": "ideal", "omega": "12"}):
+                        {"kind": "ideal", "omega": "12"},
+                        {"kind": "diagonal", "response": [[True, 0]] + ones},
+                        {"kind": "diagonal", "response": [[1, False]] + ones},
+                        {"kind": "diagonal", "response": [["1", 0]] + ones},
+                        {"kind": "diagonal", "response": [[10**400, 0]] + ones}):
             spec.write_text(json.dumps(payload))
             result = runner.invoke(
                 main,
@@ -364,6 +374,25 @@ class TestSample:
         )
         assert result.exit_code == 2
         assert "sample vertices must lie in [0, 20)" in result.output
+
+    def test_negative_random_seed_names_the_option(self, cycle_csv, runner):
+        result = runner.invoke(
+            main, ["sample", str(cycle_csv), "--k", "2", "--m", "4", "--strategy", "random",
+                   "--seed", "-1"]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed': -1" in result.output
+
+    def test_aliasing_plan_prints_null_certificate(self, runner, tmp_path):
+        # bidirectional 5-cycle: vertices {1, 4} alias its 2-mode band up to rounding
+        graph = tmp_path / "bi5.csv"
+        graph.write_text("src,dst,weight\n" + "".join(
+            f"{i},{(i + 1) % 5},1\n{(i + 1) % 5},{i},1\n" for i in range(5)))
+        result = runner.invoke(main, ["sample", str(graph), "--k", "2", "--sample-set", "1,4"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert 0 < payload["gamma"] <= 1e-12 * payload["b_norm"]
+        assert payload["certificate"] is None
 
 
 class TestVertexCount:

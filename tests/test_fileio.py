@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,18 +17,24 @@ from hypothesis import strategies as st
 
 import dirlap
 from dirlap import (
+    DirectedGraph,
     FileFormatError,
     GraphSignal,
+    RankDeficientError,
     SpectralFilter,
+    decompose,
+    directed_laplacian,
     gen_perturbed_cycle,
     make_band,
     plan_sampling,
+    recover,
     vertex_signal,
 )
 from dirlap import fileio
 from dirlap.cli import main
 from dirlap.experiments import GraphReport, SweepCell
 from dirlap.graphs import MAX_VERTICES
+from dirlap.sampling import RANK_RTOL
 
 
 def read_spectrum(path):
@@ -546,7 +553,7 @@ class TestPlanJson:
         band = make_band(dec, 4)
         plan = plan_sampling(band, range(0, 20, 2))
         path = tmp_path / "plan.json"
-        fileio.write_plan(plan, band, path)
+        fileio.write_plan(plan, path)
         payload = json.loads(path.read_text())
         assert set(payload) == {"omega", "sample_set", "gamma", "b_norm", "certificate"}
         assert payload["omega"] == [0, 1, 2, 3]
@@ -561,8 +568,30 @@ class TestPlanJson:
         band = make_band(dec, 5)
         plan = plan_sampling(band, [0, 1])
         path = tmp_path / "plan.json"
-        fileio.write_plan(plan, band, path)
+        fileio.write_plan(plan, path)
         assert json.loads(path.read_text())["certificate"] is None
+
+    def test_certificate_is_null_exactly_when_recovery_refuses(self, tmp_path):
+        # bidirectional 5-cycle: its repeated eigenvalues leave LAPACK an oblique basis
+        # inside each eigenspace, and on some vertex pairs gamma is rounding, not zero
+        arcs = [(i, (i + 1) % 5) for i in range(5)] + [((i + 1) % 5, i) for i in range(5)]
+        src, dst = zip(*arcs)
+        g = DirectedGraph(n=5, src=src, dst=dst, weight=np.ones(10))
+        band = make_band(decompose(directed_laplacian(g)), 2)
+        path = tmp_path / "plan.json"
+        near_alias = 0
+        for pair in itertools.combinations(range(5), 2):
+            plan = plan_sampling(band, pair)
+            near_alias += 0 < plan.gamma <= RANK_RTOL * plan.b_norm
+            fileio.write_plan(plan, path)
+            certificate = json.loads(path.read_text())["certificate"]
+            try:
+                recover(plan, np.zeros(2, dtype=complex))
+            except RankDeficientError:
+                assert certificate is None, pair
+            else:
+                assert certificate is not None, pair
+        assert near_alias >= 1
 
 
 class TestWriteText:
