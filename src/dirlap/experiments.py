@@ -16,10 +16,12 @@ exposes the conditioning penalty directly.
 Every number is a pure function of the configuration: graph generation uses
 the configured seed and each (graph, sigma, trial) draws from its own PCG64
 stream, seeded by ``SeedSequence(entropy=seed, spawn_key=(graph, sigma,
-trial))``, so results do not depend on execution order. The trials of a
-(graph, sigma) cell run as blocks, one trial per column. The seeds of a
-block's streams are computed together, and each trial still draws all its
-variates from its own stream; this needs ``trials < 2**32``.
+trial))``, so results do not depend on execution order. The seed hash is
+replayed once per (graph, sigma) cell, and the cell's trials run as blocks
+of at most ``BLOCK_ENTRIES // n`` trials (a power of two, at least one), one
+trial per column; the seeds of a block's streams are computed together from
+the cell's replay, and each trial still draws all its variates from its own
+stream. This needs ``trials < 2**32``.
 
 A sweep holds each cell's trials as arrays, one entry per trial, and
 summarizes a cell with ``math.fsum``, so each mean equals
@@ -31,6 +33,7 @@ import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,8 +55,9 @@ DEFAULT_SIGMAS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
 #: stable stream indices for the two reference graphs
 _GRAPH_STREAM = {"cycle": 0, "perturbed": 1}
 
-#: trials per block of the noise sweep; a block's draws and products stay small
-TRIAL_BLOCK = 128
+#: signal entries (trials x n) per block of the noise sweep at most, so a block's
+#: draws and products stay small at every n; see _block_trials
+BLOCK_ENTRIES = 2**15
 
 
 #: the type of each scalar field of :class:`ExperimentConfig`, checked before its value
@@ -204,33 +208,45 @@ def _hash_constants(init: int, mult: int, calls: int, count: int) -> tuple[np.nd
     return np.array(before, np.uint32), np.array(after, np.uint32)
 
 
-def _trial_seeds(seed: int, graph: int, sigma_index: int, trials: range) -> np.ndarray:
-    """``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, t)).generate_state(4, np.uint64)``
-    for every ``t`` in ``trials`` (each below ``2**32``), one row per trial.
+def _trial_seeds(seed: int, graph: int, sigma_index: int) -> Callable[[range], np.ndarray]:
+    """The seed replay of one (graph, sigma) cell.
+
+    The returned function maps a range of trials (each below ``2**32``) to
+    ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, t)).generate_state(4, np.uint64)``
+    for every ``t`` in it, one row per trial.
 
     The parent ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index))``
     holds in its ``pool`` the mixer state every child reaches before its
-    trial word, the last word of its entropy, is mixed in. What is left is
-    replayed over the trial column: the four ``hashmix``/``mix`` steps of that
-    word, then ``generate_state``'s hash of the pool into eight 32-bit words.
+    trial word, the last word of its entropy, is mixed in. That pool and the
+    hash constants are computed here, once per cell; each call replays what
+    is left over its trial column: the four ``hashmix``/``mix`` steps of the
+    trial word, then ``generate_state``'s hash of the pool into eight 32-bit
+    words.
     """
     parent = np.random.SeedSequence(entropy=seed, spawn_key=(graph, sigma_index))
     # the parent's entropy: the seed's 32-bit words, padded to the pool size 4, then the key;
     # mixing it took 16 hashmix steps for the first four words and 4 for each further word
     words = max(-(-int(seed).bit_length() // 32), 4) + 2
-    before, after = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (words - 4), 4)
-    shift = np.uint32(16)
-    t = np.arange(trials.start, trials.stop, dtype=np.uint32)[:, None]
-    hashed = (t ^ before) * after
-    hashed ^= hashed >> shift
+    before_a, after_a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (words - 4), 4)
     pool = np.array([_MIX_MULT_L * int(word) & _MASK32 for word in parent.pool], np.uint32)
-    mixer = pool - np.uint32(_MIX_MULT_R) * hashed
-    mixer ^= mixer >> shift
-    before, after = _hash_constants(_INIT_B, _MULT_B, 0, 8)
-    state = (np.tile(mixer, 2) ^ before) * after
-    state ^= state >> shift
-    # little-endian pairs of 32-bit words, as generate_state(4, np.uint64) returns them
-    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+    mult_r = np.uint32(_MIX_MULT_R)
+    before_b, after_b = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+    shift = np.uint32(16)
+
+    def rows(trials: range) -> np.ndarray:
+        hashed = np.arange(trials.start, trials.stop, dtype=np.uint32)[:, None] ^ before_a
+        hashed *= after_a
+        hashed ^= hashed >> shift
+        hashed *= mult_r
+        mixer = pool - hashed
+        mixer ^= mixer >> shift
+        state = np.tile(mixer, 2) ^ before_b
+        state *= after_b
+        state ^= state >> shift
+        # little-endian pairs of 32-bit words, as generate_state(4, np.uint64) returns them
+        return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+    return rows
 
 
 @functools.cache
@@ -253,21 +269,33 @@ def _seed_row_type() -> type:
     return _SeedRow
 
 
+def _block_trials(n: int) -> int:
+    """Trials per block of the noise sweep at ``n`` vertices.
+
+    The largest power of two not above ``BLOCK_ENTRIES // n``, and at least 1.
+    A BLAS matrix product may round a column by its place in the kernel's
+    panel of a few columns. A block of any power of two trials starts at a
+    multiple of every smaller power of two, so each trial keeps its place in
+    every panel no wider than the block, and the sweep's values do not
+    depend on which power of two the block is.
+    """
+    return 1 << (max(1, BLOCK_ENTRIES // n).bit_length() - 1)
+
+
 def _cell_draws(
-    config: ExperimentConfig, graph: str, sigma_index: int, trials: range
+    config: ExperimentConfig, seeds: Callable[[range], np.ndarray], trials: range
 ) -> np.ndarray:
     """Standard normal variates of a block of trials, one row per trial.
 
     Each trial draws ``2k`` variates for its coefficients and ``2n`` (``n``
     for real noise) for its noise in one call on its own PCG64 stream, the
     one ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, trial))``
-    seeds. The seeds of the block are computed together by ``_trial_seeds``.
+    seeds. ``seeds`` is the cell's replay from ``_trial_seeds``.
     """
     seed_row, generator, pcg64 = _seed_row_type(), np.random.Generator, np.random.PCG64
     noise = config.n if config.real_noise else 2 * config.n
     z = np.empty((len(trials), 2 * config.k + noise))
-    seeds = _trial_seeds(config.seed, _GRAPH_STREAM[graph], sigma_index, trials)
-    for row, seed in zip(z, seeds):
+    for row, seed in zip(z, seeds(trials)):
         generator(pcg64(seed_row(seed))).standard_normal(out=row)
     return z
 
@@ -305,20 +333,23 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     ``real_noise`` is set), reconstruct with the ideal low-pass projector,
     and record the relative error alongside its theoretical ceiling.
 
-    The trials of a (graph, sigma) cell run in blocks of ``TRIAL_BLOCK``,
-    one column per trial, so each block is a few dense matrix products.
+    The seeds of a (graph, sigma) cell are replayed once per cell, and its
+    trials run in blocks of ``_block_trials(n)``, one column per trial, so
+    each block is a few dense matrix products.
     """
     pair = reference_pair(config)
     k, n = config.k, config.n
+    block_trials = _block_trials(n)
     cells: list[SweepCell] = []
     for graph, (report, dec) in pair.items():
         band = make_band(dec, k)
         low_pass = SpectralFilter.ideal(band.omega, n)
         for sigma_index, sigma in enumerate(config.sigmas):
+            seeds = _trial_seeds(config.seed, _GRAPH_STREAM[graph], sigma_index)
             err_abs, x0_norm, bound = [], [], []
-            for start in range(0, config.trials, TRIAL_BLOCK):
-                block = range(start, min(start + TRIAL_BLOCK, config.trials))
-                z = _cell_draws(config, graph, sigma_index, block)
+            for start in range(0, config.trials, block_trials):
+                block = range(start, min(start + block_trials, config.trials))
+                z = _cell_draws(config, seeds, block)
                 x0 = band.v_omega @ _circular(z[:, :k], z[:, k : 2 * k]).T
                 if config.real_noise:
                     eta = sigma * z[:, 2 * k :].T

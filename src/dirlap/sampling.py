@@ -50,7 +50,7 @@ class BandModel:
         omega = _indices(self.omega, self.decomposition.n, "band indices")
         if omega.size == 0:
             raise ValueError("band needs at least one frequency index")
-        if np.unique(omega).size != omega.size or not np.array_equal(omega, np.sort(omega)):
+        if np.any(omega[1:] <= omega[:-1]):
             raise ValueError("band indices must be distinct and sorted")
         object.__setattr__(self, "omega", omega)
 
@@ -120,9 +120,10 @@ def plan_sampling(band: BandModel, sample_set: Iterable[int]) -> SamplingPlan:
     fewer samples than band size the rank is deficient by counting, so
     ``gamma = 0`` without further analysis.
     """
-    sample = np.unique(_indices(sample_set, band.n, "sample vertices"))
+    sample = np.sort(_indices(sample_set, band.n, "sample vertices"))
     if sample.size == 0:
         raise ValueError("sample set must not be empty")
+    sample = sample[np.insert(sample[1:] != sample[:-1], 0, True)]
     b = band.v_omega[sample, :]
     s = np.linalg.svd(b, compute_uv=False)
     gamma = float(s[-1]) if sample.size >= band.k else 0.0
@@ -201,6 +202,8 @@ def select_sampling_set(
     ``"random"`` draws a uniform sample without replacement from a PCG64
     generator seeded with ``seed``.
     """
+    if not _is_a(m, numbers.Integral):
+        raise ValueError(f"sample budget must be an integer, got {m!r}")
     if not band.k <= m <= band.n:
         raise ValueError(f"sample budget must lie in [{band.k}, {band.n}], got {m}")
     if strategy == "random":

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import dirlap
-from dirlap import fileio
+from dirlap import experiments, fileio
 from dirlap.cli import main
 from dirlap.errors import (
     DimensionMismatchError,
@@ -582,8 +582,8 @@ class TestExperimentCommands:
         ids=["complex", "real"],
     )
     def test_fig2_golden_hash(self, runner, tmp_path, args, digests):
-        # pins the per-(graph, sigma, trial) PCG64 streams; 300 trials is not a whole
-        # number of sweep blocks
+        # pins the per-(graph, sigma, trial) PCG64 streams; at n = 10 the 300 trials
+        # fit in one sweep block (test_fig2_bytes_do_not_depend_on_block_size splits them)
         out = tmp_path / "fig2"
         result = runner.invoke(
             main,
@@ -612,6 +612,26 @@ class TestExperimentCommands:
         )
         assert result.exit_code == 0
         assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args", [[], ["--real-noise"]], ids=["complex", "real"])
+    @pytest.mark.parametrize("trials", [16, 32, 128])
+    def test_fig2_bytes_do_not_depend_on_block_size(self, runner, tmp_path, monkeypatch,
+                                                    args, trials):
+        # blocks of a power of two trials, as the sweep picks them, keep each trial's
+        # place in the matrix-product kernels' column panels, so the golden bytes hold
+        def fig2(out):
+            result = runner.invoke(
+                main,
+                ["experiment", "fig2", "--n", "10", "--k", "3", "--trials", "300",
+                 "--sigmas", "0.05,0.3", "--seed", "2", *args, "--out-dir", str(out)],
+            )
+            assert result.exit_code == 0
+            return [(out / name).read_bytes()
+                    for name in ("trials.csv", "summary.csv", "bundle.json")]
+
+        expected = fig2(tmp_path / "default")
+        monkeypatch.setattr(experiments, "_block_trials", lambda n: trials)
+        assert fig2(tmp_path / "blocks") == expected
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -790,3 +810,24 @@ def test_cli_import_loads_no_numpy_random():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "[False, False]"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sample", "{graph}", "--k", "5", "--m", "8", "--out", "{out}/plan.json"],
+        ["experiment", "fig2", "--trials", "3", "--out-dir", "{out}/fig2"],
+    ],
+    ids=["sample", "fig2"],
+)
+def test_command_loads_no_numpy_ma(perturbed_csv, tmp_path, args):
+    # numpy's np.unique imports numpy.ma, about 10 ms of every process that calls it
+    src = str(Path(dirlap.__file__).resolve().parents[1])
+    argv = [a.format(graph=perturbed_csv, out=tmp_path) for a in args]
+    code = ("import sys; from dirlap.cli import main; main(sys.argv[1:], standalone_mode=False); "
+            "print('numpy.ma' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "False"

@@ -14,8 +14,10 @@ from dirlap import (
     synthesize_bandlimited,
     vertex_signal,
 )
+from dirlap import experiments
 from dirlap.experiments import (
-    TRIAL_BLOCK, SweepCell, _cell_draws, _summarize, _trial_seeds, reference_pair,
+    _GRAPH_STREAM, SweepCell, _block_trials, _cell_draws, _summarize,
+    _trial_seeds, reference_pair,
 )
 
 
@@ -178,9 +180,10 @@ class TestNoiseSweep:
         assert row.err_mean == pytest.approx(np.mean(cell.err_l2), rel=1e-12)
         assert row.err_std == pytest.approx(np.std(cell.err_l2), rel=1e-9)
 
-    @pytest.mark.parametrize("trials", [1, 40, TRIAL_BLOCK + 1])
-    def test_summary_is_fmean_of_trials(self, trials):
-        # exact: the summary bytes rest on it
+    @pytest.mark.parametrize("trials", [1, 40, 129])
+    def test_summary_is_fmean_of_trials(self, trials, monkeypatch):
+        # exact: the summary bytes rest on it; blocks of 128 trials, so 129 spans two
+        monkeypatch.setattr(experiments, "_block_trials", lambda n: 128)
         res = run_noise_sweep(ExperimentConfig(sigmas=(0.0, 0.05, 0.2), trials=trials, seed=3))
         for cell, row in zip(res.cells, res.summary, strict=True):
             errs = cell.err_l2.tolist()
@@ -229,15 +232,17 @@ def per_trial_sweep(config):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"sigmas": (0.0, 0.05, 0.3), "trials": 2 * TRIAL_BLOCK + 3, "seed": 4},
-        {"sigmas": (0.0, 0.05, 0.3), "trials": 2 * TRIAL_BLOCK + 3, "seed": 4, "real_noise": True},
+        {"sigmas": (0.0, 0.05, 0.3), "trials": 259, "seed": 4},
+        {"sigmas": (0.0, 0.05, 0.3), "trials": 259, "seed": 4, "real_noise": True},
         {"n": 9, "k": 2, "sigmas": (0.2,), "trials": 1, "seed": 1},
         {"n": 9, "k": 2, "sigmas": (0.2,), "trials": 1, "seed": 1, "real_noise": True},
     ],
     ids=["complex", "real", "one-trial-complex", "one-trial-real"],
 )
-def test_sweep_matches_per_trial_loop(kwargs):
-    # blocks of trials draw from the same per-trial streams as one call per trial
+def test_sweep_matches_per_trial_loop(kwargs, monkeypatch):
+    # blocks of trials draw from the same per-trial streams as one call per trial;
+    # 259 trials in blocks of 128 are two whole blocks and a partial one
+    monkeypatch.setattr(experiments, "_block_trials", lambda n: 128)
     config = ExperimentConfig(**kwargs)
     expected = per_trial_sweep(config)
     got = [
@@ -269,15 +274,29 @@ class TestTrialStreams:
                     expected = np.random.SeedSequence(
                         entropy=seed, spawn_key=(graph, sigma_index, trial)
                     ).generate_state(4, np.uint64)
-                    got = _trial_seeds(seed, graph, sigma_index, range(trial, trial + 1))
+                    got = _trial_seeds(seed, graph, sigma_index)(range(trial, trial + 1))
                     assert got.dtype == np.uint64
                     assert got.tolist() == [expected.tolist()]
 
     def test_seed_rows_of_a_block(self):
-        rows = _trial_seeds(2**32, 1, 2, range(100, 100 + TRIAL_BLOCK))
-        assert rows.shape == (TRIAL_BLOCK, 4)
-        for trial, row in zip(range(100, 100 + TRIAL_BLOCK), rows.tolist()):
+        rows = _trial_seeds(2**32, 1, 2)(range(100, 100 + 128))
+        assert rows.shape == (128, 4)
+        for trial, row in zip(range(100, 100 + 128), rows.tolist()):
             seq = np.random.SeedSequence(entropy=2**32, spawn_key=(1, 2, trial))
+            assert row == seq.generate_state(4, np.uint64).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
+    def test_one_cell_replay_serves_every_block(self, seed):
+        # one replay per cell, called block by block across two block boundaries
+        block = _block_trials(20)
+        edges = (block - 5, block, 2 * block, 2 * block + 7)
+        trials = range(edges[0], edges[-1])
+        rows = _trial_seeds(seed, 1, 3)
+        got = np.concatenate([rows(range(a, b)) for a, b in zip(edges, edges[1:])])
+        assert got.dtype == np.uint64
+        assert got.shape == (len(trials), 4)
+        for trial, row in zip(trials, got.tolist()):
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(1, 3, trial))
             assert row == seq.generate_state(4, np.uint64).tolist()
 
     @pytest.mark.parametrize(
@@ -291,5 +310,43 @@ class TestTrialStreams:
     )
     def test_first_variates_pinned(self, seed, graph, sigma_index, trial, head):
         # fixed values, so a seeding fault shows even if numpy's SeedSequence changed with it
-        z = _cell_draws(ExperimentConfig(seed=seed), graph, sigma_index, range(trial, trial + 1))
+        seeds = _trial_seeds(seed, _GRAPH_STREAM[graph], sigma_index)
+        z = _cell_draws(ExperimentConfig(seed=seed), seeds, range(trial, trial + 1))
         assert [float.hex(float(v)) for v in z[0, :3]] == head
+
+
+class TestSweepBlocks:
+    CONFIG = {"n": 10, "k": 3, "sigmas": (0.05, 0.3), "trials": 300, "seed": 2}
+
+    @pytest.mark.parametrize(
+        "n, trials", [(2, 2**14), (20, 1024), (256, 128), (10000, 2), (2**15 + 1, 1)]
+    )
+    def test_block_is_the_largest_power_of_two_within_the_entry_bound(self, n, trials):
+        assert _block_trials(n) == trials
+        assert trials * n <= 2**15 or trials == 1
+
+    @staticmethod
+    def values(config):
+        return [(cell.err_l2, cell.err_abs, cell.bound) for cell in run_noise_sweep(config).cells]
+
+    @pytest.mark.parametrize("real_noise", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("trials", [16, 32, 128])
+    def test_power_of_two_blocks_keep_every_bit(self, monkeypatch, real_noise, trials):
+        # each trial keeps its place in the matrix-product kernels' column panels
+        config = ExperimentConfig(**self.CONFIG, real_noise=real_noise)
+        expected = self.values(config)
+        monkeypatch.setattr(experiments, "_block_trials", lambda n: trials)
+        for got, want in zip(self.values(config), expected, strict=True):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("real_noise", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("trials", [1, 7])
+    def test_any_block_size_keeps_the_trials(self, monkeypatch, real_noise, trials):
+        # other widths draw the same streams; the products may round a column differently
+        config = ExperimentConfig(**self.CONFIG, real_noise=real_noise)
+        expected = self.values(config)
+        monkeypatch.setattr(experiments, "_block_trials", lambda n: trials)
+        for got, want in zip(self.values(config), expected, strict=True):
+            for a, b in zip(got, want):
+                assert a == pytest.approx(b, rel=1e-12)

@@ -92,6 +92,12 @@ class TestBandModel:
         band = BandModel(dec, np.array([1, 4], dtype=np.uint8))
         assert band.omega.tolist() == [1, 4]
 
+    @pytest.mark.parametrize("omega", [[0, 0], [1, 0], [0, 2, 2, 5], [0, 3, 2]])
+    def test_repeated_or_unsorted_indices_refused(self, perturbed20, omega):
+        _, dec = perturbed20
+        with pytest.raises(ValueError, match="band indices must be distinct and sorted"):
+            BandModel(dec, omega)
+
 
 class TestSynthesize:
     def test_unit_coefficient_returns_eigenvector(self, perturbed20):
@@ -115,6 +121,17 @@ class TestSynthesize:
 
 
 class TestPlanSampling:
+    def test_sample_set_is_sorted_and_collapsed(self, perturbed20):
+        _, dec = perturbed20
+        plan = plan_sampling(make_band(dec, 3), [7, 2, 7, 19, 0, 2])
+        assert plan.sample_set.tolist() == [0, 2, 7, 19]
+        assert np.array_equal(plan.b, plan.band.v_omega[[0, 2, 7, 19]])
+
+    def test_empty_sample_set_refused(self, perturbed20):
+        _, dec = perturbed20
+        with pytest.raises(ValueError, match="sample set must not be empty"):
+            plan_sampling(make_band(dec, 3), [])
+
     def test_cycle_dc_single_vertex(self, cycle4):
         # v_0 = (1/2) * ones, so the 1x1 sampling matrix is [1/2]
         _, dec = cycle4
@@ -332,6 +349,14 @@ class TestSelectSamplingSet:
         band = make_band(dec, 5)
         with pytest.raises(ValueError):
             select_sampling_set(band, 4)
+
+    @pytest.mark.parametrize("strategy", ["greedy-gamma", "random"])
+    @pytest.mark.parametrize("m", [True, 6.0, 6.5, "6"])
+    def test_non_integer_budget_refused(self, perturbed20, strategy, m):
+        # the same rule under both strategies, as make_band's k
+        _, dec = perturbed20
+        with pytest.raises(ValueError, match="sample budget must be an integer"):
+            select_sampling_set(make_band(dec, 1), m, strategy)
 
     def test_unknown_strategy_rejected(self, perturbed20):
         _, dec = perturbed20
