@@ -6,111 +6,80 @@ sample, and reconstruct signals while tracking how far non-normality pushes
 the operator from the orthogonal ideal (Henrici departure, eigenvector
 condition number, Gram-metric energy distortion, sampling stability
 constants).
+
+Each public name is re-exported lazily (PEP 562): ``import dirlap`` loads no
+submodule, and the first read of a name imports the one module that defines
+it, so a command pays only for the modules it uses.
 """
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DimensionMismatchError,
-    DirlapError,
-    FileFormatError,
-    NearDefectiveError,
-    RankDeficientError,
-)
-from .graphs import (
-    DirectedGraph,
-    adjacency,
-    asymmetry_index,
-    directed_laplacian,
-    gen_directed_cycle,
-    gen_perturbed_cycle,
-    normality_departure,
-)
-from .eigen import (
-    DcModeReport,
-    SpectralDecomposition,
-    dc_mode_check,
-    decompose,
-    gram_matrix,
-    henrici_departure,
-)
-from .transform import (
-    GraphSignal,
-    SpectralFilter,
-    TvBounds,
-    apply_filter,
-    energy_identity,
-    forward,
-    inverse,
-    tv_bounds,
-    vertex_signal,
-)
-from .sampling import (
-    BandModel,
-    SamplingPlan,
-    make_band,
-    noise_certificate,
-    plan_sampling,
-    recover,
-    select_sampling_set,
-    synthesize_bandlimited,
-)
-from .experiments import (
-    ExperimentConfig,
-    GraphReport,
-    NoiseSweep,
-    analyze_graph,
-    run_noise_sweep,
-    run_spectrum_comparison,
-)
+#: the public names of each submodule, in the order of ``__all__``
+_EXPORTS = {
+    "errors": (
+        "DirlapError",
+        "FileFormatError",
+        "DimensionMismatchError",
+        "NearDefectiveError",
+        "RankDeficientError",
+    ),
+    "graphs": (
+        "DirectedGraph",
+        "adjacency",
+        "directed_laplacian",
+        "asymmetry_index",
+        "normality_departure",
+        "gen_directed_cycle",
+        "gen_perturbed_cycle",
+    ),
+    "eigen": (
+        "SpectralDecomposition",
+        "DcModeReport",
+        "decompose",
+        "dc_mode_check",
+        "gram_matrix",
+        "henrici_departure",
+    ),
+    "transform": (
+        "GraphSignal",
+        "SpectralFilter",
+        "TvBounds",
+        "vertex_signal",
+        "forward",
+        "inverse",
+        "energy_identity",
+        "apply_filter",
+        "tv_bounds",
+    ),
+    "sampling": (
+        "BandModel",
+        "SamplingPlan",
+        "make_band",
+        "synthesize_bandlimited",
+        "plan_sampling",
+        "recover",
+        "noise_certificate",
+        "select_sampling_set",
+    ),
+    "experiments": (
+        "ExperimentConfig",
+        "GraphReport",
+        "NoiseSweep",
+        "analyze_graph",
+        "run_spectrum_comparison",
+        "run_noise_sweep",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # errors
-    "DirlapError",
-    "FileFormatError",
-    "DimensionMismatchError",
-    "NearDefectiveError",
-    "RankDeficientError",
-    # graphs
-    "DirectedGraph",
-    "adjacency",
-    "directed_laplacian",
-    "asymmetry_index",
-    "normality_departure",
-    "gen_directed_cycle",
-    "gen_perturbed_cycle",
-    # eigen
-    "SpectralDecomposition",
-    "DcModeReport",
-    "decompose",
-    "dc_mode_check",
-    "gram_matrix",
-    "henrici_departure",
-    # transform
-    "GraphSignal",
-    "SpectralFilter",
-    "TvBounds",
-    "vertex_signal",
-    "forward",
-    "inverse",
-    "energy_identity",
-    "apply_filter",
-    "tv_bounds",
-    # sampling
-    "BandModel",
-    "SamplingPlan",
-    "make_band",
-    "synthesize_bandlimited",
-    "plan_sampling",
-    "recover",
-    "noise_certificate",
-    "select_sampling_set",
-    # experiments
-    "ExperimentConfig",
-    "GraphReport",
-    "NoiseSweep",
-    "analyze_graph",
-    "run_spectrum_comparison",
-    "run_noise_sweep",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value

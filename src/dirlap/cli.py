@@ -12,6 +12,7 @@ rank-deficient sampling, 6 near-defective operator.
 from __future__ import annotations
 
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
@@ -19,15 +20,13 @@ from . import __version__
 from .errors import DimensionMismatchError, DirlapError, FileFormatError
 from . import fileio
 from .eigen import SpectralDecomposition, decompose
-from .experiments import (
-    ExperimentConfig,
-    analyze_graph,
-    run_noise_sweep,
-    run_spectrum_comparison,
-)
 from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
-from .sampling import make_band, plan_sampling, recover, select_sampling_set
 from .transform import SPECTRAL, VERTEX, apply_filter, forward, inverse
+
+# the experiments and sampling modules are imported by the commands that call
+# them, so gen, gft and filter never load them
+if TYPE_CHECKING:
+    from .experiments import ExperimentConfig
 
 
 class _Command(click.Command):
@@ -95,6 +94,8 @@ def gen(kind, n, p, w, seed, out):
 @click.option("--spectrum-out", type=click.Path(dir_okay=False), default=None, help="Eigenvalue CSV path.")
 def analyze(graph_path, n, out, fmt, spectrum_out):
     """Asymmetry/normality metrics and spectrum of a graph's Laplacian."""
+    from .experiments import analyze_graph
+
     dec = _load_decomposition(graph_path, n)
     if spectrum_out is not None:
         fileio.write_spectrum(dec.lambdas, spectrum_out)
@@ -150,6 +151,8 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
               help="Recovered signal CSV (requires --signal).")
 def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
     """Plan a sampling set for a band and optionally recover a signal."""
+    from .sampling import make_band, plan_sampling, recover, select_sampling_set
+
     if signal_path is not None and recover_out is None:
         raise click.UsageError("--signal requires --recover-out")
     if recover_out is not None and signal_path is None:
@@ -158,7 +161,8 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
     band = make_band(dec, k)
     if sample_set is not None:
         try:
-            vertices = [int(tok) for tok in sample_set.split(",") if tok.strip() != ""]
+            # a blank token, as in "1,,2", is refused by int(), not skipped
+            vertices = [int(tok) for tok in sample_set.split(",")]
         except ValueError as exc:
             raise click.UsageError(f"bad --sample-set: {exc}") from exc
     else:
@@ -180,6 +184,8 @@ def experiment():
 
 
 def _config_from(config_path, sigmas=None, **flags) -> ExperimentConfig:
+    from .experiments import ExperimentConfig
+
     base = {} if config_path is None else fileio.read_json_object(config_path, "config")
     overrides = {key: val for key, val in flags.items() if val is not None}
     if sigmas is not None:
@@ -198,11 +204,20 @@ def _config_from(config_path, sigmas=None, **flags) -> ExperimentConfig:
         raise
 
 
+class _ConfigOption(click.Option):
+    """A config field's option; its help names the field's default when help is shown."""
+
+    def get_help_record(self, ctx):
+        from .experiments import ExperimentConfig
+
+        opts, what = super().get_help_record(ctx)
+        return opts, f"{what} [default: {getattr(ExperimentConfig, self.name)}]."
+
+
 _config_options = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="JSON config; explicit flags override it."),
-    *(click.option(f"--{name}", type=kind, default=None,
-                   help=f"{what} [default: {getattr(ExperimentConfig, name)}].")
+    *(click.option(f"--{name}", cls=_ConfigOption, type=kind, default=None, help=what)
       for name, kind, what in (("n", int, "Graph size"), ("p", float, "Perturbation probability"),
                                ("w", float, "Perturbation weight"), ("k", int, "Band size"),
                                ("trials", int, "Trials per noise level"),
@@ -224,6 +239,8 @@ def _add_options(options):
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 def fig1(config_path, out_dir, **flags):
     """Spectrum and normality-metrics comparison (writes metrics + spectra)."""
+    from .experiments import run_spectrum_comparison
+
     config = _config_from(config_path, **flags)
     reports = run_spectrum_comparison(config)
     click.echo(str(fileio.write_spectrum_comparison(config, reports, out_dir)))
@@ -236,6 +253,8 @@ def fig1(config_path, out_dir, **flags):
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 def fig2(config_path, sigmas, out_dir, **flags):
     """Noise-sweep reconstruction error (writes trials.csv, summary.csv, bundle)."""
+    from .experiments import run_noise_sweep
+
     config = _config_from(config_path, sigmas, **flags)
     click.echo(str(fileio.write_noise_sweep(config, run_noise_sweep(config), out_dir)))
 

@@ -27,16 +27,24 @@ on the real matrix. It returns each complex eigenvalue with its exact
 conjugate, stored next to it (+imag first), and the conjugate eigenvector.
 Every O(n^3) step after it runs on the real basis ``W``: real eigenvectors as
 they are, and each conjugate pair ``v, conj(v)`` replaced by the columns
-``sqrt2 Re v, sqrt2 Im v``. Then ``V = W T`` with ``T`` unitary, so ``kappa``
-and the extreme singular values come from a real SVD of ``W``, the
+``sqrt2 Re v, sqrt2 Im v``. Then ``V = W T`` with ``T`` unitary, so the
 biorthogonality defect ``||W^{-1} W - I||_F`` equals ``||V^{-1} V - I||_F``,
 and ``U* = T^H W^{-1}`` after one real inverse. The pairs are taken from
 LAPACK's storage order, never by matching eigenvalues, so repeated pairs
 stay distinct.
+
+The refusal of a defective operator reads the eigenvalue condition numbers
+``s_i = ||u_i||`` of the unit columns ``v_i`` (Golub & Van Loan, *Matrix
+Computations*, section 7.2), which cost O(n^2) from the inverse: with unit
+columns, ``max_i s_i <= kappa(V) <= n max_i s_i``. ``kappa`` and the extreme
+singular values of ``V`` come from a real SVD of ``W``, rebuilt from ``v``
+and the stored pair positions on the first read of any of them, so a caller
+that never reads them pays no SVD.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +56,7 @@ _MAG_TIE_RTOL = 1e-9
 ZERO_EIGENVALUE_RTOL = 1e-8
 #: angular tolerance for "parallel to the constant vector"
 DC_ANGLE_TOL = 1e-6
-#: kappa(V) beyond which the dual basis is numerically meaningless
+#: eigenvalue condition number max_i ||u_i|| beyond which the dual basis is numerically meaningless
 DEFECTIVE_KAPPA_LIMIT = 1e12
 #: relative gap under which an entry's modulus ties the column maximum
 _FLAT_RTOL = 1e-8
@@ -63,23 +71,45 @@ class SpectralDecomposition:
         lambdas: eigenvalues, non-decreasing in magnitude
         v: right eigenvectors as columns, unit norm, phase-fixed
         u: dual basis columns, ``u.conj().T = V^{-1}`` (the analysis operator)
+        pairs: ``(p, q)``, the positions of each conjugate pair's ``+imag``
+            member and of its conjugate
+        residual: max_k ||L v_k - lambda_k v_k||_2
         kappa: 2-norm condition number sigma_max(V) / sigma_min(V)
         sigma_min, sigma_max: extreme singular values of V
-        residual: max_k ||L v_k - lambda_k v_k||_2
+
+    ``kappa``, ``sigma_min`` and ``sigma_max`` are computed by one SVD on the
+    first read of any of them, then cached.
     """
 
     matrix: np.ndarray
     lambdas: np.ndarray
     v: np.ndarray
     u: np.ndarray
-    kappa: float
-    sigma_min: float
-    sigma_max: float
+    pairs: tuple[np.ndarray, np.ndarray]
     residual: float
 
     @property
     def n(self) -> int:
         return self.lambdas.shape[0]
+
+    @cached_property
+    def _sigma_extremes(self) -> tuple[float, float]:
+        """``(sigma_min, sigma_max)`` of ``V``, from a real SVD of ``W`` (same singular values)."""
+        s = np.linalg.svd(_real_basis(self.v, *self.pairs)[0], compute_uv=False)
+        return float(s[-1]), float(s[0])
+
+    @property
+    def sigma_min(self) -> float:
+        return self._sigma_extremes[0]
+
+    @property
+    def sigma_max(self) -> float:
+        return self._sigma_extremes[1]
+
+    @cached_property
+    def kappa(self) -> float:
+        sigma_min, sigma_max = self._sigma_extremes
+        return np.inf if sigma_min == 0.0 else sigma_max / sigma_min
 
 
 @dataclass(frozen=True)
@@ -121,14 +151,31 @@ def _normalize_columns(vec: np.ndarray) -> None:
     vec /= lead / np.abs(lead)
 
 
+def _real_basis(vec: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real basis ``W`` of the columns ``vec`` and its column scale.
+
+    ``W = V T^H``: ``[v_p v_q] = sqrt2 [Re v_p, Im v_p] T`` with ``T`` unitary
+    for each conjugate pair at positions ``(p, q)``, the other columns real.
+    So ``W`` has the singular values of ``V``, and ``V^{-1} = T^H W^{-1}``.
+    """
+    scale = np.ones(vec.shape[1])
+    scale[p] = scale[q] = np.sqrt(2.0)
+    w = vec.real.copy()
+    w[:, q] = vec.imag[:, p]
+    w *= scale
+    return w, scale
+
+
 def decompose(l) -> SpectralDecomposition:
     """Eigendecompose a real square matrix and build the dual (left) basis.
 
     Raises:
-        NearDefectiveError: if ``kappa(V) > DEFECTIVE_KAPPA_LIMIT`` or the computed
-            dual basis fails biorthogonality beyond ``n * 1e-8`` in
-            Frobenius norm. Both signal an (effectively) defective operator
-            for which the diagonalization is numerically meaningless.
+        NearDefectiveError: if the eigenvector matrix is exactly singular, if
+            an eigenvalue condition number ``s_i = ||u_i||`` exceeds
+            ``DEFECTIVE_KAPPA_LIMIT`` (or is NaN), or if the computed dual
+            basis fails biorthogonality beyond ``n * 1e-8`` in Frobenius
+            norm. Each signals an (effectively) defective operator for which
+            the diagonalization is numerically meaningless.
     """
     a = np.asarray(l)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -151,23 +198,7 @@ def decompose(l) -> SpectralDecomposition:
     lambdas = lambdas[order].astype(np.complex128, copy=False)
     vec = vec[:, order].astype(np.complex128, copy=False)
     _normalize_columns(vec)
-
-    # real basis W = V T^H: [v_p v_q] = sqrt2 [Re v_p, Im v_p] T with T unitary,
-    # so W has the singular values of V and V^{-1} = T^H W^{-1}
-    scale = np.ones(n)
-    scale[p] = scale[q] = np.sqrt(2.0)
-    w = vec.real.copy()
-    w[:, q] = vec.imag[:, p]
-    w *= scale
-
-    s = np.linalg.svd(w, compute_uv=False)
-    sigma_max, sigma_min = float(s[0]), float(s[-1])
-    kappa = np.inf if sigma_min == 0.0 else sigma_max / sigma_min
-    if kappa > DEFECTIVE_KAPPA_LIMIT:
-        raise NearDefectiveError(
-            f"eigenvector condition number {kappa:.3e} exceeds {DEFECTIVE_KAPPA_LIMIT:.1e}; "
-            "the operator is numerically defective"
-        )
+    w, scale = _real_basis(vec, p, q)
 
     # L W - W Re(Lambda) plus the pair terms; ||r_p||^2 + ||r_q||^2 is twice
     # the squared residual of each of v_p and v_q
@@ -181,7 +212,24 @@ def decompose(l) -> SpectralDecomposition:
     col2[p] = col2[q] = 0.5 * (col2[p] + col2[q])
     residual = float(np.sqrt(np.max(col2)))
 
-    winv = np.linalg.inv(w)
+    try:
+        winv = np.linalg.inv(w)
+    except np.linalg.LinAlgError as exc:
+        # exactly parallel eigenvectors, as LAPACK returns for the directed path
+        raise NearDefectiveError(
+            "eigenvector matrix is singular; the operator is numerically defective"
+        ) from exc
+    # s_i = ||u_i||: row i of W^{-1} for a real mode, and for a pair u_p and u_q =
+    # conj(u_p) both have norm^2 half the sum of rows p and q (see u below)
+    s2 = np.einsum("ij,ij->i", winv, winv)
+    s2[p] = s2[q] = 0.5 * (s2[p] + s2[q])
+    s_max = float(np.sqrt(np.max(s2)))
+    if not s_max <= DEFECTIVE_KAPPA_LIMIT:
+        raise NearDefectiveError(
+            f"eigenvalue condition number {s_max:.3e} exceeds {DEFECTIVE_KAPPA_LIMIT:.1e}; "
+            "the operator is numerically defective"
+        )
+
     d = winv @ w
     del w
     d.flat[:: n + 1] -= 1.0
@@ -204,9 +252,7 @@ def decompose(l) -> SpectralDecomposition:
         lambdas=lambdas,
         v=vec,
         u=u,
-        kappa=float(kappa),
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
+        pairs=(p, q),
         residual=residual,
     )
 

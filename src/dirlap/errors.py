@@ -26,8 +26,9 @@ class DimensionMismatchError(DirlapError, ValueError):
 class NearDefectiveError(DirlapError, ArithmeticError):
     """The eigenbasis is numerically too ill-conditioned to trust.
 
-    Raised when the eigenvector condition number exceeds the configured
-    limit or the computed dual basis fails the biorthogonality check.
+    Raised when the eigenvector matrix is singular, when an eigenvalue
+    condition number ``||u_i||`` exceeds the configured limit, or when the
+    computed dual basis fails the biorthogonality check.
     At that point the dual basis is numerical noise, so downstream
     transforms would silently return garbage.
     """

@@ -31,8 +31,9 @@ Formats (all numeric output uses 12 significant digits):
 - signal CSV, header ``vertex,re,im``; for spectral-domain signals the
   first column holds the frequency bin instead of a vertex
 - spectrum CSV, header ``k,re_lambda,im_lambda,abs_lambda``
-- filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` (integer indices) or
-  ``{"kind": "diagonal", "response": [[re, im], ...]}`` (real numbers, no bools)
+- filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` (integer indices,
+  each at most once) or ``{"kind": "diagonal", "response": [[re, im], ...]}``
+  (real numbers, no bools); no other key
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
 - metrics JSON (``analyze``), ``{n, alpha, delta, henrici, kappa, spectrum_csv}``
 - metrics CSV (``analyze --format csv``), header ``metric,value``, one row
@@ -58,18 +59,20 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import FileFormatError, RankDeficientError
-from .experiments import (
-    GENERATOR_NAME, ExperimentConfig, GraphReport, NoiseSweep, SummaryRow, SweepCell,
-)
 from .graphs import MAX_VERTICES, DirectedGraph
-from .sampling import SamplingPlan, noise_certificate
 from .transform import GraphSignal, SpectralFilter, VERTEX, _is_a
+
+if TYPE_CHECKING:
+    # the experiment and sampling writers import these modules when called, so a
+    # command that writes neither (gen, gft, filter) never loads them
+    from .experiments import ExperimentConfig, GraphReport, NoiseSweep, SummaryRow, SweepCell
+    from .sampling import SamplingPlan
 
 
 def fmt(x: float) -> str:
@@ -158,9 +161,6 @@ def _read_table(path, header: str, dtype: np.dtype):
         with warnings.catch_warnings():
             # a header-only file is a table of no rows, not a fault
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # numpy before 2.0 reads a non-integer cell of an integer column as a float
-            # and only warns; made an error, the warning fails that cell's conversion
-            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
             table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None,
                                quotechar='"', ndmin=1)
     except ValueError as exc:
@@ -318,29 +318,46 @@ def _tap(re, im) -> complex:
     return complex(re, im)
 
 
+#: the one field each filter kind holds next to ``kind``
+_FILTER_FIELDS = {"ideal": "omega", "diagonal": "response"}
+
+
 def read_filter_spec(path, n: int) -> SpectralFilter:
+    """Parse a filter spec: ``kind`` and its kind's one field, no other key, each index once."""
     spec = read_json_object(path, "filter spec")
     kind = spec.get("kind")
+    field = _FILTER_FIELDS.get(kind) if isinstance(kind, str) else None
+    if field is None:
+        raise FileFormatError(f"unknown filter kind {kind!r}")
+    unknown = sorted(set(spec) - {"kind", field})
+    if unknown:
+        raise FileFormatError(f"bad {kind} filter spec: unknown keys {unknown}")
     if kind == "ideal":
         try:
-            return SpectralFilter.ideal(spec["omega"], n)
+            filt = SpectralFilter.ideal(spec["omega"], n)
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"bad ideal filter spec: {exc}") from exc
-    if kind == "diagonal":
-        try:
-            filt = SpectralFilter([_tap(re, im) for re, im in spec["response"]])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FileFormatError(f"bad diagonal filter spec: {exc}") from exc
-        if filt.response.shape != (n,):
-            raise FileFormatError(f"diagonal filter has {filt.response.shape[0]} taps, graph has {n}")
+        repeated = np.flatnonzero(np.bincount(np.asarray(spec["omega"], dtype=int), minlength=n) > 1)
+        if repeated.size:
+            raise FileFormatError(
+                f"bad ideal filter spec: band index {repeated[0]} appears more than once"
+            )
         return filt
-    raise FileFormatError(f"unknown filter kind {kind!r}")
+    try:
+        filt = SpectralFilter([_tap(re, im) for re, im in spec["response"]])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"bad diagonal filter spec: {exc}") from exc
+    if filt.response.shape != (n,):
+        raise FileFormatError(f"diagonal filter has {filt.response.shape[0]} taps, graph has {n}")
+    return filt
 
 
 # -- sampling plans -----------------------------------------------------------
 
 def write_plan(plan: SamplingPlan, path=None) -> None:
     """Export a plan with its unit-noise certificate, ``null`` where recovery refuses the plan."""
+    from .sampling import noise_certificate
+
     try:
         certificate = round12(noise_certificate(plan, 1.0))
     except RankDeficientError:
@@ -374,6 +391,8 @@ def write_metrics(report: GraphReport, spectrum_csv: str | None, form: str, path
 
 
 def _bundle(config: ExperimentConfig, graphs: dict) -> dict:
+    from .experiments import GENERATOR_NAME
+
     return {"config": config.to_dict(), "generator": GENERATOR_NAME, "version": __version__,
             "graphs": graphs}
 
@@ -400,7 +419,8 @@ def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> P
     write_trials_csv(sweep.cells, out / "trials.csv")
     write_summary_csv(sweep.summary, out / "summary.csv")
     graphs = {name: _metrics_payload(report, None) for name, report in sweep.reports.items()}
-    summary = [{"graph": row.graph, **{key: round12(getattr(row, key)) for key in _SUMMARY_NUMBERS}}
+    numbers = _summary_fields()[1:]
+    summary = [{"graph": row.graph, **{key: round12(getattr(row, key)) for key in numbers}}
                for row in sweep.summary]
     write_json({**_bundle(config, graphs), "summary": summary}, out / "bundle.json")
     return out / "bundle.json"
@@ -425,10 +445,14 @@ def write_trials_csv(cells: Sequence[SweepCell], path) -> None:
                ("%s", "%d", "%s", "%.12g", "%.12g"), columns, path)
 
 
-_SUMMARY_FIELDS = tuple(field.name for field in dataclasses.fields(SummaryRow))
-_SUMMARY_NUMBERS = _SUMMARY_FIELDS[1:]
+def _summary_fields() -> tuple[str, ...]:
+    """The fields of a sweep summary row: ``graph``, then its numbers."""
+    from .experiments import SummaryRow
+
+    return tuple(field.name for field in dataclasses.fields(SummaryRow))
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
-    columns = [[getattr(row, name) for row in rows] for name in _SUMMARY_FIELDS]
-    _write_csv(_SUMMARY_FIELDS, ("%s",) + ("%.12g",) * len(_SUMMARY_NUMBERS), columns, path)
+    fields = _summary_fields()
+    columns = [[getattr(row, name) for row in rows] for name in fields]
+    _write_csv(fields, ("%s",) + ("%.12g",) * (len(fields) - 1), columns, path)

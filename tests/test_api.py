@@ -1,3 +1,11 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import dirlap
 
 
@@ -9,3 +17,27 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from dirlap import *", namespace)
     assert set(dirlap.__all__) <= set(namespace)
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The ``dirlap`` modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(dirlap.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; {code}; print(sorted(m for m in sys.modules if m.startswith('dirlap')))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    return ast.literal_eval(done.stdout)
+
+
+def test_names_are_loaded_on_first_read():
+    assert _loaded_after("import dirlap") == ["dirlap"]
+    # eigen needs errors only; experiments stays unloaded until one of its names is read
+    assert _loaded_after("import dirlap; dirlap.decompose") == [
+        "dirlap", "dirlap.eigen", "dirlap.errors"]
+    assert "dirlap.experiments" in _loaded_after("from dirlap import run_noise_sweep")
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'decomposition'"):
+        dirlap.decomposition  # noqa: B018

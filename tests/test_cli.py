@@ -212,6 +212,30 @@ class TestAnalyze:
         assert result.exit_code == NearDefectiveError.exit_code
 
 
+@pytest.mark.parametrize("command", ["analyze", "gft", "filter", "sample"])
+@pytest.mark.parametrize("n", [3, 8, 40])
+def test_directed_path_exits_near_defective_from_every_command(tmp_path, runner, n, command):
+    # the path's Laplacian has one Jordan block of size n - 1 at eigenvalue 1: LAPACK
+    # returns (nearly) parallel eigenvectors, refused as a singular basis or by max s_i
+    graph = tmp_path / "path.csv"
+    graph.write_text("src,dst,weight\n" + "".join(f"{i},{i + 1},1\n" for i in range(n - 1)))
+    signal = tmp_path / "x.csv"
+    fileio.write_signal(dirlap.vertex_signal(np.ones(n)), signal)
+    spec = tmp_path / "lp.json"
+    spec.write_text(json.dumps({"kind": "ideal", "omega": [0]}))
+    out = tmp_path / "out.csv"
+    argv = {
+        "analyze": ["analyze", str(graph), "--out", str(out)],
+        "gft": ["gft", str(graph), str(signal), "--out", str(out)],
+        "filter": ["filter", str(graph), str(signal), "--spec", str(spec), "--out", str(out)],
+        "sample": ["sample", str(graph), "--k", "2", "--m", "2", "--out", str(out)],
+    }[command]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == NearDefectiveError.exit_code
+    assert "numerically defective" in result.output
+    assert not out.exists()
+
+
 class TestGft:
     def test_round_trip_through_files(self, cycle_csv, runner, tmp_path, rng):
         x = rng.standard_normal(20)
@@ -286,7 +310,12 @@ class TestFilter:
                         {"kind": "diagonal", "response": [[True, 0]] + ones},
                         {"kind": "diagonal", "response": [[1, False]] + ones},
                         {"kind": "diagonal", "response": [["1", 0]] + ones},
-                        {"kind": "diagonal", "response": [[10**400, 0]] + ones}):
+                        {"kind": "diagonal", "response": [[10**400, 0]] + ones},
+                        # the file contract is "exactly once": no unknown key, no repeated index
+                        {"kind": "ideal", "omega": [0], "extra": 1},
+                        {"kind": "diagonal", "response": [[1, 0]] + ones, "omega": [0]},
+                        {"kind": "ideal", "omega": [0, 0]},
+                        {"kind": ["ideal"], "omega": [0]}):
             spec.write_text(json.dumps(payload))
             result = runner.invoke(
                 main,
@@ -374,6 +403,17 @@ class TestSample:
         )
         assert result.exit_code == 2
         assert "sample vertices must lie in [0, 20)" in result.output
+
+    @pytest.mark.parametrize("sample_set", ["1,,2", "1,2,", ",1", " ", ""])
+    def test_blank_sample_set_token_is_usage_error(self, cycle_csv, runner, tmp_path, sample_set):
+        plan_path = tmp_path / "plan.json"
+        result = runner.invoke(
+            main, ["sample", str(cycle_csv), "--k", "2", "--sample-set", sample_set,
+                   "--out", str(plan_path)]
+        )
+        assert result.exit_code == 2
+        assert "bad --sample-set" in result.output
+        assert not plan_path.exists()
 
     def test_negative_random_seed_names_the_option(self, cycle_csv, runner):
         result = runner.invoke(
@@ -810,6 +850,32 @@ def test_cli_import_loads_no_numpy_random():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "[False, False]"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "perturbed-cycle", "--n", "20", "--out", "{out}/g.csv"],
+        ["gft", "{graph}", "{signal}", "--out", "{out}/xhat.csv"],
+        ["filter", "{graph}", "{signal}", "--spec", "{spec}", "--out", "{out}/y.csv"],
+    ],
+    ids=["gen", "gft", "filter"],
+)
+def test_command_loads_no_experiments_or_sampling(perturbed_csv, tmp_path, args):
+    # each command imports only the modules it runs: about 8 ms of compiling these two
+    src = str(Path(dirlap.__file__).resolve().parents[1])
+    signal = tmp_path / "x.csv"
+    fileio.write_signal(dirlap.vertex_signal(np.ones(20)), signal)
+    spec = tmp_path / "lp.json"
+    spec.write_text(json.dumps({"kind": "ideal", "omega": [0, 1]}))
+    argv = [a.format(graph=perturbed_csv, signal=signal, spec=spec, out=tmp_path) for a in args]
+    code = ("import sys; from dirlap.cli import main; main(sys.argv[1:], standalone_mode=False); "
+            "print([m in sys.modules for m in ('dirlap.experiments', 'dirlap.sampling')])")
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip().splitlines()[-1] == "[False, False]"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from dirlap import (
     DirectedGraph,
     NearDefectiveError,
-    SpectralDecomposition,
+    SpectralFilter,
+    apply_filter,
     dc_mode_check,
     decompose,
     directed_laplacian,
@@ -13,8 +17,11 @@ from dirlap import (
     gen_perturbed_cycle,
     gram_matrix,
     henrici_departure,
+    forward,
+    inverse,
     make_band,
     normality_departure,
+    vertex_signal,
 )
 from dirlap.eigen import _frequency_sort, _normalize_columns
 
@@ -37,7 +44,11 @@ def complete_graph(n):
 
 
 def complex_decompose(lap):
-    """Reference: the decomposition in complex arithmetic, without the checks."""
+    """Reference: the decomposition in complex arithmetic, without the checks.
+
+    A plain record of the fields the tests compare: complex ``eig`` does not
+    return exact conjugate pairs, so there is no real basis to rebuild kappa from.
+    """
     lambdas, vec = np.linalg.eig(lap.astype(np.complex128))
     order = _frequency_sort(lambdas)
     lambdas = lambdas[order]
@@ -46,7 +57,7 @@ def complex_decompose(lap):
     s = np.linalg.svd(vec, compute_uv=False)
     vinv = np.linalg.inv(vec)
     residual = float(np.max(np.linalg.norm(lap @ vec - vec * lambdas, axis=0)))
-    return SpectralDecomposition(
+    return SimpleNamespace(
         matrix=lap, lambdas=lambdas, v=vec, u=vinv.conj().T, kappa=float(s[0] / s[-1]),
         sigma_min=float(s[-1]), sigma_max=float(s[0]), residual=residual,
     )
@@ -230,6 +241,75 @@ class TestRealArithmetic:
         dec = decompose(lap)
         assert np.abs(dec.v - complex_decompose(lap).v).max() <= 1e-12
         assert np.allclose(dec.v[0], 1.0 / np.sqrt(g.n), rtol=0.0, atol=1e-12)
+
+
+class TestConditioning:
+    """The refusal reads ``s_i = ||u_i||``; kappa's SVD runs on its first read only."""
+
+    def test_transforms_run_no_svd(self, rng):
+        dec = decompose(_perturbed(20, 7))
+        x = vertex_signal(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        inverse(forward(x, dec), dec)
+        apply_filter(x, SpectralFilter.ideal([0, 1, 2], 20), dec)
+        assert "kappa" not in dec.__dict__
+        assert "_sigma_extremes" not in dec.__dict__
+
+    def test_first_read_runs_one_svd_of_v(self):
+        dec = decompose(_perturbed(20, 7))
+        s = np.linalg.svd(dec.v, compute_uv=False)
+        assert dec.kappa == pytest.approx(s[0] / s[-1], rel=1e-11)
+        assert "kappa" in dec.__dict__ and "_sigma_extremes" in dec.__dict__
+        assert dec.sigma_min == pytest.approx(s[-1], rel=1e-11)
+        assert dec.sigma_max == pytest.approx(s[0], rel=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        p=st.floats(0.0, 0.5),
+        w=st.floats(0.05, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_condition_numbers_bound_kappa(self, n, p, w, seed):
+        # with unit columns, max_i s_i <= kappa(V) <= n max_i s_i; both sides carry a
+        # relative rounding error of about n eps kappa from the inverse and the SVD
+        try:
+            dec = decompose(directed_laplacian(gen_perturbed_cycle(n, p, w, seed)))
+        except NearDefectiveError:
+            assume(False)
+        s_max = np.linalg.norm(dec.u, axis=0).max()
+        slack = 1.0 + 10 * n * np.finfo(np.float64).eps * dec.kappa
+        assert s_max <= dec.kappa * slack
+        assert dec.kappa <= n * s_max * slack
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["real", "conjugate-pairs"])
+    @pytest.mark.parametrize("d, refused", [(1.01e-12, False), (0.99e-12, True)])
+    def test_refusal_boundary_is_the_largest_condition_number(self, d, refused, pair):
+        # t = [[0, 1], [0, d]] has max_i s_i about 1/d and kappa about 2/d: the refusal
+        # reads the first, so 1/d just under the limit passes with kappa above it.
+        # t (x) I + I (x) rotation has the eigenvectors kron(x, y) with unit orthonormal
+        # y, so the same s_i, carried by the conjugate pairs +-i and d +- i
+        m = np.array([[0.0, 1.0], [0.0, d]])
+        if pair:
+            m = np.kron(m, np.eye(2)) + np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+        if refused:
+            with pytest.raises(NearDefectiveError, match="eigenvalue condition number"):
+                decompose(m)
+        else:
+            assert decompose(m).kappa > 1e12
+
+    def test_singular_basis_raises_near_defective(self, monkeypatch):
+        def singular(w):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(NearDefectiveError, match="singular") as info:
+            decompose(_perturbed(20, 7))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_nan_condition_number_raises_near_defective(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", lambda w: np.full_like(w, np.nan))
+        with pytest.raises(NearDefectiveError, match="condition number nan"):
+            decompose(_perturbed(20, 7))
 
 
 class TestDcMode:

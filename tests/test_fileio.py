@@ -546,6 +546,29 @@ class TestFilterSpec:
         with pytest.raises(FileFormatError):
             fileio.read_filter_spec(path, 3)
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "ideal", "omega": [0], "extra": 1},
+        {"kind": "ideal", "omega": [0], "response": [[1, 0]] * 3},
+        {"kind": "diagonal", "response": [[1, 0]] * 3, "Kind": "ideal"},
+    ])
+    def test_unknown_key_is_refused(self, tmp_path, spec):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(FileFormatError, match="unknown keys"):
+            fileio.read_filter_spec(path, 3)
+
+    @pytest.mark.parametrize("omega, index", [([0, 0], 0), ([2, 1, 2], 2), ([0, 1, 1, 0], 0)])
+    def test_repeated_band_index_is_refused(self, tmp_path, omega, index):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"kind": "ideal", "omega": omega}))
+        with pytest.raises(FileFormatError, match=f"band index {index} appears more than once"):
+            fileio.read_filter_spec(path, 3)
+
+    def test_empty_ideal_band_is_accepted(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"kind": "ideal", "omega": []}))
+        assert not fileio.read_filter_spec(path, 3).response.any()
+
 
 class TestPlanJson:
     def test_round_trip_fields(self, tmp_path, perturbed20):
