@@ -40,6 +40,8 @@ _EXPORTS = {
         "dc_mode_check",
         "gram_matrix",
         "henrici_departure",
+        "GraphReport",
+        "analyze_graph",
     ),
     "transform": (
         "GraphSignal",
@@ -64,9 +66,7 @@ _EXPORTS = {
     ),
     "experiments": (
         "ExperimentConfig",
-        "GraphReport",
         "NoiseSweep",
-        "analyze_graph",
         "run_spectrum_comparison",
         "run_noise_sweep",
     ),

@@ -19,12 +19,12 @@ import click
 from . import __version__
 from .errors import DimensionMismatchError, DirlapError, FileFormatError
 from . import fileio
-from .eigen import SpectralDecomposition, decompose
+from .eigen import SpectralDecomposition, analyze_graph, decompose
 from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 from .transform import SPECTRAL, VERTEX, apply_filter, forward, inverse
 
 # the experiments and sampling modules are imported by the commands that call
-# them, so gen, gft and filter never load them
+# them, so gen, analyze, gft and filter never load them
 if TYPE_CHECKING:
     from .experiments import ExperimentConfig
 
@@ -94,8 +94,6 @@ def gen(kind, n, p, w, seed, out):
 @click.option("--spectrum-out", type=click.Path(dir_okay=False), default=None, help="Eigenvalue CSV path.")
 def analyze(graph_path, n, out, fmt, spectrum_out):
     """Asymmetry/normality metrics and spectrum of a graph's Laplacian."""
-    from .experiments import analyze_graph
-
     dec = _load_decomposition(graph_path, n)
     if spectrum_out is not None:
         fileio.write_spectrum(dec.lambdas, spectrum_out)

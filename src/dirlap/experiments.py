@@ -37,14 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .eigen import SpectralDecomposition, decompose, henrici_departure
-from .graphs import (
-    asymmetry_index,
-    directed_laplacian,
-    gen_directed_cycle,
-    gen_perturbed_cycle,
-    normality_departure,
-)
+from .eigen import GraphReport, SpectralDecomposition, analyze_graph, decompose
+from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 from .sampling import make_band
 from .transform import SpectralFilter, _filter_values, _is_a
 
@@ -122,17 +116,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class GraphReport:
-    """Normality metrics of one graph (the spectrum-comparison data product)."""
-
-    alpha: float
-    delta: float
-    henrici: float
-    kappa: float
-    lambdas: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SweepCell:
     """The trials of one (graph, sigma) cell; entry ``t`` of each array is trial ``t``."""
 
@@ -158,18 +141,6 @@ class NoiseSweep:
     reports: dict[str, GraphReport]
     cells: list[SweepCell]
     summary: list[SummaryRow]
-
-
-def analyze_graph(dec: SpectralDecomposition) -> GraphReport:
-    """Normality metrics of the Laplacian a decomposition was built from."""
-    lap = dec.matrix
-    return GraphReport(
-        alpha=asymmetry_index(lap),
-        delta=normality_departure(lap),
-        henrici=henrici_departure(dec),
-        kappa=dec.kappa,
-        lambdas=dec.lambdas,
-    )
 
 
 def reference_pair(config: ExperimentConfig) -> dict[str, tuple[GraphReport, SpectralDecomposition]]:

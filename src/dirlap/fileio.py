@@ -19,11 +19,17 @@ where it begins; a line break inside a quoted cell continues its row.
 
 Every output byte leaves through :func:`write_text`, the one sink; it
 writes to stdout when ``path`` is None, so stdout carries exactly the
-bytes of the file. JSON files are rendered by :func:`write_json`. CSV
-files are rendered by one columnar renderer: a writer hands it whole
-columns and one ``%`` code per column (``%d``, ``%s`` or ``%.12g``), and
-it renders each bounded chunk of rows with a single ``%`` operation, so no
-cell costs a call of its own. ``%.12g`` renders exactly as :func:`fmt`.
+bytes of the file. JSON files are rendered by :func:`write_json` as strict
+JSON: a non-finite number raises before any byte is written. CSV files are
+rendered by one columnar renderer, in chunks of a bounded number of rows.
+A writer hands it whole columns, each either values with one ``%`` code
+(``%d``, ``%s`` or ``%.12g``) or table-rendered cells: a table holding each
+distinct cell rendered once, and one index into it per row. A chunk with a
+value column is rendered by a single ``%`` operation; a chunk of
+table-rendered columns alone, as in the edge list (each vertex label and
+each distinct weight rendered once), is one join of the looked-up cells.
+Either way no cell costs a call of its own. ``%.12g`` renders exactly as
+:func:`fmt`.
 
 Formats (all numeric output uses 12 significant digits):
 
@@ -59,7 +65,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,8 +76,9 @@ from .transform import GraphSignal, SpectralFilter, VERTEX, _is_a
 
 if TYPE_CHECKING:
     # the experiment and sampling writers import these modules when called, so a
-    # command that writes neither (gen, gft, filter) never loads them
-    from .experiments import ExperimentConfig, GraphReport, NoiseSweep, SummaryRow, SweepCell
+    # command that writes neither (gen, analyze, gft, filter) never loads them
+    from .eigen import GraphReport
+    from .experiments import ExperimentConfig, NoiseSweep, SummaryRow, SweepCell
     from .sampling import SamplingPlan
 
 
@@ -188,38 +195,73 @@ def _quote(cell: str) -> str:
     return cell
 
 
-#: rows rendered by one ``%`` operation; bounds the text held at once, whatever the row count
+#: rows rendered as one string; bounds the text held at once, whatever the row count
 _CHUNK_ROWS = 4096
+
+
+class _Cells(NamedTuple):
+    """A column of cells rendered ahead: cell ``k`` is ``table[index[k]]``.
+
+    A writer renders each distinct cell once into ``table``, and every row
+    only looks its cell up.
+    """
+
+    table: Sequence[str]
+    index: np.ndarray
 
 
 def _write_csv(header: Sequence[str], codes: Sequence[str], columns: Sequence, path=None) -> None:
     """Write ``header``, then one line per row of ``columns``, cell ``j`` rendered by ``codes[j]``.
 
-    ``columns`` are equally long arrays or lists. Each chunk of ``_CHUNK_ROWS``
-    rows is rendered by one ``%`` operation over its interleaved cells.
+    ``columns`` are equally long arrays, lists or :class:`_Cells` (whose code
+    is ``%s``). Each chunk of ``_CHUNK_ROWS`` rows is rendered as one
+    string. When every column is a ``_Cells``, each table entry already ends
+    in its separator, and the chunk is the join of its looked-up cells;
+    otherwise one ``%`` operation renders the chunk's interleaved cells.
     """
-    line = ",".join(codes) + "\n"
-    rows = len(columns[0])
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    tables = {j: np.array([cell + seps[j] for cell in col.table], dtype=object)
+              for j, col in enumerate(columns) if isinstance(col, _Cells)}
+    line = "".join(code if j in tables else code + sep
+                   for j, (code, sep) in enumerate(zip(codes, seps)))
+    first = columns[0]
+    rows = len(first.index if isinstance(first, _Cells) else first)
 
     def lines():
         yield ",".join(header) + "\n"
         for start in range(0, rows, _CHUNK_ROWS):
-            parts = [col[start : start + _CHUNK_ROWS] for col in columns]
-            parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
-            yield line * len(parts[0]) % tuple(itertools.chain.from_iterable(zip(*parts)))
+            stop = start + _CHUNK_ROWS
+            parts = [tables[j][col.index[start:stop]] if j in tables else col[start:stop]
+                     for j, col in enumerate(columns)]
+            if len(tables) == len(columns):
+                yield "".join(np.stack(parts, axis=1).ravel().tolist())
+            else:
+                parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+                yield line * len(parts[0]) % tuple(itertools.chain.from_iterable(zip(*parts)))
 
     write_text(lines(), path)
 
 
 def write_json(payload, path=None) -> None:
-    """Write ``payload`` as JSON indented by two spaces, with a final newline."""
-    write_text(json.dumps(payload, indent=2) + "\n", path)
+    """Write ``payload`` as JSON indented by two spaces, with a final newline.
+
+    Strict JSON (RFC 8259): a NaN or infinite number raises ``ValueError``
+    before any byte is written.
+    """
+    write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
 # -- edge lists ---------------------------------------------------------------
 
 def write_edge_list(g: DirectedGraph, path=None) -> None:
-    _write_csv(("src", "dst", "weight"), ("%d", "%d", "%.12g"), (g.src, g.dst, g.weight), path)
+    """Write ``g``'s arcs in their order, each vertex label and distinct weight rendered once."""
+    labels = [str(v) for v in range(g.n)]
+    # the distinct weights, as np.unique finds them without importing numpy.ma (about 10 ms)
+    ordered = np.sort(g.weight)
+    weights = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    columns = (_Cells(labels, g.src), _Cells(labels, g.dst),
+               _Cells([fmt(w) for w in weights.tolist()], np.searchsorted(weights, g.weight)))
+    _write_csv(("src", "dst", "weight"), ("%s", "%s", "%s"), columns, path)
 
 
 _EDGE_DTYPE = np.dtype([("src", "i8"), ("dst", "i8"), ("weight", "f8")])
@@ -304,7 +346,9 @@ def read_json_object(path, what: str) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, or an integer beyond Python's
+        # digit limit; RecursionError: arrays or objects nested beyond the recursion limit
         raise FileFormatError(f"cannot parse {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: {what} must be a JSON object")
@@ -333,11 +377,14 @@ def read_filter_spec(path, n: int) -> SpectralFilter:
     if unknown:
         raise FileFormatError(f"bad {kind} filter spec: unknown keys {unknown}")
     if kind == "ideal":
+        omega = spec.get("omega")
+        if not isinstance(omega, list):
+            raise FileFormatError(f"bad ideal filter spec: omega must be an array, got {omega!r}")
         try:
-            filt = SpectralFilter.ideal(spec["omega"], n)
-        except (KeyError, TypeError, ValueError) as exc:
+            filt = SpectralFilter.ideal(omega, n)
+        except ValueError as exc:
             raise FileFormatError(f"bad ideal filter spec: {exc}") from exc
-        repeated = np.flatnonzero(np.bincount(np.asarray(spec["omega"], dtype=int), minlength=n) > 1)
+        repeated = np.flatnonzero(np.bincount(np.asarray(omega, dtype=int), minlength=n) > 1)
         if repeated.size:
             raise FileFormatError(
                 f"bad ideal filter spec: band index {repeated[0]} appears more than once"
@@ -429,15 +476,12 @@ def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> P
 def write_trials_csv(cells: Sequence[SweepCell], path) -> None:
     """One row per trial, the cells in order and each cell's trials by index."""
     sizes = [cell.err_l2.size for cell in cells]
-
-    def per_cell(values) -> list:
-        # one value per cell (its sigma rendered once, its graph), repeated over its trials
-        return list(itertools.chain.from_iterable(map(itertools.repeat, values, sizes)))
-
+    # sigma and graph are one cell per sweep cell, rendered once and repeated over its trials
+    cell_of_row = np.repeat(np.arange(len(cells)), sizes)
     columns = (
-        per_cell([fmt(cell.sigma) for cell in cells]),
+        _Cells([fmt(cell.sigma) for cell in cells], cell_of_row),
         np.concatenate([np.arange(size) for size in sizes]),
-        per_cell([cell.graph for cell in cells]),
+        _Cells([cell.graph for cell in cells], cell_of_row),
         np.concatenate([cell.err_l2 for cell in cells]),
         np.concatenate([cell.bound for cell in cells]),
     )

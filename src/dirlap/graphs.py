@@ -15,7 +15,9 @@ Two scalar indices separate plain asymmetry from non-normality:
 - ``normality_departure``:  delta(M) = ||M M* - M* M||_F / ||M||_F^2
 
 A directed cycle has alpha = 1 but delta = 0 (asymmetric yet normal); adding
-random edges drives delta > 0 and degrades eigenvector conditioning.
+random edges drives delta > 0 and degrades eigenvector conditioning. Both
+are computed on ``M`` divided by a power of two near its largest entry, so
+they are scale invariant and finite at every finite scale.
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ import numpy as np
 
 #: largest vertex count a graph may have: every operator is a dense n x n matrix
 MAX_VERTICES = 10_000
+#: uniform variates drawn at once by gen_perturbed_cycle: bounds its memory at every n
+_DRAW_BLOCK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +43,9 @@ class DirectedGraph:
     Self-loops are rejected: a loop adds the same amount to the out-degree
     and the adjacency, so it cancels in the Laplacian while still inflating
     every Frobenius-norm based index. Duplicate ``(src, dst)`` pairs are
-    rejected as well (no multigraphs).
+    rejected as well (no multigraphs): one sort of the int64 keys
+    ``src * n + dst`` finds them, and the error names the lexicographically
+    first.
     """
 
     n: int
@@ -77,11 +83,13 @@ class DirectedGraph:
             raise ValueError(
                 f"edge ({src[k]}, {dst[k]}) needs a finite positive weight, got {weight[k]}"
             )
-        order = np.lexsort((dst, src))
-        s, d = src[order], dst[order]
-        bad = np.flatnonzero((s[1:] == s[:-1]) & (d[1:] == d[:-1]))
+        # one int64 key per arc, below n**2 <= MAX_VERTICES**2; sorted keys are the arcs in
+        # lexicographic order, so the first repeated key is the first duplicate pair
+        key = np.sort(src * n + dst)
+        bad = np.flatnonzero(key[1:] == key[:-1])
         if bad.size:
-            raise ValueError(f"duplicate edge ({s[bad[0]]}, {d[bad[0]]})")
+            s, d = divmod(key[bad[0]], n)
+            raise ValueError(f"duplicate edge ({s}, {d})")
         for name, arr in (("src", src), ("dst", dst), ("weight", weight)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -112,9 +120,20 @@ def _square(m) -> np.ndarray:
     return m
 
 
+def _unit_scale(m: np.ndarray) -> float:
+    """The power of two ``s`` with ``s / 2 <= max|m_ij| < s``, and 1 for a zero matrix.
+
+    Dividing by ``s`` is exact, so an index computed on ``m / s`` equals the
+    one computed on ``m`` wherever that one neither overflows nor
+    underflows, and stays finite and accurate at every finite scale.
+    """
+    return float(np.ldexp(1.0, np.frexp(np.max(np.abs(m), initial=0.0))[1]))
+
+
 def asymmetry_index(m) -> float:
     """``||M - M^T||_F / ||M||_F``, with the zero matrix mapped to 0."""
     m = _square(m)
+    m = m / _unit_scale(m)
     fro = np.linalg.norm(m, "fro")
     if fro == 0.0:
         return 0.0
@@ -124,6 +143,7 @@ def asymmetry_index(m) -> float:
 def normality_departure(m) -> float:
     """Commutator size ``||M M* - M* M||_F / ||M||_F^2``; 0 iff M is normal."""
     m = _square(m)
+    m = m / _unit_scale(m)
     fro2 = np.linalg.norm(m, "fro") ** 2
     if fro2 == 0.0:
         return 0.0
@@ -155,18 +175,27 @@ def gen_perturbed_cycle(n: int, p: float, w: float, seed: int) -> DirectedGraph:
     lexicographic order, so the result is a pure function of
     ``(n, p, w, seed)``. The cycle edges come first and keep weight exactly
     1.0; the extra edges follow in lexicographic order.
+
+    Row ``i`` has ``n - 2`` candidates, so candidate ``c`` is the ``r``-th
+    of row ``i = c // (n - 2)``. The variates are drawn ``_DRAW_BLOCK`` at a
+    time, the same stream as one call (each double takes one 64-bit word),
+    and only the indices of the hits are kept: time is linear in the
+    ``n (n - 2)`` draws, and memory in the edges plus one block, with no
+    ``n x n`` array.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     if not np.isfinite(w) or w <= 0.0:
         raise ValueError(f"perturbation weight must be positive, got {w}")
     cycle_src, cycle_dst = _cycle_arcs(n)
-    candidate = np.ones((n, n), dtype=bool)
-    candidate[cycle_src, cycle_src] = False
-    candidate[cycle_src, cycle_dst] = False
-    hit = candidate.copy()
-    hit[candidate] = np.random.default_rng(seed).random(int(candidate.sum())) < p
-    extra_src, extra_dst = np.nonzero(hit)
+    rng = np.random.default_rng(seed)
+    per_row = n - 2
+    total = n * per_row
+    hits = [np.flatnonzero(rng.random(min(_DRAW_BLOCK, total - start)) < p) + start
+            for start in range(0, total, _DRAW_BLOCK)]
+    extra_src, r = np.divmod(np.concatenate([np.empty(0, np.int64), *hits]), per_row)
+    # row i < n - 1 skips columns i and i + 1; row n - 1 skips columns 0 and n - 1
+    extra_dst = np.where(extra_src == n - 1, r + 1, np.where(r < extra_src, r, r + 2))
     return DirectedGraph(
         n,
         np.concatenate([cycle_src, extra_src]),

@@ -32,9 +32,12 @@ def _loaded_after(code: str) -> list[str]:
 
 def test_names_are_loaded_on_first_read():
     assert _loaded_after("import dirlap") == ["dirlap"]
-    # eigen needs errors only; experiments stays unloaded until one of its names is read
+    # eigen needs errors and graphs (the indices analyze_graph reports) only; experiments
+    # stays unloaded until one of its names is read
     assert _loaded_after("import dirlap; dirlap.decompose") == [
-        "dirlap", "dirlap.eigen", "dirlap.errors"]
+        "dirlap", "dirlap.eigen", "dirlap.errors", "dirlap.graphs"]
+    assert _loaded_after("import dirlap; dirlap.analyze_graph") == [
+        "dirlap", "dirlap.eigen", "dirlap.errors", "dirlap.graphs"]
     assert "dirlap.experiments" in _loaded_after("from dirlap import run_noise_sweep")
 
 

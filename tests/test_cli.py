@@ -138,6 +138,10 @@ class TestGen:
         assert "n must be at most MAX_VERTICES = 10000" in result.output
 
 
+def _refuse_constant(constant):
+    raise ValueError(f"non-finite JSON number {constant}")
+
+
 class TestAnalyze:
     def test_cycle_metrics(self, cycle_csv, runner, tmp_path):
         spectrum = tmp_path / "spec.csv"
@@ -176,6 +180,28 @@ class TestAnalyze:
             "b3dbe718013f9cb9c2471788bbcef2d546befb985e1bdf736917e4138307835d",
             "c06932711e86f969496b932e2198b8d1917e00a5ab2dcfc1e7fd8ee29fbbabba",
         )
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e200, 1e300])
+    def test_metrics_are_finite_strict_json_at_any_weight_scale(self, runner, tmp_path, scale):
+        # the indices squared unscaled norms: nan (printed as NaN) at 1e200, 0 at 1e-170
+        g = dirlap.gen_perturbed_cycle(6, 0.5, 1.0, 3)
+        graph = tmp_path / "g.csv"
+        fileio.write_edge_list(g, graph)
+        ref = json.loads(runner.invoke(main, ["analyze", str(graph)]).output)
+        fileio.write_edge_list(dirlap.DirectedGraph(6, g.src, g.dst, g.weight * scale), graph)
+        result = runner.invoke(main, ["analyze", str(graph)])
+        assert result.exit_code == 0
+        payload = json.loads(result.output, parse_constant=_refuse_constant)
+        for key in ("alpha", "delta", "kappa"):
+            assert payload[key] == pytest.approx(ref[key], rel=1e-9), key
+        assert payload["henrici"] == pytest.approx(scale * ref["henrici"], rel=1e-6)
+
+    def test_fig1_metrics_are_strict_json_at_a_huge_weight(self, runner, tmp_path):
+        out = tmp_path / "fig1"
+        result = runner.invoke(main, ["experiment", "fig1", "--w", "1e200", "--out-dir", str(out)])
+        assert result.exit_code == 0
+        bundle = json.loads((out / "metrics.json").read_text(), parse_constant=_refuse_constant)
+        assert bundle["graphs"]["perturbed"]["henrici"] > 1e200
 
     def test_csv_format(self, cycle_csv, runner):
         result = runner.invoke(main, ["analyze", str(cycle_csv), "--format", "csv"])
@@ -856,10 +882,11 @@ def test_cli_import_loads_no_numpy_random():
     "args",
     [
         ["gen", "perturbed-cycle", "--n", "20", "--out", "{out}/g.csv"],
+        ["analyze", "{graph}", "--spectrum-out", "{out}/spectrum.csv", "--out", "{out}/m.json"],
         ["gft", "{graph}", "{signal}", "--out", "{out}/xhat.csv"],
         ["filter", "{graph}", "{signal}", "--spec", "{spec}", "--out", "{out}/y.csv"],
     ],
-    ids=["gen", "gft", "filter"],
+    ids=["gen", "analyze", "gft", "filter"],
 )
 def test_command_loads_no_experiments_or_sampling(perturbed_csv, tmp_path, args):
     # each command imports only the modules it runs: about 8 ms of compiling these two
@@ -881,10 +908,11 @@ def test_command_loads_no_experiments_or_sampling(perturbed_csv, tmp_path, args)
 @pytest.mark.parametrize(
     "args",
     [
+        ["gen", "perturbed-cycle", "--n", "20", "--out", "{out}/g.csv"],
         ["sample", "{graph}", "--k", "5", "--m", "8", "--out", "{out}/plan.json"],
         ["experiment", "fig2", "--trials", "3", "--out-dir", "{out}/fig2"],
     ],
-    ids=["sample", "fig2"],
+    ids=["gen", "sample", "fig2"],
 )
 def test_command_loads_no_numpy_ma(perturbed_csv, tmp_path, args):
     # numpy's np.unique imports numpy.ma, about 10 ms of every process that calls it

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +12,9 @@ from dirlap import (
     DirectedGraph,
     NearDefectiveError,
     SpectralFilter,
+    analyze_graph,
     apply_filter,
+    asymmetry_index,
     dc_mode_check,
     decompose,
     directed_laplacian,
@@ -23,6 +28,7 @@ from dirlap import (
     normality_departure,
     vertex_signal,
 )
+from dirlap import fileio
 from dirlap.eigen import _frequency_sort, _normalize_columns
 
 
@@ -359,6 +365,45 @@ class TestScaleInvariance:
         report, ref_report = dc_mode_check(dec), dc_mode_check(ref)
         assert report.zero_multiplicity == ref_report.zero_multiplicity == 1
         assert report.isolated and ref_report.isolated
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(-300, 300), n=st.integers(3, 12), p=st.sampled_from([0.0, 0.3, 0.6]),
+           seed=st.integers(0, 2**16))
+    def test_metrics_survive_any_finite_scale(self, k, n, p, seed):
+        # every weight times 10**k, up to where L stays finite: the unscaled squares of the
+        # indices overflowed to nan beyond about 1e150 and underflowed to 0 below 1e-160
+        g = gen_perturbed_cycle(n, p, 0.8, seed)
+        scale = 10.0**k
+        lap = directed_laplacian(DirectedGraph(n, g.src, g.dst, g.weight * scale))
+        ref_lap = directed_laplacian(g)
+        dec, ref_dec = decompose(lap), decompose(ref_lap)
+        report, ref = analyze_graph(dec), analyze_graph(ref_dec)
+        assert report.alpha == pytest.approx(ref.alpha, rel=1e-12)
+        assert report.delta == pytest.approx(ref.delta, rel=1e-12, abs=1e-15)
+        # a difference of sums of squares: its root carries sqrt(n eps) of ||L||_F
+        fro = scale * np.linalg.norm(ref_lap, "fro")
+        assert abs(report.henrici - scale * ref.henrici) <= 1e-6 * fro
+        assert report.kappa == pytest.approx(ref.kappa, rel=1e-6)
+        assert np.isfinite(dec.residual) and dec.residual <= 1e-8 * fro
+        assert np.array_equal(make_band(dec, 2).omega, make_band(ref_dec, 2).omega)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            fileio.write_metrics(report, None, "json")
+        payload = json.loads(buf.getvalue(), parse_constant=_refuse)
+        assert all(np.isfinite(payload[key]) for key in ("alpha", "delta", "henrici", "kappa"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(j=st.integers(-1000, 1000), n=st.integers(2, 10), seed=st.integers(0, 2**16))
+    def test_indices_are_bit_identical_under_power_of_two_scaling(self, j, n, seed):
+        # scaling by 2**j moves no bit of L / s, the matrix the indices are computed on
+        lap = directed_laplacian(gen_perturbed_cycle(n, 0.4, 0.8, seed))
+        scaled = np.ldexp(lap, j)
+        assert asymmetry_index(scaled) == asymmetry_index(lap)
+        assert normality_departure(scaled) == normality_departure(lap)
+
+
+def _refuse(constant):
+    raise ValueError(f"non-finite JSON number {constant}")
 
 
 class TestGramMatrix:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from dirlap import (
 )
 from dirlap import fileio
 from dirlap.cli import main
-from dirlap.experiments import GraphReport, SweepCell
+from dirlap.eigen import GraphReport
+from dirlap.errors import DimensionMismatchError
+from dirlap.experiments import SweepCell
 from dirlap.graphs import MAX_VERTICES
 from dirlap.sampling import RANK_RTOL
 
@@ -54,6 +57,28 @@ class TestEdgeList:
         assert np.array_equal(back.src, g.src)
         assert np.array_equal(back.dst, g.dst)
         assert np.array_equal(back.weight, g.weight)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arcs=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(
+            lambda arc: arc[0] != arc[1]), min_size=0, max_size=25, unique=True),
+        weights=st.one_of(
+            # a small set of weights, as the generators make: every table entry is reused
+            st.lists(st.sampled_from([1.0, 0.8, 1 / 3, 2.5e-300, 1e300]), min_size=25,
+                     max_size=25),
+            st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                     min_size=25, max_size=25),
+        ),
+        chunk=st.sampled_from([1, 2, 7, fileio._CHUNK_ROWS]),
+    )
+    def test_bytes_match_one_format_per_edge(self, arcs, weights, chunk):
+        src, dst = [a for a, _ in arcs], [b for _, b in arcs]
+        g = DirectedGraph(31, src, dst, weights[: len(arcs)])
+        buf = io.StringIO()
+        with mock.patch.object(fileio, "_CHUNK_ROWS", chunk), contextlib.redirect_stdout(buf):
+            fileio.write_edge_list(g)
+        assert buf.getvalue() == "src,dst,weight\n" + "".join(
+            "%d,%d,%.12g\n" % edge for edge in zip(src, dst, weights))
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -423,6 +448,125 @@ class TestEdgeListFuzz:
             assert str(info.value).startswith(f"{fuzz_path}:{line}: ")
 
 
+SIGNAL_HEADER = "vertex,re,im"
+FINITE_CELLS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from([repr(x), f"{x:.12g}", f" {x!r} ", f'"{x}"']))
+VALUE_CELLS = st.one_of(
+    FINITE_CELLS, st.floats().map(repr), FUZZ_CELLS,
+    st.sampled_from(["-0", "-1e400", "1e-400", "-nan", "1e308"]),
+)
+
+
+@st.composite
+def signal_files(draw):
+    """A signal CSV that may or may not read: indices near a permutation, cells fuzzed."""
+    header = draw(st.sampled_from([SIGNAL_HEADER, ' vertex , re ,"im"', "vertex,re", "k,re,im"]))
+    if draw(st.integers(0, 3)):
+        index = list(draw(st.permutations(range(draw(st.integers(1, 6))))))
+        if not draw(st.integers(0, 2)):
+            index.insert(draw(st.integers(0, len(index))), draw(st.integers(-1, 7)))
+        cells = draw(st.sampled_from([FINITE_CELLS, VALUE_CELLS]))
+        rows = [f"{i},{draw(cells)},{draw(cells)}" for i in index]
+    else:
+        rows = draw(st.lists(FUZZ_LINES, max_size=5))
+    return draw_layout(draw, header, rows)[0].encode()
+
+
+def read_or_refuse(read, *args):
+    """What ``read`` returns, or None when it refuses with a parse or dimension error."""
+    try:
+        return read(*args)
+    except (FileFormatError, DimensionMismatchError):
+        return None
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(),
+                         st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+TAPS = st.one_of(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)).map(list),
+    st.tuples(JSON_SCALARS, JSON_SCALARS).map(list),
+    JSON_VALUES,
+)
+
+
+@st.composite
+def filter_spec_files(draw, n: int):
+    """A filter spec JSON for ``n`` bins near the grammar: a valid spec, then maybe one fault."""
+    kind = draw(st.sampled_from(["ideal", "diagonal"]))
+    if kind == "ideal":
+        omega = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+        spec = {"kind": kind, "omega": draw(omega)}
+    else:
+        pairs = TAPS.filter(lambda tap: isinstance(tap, list) and len(tap) == 2)
+        spec = {"kind": kind, "response": draw(st.lists(pairs, min_size=n, max_size=n))}
+    fault = draw(st.sampled_from(["none", "none", "kind", "drop", "field", "entry", "extra"]))
+    field = "omega" if kind == "ideal" else "response"
+    if fault == "kind":
+        spec["kind"] = draw(st.sampled_from(["ideal", "diagonal"]) | JSON_SCALARS)
+    elif fault == "drop":
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    elif fault == "field":
+        spec[field] = draw(JSON_VALUES)
+    elif fault == "entry":
+        entries = spec[field]
+        entries.insert(draw(st.integers(0, len(entries))),
+                       draw(st.integers(-2, n + 1) | JSON_SCALARS if kind == "ideal" else TAPS))
+    elif fault == "extra":
+        spec[draw(st.text(max_size=3))] = draw(JSON_VALUES)
+    return json.dumps(spec).encode()
+
+
+#: files that are not JSON objects: bytes that are not UTF-8, an integer beyond Python's
+#: digit limit, arrays nested beyond the recursion limit, and no JSON at all
+BROKEN_JSON = (b"\xff\xfe{}", b'{"kind": "ideal", "omega": [' + b"9" * 5000 + b"]}",
+               b"[" * 100_000 + b"]" * 100_000, b"", b"[0]", b"null", b'{"kind": NaN}')
+
+
+class TestReaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(signal_files(), st.binary(max_size=40).map(
+        lambda body: SIGNAL_HEADER.encode() + b"\n" + body)),
+        st.sampled_from(["vertex", "spectral"]))
+    def test_signal_reads_finite_or_is_refused(self, fuzz_path, data, domain):
+        fuzz_path.write_bytes(data)
+        signal = read_or_refuse(fileio.read_signal, fuzz_path, domain)
+        if signal is not None:
+            assert signal.values.ndim == 1 and signal.n >= 1
+            assert np.isfinite(signal.values).all()
+            assert signal.domain == domain
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+        filter_spec_files(n), filter_spec_files(n), st.binary(max_size=30),
+        st.sampled_from(BROKEN_JSON)))))
+    def test_filter_spec_reads_finite_or_is_refused(self, fuzz_path, case):
+        n, data = case
+        fuzz_path.write_bytes(data)
+        filt = read_or_refuse(fileio.read_filter_spec, fuzz_path, n)
+        if filt is not None:
+            assert filt.response.shape == (n,)
+            assert np.isfinite(filt.response).all()
+
+    @pytest.mark.parametrize("data", BROKEN_JSON[:3], ids=["utf8", "digits", "nesting"])
+    def test_unparsable_json_is_a_parse_error(self, tmp_path, data):
+        # each raised ValueError or RecursionError: exit 2 or a traceback, not exit 3
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        with pytest.raises(FileFormatError, match="cannot parse filter spec"):
+            fileio.read_filter_spec(path, 3)
+        result = CliRunner().invoke(main, ["experiment", "fig1", "--config", str(path),
+                                           "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == FileFormatError.exit_code
+        assert "cannot parse config" in result.output
+
+
 class TestSignals:
     def test_round_trip(self, tmp_path, rng):
         sig = vertex_signal(rng.standard_normal(9) + 1j * rng.standard_normal(9))
@@ -615,6 +759,15 @@ class TestPlanJson:
             else:
                 assert certificate is not None, pair
         assert near_alias >= 1
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_raises_before_writing(self, tmp_path, value):
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            fileio.write_json({"kappa": [1.0, value]}, path)
+        assert not path.exists()
 
 
 class TestWriteText:

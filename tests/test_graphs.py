@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from dirlap import (
     gen_perturbed_cycle,
     normality_departure,
 )
+from dirlap import graphs
 from dirlap.graphs import MAX_VERTICES
 
 
@@ -53,6 +57,22 @@ class TestDirectedGraph:
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
             DirectedGraph(3, [0, 1], [1, 2], [1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arcs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(
+            lambda arc: arc[0] != arc[1]), min_size=1, max_size=30, unique=True),
+        repeats=st.lists(st.integers(0, 29), min_size=1, max_size=5),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_duplicate_refusal_names_the_first_repeated_pair(self, arcs, repeats, order):
+        repeated = [arcs[k % len(arcs)] for k in repeats]
+        shuffled = arcs + repeated
+        order.shuffle(shuffled)
+        src, dst = zip(*shuffled)
+        first = min(repeated)
+        with pytest.raises(ValueError, match=rf"^duplicate edge \({first[0]}, {first[1]}\)$"):
+            DirectedGraph(12, src, dst, np.ones(len(shuffled)))
 
     def test_stores_read_only_copies(self):
         src = np.array([0, 1])
@@ -206,6 +226,40 @@ class TestGenerators:
         weight = [1.0] * n + [0.8] * (len(src) - n)
         expected = DirectedGraph(n, src, dst, weight)
         assert same_graph(gen_perturbed_cycle(n, p, 0.8, seed), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        p=st.sampled_from([0.0, 0.2, 1.0]),
+        seed=st.integers(0, 2**32),
+        block=st.sampled_from([1, 2, 7, 57, 58, 59, 2**16]),
+    )
+    def test_perturbed_matches_mask_construction(self, n, p, seed, block):
+        # reference: one n x n candidate mask filled by a single draw; the blocks of the
+        # generator split rows (n - 2 candidates each) at every place
+        candidate = np.ones((n, n), dtype=bool)
+        cycle = np.arange(n)
+        candidate[cycle, cycle] = False
+        candidate[cycle, (cycle + 1) % n] = False
+        hit = candidate.copy()
+        hit[candidate] = np.random.default_rng(seed).random(int(candidate.sum())) < p
+        extra_src, extra_dst = np.nonzero(hit)
+        expected = DirectedGraph(n, np.concatenate([cycle, extra_src]),
+                                 np.concatenate([(cycle + 1) % n, extra_dst]),
+                                 np.concatenate([np.ones(n), np.full(extra_src.size, 0.8)]))
+        with mock.patch.object(graphs, "_DRAW_BLOCK", block):
+            assert same_graph(gen_perturbed_cycle(n, p, 0.8, seed), expected)
+
+    def test_perturbed_memory_is_linear_in_edges(self):
+        # about 40,000 edges at n = 2000; an n x n mask alone would be 4 MB, its draws 32 MB
+        tracemalloc.start()
+        try:
+            g = gen_perturbed_cycle(2000, 0.01, 0.8, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2000 < g.edge_count < 2000 + 0.02 * 2000 * 1998
+        assert peak < 8 * 2**20
 
     def test_perturbed_validates_params(self):
         with pytest.raises(ValueError):
