@@ -23,6 +23,7 @@ _EXPORTS = {
         "DimensionMismatchError",
         "NearDefectiveError",
         "RankDeficientError",
+        "NonFiniteError",
     ),
     "graphs": (
         "DirectedGraph",

@@ -7,7 +7,8 @@ digits and every run is a deterministic function of its arguments and seed.
 Exit codes: 0 success, 2 bad usage/parameters (an unwritable output path
 included), and for a library fault the ``exit_code`` of its
 :mod:`dirlap.errors` type: 3 file parse error, 4 dimension mismatch, 5
-rank-deficient sampling, 6 near-defective operator.
+rank-deficient sampling, 6 near-defective operator, 7 an output number
+that overflowed to infinity or NaN.
 """
 from __future__ import annotations
 

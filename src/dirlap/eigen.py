@@ -45,11 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NearDefectiveError
+from .errors import DimensionMismatchError, NearDefectiveError, NonFiniteError
 from .graphs import _unit_scale, asymmetry_index, normality_departure
 
 #: gap, relative to the largest magnitude, under which two eigenvalue magnitudes count as tied
@@ -178,6 +177,8 @@ def decompose(l) -> SpectralDecomposition:
             basis fails biorthogonality beyond ``n * 1e-8`` in Frobenius
             norm. Each signals an (effectively) defective operator for which
             the diagonalization is numerically meaningless.
+        NonFiniteError: if an eigenvalue's modulus overflows float64, as
+            weights in the top binade can make it.
     """
     a = np.asarray(l)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -190,6 +191,8 @@ def decompose(l) -> SpectralDecomposition:
     n = a.shape[0]
 
     lambdas, vec = np.linalg.eig(a)
+    if not np.all(np.isfinite(np.abs(lambdas))):
+        raise NonFiniteError("an eigenvalue's modulus overflows float64; scale the weights down")
     # dgeev stores each conjugate pair next to each other, +imag member first;
     # p and q are the sorted positions of the two members
     first = np.flatnonzero(lambdas.imag > 0)
@@ -202,16 +205,15 @@ def decompose(l) -> SpectralDecomposition:
     _normalize_columns(vec)
     w, scale = _real_basis(vec, p, q)
 
-    # L W - W Re(Lambda) plus the pair terms; ||r_p||^2 + ||r_q||^2 is twice
-    # the squared residual of each of v_p and v_q. The squares are of r / s, as
-    # in the indices, so that they overflow at no finite scale
-    r = a @ w
-    r -= w * lambdas.real
-    beta = lambdas.imag[p]
+    # (L W - W Re(Lambda) plus the pair terms) / s; ||r_p||^2 + ||r_q||^2 is twice
+    # the squared residual of each of v_p and v_q. L and Lambda are divided by s,
+    # as in the indices, so that neither the product nor the squares overflow
+    s = _unit_scale(a)
+    r = (a / s) @ w
+    r -= w * (lambdas.real / s)
+    beta = lambdas.imag[p] / s
     r[:, p] += w[:, q] * beta
     r[:, q] -= w[:, p] * beta
-    s = _unit_scale(a)
-    r /= s
     col2 = np.einsum("ij,ij->j", r, r)
     del r
     col2[p] = col2[q] = 0.5 * (col2[p] + col2[q])
@@ -314,12 +316,9 @@ def henrici_departure(dec: SpectralDecomposition) -> float:
     return float(np.sqrt(gap)) * s
 
 
-class GraphReport(NamedTuple):
-    """Normality metrics of one graph (the spectrum-comparison data product).
-
-    A named tuple, not a dataclass: every command imports this module, and
-    building a frozen dataclass costs about 0.5 ms of each start-up.
-    """
+@dataclass(frozen=True, eq=False)
+class GraphReport:
+    """Normality metrics of one graph (the spectrum-comparison data product)."""
 
     alpha: float
     delta: float

@@ -44,3 +44,13 @@ class RankDeficientError(DirlapError, ArithmeticError):
     """
 
     exit_code = 5
+
+
+class NonFiniteError(DirlapError, ArithmeticError):
+    """A number bound for an output overflowed to infinity or NaN.
+
+    Raised before any file of the output is written: strict JSON has no
+    non-finite numbers, and a partial output would pass for a complete one.
+    """
+
+    exit_code = 7

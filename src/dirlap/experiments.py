@@ -38,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .eigen import GraphReport, SpectralDecomposition, analyze_graph, decompose
+from .errors import NonFiniteError
 from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 from .sampling import make_band
 from .transform import SpectralFilter, _filter_values, _is_a
@@ -277,19 +278,29 @@ def _circular(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _fmean(values: np.ndarray) -> float:
-    """The mean of ``values`` as ``statistics.fmean`` computes it: ``fsum`` over the count."""
-    return math.fsum(values.tolist()) / values.size
+    """The mean of ``values`` as ``statistics.fmean`` computes it: ``fsum`` over the count.
+
+    Where the sum overflows float64 and ``fmean`` would raise, the values
+    are divided by the count first; the mean of finite values is finite.
+    """
+    try:
+        return math.fsum(values.tolist()) / values.size
+    except OverflowError:
+        return math.fsum((values / values.size).tolist())
 
 
 def _summarize(cell: SweepCell) -> SummaryRow:
     mean = _fmean(cell.err_l2)
     # float_power squares through libm pow, as Python's ``**`` does, so err_std is
-    # exactly sqrt(fmean([(e - mean) ** 2 for e in err_l2]))
+    # exactly sqrt(fmean([(e - mean) ** 2 for e in err_l2])); a square past float64
+    # makes it inf, which the bundle writer refuses by name
+    with np.errstate(over="ignore"):
+        squares = np.float_power(cell.err_l2 - mean, 2.0)
     return SummaryRow(
         graph=cell.graph,
         sigma=cell.sigma,
         err_mean=mean,
-        err_std=math.sqrt(_fmean(np.float_power(cell.err_l2 - mean, 2.0))),
+        err_std=math.sqrt(_fmean(squares)),
         err_abs_mean=_fmean(cell.err_abs),
         bound_mean=_fmean(cell.bound),
     )
@@ -307,6 +318,10 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     The seeds of a (graph, sigma) cell are replayed once per cell, and its
     trials run in blocks of ``_block_trials(n)``, one column per trial, so
     each block is a few dense matrix products.
+
+    Raises:
+        NonFiniteError: a trial's error or bound overflowed float64, as a
+            ``sigma`` near ``1e154`` or above makes the noise norms do.
     """
     pair = reference_pair(config)
     k, n = config.k, config.n
@@ -318,21 +333,28 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
         for sigma_index, sigma in enumerate(config.sigmas):
             seeds = _trial_seeds(config.seed, _GRAPH_STREAM[graph], sigma_index)
             err_abs, x0_norm, bound = [], [], []
-            for start in range(0, config.trials, block_trials):
-                block = range(start, min(start + block_trials, config.trials))
-                z = _cell_draws(config, seeds, block)
-                x0 = band.v_omega @ _circular(z[:, :k], z[:, k : 2 * k]).T
-                if config.real_noise:
-                    eta = sigma * z[:, 2 * k :].T
-                else:
-                    eta = sigma * _circular(z[:, 2 * k : 2 * k + n], z[:, 2 * k + n :]).T
-                x_rec = _filter_values(x0 + eta, low_pass.response, dec)
-                err_abs.append(np.linalg.norm(x_rec - x0, axis=0))
-                x0_norm.append(np.linalg.norm(x0, axis=0))
-                bound.append(dec.kappa * np.linalg.norm(eta, axis=0) / x0_norm[-1])
+            # an overflow is refused below, by name, in place of numpy's warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, config.trials, block_trials):
+                    block = range(start, min(start + block_trials, config.trials))
+                    z = _cell_draws(config, seeds, block)
+                    x0 = band.v_omega @ _circular(z[:, :k], z[:, k : 2 * k]).T
+                    if config.real_noise:
+                        eta = sigma * z[:, 2 * k :].T
+                    else:
+                        eta = sigma * _circular(z[:, 2 * k : 2 * k + n], z[:, 2 * k + n :]).T
+                    x_rec = _filter_values(x0 + eta, low_pass.response, dec)
+                    err_abs.append(np.linalg.norm(x_rec - x0, axis=0))
+                    x0_norm.append(np.linalg.norm(x0, axis=0))
+                    bound.append(dec.kappa * np.linalg.norm(eta, axis=0) / x0_norm[-1])
             err = np.concatenate(err_abs)
-            cells.append(SweepCell(graph=graph, sigma=sigma, err_l2=err / np.concatenate(x0_norm),
-                                   err_abs=err, bound=np.concatenate(bound)))
+            cell = SweepCell(graph=graph, sigma=sigma, err_l2=err / np.concatenate(x0_norm),
+                             err_abs=err, bound=np.concatenate(bound))
+            for name in ("err_l2", "bound"):
+                if not np.all(np.isfinite(getattr(cell, name))):
+                    raise NonFiniteError(f"{name} of the {graph} graph at sigma {sigma:g} "
+                                         "overflowed float64")
+            cells.append(cell)
     return NoiseSweep(
         reports={name: rep for name, (rep, _) in pair.items()},
         cells=cells,

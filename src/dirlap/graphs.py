@@ -121,13 +121,15 @@ def _square(m) -> np.ndarray:
 
 
 def _unit_scale(m: np.ndarray) -> float:
-    """The power of two ``s`` with ``s / 2 <= max|m_ij| < s``, and 1 for a zero matrix.
+    """The power of two ``s`` with ``s <= max|m_ij| < 2 s``, and 1 for a zero matrix.
 
-    Dividing by ``s`` is exact, so an index computed on ``m / s`` equals the
+    ``s`` is finite for every finite matrix, the top binade included, and
+    dividing by it is exact, so an index computed on ``m / s`` equals the
     one computed on ``m`` wherever that one neither overflows nor
     underflows, and stays finite and accurate at every finite scale.
     """
-    return float(np.ldexp(1.0, np.frexp(np.max(np.abs(m), initial=0.0))[1]))
+    top = np.max(np.abs(m), initial=0.0)
+    return float(np.ldexp(1.0, np.frexp(top)[1] - 1)) if top else 1.0
 
 
 def asymmetry_index(m) -> float:

@@ -18,6 +18,7 @@ from dirlap.errors import (
     DimensionMismatchError,
     FileFormatError,
     NearDefectiveError,
+    NonFiniteError,
     RankDeficientError,
 )
 
@@ -62,7 +63,7 @@ def perturbed_csv(tmp_path, runner):
 def test_each_error_type_carries_its_exit_code():
     # the documented exit codes live on the error types, nowhere else
     codes = {FileFormatError: 3, DimensionMismatchError: 4, RankDeficientError: 5,
-             NearDefectiveError: 6}
+             NearDefectiveError: 6, NonFiniteError: 7}
     assert {error: error.exit_code for error in codes} == codes
 
 
@@ -72,7 +73,9 @@ def leaf_commands(group):
 
 
 @pytest.mark.parametrize(
-    "error", [FileFormatError, DimensionMismatchError, RankDeficientError, NearDefectiveError]
+    "error",
+    [FileFormatError, DimensionMismatchError, RankDeficientError, NearDefectiveError,
+     NonFiniteError],
 )
 def test_every_command_ends_a_fault_with_its_exit_code(error, monkeypatch, capsys):
     commands = list(leaf_commands(main))
@@ -195,6 +198,21 @@ class TestAnalyze:
         for key in ("alpha", "delta", "kappa"):
             assert payload[key] == pytest.approx(ref[key], rel=1e-9), key
         assert payload["henrici"] == pytest.approx(scale * ref["henrici"], rel=1e-6)
+
+    def test_cycle_in_the_top_binade(self, runner, tmp_path):
+        # 1e308 > 2**1023: a unit scale of 2**1024 read every index as a plausible 0
+        graph = tmp_path / "c.csv"
+        graph.write_text("src,dst,weight\n0,1,1e308\n1,2,1e308\n2,0,1e308\n")
+        result = runner.invoke(main, ["analyze", str(graph)])
+        assert result.exit_code == 0
+        payload = json.loads(result.output, parse_constant=_refuse_constant)
+        assert (payload["alpha"], payload["delta"], payload["henrici"]) == (1.0, 0.0, 0.0)
+        # the 4-cycle's eigenvalue 2e308 overflows: refused, nothing printed
+        graph.write_text("src,dst,weight\n0,1,1e308\n1,2,1e308\n2,3,1e308\n3,0,1e308\n")
+        result = runner.invoke(main, ["analyze", str(graph)])
+        assert result.exit_code == NonFiniteError.exit_code
+        assert result.stdout == ""
+        assert "eigenvalue's modulus overflows" in result.stderr
 
     def test_fig1_metrics_are_strict_json_at_a_huge_weight(self, runner, tmp_path):
         out = tmp_path / "fig1"
@@ -583,6 +601,26 @@ class TestExperimentCommands:
             "2064913930e07940834a9cd02b86f77f4d9b8f45d0c3559980234720610d09ff",
             "c06932711e86f969496b932e2198b8d1917e00a5ab2dcfc1e7fd8ee29fbbabba",
         )
+
+    def test_fig2_overflow_is_refused_before_any_file(self, runner, tmp_path):
+        # the noise norms overflow to inf: refused by name, with no half-written bundle
+        out = tmp_path / "fig2"
+        result = runner.invoke(main, ["experiment", "fig2", "--trials", "5", "--sigmas", "1e200",
+                                      "--out-dir", str(out)])
+        assert result.exit_code == NonFiniteError.exit_code
+        assert result.stderr == ("error: err_l2 of the cycle graph at sigma 1e+200 "
+                                 "overflowed float64\n")
+        assert not out.exists()
+
+    def test_fig2_summary_survives_a_sum_past_float64(self, runner, tmp_path):
+        # every err_l2 is finite, but fsum of their squared deviations overflowed and
+        # raised OverflowError (a traceback)
+        out = tmp_path / "fig2"
+        result = runner.invoke(main, ["experiment", "fig2", "--sigmas", "1e153",
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 0
+        bundle = json.loads((out / "bundle.json").read_text(), parse_constant=_refuse_constant)
+        assert all(row["err_std"] > 1e151 for row in bundle["summary"])
 
     def test_fig2_outputs_and_determinism(self, runner, tmp_path):
         args = ["experiment", "fig2", "--n", "10", "--k", "3", "--trials", "10",

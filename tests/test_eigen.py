@@ -11,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from dirlap import (
     DirectedGraph,
     NearDefectiveError,
+    NonFiniteError,
     SpectralFilter,
     analyze_graph,
     apply_filter,
@@ -400,6 +401,42 @@ class TestScaleInvariance:
         scaled = np.ldexp(lap, j)
         assert asymmetry_index(scaled) == asymmetry_index(lap)
         assert normality_departure(scaled) == normality_departure(lap)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_indices_hold_in_the_top_binade(self, seed):
+        # max|L| in [2**1023, 2**1024): a unit scale of 2**1024 would be inf, m / s all
+        # zeros and every index a plausible 0
+        lap = directed_laplacian(gen_perturbed_cycle(8, 0.4, 0.8, seed))
+        top = np.max(np.abs(lap))
+        for scaled in (np.ldexp(lap, 1024 - np.frexp(top)[1]),
+                       lap * (1.5 * 2.0**1023 / top)):
+            assert 2.0**1023 <= np.max(np.abs(scaled)) < np.inf
+            assert asymmetry_index(scaled) == pytest.approx(asymmetry_index(lap), rel=1e-12)
+            assert normality_departure(scaled) == pytest.approx(normality_departure(lap),
+                                                                rel=1e-12, abs=1e-15)
+            assert asymmetry_index(scaled) > 0.1
+        assert asymmetry_index(np.ldexp(lap, 1024 - np.frexp(top)[1])) == asymmetry_index(lap)
+
+    def test_top_binade_decomposition_is_finite_or_refused(self):
+        # |lambda| = sqrt(3) w for the 3-cycle stays finite at w = 1e308; the 4-cycle's 2 w
+        # does not, and a spectrum of inf would read as a Henrici departure of 0
+        for n, w in ((3, 1e308), (4, 8e307)):
+            g = gen_directed_cycle(n)
+            dec = decompose(directed_laplacian(DirectedGraph(n, g.src, g.dst, np.full(n, w))))
+            report = analyze_graph(dec)
+            assert (report.alpha, report.delta) == (1.0, 0.0)
+            assert 0 <= report.henrici <= 1e-6 * w
+            assert 0 < dec.residual <= 1e-12 * w
+        for seed in (1, 2):  # graphs whose spectrum stays finite with max|L| in the top binade
+            ref = decompose(directed_laplacian(gen_perturbed_cycle(8, 0.4, 0.8, seed)))
+            j = 1024 - np.frexp(np.max(np.abs(ref.matrix)))[1]
+            dec = decompose(np.ldexp(ref.matrix, j))
+            assert henrici_departure(dec) == pytest.approx(np.ldexp(henrici_departure(ref), j),
+                                                           rel=1e-9)
+            assert 0 < dec.residual <= 1e-12 * np.ldexp(1.0, 1023)
+        g = gen_directed_cycle(4)
+        with pytest.raises(NonFiniteError, match="eigenvalue's modulus overflows"):
+            decompose(directed_laplacian(DirectedGraph(4, g.src, g.dst, np.full(4, 1e308))))
 
 
 def _refuse(constant):

@@ -6,6 +6,7 @@ import pytest
 
 from dirlap import (
     ExperimentConfig,
+    NonFiniteError,
     SpectralFilter,
     apply_filter,
     make_band,
@@ -200,6 +201,21 @@ class TestNoiseSweep:
         cell = SweepCell("cycle", 0.1, np.array(errs), np.array(errs), np.array(errs))
         mean = statistics.fmean(errs)
         assert _summarize(cell).err_std == math.sqrt(statistics.fmean([(e - mean) ** 2 for e in errs]))
+
+    def test_summary_of_finite_trials_whose_sum_overflows(self):
+        # each squared deviation is finite, their sum is not: statistics.fmean raises
+        # OverflowError there (fig2 at sigma 1e153 ended in a traceback)
+        errs = np.linspace(1e153, 1.3e154, 300)
+        squares = ((errs - statistics.fmean(errs.tolist())) ** 2).tolist()
+        with pytest.raises(OverflowError):
+            statistics.fmean(squares)
+        row = _summarize(SweepCell("cycle", 0.1, errs, errs, errs))
+        assert row.err_mean == row.err_abs_mean == row.bound_mean == statistics.fmean(errs.tolist())
+        assert row.err_std == pytest.approx(1e150 * statistics.pstdev((errs / 1e150).tolist()))
+
+    def test_overflowed_trials_are_refused_by_name(self):
+        with pytest.raises(NonFiniteError, match=r"^err_l2 of the cycle graph at sigma 1e\+200 "):
+            run_noise_sweep(ExperimentConfig(sigmas=(0.1, 1e200), trials=3))
 
 
 def per_trial_sweep(config):

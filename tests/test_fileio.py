@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 import dirlap
 from dirlap import (
     DirectedGraph,
+    ExperimentConfig,
     FileFormatError,
     GraphSignal,
+    NonFiniteError,
     RankDeficientError,
     SpectralFilter,
     decompose,
@@ -29,6 +32,7 @@ from dirlap import (
     make_band,
     plan_sampling,
     recover,
+    run_noise_sweep,
     vertex_signal,
 )
 from dirlap import fileio
@@ -765,9 +769,36 @@ class TestWriteJson:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_number_raises_before_writing(self, tmp_path, value):
         path = tmp_path / "m.json"
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(NonFiniteError, match=rf"^kappa\[1\] is {value}: .* no output was written$"):
             fileio.write_json({"kappa": [1.0, value]}, path)
         assert not path.exists()
+
+    def test_refusal_names_the_first_non_finite_key_path(self, capsys):
+        payload = {"n": 3, "summary": [{"err": 1.0}, {"graph": "g", "err": float("inf")}],
+                   "z": float("nan")}
+        with pytest.raises(NonFiniteError, match=r"^summary\[1\]\.err is inf: "):
+            fileio.write_json(payload)
+        assert capsys.readouterr().out == ""
+
+
+class TestBundleRefusal:
+    """A bundle's JSON is rendered first: a non-finite number leaves no file behind."""
+
+    def test_fig2_bundle(self, tmp_path):
+        sweep = run_noise_sweep(ExperimentConfig(n=8, k=2, sigmas=(0.1, 0.2), trials=3))
+        sweep.summary[1] = dataclasses.replace(sweep.summary[1], err_std=float("inf"))
+        out = tmp_path / "fig2"
+        with pytest.raises(NonFiniteError, match=r"^summary\[1\]\.err_std is inf: "):
+            fileio.write_noise_sweep(ExperimentConfig(), sweep, out)
+        assert not out.exists()
+
+    def test_fig1_bundle(self, tmp_path):
+        report = GraphReport(0.5, 0.25, 0.125, float("nan"), np.zeros(3, complex))
+        out = tmp_path / "fig1"
+        with pytest.raises(NonFiniteError, match=r"^graphs\.perturbed\.kappa is nan: "):
+            fileio.write_spectrum_comparison(ExperimentConfig(), {"cycle": dataclasses.replace(
+                report, kappa=1.0), "perturbed": report}, out)
+        assert not out.exists()
 
 
 class TestWriteText:
