@@ -41,8 +41,6 @@ _EXPORTS = {
         "dc_mode_check",
         "gram_matrix",
         "henrici_departure",
-        "GraphReport",
-        "analyze_graph",
     ),
     "transform": (
         "GraphSignal",
@@ -68,7 +66,7 @@ _EXPORTS = {
     "experiments": (
         "ExperimentConfig",
         "NoiseSweep",
-        "run_spectrum_comparison",
+        "reference_pair",
         "run_noise_sweep",
     ),
 }

@@ -20,7 +20,7 @@ import click
 from . import __version__
 from .errors import DimensionMismatchError, DirlapError, FileFormatError
 from . import fileio
-from .eigen import SpectralDecomposition, analyze_graph, decompose
+from .eigen import SpectralDecomposition, decompose
 from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 from .transform import SPECTRAL, VERTEX, apply_filter, forward, inverse
 
@@ -98,7 +98,7 @@ def analyze(graph_path, n, out, fmt, spectrum_out):
     dec = _load_decomposition(graph_path, n)
     if spectrum_out is not None:
         fileio.write_spectrum(dec.lambdas, spectrum_out)
-    fileio.write_metrics(analyze_graph(dec), spectrum_out, fmt, out)
+    fileio.write_metrics(dec, spectrum_out, fmt, out)
 
 
 @main.command()
@@ -238,11 +238,10 @@ def _add_options(options):
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 def fig1(config_path, out_dir, **flags):
     """Spectrum and normality-metrics comparison (writes metrics + spectra)."""
-    from .experiments import run_spectrum_comparison
+    from .experiments import reference_pair
 
     config = _config_from(config_path, **flags)
-    reports = run_spectrum_comparison(config)
-    click.echo(str(fileio.write_spectrum_comparison(config, reports, out_dir)))
+    click.echo(str(fileio.write_spectrum_comparison(config, reference_pair(config), out_dir)))
 
 
 @experiment.command()

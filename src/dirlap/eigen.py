@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NearDefectiveError, NonFiniteError
-from .graphs import _unit_scale, asymmetry_index, normality_departure
+from .graphs import _unit_scale
 
 #: gap, relative to the largest magnitude, under which two eigenvalue magnitudes count as tied
 _MAG_TIE_RTOL = 1e-9
@@ -315,25 +315,3 @@ def henrici_departure(dec: SpectralDecomposition) -> float:
         return 0.0
     return float(np.sqrt(gap)) * s
 
-
-@dataclass(frozen=True, eq=False)
-class GraphReport:
-    """Normality metrics of one graph (the spectrum-comparison data product)."""
-
-    alpha: float
-    delta: float
-    henrici: float
-    kappa: float
-    lambdas: np.ndarray
-
-
-def analyze_graph(dec: SpectralDecomposition) -> GraphReport:
-    """Normality metrics of the Laplacian a decomposition was built from."""
-    lap = dec.matrix
-    return GraphReport(
-        alpha=asymmetry_index(lap),
-        delta=normality_departure(lap),
-        henrici=henrici_departure(dec),
-        kappa=dec.kappa,
-        lambdas=dec.lambdas,
-    )

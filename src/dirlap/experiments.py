@@ -4,8 +4,10 @@ Two reference topologies of the same size are compared: the plain directed
 cycle (asymmetric but normal, perfectly conditioned eigenbasis) and a
 perturbed cycle with random extra edges (non-normal, ill-conditioned).
 
-``run_spectrum_comparison`` collects spectra and the normality metrics for
-both graphs. ``run_noise_sweep`` measures low-pass denoising error against
+``reference_pair`` decomposes both graphs' Laplacians; each decomposition
+is the graph's one record, from which the writers read its spectrum and its
+normality metrics (alpha, delta, Henrici departure and ``kappa(V)``).
+``run_noise_sweep`` measures low-pass denoising error against
 noise level: a ground-truth signal synthesized from the lowest ``k``
 frequency modes is observed under additive Gaussian noise and reconstructed
 by ideal low-pass filtering in the spectral domain. The per-trial error is
@@ -32,14 +34,15 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .eigen import GraphReport, SpectralDecomposition, analyze_graph, decompose
+from .eigen import SpectralDecomposition, decompose
 from .errors import NonFiniteError
-from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
+from .graphs import MAX_VERTICES, directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 from .sampling import make_band
 from .transform import SpectralFilter, _filter_values, _is_a
 
@@ -87,16 +90,21 @@ class ExperimentConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"n must be at most MAX_VERTICES = {MAX_VERTICES}, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if not (math.isfinite(self.w) and self.w > 0.0):
+        if not 0.0 < self.w <= sys.float_info.max:  # false for NaN and for ints beyond float64
             raise ValueError(f"w must be finite and positive, got {self.w}")
         if not 1 <= self.k <= self.n:
             raise ValueError("k must lie in [1, n]")
         sigmas = tuple(self.sigmas)
         if not all(_is_a(s, numbers.Real) for s in sigmas):
             raise ValueError(f"sigmas must be real numbers, got {self.sigmas!r}")
-        sigmas = tuple(float(s) for s in sigmas)
+        try:
+            sigmas = tuple(float(s) for s in sigmas)
+        except OverflowError:  # an int beyond float64
+            raise ValueError(f"sigmas must be finite, got {list(sigmas)}") from None
         if not sigmas:
             raise ValueError("sigma grid must not be empty")
         if not all(math.isfinite(s) for s in sigmas):
@@ -139,27 +147,18 @@ class SummaryRow:
 
 @dataclass(frozen=True, eq=False)
 class NoiseSweep:
-    reports: dict[str, GraphReport]
+    decompositions: dict[str, SpectralDecomposition]
     cells: list[SweepCell]
     summary: list[SummaryRow]
 
 
-def reference_pair(config: ExperimentConfig) -> dict[str, tuple[GraphReport, SpectralDecomposition]]:
-    """The cycle / perturbed-cycle pair the experiments compare."""
+def reference_pair(config: ExperimentConfig) -> dict[str, SpectralDecomposition]:
+    """The decompositions of the cycle / perturbed-cycle pair the experiments compare."""
     graphs = {
         "cycle": gen_directed_cycle(config.n),
         "perturbed": gen_perturbed_cycle(config.n, config.p, config.w, config.seed),
     }
-    pair = {}
-    for name, g in graphs.items():
-        dec = decompose(directed_laplacian(g))
-        pair[name] = (analyze_graph(dec), dec)
-    return pair
-
-
-def run_spectrum_comparison(config: ExperimentConfig) -> dict[str, GraphReport]:
-    """The normality metrics and spectrum of each graph of the reference pair."""
-    return {name: report for name, (report, _) in reference_pair(config).items()}
+    return {name: decompose(directed_laplacian(g)) for name, g in graphs.items()}
 
 
 #: SeedSequence's hash constants (O'Neill's seed_seq_fe), stable under NumPy's NEP 19
@@ -323,11 +322,11 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
         NonFiniteError: a trial's error or bound overflowed float64, as a
             ``sigma`` near ``1e154`` or above makes the noise norms do.
     """
-    pair = reference_pair(config)
+    decompositions = reference_pair(config)
     k, n = config.k, config.n
     block_trials = _block_trials(n)
     cells: list[SweepCell] = []
-    for graph, (report, dec) in pair.items():
+    for graph, dec in decompositions.items():
         band = make_band(dec, k)
         low_pass = SpectralFilter.ideal(band.omega, n)
         for sigma_index, sigma in enumerate(config.sigmas):
@@ -356,7 +355,7 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
                                          "overflowed float64")
             cells.append(cell)
     return NoiseSweep(
-        reports={name: rep for name, (rep, _) in pair.items()},
+        decompositions=decompositions,
         cells=cells,
         summary=[_summarize(cell) for cell in cells],
     )

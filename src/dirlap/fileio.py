@@ -42,7 +42,9 @@ Formats (all numeric output uses 12 significant digits):
   each at most once) or ``{"kind": "diagonal", "response": [[re, im], ...]}``
   (real numbers, no bools); no other key
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
-- metrics JSON (``analyze``), ``{n, alpha, delta, henrici, kappa, spectrum_csv}``
+- metrics JSON (``analyze``), ``{n, alpha, delta, henrici, kappa, spectrum_csv}``;
+  its writers take the graph's decomposition, and one builder reads the four
+  metrics off it, which fig1 and fig2 embed too
 - metrics CSV (``analyze --format csv``), header ``metric,value``, one row
   per metrics JSON key; a ``null`` value is an empty cell, and a
   ``spectrum_csv`` path holding a comma, a double quote, CR or LF is quoted
@@ -71,14 +73,14 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
+from .eigen import SpectralDecomposition, henrici_departure
 from .errors import FileFormatError, NonFiniteError, RankDeficientError
-from .graphs import MAX_VERTICES, DirectedGraph
+from .graphs import MAX_VERTICES, DirectedGraph, asymmetry_index, normality_departure
 from .transform import GraphSignal, SpectralFilter, VERTEX, _is_a
 
 if TYPE_CHECKING:
     # the experiment and sampling writers import these modules when called, so a
     # command that writes neither (gen, analyze, gft, filter) never loads them
-    from .eigen import GraphReport
     from .experiments import ExperimentConfig, NoiseSweep, SummaryRow, SweepCell
     from .sampling import SamplingPlan
 
@@ -450,14 +452,18 @@ def write_plan(plan: SamplingPlan, path=None) -> None:
 
 # -- metrics and experiment outputs --------------------------------------------
 
-def _metrics_payload(report: GraphReport, spectrum_csv: str | None) -> dict:
-    metrics = {key: round12(getattr(report, key)) for key in ("alpha", "delta", "henrici", "kappa")}
-    return {"n": int(report.lambdas.shape[0]), **metrics, "spectrum_csv": spectrum_csv}
+def _metrics_payload(dec: SpectralDecomposition, spectrum_csv: str | None) -> dict:
+    """The metrics of the graph whose Laplacian ``dec`` decomposes, rounded to 12 digits."""
+    metrics = {"alpha": asymmetry_index(dec.matrix), "delta": normality_departure(dec.matrix),
+               "henrici": henrici_departure(dec), "kappa": dec.kappa}
+    metrics = {key: round12(value) for key, value in metrics.items()}
+    return {"n": dec.n, **metrics, "spectrum_csv": spectrum_csv}
 
 
-def write_metrics(report: GraphReport, spectrum_csv: str | None, form: str, path=None) -> None:
-    """Export the metrics of one graph as ``form``, ``json`` or ``csv``."""
-    payload = _metrics_payload(report, spectrum_csv)
+def write_metrics(dec: SpectralDecomposition, spectrum_csv: str | None, form: str,
+                  path=None) -> None:
+    """Export the metrics of one graph's decomposition as ``form``, ``json`` or ``csv``."""
+    payload = _metrics_payload(dec, spectrum_csv)
     if form == "json":
         write_json(payload, path)
     else:
@@ -474,20 +480,20 @@ def _bundle(config: ExperimentConfig, graphs: dict) -> dict:
 
 
 def write_spectrum_comparison(
-    config: ExperimentConfig, reports: dict[str, GraphReport], out_dir
+    config: ExperimentConfig, decompositions: dict[str, SpectralDecomposition], out_dir
 ) -> Path:
     """Write fig1 into ``out_dir``: ``<graph>.spectrum.csv`` per graph, then ``metrics.json``.
 
     ``metrics.json`` is rendered first, so a non-finite metric raises
     :class:`NonFiniteError` before any file is written.
     """
-    graphs = {name: _metrics_payload(report, f"{name}.spectrum.csv")
-              for name, report in reports.items()}
+    graphs = {name: _metrics_payload(dec, f"{name}.spectrum.csv")
+              for name, dec in decompositions.items()}
     metrics = _json_text(_bundle(config, graphs))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, report in reports.items():
-        write_spectrum(report.lambdas, out / graphs[name]["spectrum_csv"])
+    for name, dec in decompositions.items():
+        write_spectrum(dec.lambdas, out / graphs[name]["spectrum_csv"])
     write_text(metrics, out / "metrics.json")
     return out / "metrics.json"
 
@@ -500,7 +506,7 @@ def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> P
     a sweep that overflowed raises :class:`NonFiniteError`, naming the
     summary field, before any file is written.
     """
-    graphs = {name: _metrics_payload(report, None) for name, report in sweep.reports.items()}
+    graphs = {name: _metrics_payload(dec, None) for name, dec in sweep.decompositions.items()}
     numbers = _summary_fields()[1:]
     summary = [{"graph": row.graph, **{key: round12(getattr(row, key)) for key in numbers}}
                for row in sweep.summary]

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 #: largest vertex count a graph may have: every operator is a dense n x n matrix
 MAX_VERTICES = 10_000
 #: uniform variates drawn at once by gen_perturbed_cycle: bounds its memory at every n
@@ -108,9 +110,19 @@ def adjacency(g: DirectedGraph) -> np.ndarray:
 
 
 def directed_laplacian(g: DirectedGraph) -> np.ndarray:
-    """Combinatorial directed Laplacian ``L = D_out - A`` (zero row sums)."""
+    """Combinatorial directed Laplacian ``L = D_out - A`` (zero row sums).
+
+    Raises:
+        NonFiniteError: an out-degree, a sum of finite weights, overflows float64.
+    """
     a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    with np.errstate(over="ignore"):
+        degree = a.sum(axis=1)
+    bad = np.flatnonzero(np.isinf(degree))
+    if bad.size:
+        raise NonFiniteError(f"out-degree of vertex {bad[0]} overflows float64; "
+                             "scale the weights down")
+    return np.diag(degree) - a
 
 
 def _square(m) -> np.ndarray:

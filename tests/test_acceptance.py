@@ -218,7 +218,7 @@ def test_criterion_8_noise_bounds():
 
 def test_criterion_9_noise_sweep_properties():
     result = run_noise_sweep(ExperimentConfig())
-    kappa = result.reports["perturbed"].kappa
+    kappa = result.decompositions["perturbed"].kappa
     cyc = {r.sigma: r.err_mean for r in result.summary if r.graph == "cycle"}
     per = {r.sigma: r.err_mean for r in result.summary if r.graph == "perturbed"}
     sigmas = sorted(cyc)

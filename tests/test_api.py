@@ -9,6 +9,27 @@ import pytest
 import dirlap
 
 
+#: the public API; adding or removing a name is an edit of this list
+PUBLIC_NAMES = [
+    "__version__",
+    "DirlapError", "FileFormatError", "DimensionMismatchError", "NearDefectiveError",
+    "RankDeficientError", "NonFiniteError",
+    "DirectedGraph", "adjacency", "directed_laplacian", "asymmetry_index",
+    "normality_departure", "gen_directed_cycle", "gen_perturbed_cycle",
+    "SpectralDecomposition", "DcModeReport", "decompose", "dc_mode_check", "gram_matrix",
+    "henrici_departure",
+    "GraphSignal", "SpectralFilter", "TvBounds", "vertex_signal", "forward", "inverse",
+    "energy_identity", "apply_filter", "tv_bounds",
+    "BandModel", "SamplingPlan", "make_band", "synthesize_bandlimited", "plan_sampling",
+    "recover", "noise_certificate", "select_sampling_set",
+    "ExperimentConfig", "NoiseSweep", "reference_pair", "run_noise_sweep",
+]
+
+
+def test_public_names_are_pinned():
+    assert dirlap.__all__ == PUBLIC_NAMES
+
+
 def test_every_public_name_resolves():
     # `from dirlap import *` fails on a name listed in __all__ but not imported
     missing = [name for name in dirlap.__all__ if not hasattr(dirlap, name)]
@@ -32,11 +53,11 @@ def _loaded_after(code: str) -> list[str]:
 
 def test_names_are_loaded_on_first_read():
     assert _loaded_after("import dirlap") == ["dirlap"]
-    # eigen needs errors and graphs (the indices analyze_graph reports) only; experiments
-    # stays unloaded until one of its names is read
+    # eigen needs errors and graphs (its unit scale) only; experiments stays unloaded
+    # until one of its names is read
     assert _loaded_after("import dirlap; dirlap.decompose") == [
         "dirlap", "dirlap.eigen", "dirlap.errors", "dirlap.graphs"]
-    assert _loaded_after("import dirlap; dirlap.analyze_graph") == [
+    assert _loaded_after("import dirlap; dirlap.henrici_departure") == [
         "dirlap", "dirlap.eigen", "dirlap.errors", "dirlap.graphs"]
     assert "dirlap.experiments" in _loaded_after("from dirlap import run_noise_sweep")
 

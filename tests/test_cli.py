@@ -1,19 +1,22 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import dirlap
 from dirlap import experiments, fileio
-from dirlap.cli import main
+from dirlap.cli import _config_from, main
 from dirlap.errors import (
     DimensionMismatchError,
     FileFormatError,
@@ -21,6 +24,7 @@ from dirlap.errors import (
     NonFiniteError,
     RankDeficientError,
 )
+from dirlap.graphs import MAX_VERTICES
 
 
 def csv_body(path, header):
@@ -164,6 +168,15 @@ class TestAnalyze:
         assert payload["henrici"] > 0
         assert payload["kappa"] > 10
 
+    def test_metrics_are_the_public_functions_of_the_decomposition(self, perturbed_csv, runner):
+        dec = dirlap.decompose(dirlap.directed_laplacian(fileio.read_edge_list(perturbed_csv)))
+        metrics = {"alpha": dirlap.asymmetry_index(dec.matrix),
+                   "delta": dirlap.normality_departure(dec.matrix),
+                   "henrici": dirlap.henrici_departure(dec), "kappa": dec.kappa}
+        payload = json.loads(runner.invoke(main, ["analyze", str(perturbed_csv)]).output)
+        rounded = {key: fileio.round12(value) for key, value in metrics.items()}
+        assert payload == {"n": 20, **rounded, "spectrum_csv": None}
+
     def test_symmetric_two_cycle_alpha_zero(self, tmp_path, runner):
         path = tmp_path / "two.csv"
         runner.invoke(main, ["gen", "cycle", "--n", "2", "--out", str(path)])
@@ -254,6 +267,27 @@ class TestAnalyze:
         path.write_text("src,dst,weight\n" + "".join(f"{i},{i+1},1\n" for i in range(7)))
         result = runner.invoke(main, ["analyze", str(path)])
         assert result.exit_code == NearDefectiveError.exit_code
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "{graph}"],
+    ["sample", "{graph}", "--k", "2", "--m", "2"],
+    ["experiment", "fig1", "--n", "5", "--k", "2", "--p", "1", "--w", "1.7e308",
+     "--out-dir", "{out}"],
+], ids=["analyze", "sample", "fig1"])
+def test_out_degree_overflow_exits_non_finite(tmp_path, runner, args):
+    # two finite out-arcs of vertex 0 whose sum, its out-degree, overflows float64
+    graph = tmp_path / "g.csv"
+    graph.write_text("src,dst,weight\n0,1,1.7e308\n0,2,1.7e308\n1,2,1\n2,0,1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would fail the command
+        result = runner.invoke(main, [arg.format(graph=graph, out=out) for arg in args])
+    assert result.exit_code == NonFiniteError.exit_code
+    assert result.stderr == ("error: out-degree of vertex 0 overflows float64; "
+                             "scale the weights down\n")
+    assert result.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "gft", "filter", "sample"])
@@ -823,6 +857,20 @@ class TestExperimentCommands:
         assert runner.invoke(main, args + ["--k", "0"]).exit_code == 2
 
     @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    @pytest.mark.parametrize("via_config, code", [(False, 2), (True, FileFormatError.exit_code)],
+                             ids=["flag", "config"])
+    def test_n_beyond_max_vertices_blames_its_source(self, runner, tmp_path, command, via_config,
+                                                     code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 20000}))
+        n = ["--config", str(cfg)] if via_config else ["--n", "20000"]
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", command, *n, "--out-dir", str(out)])
+        assert result.exit_code == code
+        assert "n must be at most MAX_VERTICES = 10000, got 20000" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
     def test_n_beyond_max_vertices_is_usage_error(self, runner, tmp_path, command):
         result = runner.invoke(
             main, ["experiment", command, "--n", "99999999999999999999",
@@ -963,3 +1011,74 @@ def test_command_loads_no_numpy_ma(perturbed_csv, tmp_path, args):
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip().splitlines()[-1] == "False"
+
+
+#: the edges of each field's range, NaN and the infinities (json.dumps writes them as
+#: json.load's NaN and Infinity literals), and ints far past int64 and float64
+EDGE_VALUES = st.sampled_from((-1, 0, 1, 2, MAX_VERTICES, MAX_VERTICES + 1, 2**32 - 1, 2**32,
+                               -0.0, 0.5, 1.5, 1.8e308, float("nan"), float("inf"),
+                               float("-inf"))) | st.sampled_from((2**64, 10**309, -(10**309),
+                                                                   10**4000))
+#: JSON scalars of every type
+JSON_SCALARS = st.one_of(EDGE_VALUES, st.none(), st.booleans(),
+                         st.text(max_size=4), st.integers(), st.floats())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+#: in-range values of the config keys, so that a wild value is the one at fault
+VALID_CONFIG_VALUES = {
+    "n": st.integers(2, 40), "p": st.floats(0.0, 1.0), "w": st.floats(1e-3, 1e3),
+    "k": st.integers(1, 2),
+    "sigmas": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(sorted),
+    "trials": st.integers(1, 10), "seed": st.integers(0, 2**70), "real_noise": st.booleans(),
+}
+
+
+@st.composite
+def config_objects(draw):
+    """A config object: some keys in range, then a few keys, known or not, of any JSON value."""
+    valid = draw(st.fixed_dictionaries({}, optional=VALID_CONFIG_VALUES))
+    keys = st.sampled_from(sorted(VALID_CONFIG_VALUES)) | st.text(max_size=4)
+    values = EDGE_VALUES | st.lists(EDGE_VALUES, max_size=3) | JSON_VALUES
+    wild = draw(st.dictionaries(keys, values, max_size=2))
+    return {**valid, **wild}
+
+
+def _assert_in_range(cfg):
+    def integer(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    assert integer(cfg.n) and 2 <= cfg.n <= MAX_VERTICES
+    assert integer(cfg.k) and 1 <= cfg.k <= cfg.n
+    assert integer(cfg.trials) and 1 <= cfg.trials < 2**32
+    assert integer(cfg.seed) and cfg.seed >= 0
+    assert not isinstance(cfg.p, bool) and 0.0 <= cfg.p <= 1.0
+    assert not isinstance(cfg.w, bool) and 0.0 < float(cfg.w) < math.inf
+    assert cfg.sigmas and all(type(s) is float and 0.0 <= s < math.inf for s in cfg.sigmas)
+    assert list(cfg.sigmas) == sorted(cfg.sigmas)
+    assert type(cfg.real_noise) is bool
+    json.dumps(cfg.to_dict(), allow_nan=False)  # the bundle's config header renders
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_objects())
+@example({"n": MAX_VERTICES + 1})
+@example({"w": 10**309})
+@example({"sigmas": [0.1, 10**309]})
+def test_config_file_is_in_range_or_refused(config_file, obj):
+    # a config file either gives a config whose every field is in range, or is refused
+    # as a bad file (exit 3); never another exception, which would end in a traceback
+    config_file.write_text(json.dumps(obj))
+    try:
+        cfg = _config_from(config_file)
+    except FileFormatError:
+        return
+    _assert_in_range(cfg)

@@ -10,15 +10,18 @@ from dirlap import (
     SpectralFilter,
     apply_filter,
     make_band,
+    asymmetry_index,
+    henrici_departure,
+    normality_departure,
+    reference_pair,
     run_noise_sweep,
-    run_spectrum_comparison,
     synthesize_bandlimited,
     vertex_signal,
 )
 from dirlap import experiments
 from dirlap.experiments import (
     _GRAPH_STREAM, SweepCell, _block_trials, _cell_draws, _summarize,
-    _trial_seeds, reference_pair,
+    _trial_seeds,
 )
 
 
@@ -33,6 +36,7 @@ class TestConfig:
         "kwargs",
         [
             {"n": 1},
+            {"n": 10_001},
             {"p": 1.5},
             {"w": 0.0},
             {"k": 0},
@@ -117,19 +121,19 @@ class TestConfig:
 
 class TestSpectrumComparison:
     def test_metric_separation(self):
-        res = run_spectrum_comparison(ExperimentConfig(seed=7))
+        res = reference_pair(ExperimentConfig(seed=7))
         cyc, per = res["cycle"], res["perturbed"]
-        assert cyc.henrici <= 1e-6
+        assert henrici_departure(cyc) <= 1e-6
         assert cyc.kappa <= 1 + 1e-6
-        assert cyc.delta <= 1e-10
-        assert cyc.alpha == pytest.approx(1.0, abs=1e-12)
-        assert per.henrici > 0.5
+        assert normality_departure(cyc.matrix) <= 1e-10
+        assert asymmetry_index(cyc.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert henrici_departure(per) > 0.5
         assert per.kappa > 10
-        assert per.delta > 0
+        assert normality_departure(per.matrix) > 0
         assert len(cyc.lambdas) == len(per.lambdas) == 20
 
     def test_cycle_spectrum_on_shifted_unit_circle(self):
-        res = run_spectrum_comparison(ExperimentConfig())
+        res = reference_pair(ExperimentConfig())
         lams = res["cycle"].lambdas
         assert np.max(np.abs(np.abs(lams - 1.0) - 1.0)) < 1e-9
 
@@ -153,7 +157,7 @@ class TestNoiseSweep:
     def test_perturbed_error_dominates_cycle(self, sweep):
         cyc = {r.sigma: r.err_mean for r in sweep.summary if r.graph == "cycle"}
         per = {r.sigma: r.err_mean for r in sweep.summary if r.graph == "perturbed"}
-        kappa = sweep.reports["perturbed"].kappa
+        kappa = sweep.decompositions["perturbed"].kappa
         for sigma in (0.05, 0.2):
             assert per[sigma] >= cyc[sigma]
             assert per[sigma] / cyc[sigma] <= kappa
@@ -221,7 +225,7 @@ class TestNoiseSweep:
 def per_trial_sweep(config):
     """The sweep as one Python iteration per trial: four draws, one filter call each."""
     rows = []
-    for graph, (_, dec) in reference_pair(config).items():
+    for graph, dec in reference_pair(config).items():
         band = make_band(dec, config.k)
         low_pass = SpectralFilter.ideal(band.omega, config.n)
         stream = {"cycle": 0, "perturbed": 1}[graph]

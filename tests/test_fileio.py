@@ -32,12 +32,12 @@ from dirlap import (
     make_band,
     plan_sampling,
     recover,
+    reference_pair,
     run_noise_sweep,
     vertex_signal,
 )
 from dirlap import fileio
 from dirlap.cli import main
-from dirlap.eigen import GraphReport
 from dirlap.errors import DimensionMismatchError
 from dirlap.experiments import SweepCell
 from dirlap.graphs import MAX_VERTICES
@@ -793,11 +793,13 @@ class TestBundleRefusal:
         assert not out.exists()
 
     def test_fig1_bundle(self, tmp_path):
-        report = GraphReport(0.5, 0.25, 0.125, float("nan"), np.zeros(3, complex))
+        config = ExperimentConfig(n=8, k=2)
+        decompositions = reference_pair(config)
+        # kappa is cached in the instance dict on first read; a NaN there stands for an SVD gone bad
+        decompositions["perturbed"].__dict__["kappa"] = float("nan")
         out = tmp_path / "fig1"
         with pytest.raises(NonFiniteError, match=r"^graphs\.perturbed\.kappa is nan: "):
-            fileio.write_spectrum_comparison(ExperimentConfig(), {"cycle": dataclasses.replace(
-                report, kappa=1.0), "perturbed": report}, out)
+            fileio.write_spectrum_comparison(config, decompositions, out)
         assert not out.exists()
 
 
@@ -817,8 +819,8 @@ class TestMetricsCsv:
          ("line\nbreak", '"line\nbreak"'), ("cr\r", '"cr\r"')],
     )
     def test_spectrum_path_quoted_only_when_needed(self, tmp_path, spectrum, quoted):
-        report = GraphReport(0.5, 0.25, 0.125, 2.0, np.zeros(3, complex))
-        fileio.write_metrics(report, spectrum, "csv", tmp_path / "m.csv")
+        dec = decompose(directed_laplacian(gen_perturbed_cycle(5, 0.3, 0.8, seed=1)))
+        fileio.write_metrics(dec, spectrum, "csv", tmp_path / "m.csv")
         text = (tmp_path / "m.csv").read_bytes().decode()
         assert text.endswith(f"\nspectrum_csv,{quoted}\n")
         with open(tmp_path / "m.csv", newline="") as fh:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dirlap import (
     DirectedGraph,
+    NonFiniteError,
     adjacency,
     asymmetry_index,
     directed_laplacian,
@@ -111,6 +113,15 @@ class TestLaplacian:
     def test_row_sums_vanish(self, seed):
         lap = directed_laplacian(gen_perturbed_cycle(20, 0.2, 0.8, seed))
         assert np.max(np.abs(lap @ np.ones(20))) < 1e-12
+
+
+    def test_out_degree_overflow_is_refused_by_vertex(self):
+        # every weight is finite, vertex 1's out-degree 2 * 1.7e308 is not; no numpy warning
+        g = DirectedGraph(3, [0, 1, 1, 2], [1, 0, 2, 0], [1.0, 1.7e308, 1.7e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^out-degree of vertex 1 overflows float64"):
+                directed_laplacian(g)
 
 
 class TestAsymmetryIndex:
