@@ -20,13 +20,14 @@ import click
 from . import __version__
 from .errors import DimensionMismatchError, DirlapError, FileFormatError
 from . import fileio
-from .eigen import SpectralDecomposition, decompose
 from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
-from .transform import SPECTRAL, VERTEX, apply_filter, forward, inverse
 
-# the experiments and sampling modules are imported by the commands that call
-# them, so gen, analyze, gft and filter never load them
+# fileio and graphs serve every command; each other module is imported by the
+# commands that call it, so --version and gen load neither eigen nor transform,
+# analyze adds eigen, gft and filter add transform, sample adds sampling, and
+# fig1 and fig2 add experiments (which loads the other three)
 if TYPE_CHECKING:
+    from .eigen import SpectralDecomposition
     from .experiments import ExperimentConfig
 
 
@@ -55,6 +56,8 @@ class _Group(click.Group):
 
 def _load_decomposition(graph_path, n: int | None) -> SpectralDecomposition:
     """Read an edge list on ``n`` vertices (default: inferred) and decompose its directed Laplacian."""
+    from .eigen import decompose
+
     return decompose(directed_laplacian(fileio.read_edge_list(graph_path, n)))
 
 
@@ -109,6 +112,8 @@ def analyze(graph_path, n, out, fmt, spectrum_out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output signal CSV.")
 def gft(graph_path, signal_path, n, direction, out):
     """Graph Fourier transform of a signal (dual-basis analysis/synthesis)."""
+    from .transform import SPECTRAL, VERTEX, forward, inverse
+
     dec = _load_decomposition(graph_path, n)
     if direction == "forward":
         sig = fileio.read_signal(signal_path, VERTEX)
@@ -127,6 +132,8 @@ def gft(graph_path, signal_path, n, direction, out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Filtered signal CSV.")
 def filter_cmd(graph_path, signal_path, n, spec_path, out):
     """Apply a diagonal spectral filter to a vertex signal."""
+    from .transform import VERTEX, apply_filter
+
     dec = _load_decomposition(graph_path, n)
     filt = fileio.read_filter_spec(spec_path, dec.n)
     sig = fileio.read_signal(signal_path, VERTEX)
@@ -151,6 +158,7 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
 def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
     """Plan a sampling set for a band and optionally recover a signal."""
     from .sampling import make_band, plan_sampling, recover, select_sampling_set
+    from .transform import VERTEX
 
     if signal_path is not None and recover_out is None:
         raise click.UsageError("--signal requires --recover-out")

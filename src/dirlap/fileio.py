@@ -58,11 +58,9 @@ Formats (all numeric output uses 12 significant digits):
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import itertools
-import json
 import numbers
 import re
 import sys
@@ -73,16 +71,16 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .eigen import SpectralDecomposition, henrici_departure
 from .errors import FileFormatError, NonFiniteError, RankDeficientError
 from .graphs import MAX_VERTICES, DirectedGraph, asymmetry_index, normality_departure
-from .transform import GraphSignal, SpectralFilter, VERTEX, _is_a
 
 if TYPE_CHECKING:
-    # the experiment and sampling writers import these modules when called, so a
-    # command that writes neither (gen, analyze, gft, filter) never loads them
+    # a reader or writer imports the modules it needs when called (json and csv
+    # too), so gen, which writes an edge list, loads none of them
+    from .eigen import SpectralDecomposition
     from .experiments import ExperimentConfig, NoiseSweep, SummaryRow, SweepCell
     from .sampling import SamplingPlan
+    from .transform import GraphSignal, SpectralFilter
 
 
 def fmt(x: float) -> str:
@@ -101,29 +99,31 @@ def round12(x: float) -> float:
 #: refused: ``str.isascii`` and ``in`` test for them, and ``_FOREIGN``, a scan
 #: about 60 times slower, only finds the line of the one that is there.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
-_FOREIGN = re.compile(r"[^\x00-\x1b\x20-\x7f]")
+#: the patterns below are matched only when a file is refused, so they stay
+#: strings, compiled on first use into ``re``'s cache rather than at import
+_FOREIGN = r"[^\x00-\x1b\x20-\x7f]"
 #: ``np.loadtxt``'s two row errors: a cell that does not convert, its row
 #: counted from 0, and a row of the wrong width, counted from 1; both count
 #: rows, not lines (see ``line`` in :func:`_read_table`)
-_CELL_ERROR = re.compile(
-    r"could not convert string '(.*)' to (int64|float64) at row (\d+), column (\d+)\.", re.DOTALL
+_CELL_ERROR = (
+    r"(?s)could not convert string '(.*)' to (int64|float64) at row (\d+), column (\d+)\."
 )
-_WIDTH_ERROR = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+);")
-_DECIMAL = re.compile(r"\s*[+-]?\d+\s*")
+_WIDTH_ERROR = r"requires (\d+) columns but (\d+) were found at row (\d+);"
+_DECIMAL = r"\s*[+-]?\d+\s*"
 
 
 def _row_fault(message: str) -> tuple[int, str] | None:
     """The row, counted from 0, and the fault that ``np.loadtxt``'s ``message`` names."""
-    if cell := _CELL_ERROR.fullmatch(message):
+    if cell := re.fullmatch(_CELL_ERROR, message):
         token, kind, row, column = cell.groups()
         if kind == "float64":
             fault = f"could not convert string to float: {token!r}"
-        elif _DECIMAL.fullmatch(token):
+        elif re.fullmatch(_DECIMAL, token):
             fault = f"vertex index out of range: {token!r}"
         else:
             fault = f"invalid literal for int: {token!r}"
         return int(row), f"{fault} (column {column})"
-    if width := _WIDTH_ERROR.search(message):
+    if width := re.search(_WIDTH_ERROR, message):
         expected, got, row = width.groups()
         return int(row) - 1, f"expected {expected} columns, got {got}"
     return None
@@ -137,6 +137,8 @@ def _read_table(path, header: str, dtype: np.dtype):
     after it. Returns the array and ``line``, which maps a row of the array
     to the 1-based file line where it begins.
     """
+    import csv
+
     try:
         with open(path) as fh:
             text = fh.read()
@@ -164,7 +166,7 @@ def _read_table(path, header: str, dtype: np.dtype):
             quoted ^= part.count('"') % 2 == 1
 
     if not body.isascii() or any(c in body for c in _SEPARATORS):
-        bad = _FOREIGN.search(body)
+        bad = re.search(_FOREIGN, body)
         lineno = start + body.count("\n", 0, bad.start())
         raise FileFormatError(f"{path}:{lineno}: character {bad.group()!r} in a number")
     try:
@@ -266,6 +268,8 @@ def _json_text(payload) -> str:
         NonFiniteError: a number of ``payload`` is NaN or infinite; the
             message names its key path.
     """
+    import json
+
     try:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError:
@@ -338,7 +342,9 @@ def write_signal(signal: GraphSignal, path) -> None:
 _SIGNAL_DTYPE = np.dtype([("index", "i8"), ("re", "f8"), ("im", "f8")])
 
 
-def read_signal(path, domain: str = VERTEX) -> GraphSignal:
+def read_signal(path, domain: str = "vertex") -> GraphSignal:
+    from .transform import GraphSignal
+
     table, line = _read_table(path, "vertex,re,im", _SIGNAL_DTYPE)
     index = table["index"]
     n = index.size
@@ -374,6 +380,8 @@ def write_spectrum(lambdas: np.ndarray, path) -> None:
 
 def read_json_object(path, what: str) -> dict:
     """Parse a JSON file that must hold an object; ``what`` names it in errors."""
+    import json
+
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -388,6 +396,8 @@ def read_json_object(path, what: str) -> dict:
 
 def _tap(re, im) -> complex:
     """One diagonal filter tap; a bool or string part is refused, not read as a number."""
+    from .transform import _is_a
+
     if not (_is_a(re, numbers.Real) and _is_a(im, numbers.Real)):
         raise ValueError(f"taps must be pairs of real numbers, got {[re, im]!r}")
     return complex(re, im)
@@ -399,6 +409,8 @@ _FILTER_FIELDS = {"ideal": "omega", "diagonal": "response"}
 
 def read_filter_spec(path, n: int) -> SpectralFilter:
     """Parse a filter spec: ``kind`` and its kind's one field, no other key, each index once."""
+    from .transform import SpectralFilter
+
     spec = read_json_object(path, "filter spec")
     kind = spec.get("kind")
     field = _FILTER_FIELDS.get(kind) if isinstance(kind, str) else None
@@ -454,6 +466,8 @@ def write_plan(plan: SamplingPlan, path=None) -> None:
 
 def _metrics_payload(dec: SpectralDecomposition, spectrum_csv: str | None) -> dict:
     """The metrics of the graph whose Laplacian ``dec`` decomposes, rounded to 12 digits."""
+    from .eigen import henrici_departure
+
     metrics = {"alpha": asymmetry_index(dec.matrix), "delta": normality_departure(dec.matrix),
                "henrici": henrici_departure(dec), "kappa": dec.kappa}
     metrics = {key: round12(value) for key, value in metrics.items()}

@@ -1,12 +1,36 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dirlap
 from dirlap import (
     decompose,
     directed_laplacian,
     gen_directed_cycle,
     gen_perturbed_cycle,
 )
+
+#: the directory this checkout's dirlap package is imported from
+SRC = str(Path(dirlap.__file__).resolve().parents[1])
+
+
+def _fresh_python(*args, spawn=subprocess.run, **kwargs):
+    """Start ``python *args`` through ``spawn`` in a fresh interpreter that imports this dirlap.
+
+    ``kwargs`` go to ``spawn``; :func:`subprocess.run` captures the output as text by default.
+    """
+    if spawn is subprocess.run:
+        kwargs = {"capture_output": True, "text": True, **kwargs}
+    return spawn([sys.executable, *args], env={**os.environ, "PYTHONPATH": SRC}, **kwargs)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    return _fresh_python
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,4 @@
 import ast
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -40,26 +36,24 @@ def test_every_public_name_resolves():
     assert set(dirlap.__all__) <= set(namespace)
 
 
-def _loaded_after(code: str) -> list[str]:
+def _loaded_after(fresh_python, code: str) -> list[str]:
     """The ``dirlap`` modules a fresh interpreter holds after running ``code``."""
-    src = str(Path(dirlap.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; {code}; print(sorted(m for m in sys.modules if m.startswith('dirlap')))"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    done = fresh_python(
+        "-c", f"import sys; {code}; print(sorted(m for m in sys.modules if m.startswith('dirlap')))",
+        check=True,
     )
     return ast.literal_eval(done.stdout)
 
 
-def test_names_are_loaded_on_first_read():
-    assert _loaded_after("import dirlap") == ["dirlap"]
+def test_names_are_loaded_on_first_read(fresh_python):
+    assert _loaded_after(fresh_python, "import dirlap") == ["dirlap"]
     # eigen needs errors and graphs (its unit scale) only; experiments stays unloaded
     # until one of its names is read
-    assert _loaded_after("import dirlap; dirlap.decompose") == [
+    assert _loaded_after(fresh_python, "import dirlap; dirlap.decompose") == [
         "dirlap", "dirlap.eigen", "dirlap.errors", "dirlap.graphs"]
-    assert _loaded_after("import dirlap; dirlap.henrici_departure") == [
+    assert _loaded_after(fresh_python, "import dirlap; dirlap.henrici_departure") == [
         "dirlap", "dirlap.eigen", "dirlap.errors", "dirlap.graphs"]
-    assert "dirlap.experiments" in _loaded_after("from dirlap import run_noise_sweep")
+    assert "dirlap.experiments" in _loaded_after(fresh_python, "from dirlap import run_noise_sweep")
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -2,11 +2,8 @@ import csv
 import hashlib
 import json
 import math
-import os
 import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import click
 import numpy as np
@@ -916,25 +913,18 @@ def test_unwritable_output_path_is_usage_error(argv, culprit, runner, tmp_path):
     assert "Traceback" not in result.output
 
 
-def test_unwritable_output_path_prints_no_traceback(tmp_path):
-    src = str(Path(dirlap.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "dirlap.cli", "gen", "cycle", "--n", "5",
-         "--out", str(tmp_path / "missing" / "g.csv")],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-    )
+def test_unwritable_output_path_prints_no_traceback(tmp_path, fresh_python):
+    done = fresh_python("-m", "dirlap.cli", "gen", "cycle", "--n", "5",
+                        "--out", str(tmp_path / "missing" / "g.csv"))
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert "No such file or directory" in done.stderr
 
 
-def test_closed_stdout_pipe_ends_quietly():
+def test_closed_stdout_pipe_ends_quietly(fresh_python):
     # 10,000 edge rows outgrow the pipe buffer, so the writer meets the closed pipe
-    src = str(Path(dirlap.__file__).resolve().parents[1])
-    with subprocess.Popen(
-        [sys.executable, "-m", "dirlap.cli", "gen", "cycle", "--n", "10000"],
-        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    ) as proc:
+    with fresh_python("-m", "dirlap.cli", "gen", "cycle", "--n", "10000", spawn=subprocess.Popen,
+                      stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"src,dst,weight\n"
         proc.stdout.close()
         stderr = proc.stderr.read()
@@ -942,53 +932,59 @@ def test_closed_stdout_pipe_ends_quietly():
     assert stderr == b""
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(fresh_python):
     # scipy is a test-only dependency: the library and its CLI run on numpy alone
-    src = str(Path(dirlap.__file__).resolve().parents[1])
     code = "import sys, dirlap.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
+    done = fresh_python("-c", code, check=True)
     assert done.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_no_numpy_random():
+def test_cli_import_loads_no_numpy_random(fresh_python):
     # numpy.random is imported by the first sweep, not at start-up; statistics not at all
-    src = str(Path(dirlap.__file__).resolve().parents[1])
     code = "import dirlap.cli, sys; print([m in sys.modules for m in ('numpy.random', 'statistics')])"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
+    done = fresh_python("-c", code, check=True)
     assert done.stdout.strip() == "[False, False]"
 
 
+#: the dirlap modules that every command loads
+_SHARED_MODULES = ("cli", "errors", "fileio", "graphs")
+_EXPERIMENT_MODULES = ("eigen", "experiments", "sampling", "transform")
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, modules, json_loaded, csv_loaded",
     [
-        ["gen", "perturbed-cycle", "--n", "20", "--out", "{out}/g.csv"],
-        ["analyze", "{graph}", "--spectrum-out", "{out}/spectrum.csv", "--out", "{out}/m.json"],
-        ["gft", "{graph}", "{signal}", "--out", "{out}/xhat.csv"],
-        ["filter", "{graph}", "{signal}", "--spec", "{spec}", "--out", "{out}/y.csv"],
+        (["--version"], (), False, False),
+        (["gen", "perturbed-cycle", "--n", "20", "--out", "{out}/g.csv"], (), False, False),
+        (["analyze", "{graph}", "--spectrum-out", "{out}/spectrum.csv", "--out", "{out}/m.json"],
+         ("eigen",), True, True),
+        (["gft", "{graph}", "{signal}", "--out", "{out}/xhat.csv"],
+         ("eigen", "transform"), False, True),
+        (["filter", "{graph}", "{signal}", "--spec", "{spec}", "--out", "{out}/y.csv"],
+         ("eigen", "transform"), True, True),
+        (["sample", "{graph}", "--k", "5", "--m", "8", "--out", "{out}/plan.json"],
+         ("eigen", "sampling", "transform"), True, True),
+        (["experiment", "fig1", "--out-dir", "{out}/fig1"], _EXPERIMENT_MODULES, True, False),
+        (["experiment", "fig2", "--trials", "3", "--out-dir", "{out}/fig2"],
+         _EXPERIMENT_MODULES, True, False),
     ],
-    ids=["gen", "analyze", "gft", "filter"],
+    ids=["version", "gen", "analyze", "gft", "filter", "sample", "fig1", "fig2"],
 )
-def test_command_loads_no_experiments_or_sampling(perturbed_csv, tmp_path, args):
-    # each command imports only the modules it runs: about 8 ms of compiling these two
-    src = str(Path(dirlap.__file__).resolve().parents[1])
+def test_command_loads_only_the_modules_it_runs(perturbed_csv, tmp_path, fresh_python, args,
+                                                modules, json_loaded, csv_loaded):
+    # compiling a module costs milliseconds of every process that loads it, so each command
+    # imports only the dirlap modules it runs, and json and csv only where it reads or writes them
     signal = tmp_path / "x.csv"
     fileio.write_signal(dirlap.vertex_signal(np.ones(20)), signal)
     spec = tmp_path / "lp.json"
     spec.write_text(json.dumps({"kind": "ideal", "omega": [0, 1]}))
     argv = [a.format(graph=perturbed_csv, signal=signal, spec=spec, out=tmp_path) for a in args]
     code = ("import sys; from dirlap.cli import main; main(sys.argv[1:], standalone_mode=False); "
-            "print([m in sys.modules for m in ('dirlap.experiments', 'dirlap.sampling')])")
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
-    assert done.stdout.strip().splitlines()[-1] == "[False, False]"
+            "print((sorted(m for m in sys.modules if m.startswith('dirlap.')), "
+            "'json' in sys.modules, 'csv' in sys.modules))")
+    done = fresh_python("-c", code, *argv, check=True)
+    loaded = sorted(f"dirlap.{m}" for m in _SHARED_MODULES + modules)
+    assert done.stdout.strip().splitlines()[-1] == repr((loaded, json_loaded, csv_loaded))
 
 
 @pytest.mark.parametrize(
@@ -1000,16 +996,12 @@ def test_command_loads_no_experiments_or_sampling(perturbed_csv, tmp_path, args)
     ],
     ids=["gen", "sample", "fig2"],
 )
-def test_command_loads_no_numpy_ma(perturbed_csv, tmp_path, args):
+def test_command_loads_no_numpy_ma(perturbed_csv, tmp_path, fresh_python, args):
     # numpy's np.unique imports numpy.ma, about 10 ms of every process that calls it
-    src = str(Path(dirlap.__file__).resolve().parents[1])
     argv = [a.format(graph=perturbed_csv, out=tmp_path) for a in args]
     code = ("import sys; from dirlap.cli import main; main(sys.argv[1:], standalone_mode=False); "
             "print('numpy.ma' in sys.modules)")
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
+    done = fresh_python("-c", code, *argv, check=True)
     assert done.stdout.strip().splitlines()[-1] == "False"
 
 
@@ -1082,3 +1074,99 @@ def test_config_file_is_in_range_or_refused(config_file, obj):
     except FileFormatError:
         return
     _assert_in_range(cfg)
+
+
+# -- fuzzing sample's options --------------------------------------------------
+
+#: the fuzzed graph's vertex count
+FUZZ_N = 8
+#: a digit string past Python's int-conversion limit, which ``int()`` refuses
+TOO_MANY_DIGITS = "1" + "0" * 5000
+#: ints past int64 and past the conversion limit, a blank token, separators, other notations
+ODD_TOKENS = st.sampled_from(("", " ", " 3 ", "+3", "1_0", "-0", "3.0", "nan", "0x3",
+                              "٣", "3,4", str(2**63), str(2**64), str(-(2**63) - 1),
+                              str(10**4000), TOO_MANY_DIGITS))
+#: range edges and values near them, any int, or an odd token
+INT_TOKENS = (st.sampled_from((-1, 0, 1, 2, FUZZ_N - 1, FUZZ_N, FUZZ_N + 1, MAX_VERTICES,
+                               MAX_VERTICES + 1, 2**63 - 1)).map(str)
+              | st.integers().map(str) | ODD_TOKENS)
+
+
+def _vertex_list(tokens):
+    return st.lists(tokens, min_size=1, max_size=6).map(",".join)
+
+
+#: in-range values of sample's options on the fuzzed graph, so that a wild value is the one
+#: at fault; a sample set smaller than the band is rank deficient (recovery exits 5)
+VALID_SAMPLE_OPTIONS = {
+    "--k": st.integers(1, FUZZ_N // 2).map(str),
+    "--m": st.integers(FUZZ_N // 2, FUZZ_N).map(str),
+    "--n": st.sampled_from((FUZZ_N, FUZZ_N + 1, FUZZ_N + 4)).map(str),
+    "--strategy": st.sampled_from(("greedy-gamma", "random")),
+    "--seed": st.integers(0, 2**70).map(str),
+    "--sample-set": _vertex_list(st.integers(0, FUZZ_N - 1).map(str)),
+}
+#: wild values; ``--n`` in range stays small, since at MAX_VERTICES the graph would be
+#: decomposed at full size
+WILD_SAMPLE_OPTIONS = {
+    "--k": INT_TOKENS,
+    "--m": INT_TOKENS,
+    "--n": st.sampled_from((0, -1, FUZZ_N - 1, MAX_VERTICES + 1)).map(str) | ODD_TOKENS,
+    "--strategy": st.sampled_from(("greedy", "RANDOM", "greedy-gamma,random")) | ODD_TOKENS,
+    "--seed": INT_TOKENS,
+    # repeated vertices and negatives included
+    "--sample-set": _vertex_list(st.integers(-1, FUZZ_N).map(str) | INT_TOKENS),
+}
+
+
+@st.composite
+def sample_argv(draw):
+    """sample's options, in range or not, in any order; an option given twice counts its last."""
+    required, *optional = sorted(VALID_SAMPLE_OPTIONS, key=lambda name: name != "--k")
+    valid = draw(st.fixed_dictionaries(
+        {required: VALID_SAMPLE_OPTIONS[required]},
+        optional={name: VALID_SAMPLE_OPTIONS[name] for name in optional}))
+    wild = st.sampled_from(sorted(WILD_SAMPLE_OPTIONS)).flatmap(
+        lambda name: st.tuples(st.just(name), WILD_SAMPLE_OPTIONS[name]))
+    pairs = draw(st.permutations([*valid.items(), *draw(st.lists(wild, max_size=2))]))
+    return [token for pair in pairs for token in pair]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The fuzzed graph and the signals its --signal draws from: one that fits, one a vertex
+    short (exit 4) and one with a bad header (exit 3)."""
+    root = tmp_path_factory.mktemp("sample-fuzz")
+    fileio.write_edge_list(dirlap.gen_perturbed_cycle(FUZZ_N, 0.3, 0.8, 1), root / "g.csv")
+    rows = "".join(f"{v},{v % 3},0\n" for v in range(FUZZ_N))
+    (root / "fits.csv").write_text("vertex,re,im\n" + rows)
+    (root / "short.csv").write_text("vertex,re,im\n" + rows.rsplit("\n", 2)[0] + "\n")
+    (root / "bad.csv").write_text("v,re,im\n" + rows)
+    return root
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=sample_argv(), signal=st.sampled_from((None, "fits", "short", "bad")))
+@example(argv=["--k", "3", "--sample-set", ""], signal=None)
+@example(argv=["--k", "3", "--sample-set", "1,,2"], signal=None)
+@example(argv=["--k", "3", "--sample-set", f"0,{2**64}"], signal=None)
+@example(argv=["--k", "3", "--sample-set", TOO_MANY_DIGITS], signal=None)
+@example(argv=["--k", "3", "--m", "4", "--strategy", "random", "--seed", str(10**4000)],
+         signal=None)
+@example(argv=["--k", str(2**64), "--m", "4"], signal=None)
+@example(argv=["--k", "3", "--sample-set", "0,1"], signal="fits")
+@example(argv=["--k", "3", "--m", "4", "--n", str(FUZZ_N + 1)], signal="fits")
+def test_sample_options_give_a_plan_or_their_exit_code(fuzz_files, argv, signal):
+    # each case prints a strict-JSON plan and exits 0, or exits with its documented code:
+    # 2 bad usage, 3 bad file, 4 dimension mismatch, 5 rank-deficient recovery
+    extra = [] if signal is None else ["--signal", str(fuzz_files / f"{signal}.csv"),
+                                       "--recover-out", str(fuzz_files / "rec.csv")]
+    result = CliRunner().invoke(main, ["sample", str(fuzz_files / "g.csv"), *argv, *extra])
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        plan = json.loads(result.stdout, parse_constant=_refuse_constant)
+        assert list(plan) == ["omega", "sample_set", "gamma", "b_norm", "certificate"]
+        assert all(0 <= v < FUZZ_N + 4 for v in plan["sample_set"])
+    else:
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code in (2, 3, 4, 5), result.output

@@ -1,14 +1,11 @@
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import itertools
 import json
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,7 +14,6 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import dirlap
 from dirlap import (
     DirectedGraph,
     ExperimentConfig,
@@ -36,7 +32,7 @@ from dirlap import (
     run_noise_sweep,
     vertex_signal,
 )
-from dirlap import fileio
+from dirlap import fileio, transform
 from dirlap.cli import main
 from dirlap.errors import DimensionMismatchError
 from dirlap.experiments import SweepCell
@@ -49,6 +45,15 @@ def read_spectrum(path):
         header, *rows = csv.reader(fh)
     assert header == ["k", "re_lambda", "im_lambda", "abs_lambda"]
     return np.array([complex(float(re), float(im)) for _, re, im, _ in rows])
+
+
+def test_import_loads_no_eigen_transform_json_or_csv(fresh_python):
+    # gen writes an edge list through fileio alone; each reader or writer imports what it runs
+    code = ("import sys, dirlap.fileio; print([m in sys.modules for m in "
+            "('dirlap.eigen', 'dirlap.transform', 'json', 'csv')])")
+    assert fresh_python("-c", code, check=True).stdout.strip() == "[False, False, False, False]"
+    # so read_signal's default domain is a literal, which must stay transform's name for it
+    assert inspect.signature(fileio.read_signal).parameters["domain"].default == transform.VERTEX
 
 
 class TestEdgeList:
@@ -233,7 +238,7 @@ class TestEdgeList:
             fileio.read_edge_list(path)
 
     @pytest.mark.parametrize("row", ["7.0,0,1", "2.9,0,1", "1e3,0,1", "0,1.5,1"])
-    def test_non_integer_index_rejected_under_any_warning_filter(self, tmp_path, row):
+    def test_non_integer_index_rejected_under_any_warning_filter(self, tmp_path, row, fresh_python):
         # numpy before 2.0 reads such a cell as a float and only warns; the CLI runs
         # with Python's default filters, which ignore that warning
         path = tmp_path / "g.csv"
@@ -242,11 +247,7 @@ class TestEdgeList:
             warnings.simplefilter("ignore")
             with pytest.raises(FileFormatError, match=":2: invalid literal for int"):
                 fileio.read_edge_list(path)
-        src = str(Path(dirlap.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "dirlap.cli", "analyze", str(path)],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        )
+        done = fresh_python("-m", "dirlap.cli", "analyze", str(path))
         assert done.returncode == FileFormatError.exit_code
         assert f"{path}:2: invalid literal for int" in done.stderr
         assert "Traceback" not in done.stderr
