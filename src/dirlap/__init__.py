@@ -36,9 +36,7 @@ _EXPORTS = {
     ),
     "eigen": (
         "SpectralDecomposition",
-        "DcModeReport",
         "decompose",
-        "dc_mode_check",
         "gram_matrix",
         "henrici_departure",
     ),

@@ -12,6 +12,7 @@ that overflowed to infinity or NaN.
 """
 from __future__ import annotations
 
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -54,6 +55,26 @@ class _Group(click.Group):
     group_class = type
 
 
+def _decimal(value) -> int:
+    """``value`` as an int; a string must follow ``fileio._DECIMAL``, the CSV readers' integer rule."""
+    if isinstance(value, str) and not re.fullmatch(fileio._DECIMAL, value):
+        raise ValueError(f"invalid literal for int() with base 10: {value!r}")
+    return int(value)
+
+
+class _Integer(click.types.IntParamType):
+    """click's integer type, reading its value by :func:`_decimal`."""
+
+    _number_class = staticmethod(_decimal)
+
+
+class _IntegerRange(click.IntRange, _Integer):
+    """click's integer range, reading its value by :func:`_decimal`."""
+
+
+_INTEGER = _Integer()
+
+
 def _load_decomposition(graph_path, n: int | None) -> SpectralDecomposition:
     """Read an edge list on ``n`` vertices (default: inferred) and decompose its directed Laplacian."""
     from .eigen import decompose
@@ -62,7 +83,7 @@ def _load_decomposition(graph_path, n: int | None) -> SpectralDecomposition:
 
 
 _vertex_count_option = click.option(
-    "--n", type=int, default=None,
+    "--n", type=_INTEGER, default=None,
     help="Vertex count [default: largest index + 1]; counts trailing isolated vertices.",
 )
 
@@ -75,10 +96,10 @@ def main():
 
 @main.command()
 @click.argument("kind", type=click.Choice(["cycle", "perturbed-cycle"]))
-@click.option("--n", type=int, required=True, help="Vertex count.")
+@click.option("--n", type=_INTEGER, required=True, help="Vertex count.")
 @click.option("--p", type=float, default=0.2, show_default=True, help="Extra-edge probability.")
 @click.option("--w", type=float, default=0.8, show_default=True, help="Extra-edge weight.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+@click.option("--seed", type=_IntegerRange(min=0), default=0, show_default=True,
               help="Generator seed (PCG64).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Edge CSV path (default stdout).")
 def gen(kind, n, p, w, seed, out):
@@ -143,11 +164,11 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
 @main.command()
 @click.argument("graph_path", type=click.Path(exists=True, dir_okay=False))
 @_vertex_count_option
-@click.option("--k", type=int, required=True, help="Band size (lowest-|lambda| modes).")
-@click.option("--m", type=int, default=None, help="Sample budget for automatic selection.")
+@click.option("--k", type=_INTEGER, required=True, help="Band size (lowest-|lambda| modes).")
+@click.option("--m", type=_INTEGER, default=None, help="Sample budget for automatic selection.")
 @click.option("--strategy", type=click.Choice(["greedy-gamma", "random"]), default="greedy-gamma",
               show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+@click.option("--seed", type=_IntegerRange(min=0), default=0, show_default=True,
               help="Seed for the random strategy.")
 @click.option("--sample-set", default=None, help="Explicit comma-separated vertex list (overrides --m).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Plan JSON (default stdout).")
@@ -168,8 +189,8 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
     band = make_band(dec, k)
     if sample_set is not None:
         try:
-            # a blank token, as in "1,,2", is refused by int(), not skipped
-            vertices = [int(tok) for tok in sample_set.split(",")]
+            # a blank token, as in "1,,2", is refused, not skipped
+            vertices = [_decimal(tok) for tok in sample_set.split(",")]
         except ValueError as exc:
             raise click.UsageError(f"bad --sample-set: {exc}") from exc
     else:
@@ -177,12 +198,16 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
             raise click.UsageError("provide either --m or --sample-set")
         vertices = select_sampling_set(band, m, strategy=strategy, seed=seed)
     plan = plan_sampling(band, vertices)
-    fileio.write_plan(plan, out)
+    # the signal is read and recovered before either file is written, so a fault leaves neither
+    recovered = None
     if signal_path is not None:
         sig = fileio.read_signal(signal_path, VERTEX)
         if sig.n != dec.n:
             raise DimensionMismatchError(f"signal has length {sig.n}, graph has {dec.n}")
-        fileio.write_signal(recover(plan, sig.values[plan.sample_set]), recover_out)
+        recovered = recover(plan, sig.values[plan.sample_set])
+    fileio.write_plan(plan, out)
+    if recovered is not None:
+        fileio.write_signal(recovered, recover_out)
 
 
 @main.group()
@@ -225,10 +250,11 @@ _config_options = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="JSON config; explicit flags override it."),
     *(click.option(f"--{name}", cls=_ConfigOption, type=kind, default=None, help=what)
-      for name, kind, what in (("n", int, "Graph size"), ("p", float, "Perturbation probability"),
-                               ("w", float, "Perturbation weight"), ("k", int, "Band size"),
-                               ("trials", int, "Trials per noise level"),
-                               ("seed", int, "Base seed"))),
+      for name, kind, what in (("n", _INTEGER, "Graph size"),
+                               ("p", float, "Perturbation probability"),
+                               ("w", float, "Perturbation weight"), ("k", _INTEGER, "Band size"),
+                               ("trials", _INTEGER, "Trials per noise level"),
+                               ("seed", _INTEGER, "Base seed"))),
 ]
 
 

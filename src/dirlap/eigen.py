@@ -12,7 +12,7 @@ comes first). Ties in magnitude are broken by ascending complex argument in
 (-pi, pi] and then by the original index, which keeps conjugate pairs
 adjacent and makes the output deterministic. The tie gap and the zero test
 are relative to the largest magnitude, so scaling every weight scales the
-spectrum and changes neither the order nor the DC report.
+spectrum and changes neither the order nor the DC values.
 
 Eigenvector columns have unit 2-norm with the phase rotated so the lead
 entry is real and positive. The lead is the first entry whose modulus is
@@ -77,9 +77,14 @@ class SpectralDecomposition:
         residual: max_k ||L v_k - lambda_k v_k||_2
         kappa: 2-norm condition number sigma_max(V) / sigma_min(V)
         sigma_min, sigma_max: extreme singular values of V
+        zero_multiplicity: the eigenvalues at or below ``ZERO_EIGENVALUE_RTOL``
+            times the largest magnitude; one per closed class of a graph
+        dc_angle: angle between ``v_0`` and the constant vector
+        dc_isolated: the first eigenvalue is zero, of multiplicity 1, and
+            ``dc_angle <= DC_ANGLE_TOL``; true for strongly connected graphs
 
     ``kappa``, ``sigma_min`` and ``sigma_max`` are computed by one SVD on the
-    first read of any of them, then cached.
+    first read of any of them, and each DC value on its first read, then cached.
     """
 
     matrix: np.ndarray
@@ -112,17 +117,25 @@ class SpectralDecomposition:
         sigma_min, sigma_max = self._sigma_extremes
         return np.inf if sigma_min == 0.0 else sigma_max / sigma_min
 
+    @property
+    def _is_zero(self) -> np.ndarray:
+        mags = np.abs(self.lambdas)
+        return mags <= ZERO_EIGENVALUE_RTOL * mags.max()
 
-@dataclass(frozen=True)
-class DcModeReport:
-    """Outcome of the DC-mode check; truthy iff the mean is isolated."""
+    @cached_property
+    def zero_multiplicity(self) -> int:
+        return int(np.count_nonzero(self._is_zero))
 
-    isolated: bool
-    zero_multiplicity: int
-    angle: float
+    @cached_property
+    def dc_angle(self) -> float:
+        ones = np.ones(self.n) / np.sqrt(self.n)
+        v0 = self.v[:, 0]
+        return float(np.arcsin(min(1.0, np.linalg.norm(v0 - np.vdot(ones, v0) * ones))))
 
-    def __bool__(self) -> bool:
-        return self.isolated
+    @cached_property
+    def dc_isolated(self) -> bool:
+        return bool(self._is_zero[0] and self.zero_multiplicity == 1
+                    and self.dc_angle <= DC_ANGLE_TOL)
 
 
 def _frequency_sort(lambdas: np.ndarray) -> np.ndarray:
@@ -262,31 +275,6 @@ def decompose(l) -> SpectralDecomposition:
         pairs=(p, q),
         residual=residual,
     )
-
-
-def dc_mode_check(dec: SpectralDecomposition) -> DcModeReport:
-    """Check that the smallest-magnitude mode is the isolated constant mode.
-
-    True for strongly connected graphs, where the unique zero eigenvalue
-    carries ``v_1 = 1/sqrt(n)``. Graphs with a multidimensional null space
-    (e.g. disconnected ones) report ``isolated=False`` together with the
-    zero-eigenvalue multiplicity rather than raising. An eigenvalue counts as
-    zero at or below ``ZERO_EIGENVALUE_RTOL`` times the largest magnitude.
-    """
-    n = dec.n
-    mags = np.abs(dec.lambdas)
-    zero = mags <= ZERO_EIGENVALUE_RTOL * mags.max()
-    mult = int(np.count_nonzero(zero))
-    ones = np.ones(n) / np.sqrt(n)
-    v1 = dec.v[:, 0]
-    resid = v1 - np.vdot(ones, v1) * ones
-    angle = float(np.arcsin(min(1.0, np.linalg.norm(resid))))
-    isolated = bool(
-        zero[0]
-        and mult == 1
-        and angle <= DC_ANGLE_TOL
-    )
-    return DcModeReport(isolated=isolated, zero_multiplicity=mult, angle=angle)
 
 
 def gram_matrix(dec: SpectralDecomposition) -> np.ndarray:

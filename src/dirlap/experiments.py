@@ -25,9 +25,9 @@ trial per column; the seeds of a block's streams are computed together from
 the cell's replay, and each trial still draws all its variates from its own
 stream. This needs ``trials < 2**32``.
 
-A sweep holds each cell's trials as arrays, one entry per trial, and
-summarizes a cell with ``math.fsum``, so each mean equals
-``statistics.fmean`` over the cell's trials.
+A sweep holds each cell's trials as arrays, one entry per trial. A cell
+summarizes its trials on first read, with ``math.fsum``, so each mean
+equals ``statistics.fmean`` over the cell's trials.
 """
 from __future__ import annotations
 
@@ -124,9 +124,17 @@ class ExperimentConfig:
         return d
 
 
+#: the columns of a sweep summary row: the cell's graph and sigma, then its means and std
+SUMMARY_FIELDS = ("graph", "sigma", "err_mean", "err_std", "err_abs_mean", "bound_mean")
+
+
 @dataclass(frozen=True, eq=False)
 class SweepCell:
-    """The trials of one (graph, sigma) cell; entry ``t`` of each array is trial ``t``."""
+    """The trials of one (graph, sigma) cell; entry ``t`` of each array is trial ``t``.
+
+    The cell's summary, the means of ``err_l2``, ``err_abs`` and ``bound``
+    and the population std of ``err_l2``, is computed on first read.
+    """
 
     graph: str
     sigma: float
@@ -134,22 +142,32 @@ class SweepCell:
     err_abs: np.ndarray
     bound: np.ndarray
 
+    @functools.cached_property
+    def err_mean(self) -> float:
+        return _fmean(self.err_l2)
 
-@dataclass(frozen=True)
-class SummaryRow:
-    graph: str
-    sigma: float
-    err_mean: float
-    err_std: float
-    err_abs_mean: float
-    bound_mean: float
+    @functools.cached_property
+    def err_std(self) -> float:
+        # float_power squares through libm pow, as Python's ``**`` does, so err_std is
+        # exactly sqrt(fmean([(e - mean) ** 2 for e in err_l2])); a square past float64
+        # makes it inf, which the bundle writer refuses by name
+        with np.errstate(over="ignore"):
+            squares = np.float_power(self.err_l2 - self.err_mean, 2.0)
+        return math.sqrt(_fmean(squares))
+
+    @functools.cached_property
+    def err_abs_mean(self) -> float:
+        return _fmean(self.err_abs)
+
+    @functools.cached_property
+    def bound_mean(self) -> float:
+        return _fmean(self.bound)
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseSweep:
     decompositions: dict[str, SpectralDecomposition]
     cells: list[SweepCell]
-    summary: list[SummaryRow]
 
 
 def reference_pair(config: ExperimentConfig) -> dict[str, SpectralDecomposition]:
@@ -288,23 +306,6 @@ def _fmean(values: np.ndarray) -> float:
         return math.fsum((values / values.size).tolist())
 
 
-def _summarize(cell: SweepCell) -> SummaryRow:
-    mean = _fmean(cell.err_l2)
-    # float_power squares through libm pow, as Python's ``**`` does, so err_std is
-    # exactly sqrt(fmean([(e - mean) ** 2 for e in err_l2])); a square past float64
-    # makes it inf, which the bundle writer refuses by name
-    with np.errstate(over="ignore"):
-        squares = np.float_power(cell.err_l2 - mean, 2.0)
-    return SummaryRow(
-        graph=cell.graph,
-        sigma=cell.sigma,
-        err_mean=mean,
-        err_std=math.sqrt(_fmean(squares)),
-        err_abs_mean=_fmean(cell.err_abs),
-        bound_mean=_fmean(cell.bound),
-    )
-
-
 def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     """Low-pass denoising error versus noise level, cycle vs perturbed cycle.
 
@@ -354,8 +355,4 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
                     raise NonFiniteError(f"{name} of the {graph} graph at sigma {sigma:g} "
                                          "overflowed float64")
             cells.append(cell)
-    return NoiseSweep(
-        decompositions=decompositions,
-        cells=cells,
-        summary=[_summarize(cell) for cell in cells],
-    )
+    return NoiseSweep(decompositions=decompositions, cells=cells)

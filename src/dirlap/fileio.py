@@ -51,14 +51,14 @@ Formats (all numeric output uses 12 significant digits):
 - fig1 ``metrics.json``, ``{config, generator, version, graphs}``, with one
   metrics JSON per graph; each ``spectrum_csv`` names its spectrum CSV
 - fig2 ``bundle.json``, the fig1 header with ``spectrum_csv`` null, plus
-  ``summary``: the sweep summary rows as objects
+  ``summary``: one object per sweep cell, its ``experiments.SUMMARY_FIELDS``
 - sweep trials CSV, header ``sigma,trial,graph,err_l2,bound``, one row per
   trial, rendered from the sweep's per-cell arrays
 - sweep summary CSV, header ``graph,sigma,err_mean,err_std,err_abs_mean,bound_mean``
+  (``experiments.SUMMARY_FIELDS``), one row per sweep cell, read off the cell
 """
 from __future__ import annotations
 
-import dataclasses
 import io
 import itertools
 import numbers
@@ -78,7 +78,7 @@ if TYPE_CHECKING:
     # a reader or writer imports the modules it needs when called (json and csv
     # too), so gen, which writes an edge list, loads none of them
     from .eigen import SpectralDecomposition
-    from .experiments import ExperimentConfig, NoiseSweep, SummaryRow, SweepCell
+    from .experiments import ExperimentConfig, NoiseSweep, SweepCell
     from .sampling import SamplingPlan
     from .transform import GraphSignal, SpectralFilter
 
@@ -109,7 +109,10 @@ _CELL_ERROR = (
     r"(?s)could not convert string '(.*)' to (int64|float64) at row (\d+), column (\d+)\."
 )
 _WIDTH_ERROR = r"requires (\d+) columns but (\d+) were found at row (\d+);"
-_DECIMAL = r"\s*[+-]?\d+\s*"
+#: an integer cell: ASCII decimal digits, an optional sign, ASCII spaces around; the
+#: command line reads its integers by the same rule (``int()`` alone takes ``1_0`` and
+#: other scripts' digits)
+_DECIMAL = r"(?a)\s*[+-]?\d+\s*"
 
 
 def _row_fault(message: str) -> tuple[int, str] | None:
@@ -520,15 +523,17 @@ def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> P
     a sweep that overflowed raises :class:`NonFiniteError`, naming the
     summary field, before any file is written.
     """
+    from .experiments import SUMMARY_FIELDS
+
     graphs = {name: _metrics_payload(dec, None) for name, dec in sweep.decompositions.items()}
-    numbers = _summary_fields()[1:]
-    summary = [{"graph": row.graph, **{key: round12(getattr(row, key)) for key in numbers}}
-               for row in sweep.summary]
+    summary = [{"graph": cell.graph, **{key: round12(getattr(cell, key))
+                                        for key in SUMMARY_FIELDS[1:]}}
+               for cell in sweep.cells]
     bundle = _json_text({**_bundle(config, graphs), "summary": summary})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(sweep.cells, out / "trials.csv")
-    write_summary_csv(sweep.summary, out / "summary.csv")
+    write_summary_csv(sweep.cells, out / "summary.csv")
     write_text(bundle, out / "bundle.json")
     return out / "bundle.json"
 
@@ -549,14 +554,9 @@ def write_trials_csv(cells: Sequence[SweepCell], path) -> None:
                ("%s", "%d", "%s", "%.12g", "%.12g"), columns, path)
 
 
-def _summary_fields() -> tuple[str, ...]:
-    """The fields of a sweep summary row: ``graph``, then its numbers."""
-    from .experiments import SummaryRow
+def write_summary_csv(cells: Sequence[SweepCell], path) -> None:
+    """One row per cell, its ``SUMMARY_FIELDS`` in order."""
+    from .experiments import SUMMARY_FIELDS
 
-    return tuple(field.name for field in dataclasses.fields(SummaryRow))
-
-
-def write_summary_csv(rows: Sequence[SummaryRow], path) -> None:
-    fields = _summary_fields()
-    columns = [[getattr(row, name) for row in rows] for name in fields]
-    _write_csv(fields, ("%s",) + ("%.12g",) * (len(fields) - 1), columns, path)
+    columns = [[getattr(cell, name) for cell in cells] for name in SUMMARY_FIELDS]
+    _write_csv(SUMMARY_FIELDS, ("%s",) + ("%.12g",) * (len(SUMMARY_FIELDS) - 1), columns, path)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .eigen import SpectralDecomposition
 from .errors import DimensionMismatchError, RankDeficientError
-from .transform import GraphSignal, VERTEX, _indices, _is_a
+from .transform import GraphSignal, VERTEX, _finite, _indices, _is_a
 
 #: singular values below RANK_RTOL * sigma_max count as zero (rank boundary)
 RANK_RTOL = 1e-12
@@ -148,13 +148,14 @@ def recover(plan: SamplingPlan, y) -> GraphSignal:
         RankDeficientError: when ``gamma`` sits below the rank boundary
             ``RANK_RTOL * sigma_max``; the samples do not determine the
             band coefficients.
+        NonFiniteError: the recovered signal overflowed float64.
     """
     _require_full_rank(plan)
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (plan.m,):
         raise DimensionMismatchError(f"expected {plan.m} samples, got shape {y.shape}")
-    coeffs = np.linalg.pinv(plan.b, rcond=RANK_RTOL) @ y
-    return GraphSignal(plan.band.v_omega @ coeffs, VERTEX)
+    pinv = np.linalg.pinv(plan.b, rcond=RANK_RTOL)
+    return GraphSignal(_finite("the recovery", lambda: plan.band.v_omega @ (pinv @ y)), VERTEX)
 
 
 def noise_certificate(plan: SamplingPlan, eta_norm: float) -> float:

@@ -15,17 +15,20 @@ and the directed total variation ``||L x||^2`` is sandwiched between
 ``sigma_min(V)^2`` and ``sigma_max(V)^2`` times the weighted spectral energy
 ``sum |lambda_k|^2 |xhat_k|^2``, so the spread of the sandwich is exactly
 the squared eigenvector condition number.
+
+A transform or filter whose result overflows float64 raises
+:class:`NonFiniteError` naming it; numpy's overflow warnings stay off.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .eigen import SpectralDecomposition, gram_matrix
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteError
 
 VERTEX = "vertex"
 SPECTRAL = "spectral"
@@ -88,6 +91,20 @@ def _indices(values: Iterable, n: int, what: str) -> np.ndarray:
     return idx
 
 
+def _finite(what: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """``compute()``, run with numpy's overflow warnings off, if every entry is finite.
+
+    Raises:
+        NonFiniteError: an entry overflowed float64; ``what`` names the
+            operation.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = compute()
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"{what} overflowed float64")
+    return values
+
+
 def _expect(x: GraphSignal, domain: str, n: int) -> None:
     if x.domain != domain:
         raise ValueError(f"expected a {domain}-domain signal, got {x.domain}-domain")
@@ -136,13 +153,14 @@ class TvBounds:
 def forward(x: GraphSignal, dec: SpectralDecomposition) -> GraphSignal:
     """Analysis transform ``xhat = U* x = V^{-1} x`` (projection on the dual basis)."""
     _expect(x, VERTEX, dec.n)
-    return GraphSignal(dec.u.conj().T @ x.values, SPECTRAL)
+    return GraphSignal(_finite("the forward transform", lambda: dec.u.conj().T @ x.values),
+                       SPECTRAL)
 
 
 def inverse(xhat: GraphSignal, dec: SpectralDecomposition) -> GraphSignal:
     """Synthesis transform ``x = V xhat``."""
     _expect(xhat, SPECTRAL, dec.n)
-    return GraphSignal(dec.v @ xhat.values, VERTEX)
+    return GraphSignal(_finite("the inverse transform", lambda: dec.v @ xhat.values), VERTEX)
 
 
 def energy_identity(x: GraphSignal, dec: SpectralDecomposition) -> tuple[float, float]:
@@ -170,7 +188,8 @@ def apply_filter(x: GraphSignal, filt: SpectralFilter, dec: SpectralDecompositio
         raise DimensionMismatchError(
             f"filter has {filt.response.shape[0]} taps, decomposition has n={dec.n}"
         )
-    return GraphSignal(_filter_values(x.values, filt.response, dec), VERTEX)
+    y = _finite("the filter", lambda: _filter_values(x.values, filt.response, dec))
+    return GraphSignal(y, VERTEX)
 
 
 def _filter_values(

@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from dirlap import (
+    DirectedGraph,
     ExperimentConfig,
     RankDeficientError,
     decompose,
@@ -219,8 +220,8 @@ def test_criterion_8_noise_bounds():
 def test_criterion_9_noise_sweep_properties():
     result = run_noise_sweep(ExperimentConfig())
     kappa = result.decompositions["perturbed"].kappa
-    cyc = {r.sigma: r.err_mean for r in result.summary if r.graph == "cycle"}
-    per = {r.sigma: r.err_mean for r in result.summary if r.graph == "perturbed"}
+    cyc = {c.sigma: c.err_mean for c in result.cells if c.graph == "cycle"}
+    per = {c.sigma: c.err_mean for c in result.cells if c.graph == "perturbed"}
     sigmas = sorted(cyc)
     dominates = all(per[s] >= cyc[s] for s in sigmas)
     ratio_ok = all(per[s] / cyc[s] <= kappa for s in sigmas)
@@ -247,3 +248,25 @@ def test_criterion_10_greedy_sampling_oracle():
             worst = min(worst, greedy / best)
     report(10, "greedy gamma within 5% of exhaustive optimum (cycles n<=8, K<=3)",
            worst >= 0.95, f"worst greedy/optimal ratio {worst:.4f}")
+
+
+def _dc_values(g):
+    dec = decompose(directed_laplacian(g))
+    return dec.dc_isolated, dec.zero_multiplicity, dec.dc_angle
+
+
+def test_criterion_11_dc_contract():
+    family = {name: _dc_values(g) for name, g in graph_family()}
+    isolated = all(iso and mult == 1 and angle <= 1e-6 for iso, mult, angle in family.values())
+    # two vertex-disjoint directed 3-cycles: two closed classes, one zero eigenvalue each
+    disjoint = DirectedGraph(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], np.ones(6))
+    iso, mult, _ = _dc_values(disjoint)
+    split_ok = not iso and mult == 2
+    # every weight times 2**40 or 2**-40: the three values are the same, to the bit
+    moved = [name for name, g in [*graph_family(), ("disjoint", disjoint)]
+             for scale in (2.0**40, 2.0**-40)
+             if _dc_values(DirectedGraph(g.n, g.src, g.dst, g.weight * scale)) != _dc_values(g)]
+    worst = max(angle for _, _, angle in family.values())
+    report(11, "DC mode isolated on every family graph; one zero per closed class; "
+               "unchanged under 2^+-40 scaling", isolated and split_ok and not moved,
+           f"worst angle {worst:.2e}, disjoint multiplicity {mult}, scale-moved {moved}")

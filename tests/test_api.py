@@ -12,8 +12,7 @@ PUBLIC_NAMES = [
     "RankDeficientError", "NonFiniteError",
     "DirectedGraph", "adjacency", "directed_laplacian", "asymmetry_index",
     "normality_departure", "gen_directed_cycle", "gen_perturbed_cycle",
-    "SpectralDecomposition", "DcModeReport", "decompose", "dc_mode_check", "gram_matrix",
-    "henrici_departure",
+    "SpectralDecomposition", "decompose", "gram_matrix", "henrici_departure",
     "GraphSignal", "SpectralFilter", "TvBounds", "vertex_signal", "forward", "inverse",
     "energy_identity", "apply_filter", "tv_bounds",
     "BandModel", "SamplingPlan", "make_band", "synthesize_bandlimited", "plan_sampling",

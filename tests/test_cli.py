@@ -287,6 +287,30 @@ def test_out_degree_overflow_exits_non_finite(tmp_path, runner, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, what", [
+    (["gft", "{graph}", "{signal}"], "forward transform"),
+    (["gft", "{graph}", "{signal}", "--direction", "inverse"], "inverse transform"),
+    (["filter", "{graph}", "{signal}", "--spec", "{spec}"], "filter"),
+    (["sample", "{graph}", "--k", "2", "--m", "3", "--signal", "{signal}"], "recovery"),
+], ids=["gft", "gft-inverse", "filter", "sample"])
+def test_overflowing_transform_exits_non_finite(tmp_path, runner, args, what):
+    # every signal entry 1e308 on the 4-cycle: the transform's sums pass float64. The
+    # signal's own finiteness check used to fire on the result (exit 2, after numpy warnings)
+    graph, signal, spec = tmp_path / "c4.csv", tmp_path / "x.csv", tmp_path / "taps.json"
+    assert runner.invoke(main, ["gen", "cycle", "--n", "4", "--out", str(graph)]).exit_code == 0
+    signal.write_text("vertex,re,im\n" + "".join(f"{v},1e308,1e308\n" for v in range(4)))
+    spec.write_text(json.dumps({"kind": "diagonal", "response": [[1e300, 0]] * 4}))
+    out = tmp_path / "out.csv"
+    argv = [arg.format(graph=graph, signal=signal, spec=spec) for arg in args]
+    argv += ["--recover-out" if args[0] == "sample" else "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would fail the command
+        result = runner.invoke(main, argv)
+    assert result.exit_code == NonFiniteError.exit_code
+    assert result.stderr == f"error: the {what} overflowed float64\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "gft", "filter", "sample"])
 @pytest.mark.parametrize("n", [3, 8, 40])
 def test_directed_path_exits_near_defective_from_every_command(tmp_path, runner, n, command):
@@ -467,6 +491,25 @@ class TestSample:
         assert "--recover-out requires --signal" in result.output
         assert not plan_path.exists() and not rec.exists()
 
+    @pytest.mark.parametrize("rows, code", [
+        ("0,1,0\n1,1,0\n2,1,0\n", DimensionMismatchError.exit_code),
+        ("0,1,0\n1,x,0\n2,1,0\n3,1,0\n", FileFormatError.exit_code),
+        ("".join(f"{v},1e308,1e308\n" for v in range(4)), NonFiniteError.exit_code),
+    ], ids=["short-signal", "bad-row", "recovery-overflows"])
+    def test_failed_recovery_writes_neither_file(self, runner, tmp_path, rows, code):
+        # the signal is read and recovered before the plan is written
+        graph, sig = tmp_path / "c4.csv", tmp_path / "x.csv"
+        assert runner.invoke(main, ["gen", "cycle", "--n", "4", "--out", str(graph)]).exit_code == 0
+        sig.write_text("vertex,re,im\n" + rows)
+        plan_path, rec = tmp_path / "plan.json", tmp_path / "rec.csv"
+        result = runner.invoke(
+            main,
+            ["sample", str(graph), "--k", "2", "--m", "3", "--signal", str(sig),
+             "--recover-out", str(rec), "--out", str(plan_path)],
+        )
+        assert result.exit_code == code
+        assert not plan_path.exists() and not rec.exists()
+
     def test_stdout_plan(self, perturbed_csv, runner):
         result = runner.invoke(main, ["sample", str(perturbed_csv), "--k", "2", "--m", "4"])
         assert result.exit_code == 0
@@ -508,6 +551,38 @@ class TestSample:
         payload = json.loads(result.output)
         assert 0 < payload["gamma"] <= 1e-12 * payload["b_norm"]
         assert payload["certificate"] is None
+
+
+@pytest.mark.parametrize("args", [
+    ["sample", "{graph}", "--k", "\u0662", "--m", "3"],
+    ["sample", "{graph}", "--k", "2", "--sample-set", "0,\u0663"],
+    ["sample", "{graph}", "--k", "2", "--sample-set", "0,0_1"],
+    ["sample", "{graph}", "--k", "2", "--m", "3", "--strategy", "random", "--seed", "\u0663"],
+    ["gen", "cycle", "--n", "1_0"],
+    ["gen", "cycle", "--n", "\u20074"],
+    ["gen", "cycle", "--n", "4", "--seed", "1_0"],
+    ["analyze", "{graph}", "--n", "\u0664"],
+    ["experiment", "fig1", "--n", "1_0", "--out-dir", "{out}"],
+    ["experiment", "fig2", "--trials", "\u0663", "--out-dir", "{out}"],
+], ids=["k-arabic-indic", "sample-set-arabic-indic", "sample-set-underscore", "seed-arabic-indic",
+        "gen-underscore", "gen-figure-space", "gen-seed-underscore",
+        "analyze-arabic-indic", "fig1-underscore", "fig2-arabic-indic"])
+def test_integer_options_follow_the_csv_integer_grammar(tmp_path, runner, args):
+    # one integer rule for the command line and the CSV readers: ASCII decimal digits, an
+    # optional sign, ASCII spaces around; int() alone read "1_0" as 10 and "\u0663" as 3
+    graph, out = tmp_path / "c4.csv", tmp_path / "out"
+    assert runner.invoke(main, ["gen", "cycle", "--n", "4", "--out", str(graph)]).exit_code == 0
+    result = runner.invoke(main, [arg.format(graph=graph, out=out) for arg in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["4", " 4 ", "+4", "04", "\t4"])
+def test_integer_options_take_signs_spaces_and_leading_zeros(runner, n):
+    result = runner.invoke(main, ["gen", "cycle", "--n", n])
+    assert result.exit_code == 0
+    assert result.stdout.count("\n") == 5
 
 
 class TestVertexCount:
@@ -1170,3 +1245,76 @@ def test_sample_options_give_a_plan_or_their_exit_code(fuzz_files, argv, signal)
     else:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code in (2, 3, 4, 5), result.output
+
+
+#: a signal of 1e308 + 1e308i at every vertex, whose transforms overflow
+HUGE_SIGNAL = "vertex,re,im\n" + "".join(f"{v},1e308,1e308\n" for v in range(FUZZ_N))
+
+
+def _entries(draw, count: int) -> list[float]:
+    """``count`` numbers of one scale: a mantissa in [-1.7, 1.7] times 10**e, e at most three
+    below a top power drawn once in [-290, 308], half the time at 306 to 308, where sums
+    and products overflow."""
+    top = draw(st.sampled_from(range(-290, 309)) | st.sampled_from((306, 307, 308)))
+    entry = st.builds(lambda mantissa, exp: mantissa * 10.0**exp,
+                      st.floats(-1.7, 1.7), st.integers(top - 3, top))
+    return draw(st.lists(entry, min_size=count, max_size=count))
+
+
+@st.composite
+def transform_cases(draw):
+    """``(kind, signal, spec)``: a gft direction or a filter kind, a signal CSV that may be a
+    vertex short or long or have a bad header, and the filter spec (None for gft)."""
+    kind = draw(st.sampled_from(("forward", "inverse", "ideal", "diagonal")))
+    length = draw(st.sampled_from((FUZZ_N, FUZZ_N, FUZZ_N, FUZZ_N - 1, FUZZ_N + 1)))
+    header = draw(st.sampled_from(("vertex,re,im",) * 4 + ("vertex,re", "v,re,im", "")))
+    values = iter(_entries(draw, 2 * length))
+    signal = header + "\n" + "".join(f"{v},{next(values)!r},{next(values)!r}\n"
+                                      for v in range(length))
+    spec = None
+    if kind == "ideal":
+        spec = {"kind": "ideal", "omega": draw(st.lists(st.integers(0, FUZZ_N - 1), unique=True))}
+    elif kind == "diagonal":
+        taps = draw(st.sampled_from((FUZZ_N, FUZZ_N, FUZZ_N, FUZZ_N - 1, FUZZ_N + 1)))
+        values = iter(_entries(draw, 2 * taps))
+        spec = {"kind": "diagonal", "response": [[next(values), next(values)] for _ in range(taps)]}
+    return kind, signal, spec
+
+
+@pytest.fixture(scope="module")
+def transform_fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("transform-fuzz")
+    fileio.write_edge_list(dirlap.gen_perturbed_cycle(FUZZ_N, 0.3, 0.8, 1), root / "g.csv")
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=transform_cases())
+@example(case=("forward", HUGE_SIGNAL, None))
+@example(case=("inverse", HUGE_SIGNAL, None))
+@example(case=("diagonal", HUGE_SIGNAL, {"kind": "diagonal", "response": [[1e300, 0]] * FUZZ_N}))
+@example(case=("ideal", HUGE_SIGNAL, {"kind": "ideal", "omega": [0]}))
+def test_gft_and_filter_give_finite_output_or_their_exit_code(transform_fuzz_dir, case):
+    # each case writes a finite signal and exits 0, or exits with its documented code and
+    # writes nothing: 2 bad usage, 3 bad file, 4 dimension mismatch, 6 near-defective,
+    # 7 overflow. The suite turns a numpy warning into an error, so a warning fails the case
+    kind, signal, spec = case
+    root = transform_fuzz_dir
+    (root / "x.csv").write_text(signal)
+    out = root / "out.csv"
+    out.unlink(missing_ok=True)
+    if spec is None:
+        argv = ["gft", str(root / "g.csv"), str(root / "x.csv"), "--direction", kind]
+    else:
+        (root / "spec.json").write_text(json.dumps(spec))
+        argv = ["filter", str(root / "g.csv"), str(root / "x.csv"), "--spec", str(root / "spec.json")]
+    result = CliRunner().invoke(main, [*argv, "--out", str(out)])
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        rows = csv_body(out, ["vertex", "re", "im"])
+        assert [int(row[0]) for row in rows] == list(range(FUZZ_N))
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+    else:
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code in (2, 3, 4, 6, 7), result.output
+        assert not out.exists()

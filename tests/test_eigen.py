@@ -15,7 +15,6 @@ from dirlap import (
     SpectralFilter,
     apply_filter,
     asymmetry_index,
-    dc_mode_check,
     decompose,
     directed_laplacian,
     gen_directed_cycle,
@@ -322,22 +321,21 @@ class TestDcMode:
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_cycle_isolates_dc(self, n):
         dec = decompose(directed_laplacian(gen_directed_cycle(n)))
-        report = dc_mode_check(dec)
-        assert report
-        assert report.zero_multiplicity == 1
+        assert dec.dc_isolated
+        assert dec.zero_multiplicity == 1
+        assert dec.dc_angle <= 1e-12
         assert np.allclose(dec.v[:, 0], np.ones(n) / np.sqrt(n), atol=1e-9)
 
     def test_perturbed_cycle_isolates_dc(self, perturbed20):
         _, dec = perturbed20
-        assert dc_mode_check(dec)
+        assert dec.dc_isolated
 
     def test_disjoint_cycles_report_multiplicity(self):
         # two vertex-disjoint 3-cycles: a two-dimensional null space, no isolated DC mode
         g = DirectedGraph(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], np.ones(6))
         dec = decompose(directed_laplacian(g))
-        report = dc_mode_check(dec)
-        assert not report
-        assert report.zero_multiplicity == 2
+        assert not dec.dc_isolated
+        assert dec.zero_multiplicity == 2
 
     @pytest.mark.parametrize(
         "lap",
@@ -345,7 +343,16 @@ class TestDcMode:
         ids=["no-zero-mode", "two-cycle"],
     )
     def test_isolated_is_python_bool(self, lap):
-        assert type(dc_mode_check(decompose(lap)).isolated) is bool
+        dec = decompose(lap)
+        assert type(dec.dc_isolated) is bool
+        assert type(dec.zero_multiplicity) is int and type(dec.dc_angle) is float
+
+    def test_values_are_cached_on_first_read(self, perturbed20):
+        _, dec = perturbed20
+        fresh = decompose(dec.matrix)
+        assert {"zero_multiplicity", "dc_angle", "dc_isolated"}.isdisjoint(vars(fresh))
+        assert fresh.dc_isolated
+        assert {"zero_multiplicity", "dc_angle", "dc_isolated"} <= set(vars(fresh))
 
 
 class TestScaleInvariance:
@@ -362,9 +369,8 @@ class TestScaleInvariance:
         np.testing.assert_allclose(dec.lambdas / scale, ref.lambdas, rtol=0.0, atol=1e-9 * top)
         band, ref_band = make_band(dec, 5), make_band(ref, 5)
         np.testing.assert_allclose(band.v_omega, ref_band.v_omega, rtol=0.0, atol=1e-9)
-        report, ref_report = dc_mode_check(dec), dc_mode_check(ref)
-        assert report.zero_multiplicity == ref_report.zero_multiplicity == 1
-        assert report.isolated and ref_report.isolated
+        assert dec.zero_multiplicity == ref.zero_multiplicity == 1
+        assert dec.dc_isolated and ref.dc_isolated
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(-300, 300), n=st.integers(3, 12), p=st.sampled_from([0.0, 0.3, 0.6]),

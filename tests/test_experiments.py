@@ -20,8 +20,7 @@ from dirlap import (
 )
 from dirlap import experiments
 from dirlap.experiments import (
-    _GRAPH_STREAM, SweepCell, _block_trials, _cell_draws, _summarize,
-    _trial_seeds,
+    _GRAPH_STREAM, SUMMARY_FIELDS, SweepCell, _block_trials, _cell_draws, _trial_seeds,
 )
 
 
@@ -151,12 +150,12 @@ class TestNoiseSweep:
 
     def test_noiseless_reconstruction_is_exact(self):
         res = run_noise_sweep(ExperimentConfig(sigmas=(0.0,), trials=5))
-        for row in res.summary:
-            assert row.err_mean <= 1e-9
+        for cell in res.cells:
+            assert cell.err_mean <= 1e-9
 
     def test_perturbed_error_dominates_cycle(self, sweep):
-        cyc = {r.sigma: r.err_mean for r in sweep.summary if r.graph == "cycle"}
-        per = {r.sigma: r.err_mean for r in sweep.summary if r.graph == "perturbed"}
+        cyc = {c.sigma: c.err_mean for c in sweep.cells if c.graph == "cycle"}
+        per = {c.sigma: c.err_mean for c in sweep.cells if c.graph == "perturbed"}
         kappa = sweep.decompositions["perturbed"].kappa
         for sigma in (0.05, 0.2):
             assert per[sigma] >= cyc[sigma]
@@ -181,30 +180,33 @@ class TestNoiseSweep:
 
     def test_summary_consistent_with_trials(self, sweep):
         cell = next(c for c in sweep.cells if c.graph == "cycle" and c.sigma == 0.05)
-        row = next(r for r in sweep.summary if r.graph == "cycle" and r.sigma == 0.05)
-        assert row.err_mean == pytest.approx(np.mean(cell.err_l2), rel=1e-12)
-        assert row.err_std == pytest.approx(np.std(cell.err_l2), rel=1e-9)
+        assert cell.err_mean == pytest.approx(np.mean(cell.err_l2), rel=1e-12)
+        assert cell.err_std == pytest.approx(np.std(cell.err_l2), rel=1e-9)
+
+    def test_every_summary_field_is_read_off_its_cell(self, sweep):
+        for cell in sweep.cells:
+            assert [getattr(cell, name) for name in SUMMARY_FIELDS[:2]] == [cell.graph, cell.sigma]
+            assert all(type(getattr(cell, name)) is float for name in SUMMARY_FIELDS[2:])
 
     @pytest.mark.parametrize("trials", [1, 40, 129])
     def test_summary_is_fmean_of_trials(self, trials, monkeypatch):
         # exact: the summary bytes rest on it; blocks of 128 trials, so 129 spans two
         monkeypatch.setattr(experiments, "_block_trials", lambda n: 128)
         res = run_noise_sweep(ExperimentConfig(sigmas=(0.0, 0.05, 0.2), trials=trials, seed=3))
-        for cell, row in zip(res.cells, res.summary, strict=True):
+        for cell in res.cells:
             errs = cell.err_l2.tolist()
             mean = statistics.fmean(errs)
-            assert (row.graph, row.sigma) == (cell.graph, cell.sigma)
-            assert row.err_mean == mean
-            assert row.err_std == math.sqrt(statistics.fmean([(e - mean) ** 2 for e in errs]))
-            assert row.err_abs_mean == statistics.fmean(cell.err_abs.tolist())
-            assert row.bound_mean == statistics.fmean(cell.bound.tolist())
+            assert cell.err_mean == mean
+            assert cell.err_std == math.sqrt(statistics.fmean([(e - mean) ** 2 for e in errs]))
+            assert cell.err_abs_mean == statistics.fmean(cell.err_abs.tolist())
+            assert cell.bound_mean == statistics.fmean(cell.bound.tolist())
 
     def test_err_std_squares_as_python_pow(self):
         # x * x and Python's x ** 2 round apart on these deviations, and so do the two err_std
         errs = [0.792, 0.969, 0.318]
         cell = SweepCell("cycle", 0.1, np.array(errs), np.array(errs), np.array(errs))
         mean = statistics.fmean(errs)
-        assert _summarize(cell).err_std == math.sqrt(statistics.fmean([(e - mean) ** 2 for e in errs]))
+        assert cell.err_std == math.sqrt(statistics.fmean([(e - mean) ** 2 for e in errs]))
 
     def test_summary_of_finite_trials_whose_sum_overflows(self):
         # each squared deviation is finite, their sum is not: statistics.fmean raises
@@ -213,9 +215,9 @@ class TestNoiseSweep:
         squares = ((errs - statistics.fmean(errs.tolist())) ** 2).tolist()
         with pytest.raises(OverflowError):
             statistics.fmean(squares)
-        row = _summarize(SweepCell("cycle", 0.1, errs, errs, errs))
-        assert row.err_mean == row.err_abs_mean == row.bound_mean == statistics.fmean(errs.tolist())
-        assert row.err_std == pytest.approx(1e150 * statistics.pstdev((errs / 1e150).tolist()))
+        cell = SweepCell("cycle", 0.1, errs, errs, errs)
+        assert cell.err_mean == cell.err_abs_mean == cell.bound_mean == statistics.fmean(errs.tolist())
+        assert cell.err_std == pytest.approx(1e150 * statistics.pstdev((errs / 1e150).tolist()))
 
     def test_overflowed_trials_are_refused_by_name(self):
         with pytest.raises(NonFiniteError, match=r"^err_l2 of the cycle graph at sigma 1e\+200 "):

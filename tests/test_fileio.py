@@ -787,7 +787,8 @@ class TestBundleRefusal:
 
     def test_fig2_bundle(self, tmp_path):
         sweep = run_noise_sweep(ExperimentConfig(n=8, k=2, sigmas=(0.1, 0.2), trials=3))
-        sweep.summary[1] = dataclasses.replace(sweep.summary[1], err_std=float("inf"))
+        # finite trials whose squared deviations pass float64: err_std reads inf
+        sweep.cells[1] = dataclasses.replace(sweep.cells[1], err_l2=np.array([0.0, 1.7e308, 0.0]))
         out = tmp_path / "fig2"
         with pytest.raises(NonFiniteError, match=r"^summary\[1\]\.err_std is inf: "):
             fileio.write_noise_sweep(ExperimentConfig(), sweep, out)

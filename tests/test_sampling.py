@@ -8,6 +8,7 @@ from dirlap import (
     BandModel,
     DimensionMismatchError,
     NearDefectiveError,
+    NonFiniteError,
     RankDeficientError,
     decompose,
     directed_laplacian,
@@ -222,6 +223,11 @@ class TestRecover:
         assert plan.gamma <= 1e-12 * plan.b_norm
         with pytest.raises(RankDeficientError):
             recover(plan, np.zeros(2, dtype=complex))
+
+    def test_overflowing_recovery_raises_non_finite(self, cycle4):
+        plan = plan_sampling(make_band(cycle4[1], 2), [0, 1, 2])
+        with pytest.raises(NonFiniteError, match="^the recovery overflowed float64$"):
+            recover(plan, np.full(3, 1e308 + 1e308j))
 
     def test_sample_length_checked(self, perturbed20):
         _, dec = perturbed20

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dirlap import (
     DimensionMismatchError,
     GraphSignal,
+    NonFiniteError,
     SpectralFilter,
     apply_filter,
     decompose,
@@ -77,6 +78,29 @@ class TestTransformPair:
         _, dec = cycle4
         with pytest.raises(DimensionMismatchError):
             forward(vertex_signal(np.zeros(5)), dec)
+
+
+class TestOverflow:
+    """A result past float64 raises NonFiniteError by name, with numpy's warnings off."""
+
+    BIG = np.full(4, 1e308 + 1e308j)
+
+    def test_forward(self, cycle4):
+        with pytest.raises(NonFiniteError, match="^the forward transform overflowed float64$"):
+            forward(vertex_signal(self.BIG), cycle4[1])
+
+    def test_inverse(self, cycle4):
+        with pytest.raises(NonFiniteError, match="^the inverse transform overflowed float64$"):
+            inverse(spectral_signal(self.BIG), cycle4[1])
+
+    def test_filter(self, cycle4):
+        x = vertex_signal(self.BIG.real * 1e-8)  # the forward part stays finite
+        with pytest.raises(NonFiniteError, match="^the filter overflowed float64$"):
+            apply_filter(x, SpectralFilter(np.full(4, 1e300)), cycle4[1])
+
+    def test_non_finite_input_is_still_refused_by_the_signal(self):
+        with pytest.raises(ValueError, match="signal entries must be finite"):
+            vertex_signal([1.0, np.inf])
 
 
 class TestEnergyIdentity:
