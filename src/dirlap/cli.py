@@ -12,7 +12,6 @@ that overflowed to infinity or NaN.
 """
 from __future__ import annotations
 
-import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -55,24 +54,23 @@ class _Group(click.Group):
     group_class = type
 
 
-def _decimal(value) -> int:
-    """``value`` as an int; a string must follow ``fileio._DECIMAL``, the CSV readers' integer rule."""
-    if isinstance(value, str) and not re.fullmatch(fileio._DECIMAL, value):
-        raise ValueError(f"invalid literal for int() with base 10: {value!r}")
-    return int(value)
-
-
 class _Integer(click.types.IntParamType):
-    """click's integer type, reading its value by :func:`_decimal`."""
+    """click's integer type, reading its value by the CSV readers' integer rule."""
 
-    _number_class = staticmethod(_decimal)
+    _number_class = staticmethod(lambda value: fileio.parse_number(value, int))
 
 
 class _IntegerRange(click.IntRange, _Integer):
-    """click's integer range, reading its value by :func:`_decimal`."""
+    """click's integer range, reading its value by the CSV readers' integer rule."""
 
 
-_INTEGER = _Integer()
+class _Real(click.types.FloatParamType):
+    """click's float type, reading its value by the CSV readers' float rule."""
+
+    _number_class = staticmethod(lambda value: fileio.parse_number(value, float))
+
+
+_INTEGER, _REAL = _Integer(), _Real()
 
 
 def _load_decomposition(graph_path, n: int | None) -> SpectralDecomposition:
@@ -97,8 +95,8 @@ def main():
 @main.command()
 @click.argument("kind", type=click.Choice(["cycle", "perturbed-cycle"]))
 @click.option("--n", type=_INTEGER, required=True, help="Vertex count.")
-@click.option("--p", type=float, default=0.2, show_default=True, help="Extra-edge probability.")
-@click.option("--w", type=float, default=0.8, show_default=True, help="Extra-edge weight.")
+@click.option("--p", type=_REAL, default=0.2, show_default=True, help="Extra-edge probability.")
+@click.option("--w", type=_REAL, default=0.8, show_default=True, help="Extra-edge weight.")
 @click.option("--seed", type=_IntegerRange(min=0), default=0, show_default=True,
               help="Generator seed (PCG64).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Edge CSV path (default stdout).")
@@ -190,7 +188,7 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
     if sample_set is not None:
         try:
             # a blank token, as in "1,,2", is refused, not skipped
-            vertices = [_decimal(tok) for tok in sample_set.split(",")]
+            vertices = [fileio.parse_number(tok, int) for tok in sample_set.split(",")]
         except ValueError as exc:
             raise click.UsageError(f"bad --sample-set: {exc}") from exc
     else:
@@ -222,7 +220,7 @@ def _config_from(config_path, sigmas=None, **flags) -> ExperimentConfig:
     overrides = {key: val for key, val in flags.items() if val is not None}
     if sigmas is not None:
         try:
-            overrides["sigmas"] = tuple(float(t) for t in sigmas.split(","))
+            overrides["sigmas"] = tuple(fileio.parse_number(t, float) for t in sigmas.split(","))
         except ValueError as exc:
             raise click.UsageError(f"bad --sigmas: {exc}") from exc
     try:
@@ -251,8 +249,8 @@ _config_options = [
                  default=None, help="JSON config; explicit flags override it."),
     *(click.option(f"--{name}", cls=_ConfigOption, type=kind, default=None, help=what)
       for name, kind, what in (("n", _INTEGER, "Graph size"),
-                               ("p", float, "Perturbation probability"),
-                               ("w", float, "Perturbation weight"), ("k", _INTEGER, "Band size"),
+                               ("p", _REAL, "Perturbation probability"),
+                               ("w", _REAL, "Perturbation weight"), ("k", _INTEGER, "Band size"),
                                ("trials", _INTEGER, "Trials per noise level"),
                                ("seed", _INTEGER, "Base seed"))),
 ]

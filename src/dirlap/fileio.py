@@ -2,12 +2,14 @@
 
 The edge list and the signal are read by one parse: the header line is
 checked, then a single ``np.loadtxt`` call reads every row into a record
-array. Their cells follow one grammar:
+array. Their cells follow one grammar, which the command line's numeric
+options follow too (:func:`parse_number` reads both):
 
 - integers are ASCII decimal, with an optional sign and surrounding spaces
   (``+3``, `` 7 ``); no ``_`` separators and no other scripts' digits;
-- floats are what numpy parses: decimal or exponent notation, ``nan`` and
-  ``inf`` included (the readers then reject non-finite values);
+- floats are ASCII decimal or exponent notation (``2.E-1``, ``.5``), or
+  ``inf``, ``infinity`` or ``nan`` in any case, with an optional sign and
+  surrounding spaces (the readers then reject non-finite values);
 - a cell may be quoted with ``"``;
 - blank lines are skipped, while a line of spaces is a row of one cell;
 - there are no comments: a ``#`` line is a bad row;
@@ -15,7 +17,9 @@ array. Their cells follow one grammar:
   0x1c-0x1f, is rejected.
 
 A bad row raises :class:`FileFormatError` naming the 1-based file line
-where it begins; a line break inside a quoted cell continues its row.
+where it begins; a line break inside a quoted cell continues its row. Rows
+are checked by the grammar only when ``np.loadtxt`` refuses the file, to
+find the first bad one.
 
 Every output byte leaves through :func:`write_text`, the one sink; it
 writes to stdout when ``path`` is None, so stdout carries exactly the
@@ -99,36 +103,55 @@ def round12(x: float) -> float:
 #: refused: ``str.isascii`` and ``in`` test for them, and ``_FOREIGN``, a scan
 #: about 60 times slower, only finds the line of the one that is there.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
-#: the patterns below are matched only when a file is refused, so they stay
-#: strings, compiled on first use into ``re``'s cache rather than at import
+#: matched only when a file is refused, so a string, compiled on first use into ``re``'s cache
 _FOREIGN = r"[^\x00-\x1b\x20-\x7f]"
-#: ``np.loadtxt``'s two row errors: a cell that does not convert, its row
-#: counted from 0, and a row of the wrong width, counted from 1; both count
-#: rows, not lines (see ``line`` in :func:`_read_table`)
-_CELL_ERROR = (
-    r"(?s)could not convert string '(.*)' to (int64|float64) at row (\d+), column (\d+)\."
-)
-_WIDTH_ERROR = r"requires (\d+) columns but (\d+) were found at row (\d+);"
-#: an integer cell: ASCII decimal digits, an optional sign, ASCII spaces around; the
-#: command line reads its integers by the same rule (``int()`` alone takes ``1_0`` and
-#: other scripts' digits)
+#: the number grammar of the CSV cells and of the command line's numeric options
+#: (``int()`` and ``float()`` alone take ``1_0`` and other scripts' digits): ASCII
+#: digits, an optional sign and ASCII spaces around; an integer is digits alone, a
+#: float decimal or exponent notation, or ``inf``, ``infinity`` or ``nan`` in any case
 _DECIMAL = r"(?a)\s*[+-]?\d+\s*"
+_FLOAT = r"(?ai)\s*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)\s*"
 
 
-def _row_fault(message: str) -> tuple[int, str] | None:
-    """The row, counted from 0, and the fault that ``np.loadtxt``'s ``message`` names."""
-    if cell := re.fullmatch(_CELL_ERROR, message):
-        token, kind, row, column = cell.groups()
-        if kind == "float64":
-            fault = f"could not convert string to float: {token!r}"
-        elif re.fullmatch(_DECIMAL, token):
-            fault = f"vertex index out of range: {token!r}"
-        else:
-            fault = f"invalid literal for int: {token!r}"
-        return int(row), f"{fault} (column {column})"
-    if width := re.search(_WIDTH_ERROR, message):
-        expected, got, row = width.groups()
-        return int(row) - 1, f"expected {expected} columns, got {got}"
+def parse_number(value, kind: type):
+    """``value`` as ``kind``, int or float; a string outside ``kind``'s rule raises ValueError."""
+    if isinstance(value, str) and not re.fullmatch(_DECIMAL if kind is int else _FLOAT, value):
+        fault = "invalid literal for int" if kind is int else "could not convert string to float"
+        raise ValueError(f"{fault}: {value!r}")
+    return kind(value)
+
+
+def _rows(text: str, start: int):
+    """(the file line where it begins, its cells) of each row of ``text``, from line ``start``.
+
+    Rows split as ``np.loadtxt`` splits them: blank lines are skipped, and a
+    line break inside a quoted cell continues its row. A cell beyond csv's
+    field size limit ends the rows.
+    """
+    import csv
+
+    reader, begin = csv.reader(io.StringIO(text)), start
+    try:
+        for cells in reader:
+            if cells:
+                yield begin, cells
+            begin = start + reader.line_num
+    except csv.Error:
+        return
+
+
+def _first_fault(body: str, start: int, kinds: Sequence[type]) -> tuple[int, str] | None:
+    """The file line and fault of the first row of ``body`` that is not ``kinds``' numbers."""
+    for lineno, cells in _rows(body, start):
+        if len(cells) != len(kinds):
+            return lineno, f"expected {len(kinds)} columns, got {len(cells)}"
+        for column, (cell, kind) in enumerate(zip(cells, kinds), 1):
+            try:
+                value = parse_number(cell, kind)
+            except ValueError as exc:
+                return lineno, f"{exc} (column {column})"
+            if kind is int and not -2**63 <= value < 2**63:
+                return lineno, f"vertex index out of range: {cell!r} (column {column})"
     return None
 
 
@@ -137,11 +160,9 @@ def _read_table(path, header: str, dtype: np.dtype):
 
     Blank lines are skipped, the first other line must be ``header`` (cells
     stripped, quotes allowed), and one ``np.loadtxt`` call parses every row
-    after it. Returns the array and ``line``, which maps a row of the array
-    to the 1-based file line where it begins.
+    after it. Returns the array and :func:`_rows` of the rows after the
+    header, which pairs a row of the array with its file line.
     """
-    import csv
-
     try:
         with open(path) as fh:
             text = fh.read()
@@ -150,24 +171,8 @@ def _read_table(path, header: str, dtype: np.dtype):
     stripped = text.lstrip("\n")
     start = len(text) - len(stripped) + 2  # the file line of the body's first line
     first, _, body = stripped.partition("\n")
-    try:
-        cells = [cell.strip() for cell in next(csv.reader([first]))]
-    except csv.Error:  # a cell beyond csv's field size limit
-        cells = None
-    if cells != header.split(","):
+    if [cell.strip() for _, cells in _rows(first, 1) for cell in cells] != header.split(","):
         raise FileFormatError(f"{path}: expected header {header}")
-
-    def line(row: int) -> int:
-        # a row begins on a non-blank line outside quotes; a line break inside a quoted cell
-        # continues its row. Every row before ``row`` parsed, so its quotes come in pairs
-        quoted = False
-        for lineno, part in enumerate(body.split("\n"), start):
-            if part and not quoted:
-                if row == 0:
-                    return lineno
-                row -= 1
-            quoted ^= part.count('"') % 2 == 1
-
     if not body.isascii() or any(c in body for c in _SEPARATORS):
         bad = re.search(_FOREIGN, body)
         lineno = start + body.count("\n", 0, bad.start())
@@ -179,11 +184,12 @@ def _read_table(path, header: str, dtype: np.dtype):
             table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None,
                                quotechar='"', ndmin=1)
     except ValueError as exc:
-        fault = _row_fault(str(exc))
+        kinds = [int if dtype[name].kind == "i" else float for name in dtype.names]
+        fault = _first_fault(body, start, kinds)
         if fault is None:
             raise FileFormatError(f"{path}: {exc}") from exc
-        raise FileFormatError(f"{path}:{line(fault[0])}: {fault[1]}") from exc
-    return table, line
+        raise FileFormatError(f"{path}:{fault[0]}: {fault[1]}") from exc
+    return table, _rows(body, start)
 
 
 def write_text(text: str | Iterable[str], path=None) -> None:
@@ -348,7 +354,7 @@ _SIGNAL_DTYPE = np.dtype([("index", "i8"), ("re", "f8"), ("im", "f8")])
 def read_signal(path, domain: str = "vertex") -> GraphSignal:
     from .transform import GraphSignal
 
-    table, line = _read_table(path, "vertex,re,im", _SIGNAL_DTYPE)
+    table, rows = _read_table(path, "vertex,re,im", _SIGNAL_DTYPE)
     index = table["index"]
     n = index.size
     if n == 0:
@@ -357,7 +363,8 @@ def read_signal(path, domain: str = "vertex") -> GraphSignal:
     repeated[np.unique(index, return_index=True)[1]] = False
     if repeated.any():
         row = int(np.argmax(repeated))
-        raise FileFormatError(f"{path}:{line(row)}: index {index[row]} appears more than once")
+        where = "".join(f":{lineno}" for lineno, _ in itertools.islice(rows, row, row + 1))
+        raise FileFormatError(f"{path}{where}: index {index[row]} appears more than once")
     if index.min() != 0 or index.max() != n - 1:
         raise FileFormatError(f"{path}: indices must cover 0..{n - 1} exactly once")
     values = np.empty(n, dtype=np.complex128)

@@ -207,14 +207,17 @@ def tv_bounds(x: GraphSignal, dec: SpectralDecomposition) -> TvBounds:
     energy: zero exactly on the null space of ``L`` (constant signals for
     strongly connected graphs). It lies between ``sigma_min(V)^2`` and
     ``sigma_max(V)^2`` times ``spectral_energy = sum |lambda_k|^2 |xhat_k|^2``.
+
+    Raises:
+        NonFiniteError: one of the four numbers overflowed float64.
     """
     _expect(x, VERTEX, dec.n)
     xhat = forward(x, dec).values
-    spectral_energy = float(np.sum((np.abs(dec.lambdas) * np.abs(xhat)) ** 2))
-    lx = dec.matrix @ x.values
-    return TvBounds(
-        lower=dec.sigma_min**2 * spectral_energy,
-        upper=dec.sigma_max**2 * spectral_energy,
-        spectral_energy=spectral_energy,
-        actual=float(np.real(np.vdot(lx, lx))),
-    )
+
+    def energies():
+        spectral = np.sum((np.abs(dec.lambdas) * np.abs(xhat)) ** 2)
+        lx = dec.matrix @ x.values
+        return np.array([dec.sigma_min**2 * spectral, dec.sigma_max**2 * spectral, spectral,
+                         np.vdot(lx, lx).real])
+
+    return TvBounds(*_finite("the total variation", energies).tolist())

@@ -224,6 +224,15 @@ class TestAnalyze:
         assert result.stdout == ""
         assert "eigenvalue's modulus overflows" in result.stderr
 
+    def test_undirected_path_reads_zero_henrici(self, runner, tmp_path):
+        # a normal L whose two Henrici sums differ by 1.6 n eps ||L||_F^2 in rounding alone
+        graph = tmp_path / "p4.csv"
+        graph.write_text("src,dst,weight\n0,1,1\n1,0,1\n1,2,1\n2,1,1\n2,3,1\n3,2,1\n")
+        result = runner.invoke(main, ["analyze", str(graph)])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert (payload["delta"], payload["henrici"], payload["kappa"]) == (0.0, 0.0, 1.0)
+
     def test_fig1_metrics_are_strict_json_at_a_huge_weight(self, runner, tmp_path):
         out = tmp_path / "fig1"
         result = runner.invoke(main, ["experiment", "fig1", "--w", "1e200", "--out-dir", str(out)])
@@ -583,6 +592,36 @@ def test_integer_options_take_signs_spaces_and_leading_zeros(runner, n):
     result = runner.invoke(main, ["gen", "cycle", "--n", n])
     assert result.exit_code == 0
     assert result.stdout.count("\n") == 5
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "perturbed-cycle", "--n", "4", "--w", "1_0"],
+    ["gen", "perturbed-cycle", "--n", "4", "--p", "\u0660.\u0662"],
+    ["gen", "perturbed-cycle", "--n", "4", "--p", "0x1p-2"],
+    ["experiment", "fig1", "--n", "4", "--k", "2", "--w", "1_0", "--out-dir", "{out}"],
+    ["experiment", "fig1", "--n", "4", "--k", "2", "--p", "\u0660.\u0662", "--out-dir", "{out}"],
+    ["experiment", "fig2", "--n", "4", "--k", "2", "--trials", "1", "--sigmas", "0.1,1_0",
+     "--out-dir", "{out}"],
+    ["experiment", "fig2", "--n", "4", "--k", "2", "--trials", "1", "--sigmas", "\u0660.\u0661",
+     "--out-dir", "{out}"],
+], ids=["gen-w-underscore", "gen-p-arabic-indic", "gen-p-hex", "fig1-w-underscore",
+        "fig1-p-arabic-indic", "fig2-sigmas-underscore", "fig2-sigmas-arabic-indic"])
+def test_float_options_follow_the_csv_float_grammar(tmp_path, runner, args):
+    # one float rule for the command line and the CSV readers; float() alone read "1_0"
+    # as 10 and "\u0660.\u0661" as 0.1
+    out = tmp_path / "out"
+    result = runner.invoke(main, [arg.format(out=out) for arg in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", [" .5 ", "+5e-1", "5.E-1", "\t0.50", "500e-3"])
+def test_float_options_take_the_csv_float_forms(runner, p):
+    expected = runner.invoke(main, ["gen", "perturbed-cycle", "--n", "6", "--p", "0.5"])
+    result = runner.invoke(main, ["gen", "perturbed-cycle", "--n", "6", "--p", p])
+    assert result.exit_code == 0
+    assert result.stdout == expected.stdout
 
 
 class TestVertexCount:
@@ -1317,4 +1356,89 @@ def test_gft_and_filter_give_finite_output_or_their_exit_code(transform_fuzz_dir
     else:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code in (2, 3, 4, 6, 7), result.output
+        assert not out.exists()
+
+
+# -- fuzzing the experiment commands' options -------------------------------------
+
+#: range edges, non-finite and overflowing values, other notations and blank tokens
+FLOAT_TOKENS = (st.sampled_from(("0", "-0.0", "1", "1.0000001", "-1e-300", "5e-324", "1e-400",
+                                 "1e300", "1.7976931348623157e308", "1e400", "-1e400", "nan",
+                                 "-NaN", "inf", "Infinity", "1_0", "\u0660.\u0661",
+                                 "\u0660.\u0662", "\uff10.5", "0x1p-1", "1e", "", " ",
+                                 " .5 ", "+.25", "2.E-1"))
+                | st.floats(0.0, 1.0).map(repr))
+SIGMA_LISTS = st.lists(FLOAT_TOKENS, min_size=1, max_size=3).map(",".join)
+#: the size options at and near their range edges, and odd tokens; --n and --trials in
+#: range stay small, so that a case runs in milliseconds
+SIZE_TOKENS = (st.sampled_from(("-1", "0", "1", "2", "3", "5", str(MAX_VERTICES + 1),
+                                "4294967296", str(2**64), "1_0", "\u0663", "3.0", "", " ",
+                                " 3 ", "+2", "nan", "inf", "1e400")))
+VALID_EXPERIMENT_OPTIONS = {
+    "--n": st.integers(3, 6).map(str), "--k": st.integers(1, 3).map(str),
+    "--trials": st.integers(1, 3).map(str), "--p": st.floats(0.0, 1.0).map(repr),
+    "--w": st.floats(1e-3, 1e3).map(repr),
+    "--sigmas": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(
+        lambda sigmas: ",".join(map(repr, sorted(sigmas)))),
+}
+WILD_EXPERIMENT_OPTIONS = {"--n": SIZE_TOKENS, "--k": SIZE_TOKENS, "--trials": SIZE_TOKENS,
+                           "--p": FLOAT_TOKENS, "--w": FLOAT_TOKENS, "--sigmas": SIGMA_LISTS}
+
+
+def _in_grammar(token: str, kind: type) -> bool:
+    """Whether ``token`` is an ASCII number that ``kind`` reads, with no ``_`` separator."""
+    if not token.isascii() or "_" in token or any(c in token for c in "\x1c\x1d\x1e\x1f"):
+        return False
+    try:
+        kind(token)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def experiment_options(draw):
+    """fig1 or fig2, and its options: each in range, or one or two wild."""
+    command = draw(st.sampled_from(("fig1", "fig2")))
+    options = draw(st.fixed_dictionaries(VALID_EXPERIMENT_OPTIONS))
+    for name in draw(st.lists(st.sampled_from(sorted(WILD_EXPERIMENT_OPTIONS)), max_size=2)):
+        options[name] = draw(WILD_EXPERIMENT_OPTIONS[name])
+    if command == "fig1":
+        del options["--trials"], options["--sigmas"]
+    return command, options
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=experiment_options())
+@example(case=("fig2", {"--n": "4", "--k": "2", "--trials": "2", "--p": "0.5", "--w": "1_0",
+                        "--sigmas": "0.1"}))
+@example(case=("fig2", {"--n": "4", "--k": "2", "--trials": "2", "--p": "0.5", "--w": "0.8",
+                        "--sigmas": "\u0660.\u0661"}))
+@example(case=("fig1", {"--n": "4", "--k": "2", "--p": "\u0660.\u0662", "--w": "0.8"}))
+@example(case=("fig2", {"--n": "4", "--k": "2", "--trials": "2", "--p": "0.5", "--w": "0.8",
+                        "--sigmas": "0.1,1_0"}))
+@example(case=("fig1", {"--n": "5", "--k": "2", "--p": "1", "--w": "1.7e308"}))
+@example(case=("fig1", {"--n": "3", "--k": "1", "--p": "0.5", "--w": "1e300"}))
+def test_experiment_options_give_a_bundle_or_their_exit_code(tmp_path_factory, case):
+    # each case writes a strict-JSON bundle and exits 0, or exits with its documented code
+    # and writes nothing: 2 bad usage, 6 near-defective (a --w like 1e300 next to the unit
+    # cycle), 7 overflow. An option outside the CSV readers' number grammar is bad usage,
+    # whatever int() or float() would read
+    command, options = case
+    out = tmp_path_factory.mktemp("experiment") / "out"
+    argv = [token for pair in options.items() for token in pair]
+    result = CliRunner().invoke(main, ["experiment", command, *argv, "--out-dir", str(out)])
+    assert "Traceback" not in result.output
+    kinds = {"--p": float, "--w": float, "--sigmas": float}
+    outside = [name for name, value in options.items()
+               if not all(_in_grammar(token, kinds.get(name, int)) for token in value.split(","))]
+    if result.exit_code == 0:
+        assert not outside, outside
+        name = "metrics.json" if command == "fig1" else "bundle.json"
+        bundle = json.loads((out / name).read_text(), parse_constant=_refuse_constant)
+        assert bundle["config"]["n"] == int(options["--n"])
+    else:
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code in (2, 6, 7), result.output
+        assert result.exit_code == 2 or not outside
         assert not out.exists()

@@ -5,6 +5,7 @@ import inspect
 import io
 import itertools
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -451,6 +452,93 @@ class TestEdgeListFuzz:
         assert result.output.startswith("error: ")
         if line is not None:
             assert str(info.value).startswith(f"{fuzz_path}:{line}: ")
+
+
+#: the characters of a number cell and of its near misses: digits, signs, ``.eE_x``, the
+#: letters of ``infinity`` and ``nan`` in both cases, spaces and quotes
+GRAMMAR_CHARS = "0123456789+-.eE_x" + "infinityaINFINITYA" + " \t" + '"'
+
+
+def _loadtxt_cell(body: str, kind: type):
+    """The one ``kind`` cell ``np.loadtxt``, set as the readers set it, reads from ``body``,
+    or None where it refuses it."""
+    try:
+        return np.loadtxt(io.StringIO(body), dtype=kind, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)[0]
+    except ValueError:
+        return None
+
+
+class TestNumberGrammar:
+    """The readers' own rules agree with numpy's parser, so the rescan of a refused file
+    finds the cell numpy refused."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(GRAMMAR_CHARS, min_size=1, max_size=10), st.sampled_from([int, float]))
+    @example(str(2**63 - 1), int)
+    @example(str(2**63), int)
+    @example(str(-(2**63)), int)
+    @example(str(-(2**63) - 1), int)
+    @example("1e400", float)
+    @example(' "-InFiNiTy" ', float)
+    @example('"\n7\n"', int)
+    def test_rescan_accepts_a_cell_iff_numpy_reads_it(self, cell, kind):
+        body = cell + "\n"
+        [(line, [token])] = list(fileio._rows(body, 2))
+        assert line == 2
+        expected = _loadtxt_cell(body, kind)
+        fault = fileio._first_fault(body, 2, [kind])
+        assert (fault is None) == (expected is not None), fault
+        if fault is None:
+            value = fileio.parse_number(token, kind)
+            assert value == expected or (np.isnan(value) and np.isnan(expected))
+
+    @pytest.mark.parametrize("text, message", [
+        ("src,dst,weight\n0,1,heavy\n", ":2: could not convert string to float: 'heavy' \\(column 3\\)"),
+        ("\nsrc,dst,weight\n\n0,1\n1,2,1\n", ":4: expected 3 columns, got 2"),
+        ('src,dst,weight\n0,1,"2\n"\n1,2,x\n', ":4: could not convert string to float: 'x'"),
+        ('src,dst,weight\n"0\n\n",1,"\n2"\n\n1,2\n', ":7: expected 3 columns, got 2"),
+        ("src,dst,weight\r\n1,2,1\r\n# 0,1,1\r\n", ":3: invalid literal for int: '# 0' \\(column 1\\)"),
+        (f"src,dst,weight\n0,{2**63},1\n", ":2: vertex index out of range: '9223372036854775808'"),
+    ])
+    def test_fault_found_without_numpys_message(self, tmp_path, monkeypatch, text, message):
+        # the row and fault come from the readers' own scan, whatever numpy's message says
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+
+        def reworded(*args, **kwargs):
+            raise ValueError("this table could not be read")
+
+        monkeypatch.setattr(np, "loadtxt", reworded)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}{message}"):
+            fileio.read_edge_list(path)
+
+    def test_fault_the_scan_cannot_place_keeps_numpys_message(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.csv"
+        path.write_text("src,dst,weight\n0,1,1\n")
+
+        def refuse(*args, **kwargs):
+            raise ValueError("numpy's own reason")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: numpy's own reason$"):
+            fileio.read_edge_list(path)
+
+    @pytest.mark.parametrize("value, kind, expected", [
+        (" +7 ", int, 7), ("007", int, 7), (7, int, 7), (" .5 ", float, 0.5), ("2.E-1", float, 0.2),
+        ("-Infinity", float, -np.inf), ("1e400", float, np.inf), (0.25, float, 0.25),
+    ])
+    def test_parse_number_reads_the_grammar(self, value, kind, expected):
+        assert fileio.parse_number(value, kind) == expected
+
+    @pytest.mark.parametrize("value, kind", [
+        ("1_0", int), ("\u0663", int), ("1.0", int), ("", int), ("0x10", int),
+        ("1_0", float), ("\u0660.\u0661", float), ("0x1p1", float), ("", float), (" ", float),
+        ("nan(1)", float), ("infinit", float), ("1e", float), ("\x1c1", float),
+    ])
+    def test_parse_number_refuses_the_rest(self, value, kind):
+        with pytest.raises(ValueError, match=re.escape(f": {value!r}") + "$"):
+            fileio.parse_number(value, kind)
 
 
 SIGNAL_HEADER = "vertex,re,im"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +99,14 @@ class TestOverflow:
         x = vertex_signal(self.BIG.real * 1e-8)  # the forward part stays finite
         with pytest.raises(NonFiniteError, match="^the filter overflowed float64$"):
             apply_filter(x, SpectralFilter(np.full(4, 1e300)), cycle4[1])
+
+    def test_tv_bounds(self, cycle4):
+        # every entry 1e300: the spectral energies pass float64, while actual is 0
+        dec = decompose(cycle4[0] * 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^the total variation overflowed float64$"):
+                tv_bounds(vertex_signal(np.ones(4)), dec)
 
     def test_non_finite_input_is_still_refused_by_the_signal(self):
         with pytest.raises(ValueError, match="signal entries must be finite"):
