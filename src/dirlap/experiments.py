@@ -10,7 +10,9 @@ normality metrics (alpha, delta, Henrici departure and ``kappa(V)``).
 ``run_noise_sweep`` measures low-pass denoising error against
 noise level: a ground-truth signal synthesized from the lowest ``k``
 frequency modes is observed under additive Gaussian noise and reconstructed
-by ideal low-pass filtering in the spectral domain. The per-trial error is
+by the ideal low-pass filter, the oblique projector ``P_omega = V_omega
+U_omega^*`` onto the band: ``x_rec = V_omega (U_omega^* y)``, two thin
+products of O(n k) per trial, with no n x n product. The per-trial error is
 relative ell-2, reported next to the theoretical ceiling
 ``kappa(V) * ||eta|| / ||x0||``, so the gap between the two graphs' curves
 exposes the conditioning penalty directly.
@@ -44,7 +46,7 @@ from .eigen import SpectralDecomposition, decompose
 from .errors import NonFiniteError
 from .graphs import MAX_VERTICES, directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 from .sampling import make_band
-from .transform import SpectralFilter, _filter_values, _is_a
+from .transform import _is_a
 
 GENERATOR_NAME = "PCG64"
 
@@ -271,27 +273,29 @@ def _block_trials(n: int) -> int:
     return 1 << (max(1, BLOCK_ENTRIES // n).bit_length() - 1)
 
 
-def _cell_draws(
-    config: ExperimentConfig, seeds: Callable[[range], np.ndarray], trials: range
-) -> np.ndarray:
-    """Standard normal variates of a block of trials, one row per trial.
+def _cell_draws(seeds: Callable[[range], np.ndarray], trials: range, out: np.ndarray) -> np.ndarray:
+    """Standard normal variates of a block of trials in the first rows of ``out``, one per trial.
 
-    Each trial draws ``2k`` variates for its coefficients and ``2n`` (``n``
-    for real noise) for its noise in one call on its own PCG64 stream, the
-    one ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, trial))``
-    seeds. ``seeds`` is the cell's replay from ``_trial_seeds``.
+    Each trial fills its row in one call on its own PCG64 stream, the one
+    ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, trial))``
+    seeds: ``2k`` variates for its coefficients, then ``2n`` (``n`` for real
+    noise) for its noise. ``seeds`` is the cell's replay from ``_trial_seeds``.
     """
     seed_row, generator, pcg64 = _seed_row_type(), np.random.Generator, np.random.PCG64
-    noise = config.n if config.real_noise else 2 * config.n
-    z = np.empty((len(trials), 2 * config.k + noise))
+    z = out[: len(trials)]
     for row, seed in zip(z, seeds(trials)):
         generator(pcg64(seed_row(seed))).standard_normal(out=row)
     return z
 
 
-def _circular(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Circular complex Gaussian variates with unit variance from their two parts."""
-    return (re + 1j * im) / np.sqrt(2.0)
+def _circular(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Circular complex Gaussian variates with unit variance from their two parts, in ``out``.
+
+    The same values as ``(re + 1j * im) / np.sqrt(2.0)``.
+    """
+    out.real, out.imag = re, im
+    out /= np.sqrt(2.0)
+    return out
 
 
 def _fmean(values: np.ndarray) -> float:
@@ -312,44 +316,63 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     Per trial: draw band coefficients ``c ~ CN(0, I)``, synthesize
     ``x0 = V_omega c``, observe ``y = x0 + eta`` with per-entry variance
     ``sigma^2`` (circular complex Gaussian, or real Gaussian when
-    ``real_noise`` is set), reconstruct with the ideal low-pass projector,
-    and record the relative error alongside its theoretical ceiling.
+    ``real_noise`` is set), reconstruct with the ideal low-pass projector
+    ``x_rec = V_omega (U_omega^* y)``, and record the relative error
+    alongside its theoretical ceiling.
 
     The seeds of a (graph, sigma) cell are replayed once per cell, and its
     trials run in blocks of ``_block_trials(n)``, one column per trial, so
-    each block is a few dense matrix products.
+    each block is three thin matrix products, O(n k) per trial. One block's
+    arrays are allocated once per sweep and reused by every block.
 
     Raises:
         NonFiniteError: a trial's error or bound overflowed float64, as a
             ``sigma`` near ``1e154`` or above makes the noise norms do.
     """
     decompositions = reference_pair(config)
-    k, n = config.k, config.n
-    block_trials = _block_trials(n)
+    k, n, trials = config.k, config.n, config.trials
+    width = min(_block_trials(n), trials)
+    # the draws, coefficients and noise of a block, one row per trial, then x0, y = x0 + eta
+    # (which x_rec - x0 overwrites) and U_omega^* y, one column per trial
+    z = np.empty((width, 2 * k + (n if config.real_noise else 2 * n)))
+    coefficients = np.empty((width, k), dtype=np.complex128)
+    noise = np.empty((width, n), dtype=np.float64 if config.real_noise else np.complex128)
+    x0, y = (np.empty((n, width), dtype=np.complex128) for _ in range(2))
+    xhat = np.empty((max(k, 2), width), dtype=np.complex128)
     cells: list[SweepCell] = []
     for graph, dec in decompositions.items():
-        band = make_band(dec, k)
-        low_pass = SpectralFilter.ideal(band.omega, n)
+        v_omega = make_band(dec, k).v_omega
+        # U_omega^*, the band being the first k modes; at k = 1 a second, unused row keeps
+        # numpy on BLAS gemm, as at every other k, where one row would take gemv, which
+        # rounds differently
+        uh_omega = np.ascontiguousarray(dec.u[:, : max(k, 2)].conj().T)
         for sigma_index, sigma in enumerate(config.sigmas):
             seeds = _trial_seeds(config.seed, _GRAPH_STREAM[graph], sigma_index)
-            err_abs, x0_norm, bound = [], [], []
+            err_abs, x0_norm, bound = (np.empty(trials) for _ in range(3))
             # an overflow is refused below, by name, in place of numpy's warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, config.trials, block_trials):
-                    block = range(start, min(start + block_trials, config.trials))
-                    z = _cell_draws(config, seeds, block)
-                    x0 = band.v_omega @ _circular(z[:, :k], z[:, k : 2 * k]).T
+                for start in range(0, trials, width):
+                    stop = min(start + width, trials)
+                    zb = _cell_draws(seeds, range(start, stop), z)
+                    # the block's rows and columns of each buffer, the first stop - start
+                    c, eta = coefficients[: stop - start], noise[: stop - start]
+                    x0_b, y_b, xhat_b = (a[:, : stop - start] for a in (x0, y, xhat))
+                    np.matmul(v_omega, _circular(zb[:, :k], zb[:, k : 2 * k], c).T, out=x0_b)
                     if config.real_noise:
-                        eta = sigma * z[:, 2 * k :].T
+                        eta = np.multiply(zb[:, 2 * k :], sigma, out=eta).T
                     else:
-                        eta = sigma * _circular(z[:, 2 * k : 2 * k + n], z[:, 2 * k + n :]).T
-                    x_rec = _filter_values(x0 + eta, low_pass.response, dec)
-                    err_abs.append(np.linalg.norm(x_rec - x0, axis=0))
-                    x0_norm.append(np.linalg.norm(x0, axis=0))
-                    bound.append(dec.kappa * np.linalg.norm(eta, axis=0) / x0_norm[-1])
-            err = np.concatenate(err_abs)
-            cell = SweepCell(graph=graph, sigma=sigma, err_l2=err / np.concatenate(x0_norm),
-                             err_abs=err, bound=np.concatenate(bound))
+                        eta = _circular(zb[:, 2 * k : 2 * k + n], zb[:, 2 * k + n :], eta)
+                        eta = np.multiply(eta, sigma, out=eta).T
+                    np.add(x0_b, eta, out=y_b)
+                    np.matmul(uh_omega, y_b, out=xhat_b)
+                    err_b = np.matmul(v_omega, xhat_b[:k], out=y_b)
+                    err_b -= x0_b
+                    err_abs[start:stop] = np.linalg.norm(err_b, axis=0)
+                    x0_norm[start:stop] = np.linalg.norm(x0_b, axis=0)
+                    bound[start:stop] = dec.kappa * np.linalg.norm(eta, axis=0)
+                    bound[start:stop] /= x0_norm[start:stop]
+            cell = SweepCell(graph=graph, sigma=sigma, err_l2=err_abs / x0_norm, err_abs=err_abs,
+                             bound=bound)
             for name in ("err_l2", "bound"):
                 if not np.all(np.isfinite(getattr(cell, name))):
                     raise NonFiniteError(f"{name} of the {graph} graph at sigma {sigma:g} "

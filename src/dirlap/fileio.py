@@ -548,17 +548,19 @@ def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> P
 def write_trials_csv(cells: Sequence[SweepCell], path) -> None:
     """One row per trial, the cells in order and each cell's trials by index."""
     sizes = [cell.err_l2.size for cell in cells]
-    # sigma and graph are one cell per sweep cell, rendered once and repeated over its trials
+    # sigma and graph are one cell per sweep cell, rendered once and repeated over its trials;
+    # each trial index is rendered once and repeated over the cells
     cell_of_row = np.repeat(np.arange(len(cells)), sizes)
     columns = (
         _Cells([fmt(cell.sigma) for cell in cells], cell_of_row),
-        np.concatenate([np.arange(size) for size in sizes]),
+        _Cells([str(t) for t in range(max(sizes))],
+               np.concatenate([np.arange(size) for size in sizes])),
         _Cells([cell.graph for cell in cells], cell_of_row),
         np.concatenate([cell.err_l2 for cell in cells]),
         np.concatenate([cell.bound for cell in cells]),
     )
     _write_csv(("sigma", "trial", "graph", "err_l2", "bound"),
-               ("%s", "%d", "%s", "%.12g", "%.12g"), columns, path)
+               ("%s", "%s", "%s", "%.12g", "%.12g"), columns, path)
 
 
 def write_summary_csv(cells: Sequence[SweepCell], path) -> None:

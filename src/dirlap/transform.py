@@ -188,16 +188,8 @@ def apply_filter(x: GraphSignal, filt: SpectralFilter, dec: SpectralDecompositio
         raise DimensionMismatchError(
             f"filter has {filt.response.shape[0]} taps, decomposition has n={dec.n}"
         )
-    y = _finite("the filter", lambda: _filter_values(x.values, filt.response, dec))
+    y = _finite("the filter", lambda: dec.v @ (filt.response * (dec.u.conj().T @ x.values)))
     return GraphSignal(y, VERTEX)
-
-
-def _filter_values(
-    values: np.ndarray, response: np.ndarray, dec: SpectralDecomposition
-) -> np.ndarray:
-    """``V diag(h) U* values`` for one signal ``(n,)`` or a block ``(n, T)`` of column signals."""
-    xhat = dec.u.conj().T @ values
-    return dec.v @ (response.reshape(response.shape + (1,) * (values.ndim - 1)) * xhat)
 
 
 def tv_bounds(x: GraphSignal, dec: SpectralDecomposition) -> TvBounds:

@@ -270,3 +270,41 @@ def test_criterion_11_dc_contract():
     report(11, "DC mode isolated on every family graph; one zero per closed class; "
                "unchanged under 2^+-40 scaling", isolated and split_ok and not moved,
            f"worst angle {worst:.2e}, disjoint multiplicity {mult}, scale-moved {moved}")
+
+
+def _lowpass_gain(v, u):
+    """``||P_omega||_2`` of the oblique projector ``V_omega U_omega^*``, from k x k matrices.
+
+    ``||V_omega U_omega^*||_2^2 = lambda_max((V_omega^* V_omega)(U_omega^* U_omega))``; the
+    product of two Hermitian positive definite matrices has real positive eigenvalues.
+    """
+    return float(np.sqrt(np.max(np.linalg.eigvals((v.conj().T @ v) @ (u.conj().T @ u)).real)))
+
+
+def test_criterion_12_lowpass_gain_bounds_every_trial():
+    # ideal low-pass recovery errs by exactly P_omega eta, so ||P_omega||_2 bounds each
+    # trial's error gain; kappa(V) is only its ceiling, reached on normal graphs
+    used, gains, ok = {}, {}, True
+    for real_noise in (False, True):
+        config = ExperimentConfig(sigmas=(0.0, 0.05, 0.3), trials=300, real_noise=real_noise)
+        sweep = run_noise_sweep(config)
+        for name, dec in sweep.decompositions.items():
+            band = make_band(dec, config.k)
+            v, u = band.v_omega, dec.u[:, band.omega]
+            gain = gains[name] = _lowpass_gain(v, u)
+            svd_gain = np.linalg.norm(v @ u.conj().T, 2)
+            ok &= gain <= dec.kappa * (1 + 1e-12) and abs(gain - svd_gain) <= 1e-10 * svd_gain
+        ok &= abs(gains["cycle"] - 1.0) <= 1e-12
+        for cell in sweep.cells:
+            if cell.sigma == 0.0:
+                continue
+            dec = sweep.decompositions[cell.graph]
+            # ||eta|| = bound ||x0|| / kappa, with ||x0|| = err_abs / err_l2
+            eta_norm = cell.bound * (cell.err_abs / cell.err_l2) / dec.kappa
+            share = cell.err_abs / (gains[cell.graph] * eta_norm)
+            ok &= bool(np.all(share <= 1 + 1e-10))
+            used[cell.graph] = max(used.get(cell.graph, 0.0), float(share.max()))
+    report(12, "every fig2 trial: err_abs <= ||P_omega||_2 ||eta||; ||P_omega||_2 <= kappa(V), "
+               "= 1 on the cycle", ok,
+           f"gain cycle {gains['cycle']:.12f}, perturbed {gains['perturbed']:.4f}; worst share "
+           f"of the bound cycle {used['cycle']:.2f}, perturbed {used['perturbed']:.2f}")

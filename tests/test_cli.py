@@ -862,6 +862,26 @@ class TestExperimentCommands:
         assert result.exit_code == 0
         assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ([], "cba9bff8a274fa09ac7808ebef1ee1df5630877ed7749383f32f8ebb61889bc6"),
+            (["--real-noise"], "0b6fce9bc0624b9462f015f986073a24cef54de6db3af5fddfcdee26003287fa"),
+        ],
+        ids=["complex", "real"],
+    )
+    def test_fig2_trials_golden_hash_at_full_block_width(self, runner, tmp_path, args, digest):
+        # at n = 20 a block is 1024 trials, as in the paper-size benchmark, so each cell of
+        # 1100 trials is one full block and one of 76 columns
+        out = tmp_path / "fig2"
+        result = runner.invoke(
+            main,
+            ["experiment", "fig2", "--n", "20", "--k", "5", "--trials", "1100",
+             "--sigmas", "0.05,0.3", "--seed", "2", *args, "--out-dir", str(out)],
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("args", [[], ["--real-noise"]], ids=["complex", "real"])
     @pytest.mark.parametrize("trials", [16, 32, 128])
     def test_fig2_bytes_do_not_depend_on_block_size(self, runner, tmp_path, monkeypatch,
