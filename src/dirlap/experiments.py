@@ -15,17 +15,22 @@ U_omega^*`` onto the band: ``x_rec = V_omega (U_omega^* y)``, two thin
 products of O(n k) per trial, with no n x n product. The per-trial error is
 relative ell-2, reported next to the theoretical ceiling
 ``kappa(V) * ||eta|| / ||x0||``, so the gap between the two graphs' curves
-exposes the conditioning penalty directly.
+exposes the conditioning penalty directly. The sweep also records each
+graph's ``lowpass_gain``, ``||P_omega||_2``: the filter's exact worst-case
+noise gain, which bounds every trial's ``err_abs / ||eta||`` and which
+``kappa(V)`` bounds in turn.
 
 Every number is a pure function of the configuration: graph generation uses
-the configured seed and each (graph, sigma, trial) draws from its own PCG64
-stream, seeded by ``SeedSequence(entropy=seed, spawn_key=(graph, sigma,
-trial))``, so results do not depend on execution order. The seed hash is
-replayed once per (graph, sigma) cell, and the cell's trials run as blocks
-of at most ``BLOCK_ENTRIES // n`` trials (a power of two, at least one), one
-trial per column; the seeds of a block's streams are computed together from
-the cell's replay, and each trial still draws all its variates from its own
-stream. This needs ``trials < 2**32``.
+the configured seed and each (graph, sigma) cell draws from its own PCG64
+stream, seeded by ``SeedSequence(entropy=seed, spawn_key=(graph,
+sigma_index))`` (graph 0 the cycle, 1 the perturbed cycle; ``sigma_index``
+the place of sigma in the grid), so cells do not depend on each other or on
+their order. Trial ``t`` of a cell takes row ``t`` of the cell's draws:
+``2k`` variates for its coefficients, then ``2n`` (``n`` for real noise)
+for its noise, so a trial keeps its values when ``trials`` grows. The
+cell's trials run as blocks of at most ``BLOCK_ENTRIES // n`` trials (a
+power of two, at least one), one trial per column, each block's variates
+drawn in one call.
 
 A sweep holds each cell's trials as arrays, one entry per trial. A cell
 summarizes its trials on first read, with ``math.fsum``, so each mean
@@ -38,7 +43,6 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -117,7 +121,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.trials >= 2**32:
-            # the trial index is one 32-bit word of its stream's seed key (see _trial_seeds)
+            # the documented range of trials; a cell holds four float64 entries a trial,
+            # 128 GiB at 2**32 trials, so memory runs out long before the bound
             raise ValueError("trials must be below 2**32")
 
     def to_dict(self) -> dict:
@@ -170,6 +175,8 @@ class SweepCell:
 class NoiseSweep:
     decompositions: dict[str, SpectralDecomposition]
     cells: list[SweepCell]
+    #: ``||P_omega||_2`` of each graph's band, from :func:`_lowpass_gain`
+    lowpass_gains: dict[str, float]
 
 
 def reference_pair(config: ExperimentConfig) -> dict[str, SpectralDecomposition]:
@@ -179,85 +186,6 @@ def reference_pair(config: ExperimentConfig) -> dict[str, SpectralDecomposition]
         "perturbed": gen_perturbed_cycle(config.n, config.p, config.w, config.seed),
     }
     return {name: decompose(directed_laplacian(g)) for name, g in graphs.items()}
-
-
-#: SeedSequence's hash constants (O'Neill's seed_seq_fe), stable under NumPy's NEP 19
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(init: int, mult: int, calls: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hash constant before and after each of ``count`` steps that follow ``calls`` steps."""
-    hash_const = init * pow(mult, calls, 1 << 32) & _MASK32
-    before, after = [], []
-    for _ in range(count):
-        before.append(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        after.append(hash_const)
-    return np.array(before, np.uint32), np.array(after, np.uint32)
-
-
-def _trial_seeds(seed: int, graph: int, sigma_index: int) -> Callable[[range], np.ndarray]:
-    """The seed replay of one (graph, sigma) cell.
-
-    The returned function maps a range of trials (each below ``2**32``) to
-    ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, t)).generate_state(4, np.uint64)``
-    for every ``t`` in it, one row per trial.
-
-    The parent ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index))``
-    holds in its ``pool`` the mixer state every child reaches before its
-    trial word, the last word of its entropy, is mixed in. That pool and the
-    hash constants are computed here, once per cell; each call replays what
-    is left over its trial column: the four ``hashmix``/``mix`` steps of the
-    trial word, then ``generate_state``'s hash of the pool into eight 32-bit
-    words.
-    """
-    parent = np.random.SeedSequence(entropy=seed, spawn_key=(graph, sigma_index))
-    # the parent's entropy: the seed's 32-bit words, padded to the pool size 4, then the key;
-    # mixing it took 16 hashmix steps for the first four words and 4 for each further word
-    words = max(-(-int(seed).bit_length() // 32), 4) + 2
-    before_a, after_a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (words - 4), 4)
-    pool = np.array([_MIX_MULT_L * int(word) & _MASK32 for word in parent.pool], np.uint32)
-    mult_r = np.uint32(_MIX_MULT_R)
-    before_b, after_b = _hash_constants(_INIT_B, _MULT_B, 0, 8)
-    shift = np.uint32(16)
-
-    def rows(trials: range) -> np.ndarray:
-        hashed = np.arange(trials.start, trials.stop, dtype=np.uint32)[:, None] ^ before_a
-        hashed *= after_a
-        hashed ^= hashed >> shift
-        hashed *= mult_r
-        mixer = pool - hashed
-        mixer ^= mixer >> shift
-        state = np.tile(mixer, 2) ^ before_b
-        state *= after_b
-        state ^= state >> shift
-        # little-endian pairs of 32-bit words, as generate_state(4, np.uint64) returns them
-        return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-    return rows
-
-
-@functools.cache
-def _seed_row_type() -> type:
-    """``_SeedRow``, defined on first use so that start-up does not import numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _SeedRow(ISeedSequence):
-        """One trial's seed words, as numpy's ``ISeedSequence`` interface hands them to PCG64."""
-
-        __slots__ = ("state",)
-
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            assert n_words == 4 and dtype == np.uint64, "PCG64 asks for four 64-bit words"
-            return self.state
-
-    return _SeedRow
 
 
 def _block_trials(n: int) -> int:
@@ -273,19 +201,24 @@ def _block_trials(n: int) -> int:
     return 1 << (max(1, BLOCK_ENTRIES // n).bit_length() - 1)
 
 
-def _cell_draws(seeds: Callable[[range], np.ndarray], trials: range, out: np.ndarray) -> np.ndarray:
-    """Standard normal variates of a block of trials in the first rows of ``out``, one per trial.
+def _cell_draws(generator: np.random.Generator, trials: int, out: np.ndarray) -> np.ndarray:
+    """The standard normal variates of a block of ``trials`` trials, in the first rows of ``out``.
 
-    Each trial fills its row in one call on its own PCG64 stream, the one
-    ``SeedSequence(entropy=seed, spawn_key=(graph, sigma_index, trial))``
-    seeds: ``2k`` variates for its coefficients, then ``2n`` (``n`` for real
-    noise) for its noise. ``seeds`` is the cell's replay from ``_trial_seeds``.
+    One call on the cell's stream fills the rows in C order, so a trial's
+    row is the same whatever the block width: ``2k`` variates for its
+    coefficients, then ``2n`` (``n`` for real noise) for its noise.
     """
-    seed_row, generator, pcg64 = _seed_row_type(), np.random.Generator, np.random.PCG64
-    z = out[: len(trials)]
-    for row, seed in zip(z, seeds(trials)):
-        generator(pcg64(seed_row(seed))).standard_normal(out=row)
-    return z
+    return generator.standard_normal(out=out[:trials])
+
+
+def _lowpass_gain(v_omega: np.ndarray, u_omega: np.ndarray) -> float:
+    """``||P_omega||_2 = ||V_omega U_omega^*||_2`` of the band's oblique projector, at O(n k^2).
+
+    With thin QRs ``V_omega = Q_1 R_1`` and ``U_omega = Q_2 R_2``, ``P_omega
+    = Q_1 (R_1 R_2^*) Q_2^*`` has the norm of the k x k matrix ``R_1 R_2^*``.
+    """
+    r1, r2 = np.linalg.qr(v_omega, mode="r"), np.linalg.qr(u_omega, mode="r")
+    return float(np.linalg.norm(r1 @ r2.conj().T, 2))
 
 
 def _circular(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -320,9 +253,9 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     ``x_rec = V_omega (U_omega^* y)``, and record the relative error
     alongside its theoretical ceiling.
 
-    The seeds of a (graph, sigma) cell are replayed once per cell, and its
-    trials run in blocks of ``_block_trials(n)``, one column per trial, so
-    each block is three thin matrix products, O(n k) per trial. One block's
+    A (graph, sigma) cell's trials run in blocks of ``_block_trials(n)``,
+    one column per trial, so each block is one draw from the cell's stream
+    and three thin matrix products, O(n k) per trial. One block's
     arrays are allocated once per sweep and reused by every block.
 
     Raises:
@@ -340,20 +273,23 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     x0, y = (np.empty((n, width), dtype=np.complex128) for _ in range(2))
     xhat = np.empty((max(k, 2), width), dtype=np.complex128)
     cells: list[SweepCell] = []
+    gains: dict[str, float] = {}
     for graph, dec in decompositions.items():
         v_omega = make_band(dec, k).v_omega
+        gains[graph] = _lowpass_gain(v_omega, dec.u[:, :k])
         # U_omega^*, the band being the first k modes; at k = 1 a second, unused row keeps
         # numpy on BLAS gemm, as at every other k, where one row would take gemv, which
         # rounds differently
         uh_omega = np.ascontiguousarray(dec.u[:, : max(k, 2)].conj().T)
         for sigma_index, sigma in enumerate(config.sigmas):
-            seeds = _trial_seeds(config.seed, _GRAPH_STREAM[graph], sigma_index)
+            generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                entropy=config.seed, spawn_key=(_GRAPH_STREAM[graph], sigma_index))))
             err_abs, x0_norm, bound = (np.empty(trials) for _ in range(3))
             # an overflow is refused below, by name, in place of numpy's warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, trials, width):
                     stop = min(start + width, trials)
-                    zb = _cell_draws(seeds, range(start, stop), z)
+                    zb = _cell_draws(generator, stop - start, z)
                     # the block's rows and columns of each buffer, the first stop - start
                     c, eta = coefficients[: stop - start], noise[: stop - start]
                     x0_b, y_b, xhat_b = (a[:, : stop - start] for a in (x0, y, xhat))
@@ -378,4 +314,4 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
                     raise NonFiniteError(f"{name} of the {graph} graph at sigma {sigma:g} "
                                          "overflowed float64")
             cells.append(cell)
-    return NoiseSweep(decompositions=decompositions, cells=cells)
+    return NoiseSweep(decompositions=decompositions, cells=cells, lowpass_gains=gains)

@@ -54,8 +54,9 @@ Formats (all numeric output uses 12 significant digits):
   ``spectrum_csv`` path holding a comma, a double quote, CR or LF is quoted
 - fig1 ``metrics.json``, ``{config, generator, version, graphs}``, with one
   metrics JSON per graph; each ``spectrum_csv`` names its spectrum CSV
-- fig2 ``bundle.json``, the fig1 header with ``spectrum_csv`` null, plus
-  ``summary``: one object per sweep cell, its ``experiments.SUMMARY_FIELDS``
+- fig2 ``bundle.json``, the fig1 header with ``spectrum_csv`` null and each
+  graph's ``lowpass_gain`` (``||P_omega||_2``) after it, plus ``summary``:
+  one object per sweep cell, its ``experiments.SUMMARY_FIELDS``
 - sweep trials CSV, header ``sigma,trial,graph,err_l2,bound``, one row per
   trial, rendered from the sweep's per-cell arrays
 - sweep summary CSV, header ``graph,sigma,err_mean,err_std,err_abs_mean,bound_mean``
@@ -532,7 +533,9 @@ def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> P
     """
     from .experiments import SUMMARY_FIELDS
 
-    graphs = {name: _metrics_payload(dec, None) for name, dec in sweep.decompositions.items()}
+    graphs = {name: {**_metrics_payload(dec, None),
+                     "lowpass_gain": round12(sweep.lowpass_gains[name])}
+              for name, dec in sweep.decompositions.items()}
     summary = [{"graph": cell.graph, **{key: round12(getattr(cell, key))
                                         for key in SUMMARY_FIELDS[1:]}}
                for cell in sweep.cells]

@@ -289,11 +289,13 @@ def test_criterion_12_lowpass_gain_bounds_every_trial():
         config = ExperimentConfig(sigmas=(0.0, 0.05, 0.3), trials=300, real_noise=real_noise)
         sweep = run_noise_sweep(config)
         for name, dec in sweep.decompositions.items():
+            # the sweep's own value, checked against the k x k eigenvalue and the n x n SVD
             band = make_band(dec, config.k)
             v, u = band.v_omega, dec.u[:, band.omega]
-            gain = gains[name] = _lowpass_gain(v, u)
-            svd_gain = np.linalg.norm(v @ u.conj().T, 2)
-            ok &= gain <= dec.kappa * (1 + 1e-12) and abs(gain - svd_gain) <= 1e-10 * svd_gain
+            gain = gains[name] = sweep.lowpass_gains[name]
+            for check in (_lowpass_gain(v, u), np.linalg.norm(v @ u.conj().T, 2)):
+                ok &= abs(gain - check) <= 1e-10 * check
+            ok &= gain <= dec.kappa * (1 + 1e-12)
         ok &= abs(gains["cycle"] - 1.0) <= 1e-12
         for cell in sweep.cells:
             if cell.sigma == 0.0:

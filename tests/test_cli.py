@@ -760,8 +760,19 @@ class TestExperimentCommands:
     def test_fig2_summary_survives_a_sum_past_float64(self, runner, tmp_path):
         # every err_l2 is finite, but fsum of their squared deviations overflowed and
         # raised OverflowError (a traceback)
+        sigma = 8e152
+        # the premise, on the sweep the command runs: every err_l2 and every squared
+        # deviation is finite, and on some cell the plain sum of the squares is not
+        sums = []
+        config = experiments.ExperimentConfig(sigmas=(sigma,))
+        for cell in experiments.run_noise_sweep(config).cells:
+            errs = cell.err_l2.tolist()
+            squares = [(e - cell.err_mean) ** 2 for e in errs]
+            assert all(map(math.isfinite, errs + squares))
+            sums.append(sum(squares))
+        assert math.inf in sums
         out = tmp_path / "fig2"
-        result = runner.invoke(main, ["experiment", "fig2", "--sigmas", "1e153",
+        result = runner.invoke(main, ["experiment", "fig2", "--sigmas", f"{sigma!r}",
                                       "--out-dir", str(out)])
         assert result.exit_code == 0
         bundle = json.loads((out / "bundle.json").read_text(), parse_constant=_refuse_constant)
@@ -822,16 +833,16 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "args, digests",
         [
-            ([], ("44791bdfc80c341febaf95906cc08f40668a5ace5598ddd7d878ee3c4107597b",
-                  "e2242db767404a8c912142fce0e7e03b0b4d0cb21d5e54d05df13a8138337c63")),
+            ([], ("59ba85d18b03db77722b314911dc674d4d766b1b560b5fbfaf988c23a0bbf74e",
+                  "1abaae8d62cdfcf1e37d386ccffbdff8236ac24e0b33eee9b37510f5d7bfba34")),
             (["--real-noise"],
-             ("a19f97c3e251637ad540188b44393b351b7d98ceb807947ebd1ee03e56674c91",
-              "2cf56459857a2dccf8dfd0afc4c128955a5db65defa534bccf3f983da9e25ad9")),
+             ("cb796048cee5b72bf3ba76c85ea4cbc5868f0b6511bc7a3996ef2a343ab2634b",
+              "4b160fa0d28024a85cec85b20b170df0edb895adac8c64ba3a57370f84683b0f")),
         ],
         ids=["complex", "real"],
     )
     def test_fig2_golden_hash(self, runner, tmp_path, args, digests):
-        # pins the per-(graph, sigma, trial) PCG64 streams; at n = 10 the 300 trials
+        # pins the per-(graph, sigma) PCG64 streams; at n = 10 the 300 trials
         # fit in one sweep block (test_fig2_bytes_do_not_depend_on_block_size splits them)
         out = tmp_path / "fig2"
         result = runner.invoke(
@@ -846,8 +857,8 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "args, digest",
         [
-            ([], "cc46d5b4acdf6749c15ee0d31c5355efb7b7ab0fbc53278bfa6649c108587db7"),
-            (["--real-noise"], "a8ebf50a8157c6d321727c091d0e63143ec321cb2e32841acd8e9d2502197213"),
+            ([], "28efe04cf134b7ee8197c0140b37a037cfde20f1ccf0fd2ae76fd731261fb52e"),
+            (["--real-noise"], "ecaf3e90681aeab95f48d27a73ac70f03d8b9215bc40fb471b5fea12f64b9488"),
         ],
         ids=["complex", "real"],
     )
@@ -865,8 +876,8 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "args, digest",
         [
-            ([], "cba9bff8a274fa09ac7808ebef1ee1df5630877ed7749383f32f8ebb61889bc6"),
-            (["--real-noise"], "0b6fce9bc0624b9462f015f986073a24cef54de6db3af5fddfcdee26003287fa"),
+            ([], "cb9c7ce6833f89237b18a6417a5f476feffc40dae09569bc0f26e71c9f96792f"),
+            (["--real-noise"], "818e1d8cf68e143559544a15d9f79548747545fe6e9f1b314304f006d19c943e"),
         ],
         ids=["complex", "real"],
     )

@@ -20,7 +20,7 @@ from dirlap import (
 )
 from dirlap import experiments
 from dirlap.experiments import (
-    _GRAPH_STREAM, SUMMARY_FIELDS, SweepCell, _block_trials, _cell_draws, _trial_seeds,
+    _GRAPH_STREAM, SUMMARY_FIELDS, SweepCell, _block_trials, _cell_draws,
 )
 
 
@@ -106,7 +106,7 @@ class TestConfig:
         assert (cfg.p, cfg.w, cfg.sigmas, cfg.real_noise) == (1, 2, (0.0, 1.0), True)
 
     def test_largest_trials_accepted(self):
-        # the trial index is one 32-bit word of its stream's seed key
+        # the documented range of trials ends below 2**32
         assert ExperimentConfig(trials=2**32 - 1).trials == 2**32 - 1
 
     def test_numpy_integers_accepted(self):
@@ -232,10 +232,11 @@ def per_trial_sweep(config):
         low_pass = SpectralFilter.ideal(band.omega, config.n)
         stream = {"cycle": 0, "perturbed": 1}[graph]
         for sigma_index, sigma in enumerate(config.sigmas):
+            # one stream per cell, its trials drawn one after another
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(stream, sigma_index))
+            )
             for trial in range(config.trials):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=config.seed, spawn_key=(stream, sigma_index, trial))
-                )
                 c = (rng.standard_normal(config.k) + 1j * rng.standard_normal(config.k)) / np.sqrt(2.0)
                 x0 = synthesize_bandlimited(band, c)
                 if config.real_noise:
@@ -262,8 +263,8 @@ def per_trial_sweep(config):
     ids=["complex", "real", "one-trial-complex", "one-trial-real"],
 )
 def test_sweep_matches_per_trial_loop(kwargs, monkeypatch):
-    # blocks of trials draw from the same per-trial streams as one call per trial;
-    # 259 trials in blocks of 128 are two whole blocks and a partial one
+    # a block's one draw from its cell's stream gives each trial the variates that four
+    # calls per trial give; 259 trials in blocks of 128 are two whole blocks and a partial one
     monkeypatch.setattr(experiments, "_block_trials", lambda n: 128)
     config = ExperimentConfig(**kwargs)
     expected = per_trial_sweep(config)
@@ -286,56 +287,54 @@ def test_sweep_matches_per_trial_loop(kwargs, monkeypatch):
 
 
 class TestTrialStreams:
-    TRIALS = (0, 1, 127, 128, 129, 2**32 - 1)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**160 - 1, 2**200])
-    def test_seed_rows_match_seed_sequence(self, seed):
-        for graph in (0, 1):
-            for sigma_index in (0, 5):
-                for trial in self.TRIALS:
-                    expected = np.random.SeedSequence(
-                        entropy=seed, spawn_key=(graph, sigma_index, trial)
-                    ).generate_state(4, np.uint64)
-                    got = _trial_seeds(seed, graph, sigma_index)(range(trial, trial + 1))
-                    assert got.dtype == np.uint64
-                    assert got.tolist() == [expected.tolist()]
-
-    def test_seed_rows_of_a_block(self):
-        rows = _trial_seeds(2**32, 1, 2)(range(100, 100 + 128))
-        assert rows.shape == (128, 4)
-        for trial, row in zip(range(100, 100 + 128), rows.tolist()):
-            seq = np.random.SeedSequence(entropy=2**32, spawn_key=(1, 2, trial))
-            assert row == seq.generate_state(4, np.uint64).tolist()
+    @staticmethod
+    def stream(seed, graph, sigma_index):
+        """The PCG64 stream of one (graph, sigma) cell."""
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(graph, sigma_index))))
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
-    def test_one_cell_replay_serves_every_block(self, seed):
-        # one replay per cell, called block by block across two block boundaries
-        block = _block_trials(20)
-        edges = (block - 5, block, 2 * block, 2 * block + 7)
-        trials = range(edges[0], edges[-1])
-        rows = _trial_seeds(seed, 1, 3)
-        got = np.concatenate([rows(range(a, b)) for a, b in zip(edges, edges[1:])])
-        assert got.dtype == np.uint64
-        assert got.shape == (len(trials), 4)
-        for trial, row in zip(trials, got.tolist()):
-            seq = np.random.SeedSequence(entropy=seed, spawn_key=(1, 3, trial))
-            assert row == seq.generate_state(4, np.uint64).tolist()
+    def test_one_cell_stream_serves_every_block(self, seed):
+        # block by block across two block boundaries, the cell's stream gives each trial the
+        # row that one call for every trial gives, and that four calls per trial give
+        k, n = 5, 20
+        block = _block_trials(n)
+        edges = (0, block, 2 * block, 2 * block + 7)
+        generator, out = self.stream(seed, 1, 3), np.empty((block, 2 * k + 2 * n))
+        got = np.concatenate([_cell_draws(generator, b - a, out).copy()
+                              for a, b in zip(edges, edges[1:])])
+        one_call = self.stream(seed, 1, 3).standard_normal((edges[-1], 2 * k + 2 * n))
+        rng = self.stream(seed, 1, 3)
+        split = [np.concatenate([rng.standard_normal(size) for size in (k, k, n, n)])
+                 for _ in range(edges[-1])]
+        assert np.array_equal(got, one_call)
+        assert np.array_equal(got, np.array(split))
 
     @pytest.mark.parametrize(
         "seed, graph, sigma_index, trial, head",
         [
             (0, "cycle", 0, 0,
-             ["-0x1.81323c6fa478ap+0", "-0x1.2380ff4b1dfe5p-1", "-0x1.78d36113ffac6p+0"]),
+             ["0x1.92625f321f8d5p-1", "-0x1.d70412e7f5b1ep-1", "0x1.78b965b654f72p+0"]),
             (2**64 + 1, "perturbed", 5, 129,
-             ["-0x1.970629100883dp-1", "-0x1.4fb74bccb9017p-1", "-0x1.05554fc55adabp+1"]),
+             ["0x1.089d4688d2a37p-2", "0x1.e21c0f13c6d6cp-2", "-0x1.698c0aff74ee6p+0"]),
         ],
     )
     def test_first_variates_pinned(self, seed, graph, sigma_index, trial, head):
         # fixed values, so a seeding fault shows even if numpy's SeedSequence changed with it
-        seeds = _trial_seeds(seed, _GRAPH_STREAM[graph], sigma_index)
-        # one trial's row at the default n = 20, k = 5: 2k coefficient and 2n noise variates
-        z = _cell_draws(seeds, range(trial, trial + 1), np.empty((1, 2 * 5 + 2 * 20)))
-        assert [float.hex(float(v)) for v in z[0, :3]] == head
+        generator = self.stream(seed, _GRAPH_STREAM[graph], sigma_index)
+        # rows of 2k coefficient and 2n noise variates at the default n = 20, k = 5
+        z = _cell_draws(generator, trial + 1, np.empty((trial + 1, 2 * 5 + 2 * 20)))
+        assert [float.hex(float(v)) for v in z[trial, :3]] == head
+
+    @pytest.mark.parametrize("real_noise", [False, True], ids=["complex", "real"])
+    def test_trials_keep_their_values_when_trials_grows(self, real_noise):
+        # at n = 20 a block is 1024 trials, so 1100 trials are two blocks, 300 one narrower one
+        def cells(trials):
+            return run_noise_sweep(ExperimentConfig(trials=trials, real_noise=real_noise)).cells
+
+        for short, long in zip(cells(300), cells(1100), strict=True):
+            for name in ("err_l2", "err_abs", "bound"):
+                assert np.array_equal(getattr(short, name), getattr(long, name)[:300])
 
 
 class TestSweepBlocks:
