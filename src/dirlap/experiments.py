@@ -15,10 +15,10 @@ U_omega^*`` onto the band: ``x_rec = V_omega (U_omega^* y)``, two thin
 products of O(n k) per trial, with no n x n product. The per-trial error is
 relative ell-2, reported next to the theoretical ceiling
 ``kappa(V) * ||eta|| / ||x0||``, so the gap between the two graphs' curves
-exposes the conditioning penalty directly. The sweep also records each
-graph's ``lowpass_gain``, ``||P_omega||_2``: the filter's exact worst-case
-noise gain, which bounds every trial's ``err_abs / ||eta||`` and which
-``kappa(V)`` bounds in turn.
+exposes the conditioning penalty directly. The sweep keeps each graph's
+band, whose ``BandModel.lowpass_gain``, ``||P_omega||_2``, is the filter's
+exact worst-case noise gain: it bounds every trial's ``err_abs / ||eta||``
+and ``kappa(V)`` bounds it in turn.
 
 Every number is a pure function of the configuration: graph generation uses
 the configured seed and each (graph, sigma) cell draws from its own PCG64
@@ -49,7 +49,7 @@ import numpy as np
 from .eigen import SpectralDecomposition, decompose
 from .errors import NonFiniteError
 from .graphs import MAX_VERTICES, directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
-from .sampling import make_band
+from .sampling import BandModel, make_band
 from .transform import _is_a
 
 GENERATOR_NAME = "PCG64"
@@ -173,10 +173,11 @@ class SweepCell:
 
 @dataclass(frozen=True, eq=False)
 class NoiseSweep:
-    decompositions: dict[str, SpectralDecomposition]
+    """Each reference graph's band, with its ``decomposition`` and its ``lowpass_gain``
+    (``||P_omega||_2``, computed on first read), and the sweep's cells in order."""
+
+    bands: dict[str, BandModel]
     cells: list[SweepCell]
-    #: ``||P_omega||_2`` of each graph's band, from :func:`_lowpass_gain`
-    lowpass_gains: dict[str, float]
 
 
 def reference_pair(config: ExperimentConfig) -> dict[str, SpectralDecomposition]:
@@ -199,26 +200,6 @@ def _block_trials(n: int) -> int:
     depend on which power of two the block is.
     """
     return 1 << (max(1, BLOCK_ENTRIES // n).bit_length() - 1)
-
-
-def _cell_draws(generator: np.random.Generator, trials: int, out: np.ndarray) -> np.ndarray:
-    """The standard normal variates of a block of ``trials`` trials, in the first rows of ``out``.
-
-    One call on the cell's stream fills the rows in C order, so a trial's
-    row is the same whatever the block width: ``2k`` variates for its
-    coefficients, then ``2n`` (``n`` for real noise) for its noise.
-    """
-    return generator.standard_normal(out=out[:trials])
-
-
-def _lowpass_gain(v_omega: np.ndarray, u_omega: np.ndarray) -> float:
-    """``||P_omega||_2 = ||V_omega U_omega^*||_2`` of the band's oblique projector, at O(n k^2).
-
-    With thin QRs ``V_omega = Q_1 R_1`` and ``U_omega = Q_2 R_2``, ``P_omega
-    = Q_1 (R_1 R_2^*) Q_2^*`` has the norm of the k x k matrix ``R_1 R_2^*``.
-    """
-    r1, r2 = np.linalg.qr(v_omega, mode="r"), np.linalg.qr(u_omega, mode="r")
-    return float(np.linalg.norm(r1 @ r2.conj().T, 2))
 
 
 def _circular(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -262,7 +243,7 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
         NonFiniteError: a trial's error or bound overflowed float64, as a
             ``sigma`` near ``1e154`` or above makes the noise norms do.
     """
-    decompositions = reference_pair(config)
+    bands = {graph: make_band(dec, config.k) for graph, dec in reference_pair(config).items()}
     k, n, trials = config.k, config.n, config.trials
     width = min(_block_trials(n), trials)
     # the draws, coefficients and noise of a block, one row per trial, then x0, y = x0 + eta
@@ -273,10 +254,8 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     x0, y = (np.empty((n, width), dtype=np.complex128) for _ in range(2))
     xhat = np.empty((max(k, 2), width), dtype=np.complex128)
     cells: list[SweepCell] = []
-    gains: dict[str, float] = {}
-    for graph, dec in decompositions.items():
-        v_omega = make_band(dec, k).v_omega
-        gains[graph] = _lowpass_gain(v_omega, dec.u[:, :k])
+    for graph, band in bands.items():
+        dec, v_omega = band.decomposition, band.v_omega
         # U_omega^*, the band being the first k modes; at k = 1 a second, unused row keeps
         # numpy on BLAS gemm, as at every other k, where one row would take gemv, which
         # rounds differently
@@ -289,7 +268,9 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, trials, width):
                     stop = min(start + width, trials)
-                    zb = _cell_draws(generator, stop - start, z)
+                    # one call fills the block's rows in C order, so a trial's row does not
+                    # depend on the block width
+                    zb = generator.standard_normal(out=z[: stop - start])
                     # the block's rows and columns of each buffer, the first stop - start
                     c, eta = coefficients[: stop - start], noise[: stop - start]
                     x0_b, y_b, xhat_b = (a[:, : stop - start] for a in (x0, y, xhat))
@@ -314,4 +295,4 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
                     raise NonFiniteError(f"{name} of the {graph} graph at sigma {sigma:g} "
                                          "overflowed float64")
             cells.append(cell)
-    return NoiseSweep(decompositions=decompositions, cells=cells, lowpass_gains=gains)
+    return NoiseSweep(bands=bands, cells=cells)

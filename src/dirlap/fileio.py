@@ -533,9 +533,9 @@ def write_noise_sweep(config: ExperimentConfig, sweep: NoiseSweep, out_dir) -> P
     """
     from .experiments import SUMMARY_FIELDS
 
-    graphs = {name: {**_metrics_payload(dec, None),
-                     "lowpass_gain": round12(sweep.lowpass_gains[name])}
-              for name, dec in sweep.decompositions.items()}
+    graphs = {name: {**_metrics_payload(band.decomposition, None),
+                     "lowpass_gain": round12(band.lowpass_gain)}
+              for name, band in sweep.bands.items()}
     summary = [{"graph": cell.graph, **{key: round12(getattr(cell, key))
                                         for key in SUMMARY_FIELDS[1:]}}
                for cell in sweep.cells]

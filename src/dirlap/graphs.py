@@ -200,7 +200,7 @@ def gen_perturbed_cycle(n: int, p: float, w: float, seed: int) -> DirectedGraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     if not np.isfinite(w) or w <= 0.0:
-        raise ValueError(f"perturbation weight must be positive, got {w}")
+        raise ValueError(f"perturbation weight must be finite and positive, got {w}")
     cycle_src, cycle_dst = _cycle_arcs(n)
     rng = np.random.default_rng(seed)
     per_row = n - 2

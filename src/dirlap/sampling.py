@@ -13,6 +13,8 @@ below ``RANK_RTOL * sigma_max(B)``. Robustness is governed by two factors
 the certificate keeps separate: the sampling geometry through
 ``gamma = sigma_min(B)`` and the eigenvector geometry through
 ``||V_omega||_2`` (equal to 1 only when the synthesis basis is orthonormal).
+A band also carries the ideal low-pass filter's noise gain ``||P_omega||_2``
+(``BandModel.lowpass_gain``), which ``kappa(V)`` bounds.
 """
 from __future__ import annotations
 
@@ -71,6 +73,19 @@ class BandModel:
     def synthesis_norm(self) -> float:
         """Spectral norm ``||V_omega||_2`` of the synthesis submatrix."""
         return float(np.linalg.norm(self.v_omega, 2))
+
+    @cached_property
+    def lowpass_gain(self) -> float:
+        """``||P_omega||_2 = ||V_omega U_omega^*||_2`` of the band's oblique projector, at O(n k^2).
+
+        The ideal low-pass filter's exact worst-case noise gain: at most
+        ``kappa(V)``, and 1 on a normal graph. With thin QRs ``V_omega = Q_1
+        R_1`` and ``U_omega = Q_2 R_2``, ``P_omega = Q_1 (R_1 R_2^*) Q_2^*``
+        has the norm of the k x k matrix ``R_1 R_2^*``.
+        """
+        r1 = np.linalg.qr(self.v_omega, mode="r")
+        r2 = np.linalg.qr(self.decomposition.u[:, self.omega], mode="r")
+        return float(np.linalg.norm(r1 @ r2.conj().T, 2))
 
 
 @dataclass(frozen=True, eq=False)

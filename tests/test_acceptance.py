@@ -219,7 +219,7 @@ def test_criterion_8_noise_bounds():
 
 def test_criterion_9_noise_sweep_properties():
     result = run_noise_sweep(ExperimentConfig())
-    kappa = result.decompositions["perturbed"].kappa
+    kappa = result.bands["perturbed"].decomposition.kappa
     cyc = {c.sigma: c.err_mean for c in result.cells if c.graph == "cycle"}
     per = {c.sigma: c.err_mean for c in result.cells if c.graph == "perturbed"}
     sigmas = sorted(cyc)
@@ -288,11 +288,11 @@ def test_criterion_12_lowpass_gain_bounds_every_trial():
     for real_noise in (False, True):
         config = ExperimentConfig(sigmas=(0.0, 0.05, 0.3), trials=300, real_noise=real_noise)
         sweep = run_noise_sweep(config)
-        for name, dec in sweep.decompositions.items():
-            # the sweep's own value, checked against the k x k eigenvalue and the n x n SVD
-            band = make_band(dec, config.k)
+        for name, band in sweep.bands.items():
+            # the band's own value, checked against the k x k eigenvalue and the n x n SVD
+            dec = band.decomposition
             v, u = band.v_omega, dec.u[:, band.omega]
-            gain = gains[name] = sweep.lowpass_gains[name]
+            gain = gains[name] = band.lowpass_gain
             for check in (_lowpass_gain(v, u), np.linalg.norm(v @ u.conj().T, 2)):
                 ok &= abs(gain - check) <= 1e-10 * check
             ok &= gain <= dec.kappa * (1 + 1e-12)
@@ -300,7 +300,7 @@ def test_criterion_12_lowpass_gain_bounds_every_trial():
         for cell in sweep.cells:
             if cell.sigma == 0.0:
                 continue
-            dec = sweep.decompositions[cell.graph]
+            dec = sweep.bands[cell.graph].decomposition
             # ||eta|| = bound ||x0|| / kappa, with ||x0|| = err_abs / err_l2
             eta_norm = cell.bound * (cell.err_abs / cell.err_l2) / dec.kappa
             share = cell.err_abs / (gains[cell.graph] * eta_norm)

@@ -135,6 +135,12 @@ class TestGen:
         assert result.exit_code == 2
         assert "Invalid value for '--seed': -1" in result.output
 
+    @pytest.mark.parametrize("w", ["inf", "nan", "0", "-1"])
+    def test_weight_not_finite_and_positive_is_usage_error(self, runner, w):
+        result = runner.invoke(main, ["gen", "perturbed-cycle", "--n", "5", f"--w={w}"])
+        assert result.exit_code == 2
+        assert "perturbation weight must be finite and positive" in result.output
+
     @pytest.mark.parametrize("kind", ["cycle", "perturbed-cycle"])
     def test_n_beyond_max_vertices_is_usage_error(self, runner, kind):
         result = runner.invoke(main, ["gen", kind, "--n", "99999999999999999999"])
@@ -892,6 +898,30 @@ class TestExperimentCommands:
         )
         assert result.exit_code == 0
         assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args, digests",
+        [
+            ([], ("f8a1d1976835d9e289310c2862eca6256f12a5fb96d0b4352d5fd79461488969",
+                  "9db6e37217f88567e552ec3ed5ac717992928bce14a7cd567978d1585f54a962")),
+            (["--real-noise"],
+             ("a4bd1667f4c27bcb4fc69ed132db1ad7104d9f4469210c62fd365044b62e476d",
+              "15d3d0b0a4989a07e22779110763c8053b07d5c0344c26a7a6c42669923f488d")),
+        ],
+        ids=["complex", "real"],
+    )
+    def test_fig2_golden_hash_at_one_mode(self, runner, tmp_path, args, digests):
+        # at k = 1 the sweep keeps a second, unused row of U_omega^*, so numpy multiplies by
+        # gemm as at every other k; one row would take gemv, which rounds differently
+        out = tmp_path / "fig2"
+        result = runner.invoke(
+            main,
+            ["experiment", "fig2", "--n", "20", "--k", "1", "--trials", "1100",
+             "--sigmas", "0,0.05,0.3", "--seed", "2", *args, "--out-dir", str(out)],
+        )
+        assert result.exit_code == 0
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("trials.csv", "summary.csv")) == digests
 
     @pytest.mark.parametrize("args", [[], ["--real-noise"]], ids=["complex", "real"])
     @pytest.mark.parametrize("trials", [16, 32, 128])

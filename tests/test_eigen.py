@@ -316,6 +316,14 @@ class TestConditioning:
         with pytest.raises(NearDefectiveError, match="condition number nan"):
             decompose(_perturbed(20, 7))
 
+    def test_biorthogonality_defect_raises_near_defective(self, monkeypatch):
+        # an inverse off by 1e-6 in every entry keeps s_max far under the limit, but
+        # ||W^-1 W - I||_F, about 2.2e-5, exceeds n * 1e-8 = 2e-7
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda w: inv(w) + 1e-6)
+        with pytest.raises(NearDefectiveError, match="fails biorthogonality"):
+            decompose(_perturbed(20, 7))
+
 
 class TestDcMode:
     @pytest.mark.parametrize("n", [2, 5, 20])

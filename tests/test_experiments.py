@@ -20,7 +20,7 @@ from dirlap import (
 )
 from dirlap import experiments
 from dirlap.experiments import (
-    _GRAPH_STREAM, SUMMARY_FIELDS, SweepCell, _block_trials, _cell_draws,
+    _GRAPH_STREAM, SUMMARY_FIELDS, SweepCell, _block_trials,
 )
 
 
@@ -156,7 +156,7 @@ class TestNoiseSweep:
     def test_perturbed_error_dominates_cycle(self, sweep):
         cyc = {c.sigma: c.err_mean for c in sweep.cells if c.graph == "cycle"}
         per = {c.sigma: c.err_mean for c in sweep.cells if c.graph == "perturbed"}
-        kappa = sweep.decompositions["perturbed"].kappa
+        kappa = sweep.bands["perturbed"].decomposition.kappa
         for sigma in (0.05, 0.2):
             assert per[sigma] >= cyc[sigma]
             assert per[sigma] / cyc[sigma] <= kappa
@@ -301,7 +301,7 @@ class TestTrialStreams:
         block = _block_trials(n)
         edges = (0, block, 2 * block, 2 * block + 7)
         generator, out = self.stream(seed, 1, 3), np.empty((block, 2 * k + 2 * n))
-        got = np.concatenate([_cell_draws(generator, b - a, out).copy()
+        got = np.concatenate([generator.standard_normal(out=out[: b - a]).copy()
                               for a, b in zip(edges, edges[1:])])
         one_call = self.stream(seed, 1, 3).standard_normal((edges[-1], 2 * k + 2 * n))
         rng = self.stream(seed, 1, 3)
@@ -323,7 +323,7 @@ class TestTrialStreams:
         # fixed values, so a seeding fault shows even if numpy's SeedSequence changed with it
         generator = self.stream(seed, _GRAPH_STREAM[graph], sigma_index)
         # rows of 2k coefficient and 2n noise variates at the default n = 20, k = 5
-        z = _cell_draws(generator, trial + 1, np.empty((trial + 1, 2 * 5 + 2 * 20)))
+        z = generator.standard_normal(out=np.empty((trial + 1, 2 * 5 + 2 * 20)))
         assert [float.hex(float(v)) for v in z[trial, :3]] == head
 
     @pytest.mark.parametrize("real_noise", [False, True], ids=["complex", "real"])

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 from dirlap import (
@@ -21,7 +22,10 @@ from dirlap import (
     recover,
     select_sampling_set,
     synthesize_bandlimited,
+    vertex_signal,
 )
+from dirlap import fileio, sampling
+from dirlap.cli import main
 from dirlap.sampling import RANK_RTOL, _rank_one_sigma_min
 
 
@@ -98,6 +102,43 @@ class TestBandModel:
         _, dec = perturbed20
         with pytest.raises(ValueError, match="band indices must be distinct and sorted"):
             BandModel(dec, omega)
+
+    @pytest.mark.parametrize("graph, omega", [("perturbed20", [1, 4]), ("cycle4", [0, 3])])
+    def test_lowpass_gain_is_the_projector_norm(self, request, graph, omega):
+        _, dec = request.getfixturevalue(graph)
+        band = BandModel(dec, omega)
+        u_omega = dec.u[:, band.omega]
+        expected = np.linalg.norm(band.v_omega @ u_omega.conj().T, 2)
+        assert band.lowpass_gain == pytest.approx(expected, rel=1e-12)
+        assert band.lowpass_gain <= dec.kappa * (1 + 1e-12)
+
+    @pytest.mark.parametrize("omega", [[0], [2], [0, 3], [1, 2, 3], [0, 1, 2, 3]])
+    def test_lowpass_gain_is_one_on_a_cycle(self, cycle4, omega):
+        # a normal graph's projector is orthogonal
+        _, dec = cycle4
+        assert BandModel(dec, omega).lowpass_gain == pytest.approx(1.0, rel=1e-12)
+
+    def test_sample_and_fig1_never_compute_lowpass_gain(self, tmp_path, monkeypatch):
+        # the gain is read only by fig2; every other band computes it never
+        bands = []
+
+        def recording_make_band(dec, k):
+            bands.append(make_band(dec, k))
+            return bands[-1]
+
+        monkeypatch.setattr(sampling, "make_band", recording_make_band)
+        runner = CliRunner()
+        graph, signal = tmp_path / "g.csv", tmp_path / "x.csv"
+        fileio.write_edge_list(gen_perturbed_cycle(20, 0.2, 0.8, seed=7), graph)
+        fileio.write_signal(vertex_signal(np.arange(20.0)), signal)
+        for args in (
+            ["sample", str(graph), "--k", "5", "--m", "8", "--signal", str(signal),
+             "--recover-out", str(tmp_path / "r.csv"), "--out", str(tmp_path / "plan.json")],
+            ["experiment", "fig1", "--out-dir", str(tmp_path / "fig1")],
+        ):
+            assert runner.invoke(main, args).exit_code == 0
+        assert len(bands) == 1
+        assert "lowpass_gain" not in bands[0].__dict__
 
 
 class TestSynthesize:
