@@ -54,7 +54,6 @@ _EXPORTS = {
     "sampling": (
         "BandModel",
         "SamplingPlan",
-        "make_band",
         "synthesize_bandlimited",
         "plan_sampling",
         "recover",

@@ -176,7 +176,7 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
               help="Recovered signal CSV (requires --signal).")
 def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
     """Plan a sampling set for a band and optionally recover a signal."""
-    from .sampling import make_band, plan_sampling, recover, select_sampling_set
+    from .sampling import BandModel, plan_sampling, recover, select_sampling_set
     from .transform import VERTEX
 
     if signal_path is not None and recover_out is None:
@@ -184,7 +184,7 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
     if recover_out is not None and signal_path is None:
         raise click.UsageError("--recover-out requires --signal")
     dec = _load_decomposition(graph_path, n)
-    band = make_band(dec, k)
+    band = BandModel(dec, k)
     if sample_set is not None:
         try:
             # a blank token, as in "1,,2", is refused, not skipped

@@ -49,7 +49,7 @@ import numpy as np
 from .eigen import SpectralDecomposition, decompose
 from .errors import NonFiniteError
 from .graphs import MAX_VERTICES, directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
-from .sampling import BandModel, make_band
+from .sampling import BandModel
 from .transform import _is_a
 
 GENERATOR_NAME = "PCG64"
@@ -243,7 +243,7 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
         NonFiniteError: a trial's error or bound overflowed float64, as a
             ``sigma`` near ``1e154`` or above makes the noise norms do.
     """
-    bands = {graph: make_band(dec, config.k) for graph, dec in reference_pair(config).items()}
+    bands = {graph: BandModel(dec, config.k) for graph, dec in reference_pair(config).items()}
     k, n, trials = config.k, config.n, config.trials
     width = min(_block_trials(n), trials)
     # the draws, coefficients and noise of a block, one row per trial, then x0, y = x0 + eta
@@ -256,9 +256,9 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     cells: list[SweepCell] = []
     for graph, band in bands.items():
         dec, v_omega = band.decomposition, band.v_omega
-        # U_omega^*, the band being the first k modes; at k = 1 a second, unused row keeps
-        # numpy on BLAS gemm, as at every other k, where one row would take gemv, which
-        # rounds differently
+        # U_omega^*, the first k rows of U^*; at k = 1 a second, unused row keeps numpy
+        # on BLAS gemm, as at every other k, where one row would take gemv, which rounds
+        # differently
         uh_omega = np.ascontiguousarray(dec.u[:, : max(k, 2)].conj().T)
         for sigma_index, sigma in enumerate(config.sigmas):
             generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(

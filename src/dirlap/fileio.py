@@ -435,15 +435,9 @@ def read_filter_spec(path, n: int) -> SpectralFilter:
         if not isinstance(omega, list):
             raise FileFormatError(f"bad ideal filter spec: omega must be an array, got {omega!r}")
         try:
-            filt = SpectralFilter.ideal(omega, n)
+            return SpectralFilter.ideal(omega, n)
         except ValueError as exc:
             raise FileFormatError(f"bad ideal filter spec: {exc}") from exc
-        repeated = np.flatnonzero(np.bincount(np.asarray(omega, dtype=int), minlength=n) > 1)
-        if repeated.size:
-            raise FileFormatError(
-                f"bad ideal filter spec: band index {repeated[0]} appears more than once"
-            )
-        return filt
     try:
         filt = SpectralFilter([_tap(re, im) for re, im in spec["response"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -56,7 +56,7 @@ class DirectedGraph:
     weight: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         n = int(self.n)
         try:

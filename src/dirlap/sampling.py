@@ -1,8 +1,9 @@
 """Bandlimited models, vertex sampling, recovery, and stability certificates.
 
-A signal is bandlimited to a frequency index set ``omega`` when it lies in
-the span of the corresponding right eigenvectors, ``x = V_omega c``. Sampling
-at a vertex set takes the rows of ``V_omega``:
+A band is the low-pass band of a decomposition: its ``k`` lowest-|lambda|
+modes, ``omega = {0, ..., k-1}``. A signal is bandlimited to it when it lies
+in the span of those right eigenvectors, ``x = V_omega c``. Sampling at a
+vertex set takes the rows of ``V_omega``:
 
     B = P_M V_omega,    y = B c (+ noise)
 
@@ -39,26 +40,25 @@ _SECULAR_MAX_ITER = 100
 
 @dataclass(frozen=True, eq=False)
 class BandModel:
-    """Frequency index set of one decomposition.
+    """Low-pass band of one decomposition: its ``k`` lowest-|lambda| modes.
 
-    Indices are integers, distinct, sorted, and in range; ``v_omega`` holds
-    the decomposition's eigenvector columns for them.
+    ``k`` is an integer in ``[1, n]``; ``omega`` is ``0, ..., k-1`` and
+    ``v_omega`` holds the decomposition's first ``k`` eigenvector columns.
     """
 
     decomposition: SpectralDecomposition
-    omega: np.ndarray
+    k: int
 
     def __post_init__(self):
-        omega = _indices(self.omega, self.decomposition.n, "band indices")
-        if omega.size == 0:
-            raise ValueError("band needs at least one frequency index")
-        if np.any(omega[1:] <= omega[:-1]):
-            raise ValueError("band indices must be distinct and sorted")
-        object.__setattr__(self, "omega", omega)
+        if not _is_a(self.k, numbers.Integral):
+            raise ValueError(f"band size must be an integer, got {self.k!r}")
+        if not 1 <= self.k <= self.decomposition.n:
+            raise ValueError(f"band size must lie in [1, {self.decomposition.n}], got {self.k}")
+        object.__setattr__(self, "k", int(self.k))
 
     @property
-    def k(self) -> int:
-        return self.omega.shape[0]
+    def omega(self) -> np.ndarray:
+        return np.arange(self.k)
 
     @property
     def n(self) -> int:
@@ -67,7 +67,7 @@ class BandModel:
     @cached_property
     def v_omega(self) -> np.ndarray:
         """Synthesis submatrix ``V_omega``, a C-ordered copy of the band's columns."""
-        return np.ascontiguousarray(self.decomposition.v[:, self.omega])
+        return np.ascontiguousarray(self.decomposition.v[:, : self.k])
 
     @cached_property
     def synthesis_norm(self) -> float:
@@ -84,7 +84,7 @@ class BandModel:
         has the norm of the k x k matrix ``R_1 R_2^*``.
         """
         r1 = np.linalg.qr(self.v_omega, mode="r")
-        r2 = np.linalg.qr(self.decomposition.u[:, self.omega], mode="r")
+        r2 = np.linalg.qr(self.decomposition.u[:, : self.k], mode="r")
         return float(np.linalg.norm(r1 @ r2.conj().T, 2))
 
 
@@ -108,15 +108,6 @@ class SamplingPlan:
     @property
     def m(self) -> int:
         return self.sample_set.shape[0]
-
-
-def make_band(dec: SpectralDecomposition, k: int) -> BandModel:
-    """Low-pass band: the ``k`` smallest-magnitude eigenvalue indices."""
-    if not _is_a(k, numbers.Integral):
-        raise ValueError(f"band size must be an integer, got {k!r}")
-    if not 1 <= k <= dec.n:
-        raise ValueError(f"band size must lie in [1, {dec.n}], got {k}")
-    return BandModel(decomposition=dec, omega=np.arange(k))
 
 
 def synthesize_bandlimited(band: BandModel, c) -> GraphSignal:
@@ -181,8 +172,8 @@ def noise_certificate(plan: SamplingPlan, eta_norm: float) -> float:
     ``RankDeficientError`` on the plans :func:`recover` refuses.
     """
     _require_full_rank(plan)
-    if eta_norm < 0.0:
-        raise ValueError("noise norm must be nonnegative")
+    if not (np.isfinite(eta_norm) and eta_norm >= 0.0):
+        raise ValueError(f"noise norm must be finite and nonnegative, got {eta_norm!r}")
     return plan.band.synthesis_norm * eta_norm / plan.gamma
 
 

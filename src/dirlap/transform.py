@@ -128,9 +128,13 @@ class SpectralFilter:
 
     @classmethod
     def ideal(cls, omega: Iterable[int], n: int) -> "SpectralFilter":
-        """Indicator response on the index set ``omega`` (entries in {0, 1})."""
+        """Indicator response on the index set ``omega``, each index at most once."""
+        omega = _indices(omega, n, "band indices")
+        repeated = np.flatnonzero(np.bincount(omega, minlength=n) > 1)
+        if repeated.size:
+            raise ValueError(f"band index {repeated[0]} appears more than once")
         response = np.zeros(n, dtype=np.complex128)
-        response[_indices(omega, n, "band indices")] = 1.0
+        response[omega] = 1.0
         return cls(response)
 
 

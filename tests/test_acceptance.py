@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from dirlap import (
+    BandModel,
     DirectedGraph,
     ExperimentConfig,
     RankDeficientError,
@@ -22,7 +23,6 @@ from dirlap import (
     gen_directed_cycle,
     gen_perturbed_cycle,
     henrici_departure,
-    make_band,
     noise_certificate,
     normality_departure,
     plan_sampling,
@@ -161,7 +161,7 @@ def test_criterion_7_exact_recovery():
     for _ in range(500):
         dec = pool[rng.integers(len(pool))]
         k = int(rng.integers(1, min(8, dec.n) + 1))
-        band = make_band(dec, k)
+        band = BandModel(dec, k)
         plan = None
         while plan is None or plan.gamma <= 1e-6 * plan.b_norm:
             m = int(rng.integers(k, dec.n + 1))
@@ -174,7 +174,7 @@ def test_criterion_7_exact_recovery():
     for _ in range(50):
         dec = pool[rng.integers(len(pool))]
         k = int(rng.integers(2, min(8, dec.n) + 1))
-        band = make_band(dec, k)
+        band = BandModel(dec, k)
         m = int(rng.integers(1, k))
         plan = plan_sampling(band, rng.choice(dec.n, size=m, replace=False))
         with pytest.raises(RankDeficientError):
@@ -195,7 +195,7 @@ def test_criterion_8_noise_bounds():
     violations, total = 0, 0
     worst_pinv = 0.0
     for dec in graphs.values():
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         for sample in (range(20), select_sampling_set(band, 10)):
             plan = plan_sampling(band, sample)
             pinv = np.linalg.pinv(plan.b, rcond=1e-12)
@@ -238,7 +238,7 @@ def test_criterion_10_greedy_sampling_oracle():
     for n in range(3, 9):
         dec = decompose(directed_laplacian(gen_directed_cycle(n)))
         for k in range(1, min(3, n) + 1):
-            band = make_band(dec, k)
+            band = BandModel(dec, k)
             m = k  # the critical budget: every sample must count
             greedy = plan_sampling(band, select_sampling_set(band, m)).gamma
             best = max(

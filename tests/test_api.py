@@ -15,8 +15,8 @@ PUBLIC_NAMES = [
     "SpectralDecomposition", "decompose", "gram_matrix", "henrici_departure",
     "GraphSignal", "SpectralFilter", "TvBounds", "vertex_signal", "forward", "inverse",
     "energy_identity", "apply_filter", "tv_bounds",
-    "BandModel", "SamplingPlan", "make_band", "synthesize_bandlimited", "plan_sampling",
-    "recover", "noise_certificate", "select_sampling_set",
+    "BandModel", "SamplingPlan", "synthesize_bandlimited", "plan_sampling", "recover",
+    "noise_certificate", "select_sampling_set",
     "ExperimentConfig", "NoiseSweep", "reference_pair", "run_noise_sweep",
 ]
 
@@ -58,3 +58,5 @@ def test_names_are_loaded_on_first_read(fresh_python):
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'decomposition'"):
         dirlap.decomposition  # noqa: B018
+    with pytest.raises(AttributeError, match="no attribute 'make_band'"):
+        dirlap.make_band  # noqa: B018

@@ -457,7 +457,7 @@ class TestSample:
 
         g = fileio.read_edge_list(perturbed_csv)
         dec = dirlap.decompose(dirlap.directed_laplacian(g))
-        band = dirlap.make_band(dec, 3)
+        band = dirlap.BandModel(dec, 3)
         x = dirlap.synthesize_bandlimited(band, np.array([1.0, -0.5 + 0.2j, 0.3]))
         sig = tmp_path / "x.csv"
         fileio.write_signal(x, sig)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from dirlap import (
+    BandModel,
     DirectedGraph,
     NearDefectiveError,
     NonFiniteError,
@@ -23,7 +24,6 @@ from dirlap import (
     henrici_departure,
     forward,
     inverse,
-    make_band,
     normality_departure,
     vertex_signal,
 )
@@ -375,7 +375,7 @@ class TestScaleInvariance:
         np.testing.assert_allclose(np.abs(dec.lambdas) / scale, np.abs(ref.lambdas),
                                    rtol=0.0, atol=1e-9 * top)
         np.testing.assert_allclose(dec.lambdas / scale, ref.lambdas, rtol=0.0, atol=1e-9 * top)
-        band, ref_band = make_band(dec, 5), make_band(ref, 5)
+        band, ref_band = BandModel(dec, 5), BandModel(ref, 5)
         np.testing.assert_allclose(band.v_omega, ref_band.v_omega, rtol=0.0, atol=1e-9)
         assert dec.zero_multiplicity == ref.zero_multiplicity == 1
         assert dec.dc_isolated and ref.dc_isolated
@@ -399,7 +399,7 @@ class TestScaleInvariance:
         assert abs(henrici_departure(dec) - scale * henrici_departure(ref_dec)) <= 1e-6 * fro
         assert dec.kappa == pytest.approx(ref_dec.kappa, rel=1e-6)
         assert np.isfinite(dec.residual) and dec.residual <= 1e-8 * fro
-        assert np.array_equal(make_band(dec, 2).omega, make_band(ref_dec, 2).omega)
+        assert np.array_equal(BandModel(dec, 2).omega, BandModel(ref_dec, 2).omega)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             fileio.write_metrics(dec, None, "json")

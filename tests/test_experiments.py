@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from dirlap import (
+    BandModel,
     ExperimentConfig,
     NonFiniteError,
     SpectralFilter,
     apply_filter,
-    make_band,
     asymmetry_index,
     henrici_departure,
     normality_departure,
@@ -228,7 +228,7 @@ def per_trial_sweep(config):
     """The sweep as one Python iteration per trial: four draws, one filter call each."""
     rows = []
     for graph, dec in reference_pair(config).items():
-        band = make_band(dec, config.k)
+        band = BandModel(dec, config.k)
         low_pass = SpectralFilter.ideal(band.omega, config.n)
         stream = {"cycle": 0, "perturbed": 1}[graph]
         for sigma_index, sigma in enumerate(config.sigmas):

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirlap import (
+    BandModel,
     DirectedGraph,
     ExperimentConfig,
     FileFormatError,
@@ -26,7 +27,6 @@ from dirlap import (
     decompose,
     directed_laplacian,
     gen_perturbed_cycle,
-    make_band,
     plan_sampling,
     recover,
     reference_pair,
@@ -810,7 +810,7 @@ class TestFilterSpec:
 class TestPlanJson:
     def test_round_trip_fields(self, tmp_path, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 4)
+        band = BandModel(dec, 4)
         plan = plan_sampling(band, range(0, 20, 2))
         path = tmp_path / "plan.json"
         fileio.write_plan(plan, path)
@@ -825,7 +825,7 @@ class TestPlanJson:
 
     def test_rank_deficient_plan_has_null_certificate(self, tmp_path, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         plan = plan_sampling(band, [0, 1])
         path = tmp_path / "plan.json"
         fileio.write_plan(plan, path)
@@ -837,7 +837,7 @@ class TestPlanJson:
         arcs = [(i, (i + 1) % 5) for i in range(5)] + [((i + 1) % 5, i) for i in range(5)]
         src, dst = zip(*arcs)
         g = DirectedGraph(n=5, src=src, dst=dst, weight=np.ones(10))
-        band = make_band(decompose(directed_laplacian(g)), 2)
+        band = BandModel(decompose(directed_laplacian(g)), 2)
         path = tmp_path / "plan.json"
         near_alias = 0
         for pair in itertools.combinations(range(5), 2):

@@ -44,6 +44,11 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match=rf"edge \(0, 1\) needs .* got {weight}"):
             DirectedGraph(2, [0], [1], [weight])
 
+    def test_rejects_bool_n(self):
+        # a bool is no vertex count, as everywhere else in the library
+        with pytest.raises(ValueError, match="vertex count must be a positive integer, got True"):
+            DirectedGraph(True, [], [], [])
+
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             DirectedGraph(0, [], [], [])

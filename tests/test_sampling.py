@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dirlap import (
     BandModel,
     DimensionMismatchError,
+    DirectedGraph,
     NearDefectiveError,
     NonFiniteError,
     RankDeficientError,
@@ -16,7 +17,6 @@ from dirlap import (
     forward,
     gen_directed_cycle,
     gen_perturbed_cycle,
-    make_band,
     noise_certificate,
     plan_sampling,
     recover,
@@ -50,83 +50,68 @@ def reference_greedy(band, m):
 class TestMakeBand:
     def test_full_band(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 20)
+        band = BandModel(dec, 20)
         assert band.k == 20
         assert np.array_equal(band.v_omega, dec.v)
 
     def test_dc_band_spans_constants(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 1)
+        band = BandModel(dec, 1)
         x = synthesize_bandlimited(band, np.array([2.0 + 1.0j]))
         assert np.max(np.abs(x.values - x.values[0])) < 1e-8
 
     def test_band_indices_are_lowest_magnitudes(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         assert np.array_equal(band.omega, np.arange(5))
 
     @pytest.mark.parametrize("k", [0, 21])
     def test_band_size_range(self, perturbed20, k):
         _, dec = perturbed20
-        with pytest.raises(ValueError):
-            make_band(dec, k)
+        with pytest.raises(ValueError, match=rf"band size must lie in \[1, 20\], got {k}"):
+            BandModel(dec, k)
 
-    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", [0, 3]])
     def test_band_size_must_be_an_integer(self, perturbed20, k):
-        # np.arange(2.5) has 3 entries, so a float size would plan a 3-mode band
+        # np.arange(2.5) has 3 entries, so a float size would plan a 3-mode band; an
+        # index set is not a size
         _, dec = perturbed20
         with pytest.raises(ValueError, match="band size must be an integer"):
-            make_band(dec, k)
+            BandModel(dec, k)
+
+    def test_numpy_integer_size_accepted(self, perturbed20):
+        _, dec = perturbed20
+        band = BandModel(dec, np.uint8(2))
+        assert type(band.k) is int and band.k == 2
+        assert band.omega.tolist() == [0, 1]
 
 
 class TestBandModel:
-    @pytest.mark.parametrize("omega", [[0.5, 1.2], [0, 1.0], [True], [0, "1"]])
-    def test_non_integer_index_refused(self, perturbed20, omega):
-        _, dec = perturbed20
-        with pytest.raises(ValueError, match="band indices must be integers"):
-            BandModel(dec, omega)
-
-    @pytest.mark.parametrize("omega", [[0, 20], [-1, 0], [0, 2**70]])
-    def test_out_of_range_index_refused(self, perturbed20, omega):
-        _, dec = perturbed20
-        with pytest.raises(ValueError, match=r"band indices must lie in \[0, 20\)"):
-            BandModel(dec, omega)
-
-    def test_numpy_integer_indices_accepted(self, perturbed20):
-        _, dec = perturbed20
-        band = BandModel(dec, np.array([1, 4], dtype=np.uint8))
-        assert band.omega.tolist() == [1, 4]
-
-    @pytest.mark.parametrize("omega", [[0, 0], [1, 0], [0, 2, 2, 5], [0, 3, 2]])
-    def test_repeated_or_unsorted_indices_refused(self, perturbed20, omega):
-        _, dec = perturbed20
-        with pytest.raises(ValueError, match="band indices must be distinct and sorted"):
-            BandModel(dec, omega)
-
-    @pytest.mark.parametrize("graph, omega", [("perturbed20", [1, 4]), ("cycle4", [0, 3])])
-    def test_lowpass_gain_is_the_projector_norm(self, request, graph, omega):
+    @pytest.mark.parametrize("graph, k", [("perturbed20", 2), ("perturbed20", 5), ("cycle4", 2)])
+    def test_lowpass_gain_is_the_projector_norm(self, request, graph, k):
         _, dec = request.getfixturevalue(graph)
-        band = BandModel(dec, omega)
+        band = BandModel(dec, k)
         u_omega = dec.u[:, band.omega]
         expected = np.linalg.norm(band.v_omega @ u_omega.conj().T, 2)
         assert band.lowpass_gain == pytest.approx(expected, rel=1e-12)
         assert band.lowpass_gain <= dec.kappa * (1 + 1e-12)
 
-    @pytest.mark.parametrize("omega", [[0], [2], [0, 3], [1, 2, 3], [0, 1, 2, 3]])
-    def test_lowpass_gain_is_one_on_a_cycle(self, cycle4, omega):
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_lowpass_gain_is_one_on_a_cycle(self, cycle4, k):
         # a normal graph's projector is orthogonal
         _, dec = cycle4
-        assert BandModel(dec, omega).lowpass_gain == pytest.approx(1.0, rel=1e-12)
+        assert BandModel(dec, k).lowpass_gain == pytest.approx(1.0, rel=1e-12)
 
     def test_sample_and_fig1_never_compute_lowpass_gain(self, tmp_path, monkeypatch):
         # the gain is read only by fig2; every other band computes it never
         bands = []
 
-        def recording_make_band(dec, k):
-            bands.append(make_band(dec, k))
-            return bands[-1]
+        class RecordingBand(BandModel):
+            def __post_init__(self):
+                super().__post_init__()
+                bands.append(self)
 
-        monkeypatch.setattr(sampling, "make_band", recording_make_band)
+        monkeypatch.setattr(sampling, "BandModel", RecordingBand)
         runner = CliRunner()
         graph, signal = tmp_path / "g.csv", tmp_path / "x.csv"
         fileio.write_edge_list(gen_perturbed_cycle(20, 0.2, 0.8, seed=7), graph)
@@ -144,20 +129,20 @@ class TestBandModel:
 class TestSynthesize:
     def test_unit_coefficient_returns_eigenvector(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 4)
+        band = BandModel(dec, 4)
         x = synthesize_bandlimited(band, np.array([1.0, 0, 0, 0]))
         assert np.linalg.norm(x.values - dec.v[:, 0]) < 1e-12
 
     def test_out_of_band_mass_vanishes(self, perturbed20, rng):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         c = complex_gaussian(rng, 5)
         xhat = forward(synthesize_bandlimited(band, c), dec)
         assert np.linalg.norm(xhat.values[5:]) <= 1e-9 * np.linalg.norm(c)
 
     def test_coefficient_length_checked(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         with pytest.raises(DimensionMismatchError):
             synthesize_bandlimited(band, np.ones(4))
 
@@ -165,26 +150,26 @@ class TestSynthesize:
 class TestPlanSampling:
     def test_sample_set_is_sorted_and_collapsed(self, perturbed20):
         _, dec = perturbed20
-        plan = plan_sampling(make_band(dec, 3), [7, 2, 7, 19, 0, 2])
+        plan = plan_sampling(BandModel(dec, 3), [7, 2, 7, 19, 0, 2])
         assert plan.sample_set.tolist() == [0, 2, 7, 19]
         assert np.array_equal(plan.b, plan.band.v_omega[[0, 2, 7, 19]])
 
     def test_empty_sample_set_refused(self, perturbed20):
         _, dec = perturbed20
         with pytest.raises(ValueError, match="sample set must not be empty"):
-            plan_sampling(make_band(dec, 3), [])
+            plan_sampling(BandModel(dec, 3), [])
 
     def test_cycle_dc_single_vertex(self, cycle4):
         # v_0 = (1/2) * ones, so the 1x1 sampling matrix is [1/2]
         _, dec = cycle4
-        band = make_band(dec, 1)
+        band = BandModel(dec, 1)
         plan = plan_sampling(band, [0])
         assert plan.gamma == pytest.approx(0.5, abs=1e-12)
         assert plan.b_norm == pytest.approx(0.5, abs=1e-12)
 
     def test_full_sampling(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 6)
+        band = BandModel(dec, 6)
         plan = plan_sampling(band, range(20))
         s = np.linalg.svd(band.v_omega, compute_uv=False)
         assert plan.gamma == pytest.approx(s[-1], rel=1e-12)
@@ -192,12 +177,12 @@ class TestPlanSampling:
 
     def test_fewer_samples_than_band_is_rank_deficient(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         assert plan_sampling(band, [0, 3, 11]).gamma == 0.0
 
     def test_gamma_le_bnorm(self, perturbed20, rng):
         _, dec = perturbed20
-        band = make_band(dec, 4)
+        band = BandModel(dec, 4)
         for _ in range(20):
             m = int(rng.integers(4, 21))
             plan = plan_sampling(band, rng.choice(20, size=m, replace=False))
@@ -206,23 +191,23 @@ class TestPlanSampling:
     def test_empty_sample_set_rejected(self, cycle4):
         _, dec = cycle4
         with pytest.raises(ValueError):
-            plan_sampling(make_band(dec, 1), [])
+            plan_sampling(BandModel(dec, 1), [])
 
     def test_out_of_range_vertex_rejected(self, cycle4):
         _, dec = cycle4
         with pytest.raises(ValueError):
-            plan_sampling(make_band(dec, 1), [4])
+            plan_sampling(BandModel(dec, 1), [4])
 
     @pytest.mark.parametrize("bad", [0.9, 5.5, 7.0, True, "7"])
     def test_non_integer_vertex_refused(self, perturbed20, bad):
         # each one would otherwise be truncated or cast into a vertex index
         _, dec = perturbed20
         with pytest.raises(ValueError, match="sample vertices must be integers"):
-            plan_sampling(make_band(dec, 2), [0, bad, 12])
+            plan_sampling(BandModel(dec, 2), [0, bad, 12])
 
     def test_plan_carries_its_band(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 3)
+        band = BandModel(dec, 3)
         plan = plan_sampling(band, np.array([2, 0, 9, 2], dtype=np.int32))
         assert plan.band is band
         assert plan.sample_set.tolist() == [0, 2, 9]
@@ -231,7 +216,7 @@ class TestPlanSampling:
 class TestRecover:
     def test_noiseless_recovery_is_exact(self, perturbed20, rng):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         plan = plan_sampling(band, range(0, 20, 2))
         for _ in range(25):
             c = complex_gaussian(rng, 5)
@@ -241,45 +226,44 @@ class TestRecover:
 
     def test_zero_samples_zero_reconstruction(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 3)
+        band = BandModel(dec, 3)
         plan = plan_sampling(band, range(10))
         assert recover(plan, np.zeros(10, dtype=complex)).norm() == 0.0
 
     def test_rank_deficient_plan_refused(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         plan = plan_sampling(band, [1, 8, 15])
         with pytest.raises(RankDeficientError):
             recover(plan, np.zeros(3, dtype=complex))
 
-    def test_aliased_samples_refused_even_with_enough_rows(self, cycle4):
-        # modes 0 and 2 of the 4-cycle take identical values on vertices
-        # {0, 2}, so those two rows are linearly dependent: m = K but the
-        # samples cannot tell the modes apart
-        _, dec = cycle4
-        from dirlap import BandModel
-
-        band = BandModel(decomposition=dec, omega=np.array([0, 3]))
-        plan = plan_sampling(band, [0, 2])
+    def test_aliased_samples_refused_even_with_enough_rows(self):
+        # vertices 1 and 2 each have the one out-arc to 0, so rows 1 and 2 of L give
+        # v_1 = v_2 for every eigenvector with lambda != 1: the band of the two lowest
+        # (0 and 0.38) sampled at {1, 2} has m = k, but the samples cannot tell the
+        # modes apart
+        g = DirectedGraph(4, [0, 0, 1, 2], [1, 3, 0, 0], [1.0, 1.0, 1.0, 1.0])
+        band = BandModel(decompose(directed_laplacian(g)), 2)
+        plan = plan_sampling(band, [1, 2])
         assert plan.gamma <= 1e-12 * plan.b_norm
         with pytest.raises(RankDeficientError):
             recover(plan, np.zeros(2, dtype=complex))
 
     def test_overflowing_recovery_raises_non_finite(self, cycle4):
-        plan = plan_sampling(make_band(cycle4[1], 2), [0, 1, 2])
+        plan = plan_sampling(BandModel(cycle4[1], 2), [0, 1, 2])
         with pytest.raises(NonFiniteError, match="^the recovery overflowed float64$"):
             recover(plan, np.full(3, 1e308 + 1e308j))
 
     def test_sample_length_checked(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 3)
+        band = BandModel(dec, 3)
         plan = plan_sampling(band, range(8))
         with pytest.raises(DimensionMismatchError):
             recover(plan, np.zeros(5, dtype=complex))
 
     def test_pinv_gamma_product_is_one(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         for sample in (range(20), range(0, 20, 2), [0, 2, 3, 7, 11, 13, 19]):
             plan = plan_sampling(band, sample)
             pinv_norm = np.linalg.norm(np.linalg.pinv(plan.b, rcond=1e-12), 2)
@@ -289,20 +273,20 @@ class TestRecover:
 class TestCertificates:
     def test_zero_noise(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 4)
+        band = BandModel(dec, 4)
         plan = plan_sampling(band, range(12))
         assert noise_certificate(plan, 0.0) == 0.0
 
     def test_orthonormal_band_certificate(self, cycle20):
         # cycle eigenvectors are orthonormal: ||V_omega|| = 1, bound = eta/gamma
         _, dec = cycle20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         plan = plan_sampling(band, range(0, 20, 2))
         assert noise_certificate(plan, 0.3) == pytest.approx(0.3 / plan.gamma, rel=1e-9)
 
     def test_noise_bound_monte_carlo(self, perturbed20, rng):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         plan = plan_sampling(band, range(0, 20, 2))
         pinv = np.linalg.pinv(plan.b, rcond=1e-12)
         for _ in range(2000):
@@ -318,7 +302,7 @@ class TestCertificates:
         # x = V_omega c + r with r spanned by the complementary modes, no noise:
         # recovery treats the sampled remainder P_M r as noise
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         plan = plan_sampling(band, range(0, 20, 2))
         pinv = np.linalg.pinv(plan.b, rcond=1e-12)
         for _ in range(200):
@@ -334,16 +318,24 @@ class TestCertificates:
 
     def test_rank_deficient_plan_rejected(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         plan = plan_sampling(band, [0, 5])
         with pytest.raises(RankDeficientError):
             noise_certificate(plan, 1.0)
+
+    @pytest.mark.parametrize("eta_norm", [np.nan, np.inf, -1.0])
+    def test_noise_norm_must_be_finite_and_nonnegative(self, perturbed20, eta_norm):
+        # a NaN fails every comparison, so a sign check alone would certify nan
+        _, dec = perturbed20
+        plan = plan_sampling(BandModel(dec, 4), range(12))
+        with pytest.raises(ValueError, match="noise norm must be finite and nonnegative"):
+            noise_certificate(plan, eta_norm)
 
 
 class TestFrameBounds:
     def test_sandwich_for_random_coefficients(self, perturbed20, rng):
         _, dec = perturbed20
-        band = make_band(dec, 4)
+        band = BandModel(dec, 4)
         for sample in (range(20), range(0, 20, 3)):
             plan = plan_sampling(band, sample)
             for _ in range(100):
@@ -357,7 +349,7 @@ class TestFrameBounds:
 class TestSelectSamplingSet:
     def test_full_budget_returns_all_vertices(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         for strategy in ("greedy-gamma", "random"):
             assert np.array_equal(
                 select_sampling_set(band, 20, strategy), np.arange(20)
@@ -366,7 +358,7 @@ class TestSelectSamplingSet:
     def test_greedy_near_exhaustive_on_cycle(self):
         # spec-scale oracle: n=8, K=2, budget 2, all 28 pairs enumerated
         dec = decompose(directed_laplacian(gen_directed_cycle(8)))
-        band = make_band(dec, 2)
+        band = BandModel(dec, 2)
         greedy = plan_sampling(band, select_sampling_set(band, 2)).gamma
         best = max(
             plan_sampling(band, pair).gamma
@@ -376,7 +368,7 @@ class TestSelectSamplingSet:
 
     def test_greedy_beats_random_median(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 3)
+        band = BandModel(dec, 3)
         greedy = plan_sampling(band, select_sampling_set(band, 5)).gamma
         randoms = [
             plan_sampling(band, select_sampling_set(band, 5, "random", seed)).gamma
@@ -386,37 +378,37 @@ class TestSelectSamplingSet:
 
     def test_random_is_seed_deterministic(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 3)
+        band = BandModel(dec, 3)
         a = select_sampling_set(band, 6, "random", 11)
         b = select_sampling_set(band, 6, "random", 11)
         assert np.array_equal(a, b)
 
     def test_budget_below_band_rejected(self, perturbed20):
         _, dec = perturbed20
-        band = make_band(dec, 5)
+        band = BandModel(dec, 5)
         with pytest.raises(ValueError):
             select_sampling_set(band, 4)
 
     @pytest.mark.parametrize("strategy", ["greedy-gamma", "random"])
     @pytest.mark.parametrize("m", [True, 6.0, 6.5, "6"])
     def test_non_integer_budget_refused(self, perturbed20, strategy, m):
-        # the same rule under both strategies, as make_band's k
+        # the same rule under both strategies, as a band's k
         _, dec = perturbed20
         with pytest.raises(ValueError, match="sample budget must be an integer"):
-            select_sampling_set(make_band(dec, 1), m, strategy)
+            select_sampling_set(BandModel(dec, 1), m, strategy)
 
     def test_unknown_strategy_rejected(self, perturbed20):
         _, dec = perturbed20
         with pytest.raises(ValueError):
-            select_sampling_set(make_band(dec, 2), 3, "simulated-annealing")
+            select_sampling_set(BandModel(dec, 2), 3, "simulated-annealing")
 
     def test_cycle_first_pick_is_vertex_zero(self, cycle20):
         # every row of a Fourier band has the same norm, so every candidate of the
         # first step ties and the lowest index wins whatever the rounding
         _, dec = cycle20
-        assert np.array_equal(select_sampling_set(make_band(dec, 1), 1), [0])
+        assert np.array_equal(select_sampling_set(BandModel(dec, 1), 1), [0])
         for k in range(1, 7):
-            band = make_band(dec, k)
+            band = BandModel(dec, k)
             norms = np.linalg.norm(band.v_omega, axis=1)
             assert np.ptp(norms) <= RANK_RTOL * band.synthesis_norm
             assert select_sampling_set(band, k)[0] == 0
@@ -436,7 +428,7 @@ class TestSelectSamplingSet:
     def test_pinned_sets_at_n150(self, seed, expected):
         # chosen by the per-candidate SVD loop; no step of these runs is near a tie
         g = gen_perturbed_cycle(150, 0.05, 0.8, seed)
-        band = make_band(decompose(directed_laplacian(g)), 15)
+        band = BandModel(decompose(directed_laplacian(g)), 15)
         assert select_sampling_set(band, 90).tolist() == expected
 
 
@@ -454,7 +446,7 @@ def test_greedy_matches_reference_on_perturbed_cycles(n, p, seed, data):
         assume(False)
     k = data.draw(st.integers(1, min(6, n)), label="k")
     m = data.draw(st.integers(k, n), label="m")
-    band = make_band(dec, k)
+    band = BandModel(dec, k)
     assert np.array_equal(select_sampling_set(band, m), reference_greedy(band, m))
 
 
@@ -468,7 +460,7 @@ def test_greedy_matches_reference_on_ill_conditioned_bands(n, p, seed, k, m):
     # 1e-9, and distinct candidates agree to within them; a tie band relative to
     # the best score would let the two scorers pick different vertices here
     dec = decompose(directed_laplacian(gen_perturbed_cycle(n, p, 1.0, seed)))
-    band = make_band(dec, k)
+    band = BandModel(dec, k)
     assert np.array_equal(select_sampling_set(band, m), reference_greedy(band, m))
 
 
@@ -479,7 +471,7 @@ def test_greedy_matches_reference_on_directed_cycles(n, data):
     dec = decompose(directed_laplacian(gen_directed_cycle(n)))
     k = data.draw(st.integers(1, min(6, n)), label="k")
     m = data.draw(st.integers(k, n), label="m")
-    band = make_band(dec, k)
+    band = BandModel(dec, k)
     assert np.array_equal(select_sampling_set(band, m), reference_greedy(band, m))
 
 
@@ -510,7 +502,7 @@ def test_exact_recovery_across_graphs(rng):
     for _ in range(100):
         dec = decs[rng.integers(len(decs))]
         k = int(rng.integers(1, min(6, dec.n) + 1))
-        band = make_band(dec, k)
+        band = BandModel(dec, k)
         plan = None
         while plan is None or plan.gamma <= 1e-6 * plan.b_norm:
             m = int(rng.integers(k, dec.n + 1))

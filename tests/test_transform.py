@@ -191,6 +191,11 @@ class TestFilters:
         with pytest.raises(ValueError, match="band indices must be integers"):
             SpectralFilter.ideal([0, index], 4)
 
+    @pytest.mark.parametrize("omega, repeated", [([1, 1], 1), ([3, 0, 2, 0, 3], 0)])
+    def test_ideal_rejects_repeated_index(self, omega, repeated):
+        with pytest.raises(ValueError, match=f"^band index {repeated} appears more than once$"):
+            SpectralFilter.ideal(omega, 4)
+
     def test_tap_count_mismatch(self, cycle4, rng):
         _, dec = cycle4
         with pytest.raises(DimensionMismatchError):
