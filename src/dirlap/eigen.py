@@ -40,6 +40,8 @@ columns, ``max_i s_i <= kappa(V) <= n max_i s_i``. ``kappa`` and the extreme
 singular values of ``V`` come from a real SVD of ``W``, rebuilt from ``v``
 and the stored pair positions on the first read of any of them, so a caller
 that never reads them pays no SVD.
+
+Every basis, whatever solver produces it, passes ``_certify``'s residual and refusals.
 """
 from __future__ import annotations
 
@@ -48,8 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NearDefectiveError, NonFiniteError
-from .graphs import _unit_scale
+from .errors import NearDefectiveError, NonFiniteError
+from .graphs import _square, _unit_scale
 
 #: gap, relative to the largest magnitude, under which two eigenvalue magnitudes count as tied
 _MAG_TIE_RTOL = 1e-9
@@ -186,29 +188,9 @@ def _real_basis(vec: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarr
     return w, scale
 
 
-def decompose(l) -> SpectralDecomposition:
-    """Eigendecompose a real square matrix and build the dual (left) basis.
-
-    Raises:
-        NearDefectiveError: if the eigenvector matrix is exactly singular, if
-            an eigenvalue condition number ``s_i = ||u_i||`` exceeds
-            ``DEFECTIVE_KAPPA_LIMIT`` (or is NaN), or if the computed dual
-            basis fails biorthogonality beyond ``n * 1e-8`` in Frobenius
-            norm. Each signals an (effectively) defective operator for which
-            the diagonalization is numerically meaningless.
-        NonFiniteError: if an eigenvalue's modulus overflows float64, as
-            weights in the top binade can make it.
-    """
-    a = np.asarray(l)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if np.iscomplexobj(a):
-        raise ValueError("matrix entries must be real")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    a = a.astype(np.float64, copy=False)
+def _solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``a``'s eigenpairs, frequency-ordered, unit and phase-fixed, and the pair positions."""
     n = a.shape[0]
-
     lambdas, vec = np.linalg.eig(a)
     if not np.all(np.isfinite(np.abs(lambdas))):
         raise NonFiniteError("an eigenvalue's modulus overflows float64; scale the weights down")
@@ -222,6 +204,12 @@ def decompose(l) -> SpectralDecomposition:
     lambdas = lambdas[order].astype(np.complex128, copy=False)
     vec = vec[:, order].astype(np.complex128, copy=False)
     _normalize_columns(vec)
+    return lambdas, vec, p, q
+
+
+def _certify(a: np.ndarray, lambdas, vec, p, q) -> SpectralDecomposition:
+    """Check and record a unit, phase-fixed, frequency-ordered basis as given, never re-sorted."""
+    n = a.shape[0]
     w, scale = _real_basis(vec, p, q)
 
     # (L W - W Re(Lambda) plus the pair terms) / s; ||r_p||^2 + ||r_q||^2 is twice
@@ -281,6 +269,26 @@ def decompose(l) -> SpectralDecomposition:
         pairs=(p, q),
         residual=residual,
     )
+
+
+def decompose(l) -> SpectralDecomposition:
+    """Eigendecompose a real square matrix and build the dual (left) basis.
+
+    Raises:
+        DimensionMismatchError: if ``l`` is not a square matrix, or is empty.
+        ValueError: if an entry is complex, non-numeric or not finite.
+        NearDefectiveError: if the basis is exactly singular, an eigenvalue condition number
+            ``s_i = ||u_i||`` exceeds ``DEFECTIVE_KAPPA_LIMIT`` (or is NaN), or the dual fails
+            biorthogonality beyond ``n * 1e-8`` (Frobenius): an (effectively) defective operator.
+        NonFiniteError: if an eigenvalue's modulus overflows float64 (top-binade weights).
+    """
+    a = _square(l)
+    if a.dtype.kind not in "biuf":
+        raise ValueError("matrix entries must be real")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    a = a.astype(np.float64, copy=False)
+    return _certify(a, *_solve(a))
 
 
 def gram_matrix(dec: SpectralDecomposition) -> np.ndarray:

@@ -27,7 +27,7 @@ class NearDefectiveError(DirlapError, ArithmeticError):
     """The eigenbasis is numerically too ill-conditioned to trust.
 
     Raised when the eigenvector matrix is singular, when an eigenvalue
-    condition number ``||u_i||`` exceeds the configured limit, or when the
+    condition number ``||u_i||`` exceeds ``DEFECTIVE_KAPPA_LIMIT``, or when the
     computed dual basis fails the biorthogonality check.
     At that point the dual basis is numerical noise, so downstream
     transforms would silently return garbage.

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import DimensionMismatchError, NonFiniteError
 
 #: largest vertex count a graph may have: every operator is a dense n x n matrix
 MAX_VERTICES = 10_000
@@ -128,7 +128,9 @@ def directed_laplacian(g: DirectedGraph) -> np.ndarray:
 def _square(m) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
+        raise DimensionMismatchError("expected a non-empty square matrix, got shape (0, 0)")
     return m
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +29,7 @@ from dirlap import (
     vertex_signal,
 )
 from dirlap import fileio
-from dirlap.eigen import _frequency_sort, _normalize_columns
+from dirlap.eigen import _certify, _frequency_sort, _normalize_columns, _solve
 
 
 def circulant_cycle_eigenvalues(n):
@@ -179,6 +180,18 @@ class TestDecompose:
         with pytest.raises(ValueError, match="must be real"):
             decompose(np.array([[1.0, 1j], [0.0, 2.0]]))
 
+    @pytest.mark.parametrize("dtype", [object, str, bytes])
+    def test_rejects_non_numeric(self, dtype):
+        # np.isfinite would raise numpy's own TypeError on these
+        with pytest.raises(ValueError, match="must be real"):
+            decompose(np.array([[1, 2], [3, 4]], dtype=dtype))
+
+    def test_rejects_empty(self):
+        from dirlap import DimensionMismatchError
+
+        with pytest.raises(DimensionMismatchError, match="non-empty square matrix"):
+            decompose(np.zeros((0, 0)))
+
 
 def _perturbed(n, seed):
     return directed_laplacian(gen_perturbed_cycle(n, 0.2, 0.8, seed))
@@ -323,6 +336,55 @@ class TestConditioning:
         monkeypatch.setattr(np.linalg, "inv", lambda w: inv(w) + 1e-6)
         with pytest.raises(NearDefectiveError, match="fails biorthogonality"):
             decompose(_perturbed(20, 7))
+
+
+class TestCertify:
+    """The certify stage checks the basis it is handed, whichever solver made it.
+
+    The perturbed 20-cycle has real modes at positions 0, 5, 10 and 17 and eight
+    conjugate pairs.
+    """
+
+    LAP = _perturbed(20, 7)
+
+    def test_round_trip_is_decompose(self):
+        dec, got = decompose(self.LAP), _certify(self.LAP, *_solve(self.LAP))
+        for field in ("lambdas", "v", "u"):
+            assert np.array_equal(getattr(got, field), getattr(dec, field))
+        assert all(np.array_equal(a, b) for a, b in zip(got.pairs, dec.pairs))
+        assert got.residual == dec.residual
+
+    def test_near_parallel_columns_are_refused(self):
+        lambdas, vec, p, q = _solve(self.LAP)
+        assert np.array_equal(np.flatnonzero(lambdas.imag == 0), [0, 5, 10, 17])
+        col = vec[:, 10] + 1e-13 * vec[:, 5]
+        vec[:, 5] = col / np.linalg.norm(col)
+        with pytest.raises(NearDefectiveError, match="eigenvalue condition number"):
+            _certify(self.LAP, lambdas, vec, p, q)
+
+    def test_residual_is_read_off_the_given_basis(self):
+        lambdas, vec, p, q = _solve(self.LAP)
+        vec[3, 10] += 1e-3
+        e = vec[:, 10]
+        expected = np.linalg.norm(self.LAP @ e - lambdas[10] * e)
+        assert expected > 1e-4 > 1e6 * decompose(self.LAP).residual
+        assert _certify(self.LAP, lambdas, vec, p, q).residual == pytest.approx(expected,
+                                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("g", [gen_directed_cycle(200), gen_perturbed_cycle(200, 0.2, 0.8, 1)],
+                             ids=["cycle200", "perturbed200"])
+    def test_no_square_array_outlives_a_stage(self, g):
+        # 5.7 and 5.6 n^2 doubles: the record's v, u and matrix are 5; one more n x n
+        # array kept alive across the stages adds 1
+        lap = directed_laplacian(g)
+        decompose(lap)
+        tracemalloc.start()
+        try:
+            decompose(lap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * 8 * g.n**2
 
 
 class TestDcMode:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirlap import (
+    DimensionMismatchError,
     DirectedGraph,
     NonFiniteError,
     adjacency,
@@ -172,6 +173,12 @@ class TestNormalityDeparture:
 
     def test_zero_matrix_convention(self):
         assert normality_departure(np.zeros((3, 3))) == 0.0
+
+
+@pytest.mark.parametrize("index", [asymmetry_index, normality_departure])
+def test_indices_reject_empty(index):
+    with pytest.raises(DimensionMismatchError, match="non-empty square matrix"):
+        index(np.zeros((0, 0)))
 
 
 class TestGershgorin:
