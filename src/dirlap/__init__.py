@@ -44,7 +44,6 @@ _EXPORTS = {
         "GraphSignal",
         "SpectralFilter",
         "TvBounds",
-        "vertex_signal",
         "forward",
         "inverse",
         "energy_identity",

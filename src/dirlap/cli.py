@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__
-from .errors import DimensionMismatchError, DirlapError, FileFormatError
+from .errors import DirlapError, FileFormatError
 from . import fileio
 from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 
@@ -131,15 +131,12 @@ def analyze(graph_path, n, out, fmt, spectrum_out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output signal CSV.")
 def gft(graph_path, signal_path, n, direction, out):
     """Graph Fourier transform of a signal (dual-basis analysis/synthesis)."""
-    from .transform import SPECTRAL, VERTEX, forward, inverse
+    from .transform import forward, inverse
 
     dec = _load_decomposition(graph_path, n)
-    if direction == "forward":
-        sig = fileio.read_signal(signal_path, VERTEX)
-        fileio.write_signal(forward(sig, dec), out)
-    else:
-        sig = fileio.read_signal(signal_path, SPECTRAL)
-        fileio.write_signal(inverse(sig, dec), out)
+    sig = fileio.read_signal(signal_path)
+    transform = forward if direction == "forward" else inverse
+    fileio.write_signal(transform(sig, dec), out)
 
 
 @main.command(name="filter")
@@ -151,11 +148,11 @@ def gft(graph_path, signal_path, n, direction, out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Filtered signal CSV.")
 def filter_cmd(graph_path, signal_path, n, spec_path, out):
     """Apply a diagonal spectral filter to a vertex signal."""
-    from .transform import VERTEX, apply_filter
+    from .transform import apply_filter
 
     dec = _load_decomposition(graph_path, n)
     filt = fileio.read_filter_spec(spec_path, dec.n)
-    sig = fileio.read_signal(signal_path, VERTEX)
+    sig = fileio.read_signal(signal_path)
     fileio.write_signal(apply_filter(sig, filt, dec), out)
 
 
@@ -177,7 +174,7 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
 def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
     """Plan a sampling set for a band and optionally recover a signal."""
     from .sampling import BandModel, plan_sampling, recover, select_sampling_set
-    from .transform import VERTEX
+    from .transform import _expect
 
     if signal_path is not None and recover_out is None:
         raise click.UsageError("--signal requires --recover-out")
@@ -199,9 +196,8 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
     # the signal is read and recovered before either file is written, so a fault leaves neither
     recovered = None
     if signal_path is not None:
-        sig = fileio.read_signal(signal_path, VERTEX)
-        if sig.n != dec.n:
-            raise DimensionMismatchError(f"signal has length {sig.n}, graph has {dec.n}")
+        sig = fileio.read_signal(signal_path)
+        _expect(sig, dec.n)
         recovered = recover(plan, sig.values[plan.sample_set])
     fileio.write_plan(plan, out)
     if recovered is not None:

@@ -282,12 +282,7 @@ def decompose(l) -> SpectralDecomposition:
             biorthogonality beyond ``n * 1e-8`` (Frobenius): an (effectively) defective operator.
         NonFiniteError: if an eigenvalue's modulus overflows float64 (top-binade weights).
     """
-    a = _square(l)
-    if a.dtype.kind not in "biuf":
-        raise ValueError("matrix entries must be real")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    a = a.astype(np.float64, copy=False)
+    a = _square(l, real=True).astype(np.float64, copy=False)
     return _certify(a, *_solve(a))
 
 

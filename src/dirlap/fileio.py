@@ -39,8 +39,8 @@ Either way no cell costs a call of its own. ``%.12g`` renders exactly as
 Formats (all numeric output uses 12 significant digits):
 
 - edge list CSV, header ``src,dst,weight``; zero-based integer vertices
-- signal CSV, header ``vertex,re,im``; for spectral-domain signals the
-  first column holds the frequency bin instead of a vertex
+- signal CSV, header ``vertex,re,im``, in both domains: for spectral
+  coefficients the first column holds the frequency bin instead of a vertex
 - spectrum CSV, header ``k,re_lambda,im_lambda,abs_lambda``
 - filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` (integer indices,
   each at most once) or ``{"kind": "diagonal", "response": [[re, im], ...]}``
@@ -352,7 +352,12 @@ def write_signal(signal: GraphSignal, path) -> None:
 _SIGNAL_DTYPE = np.dtype([("index", "i8"), ("re", "f8"), ("im", "f8")])
 
 
-def read_signal(path, domain: str = "vertex") -> GraphSignal:
+def read_signal(path) -> GraphSignal:
+    """Read a signal CSV; its one header ``vertex,re,im`` serves both domains.
+
+    Raises:
+        FileFormatError: a bad row, a repeated or missing index, or a non-finite value.
+    """
     from .transform import GraphSignal
 
     table, rows = _read_table(path, "vertex,re,im", _SIGNAL_DTYPE)
@@ -372,7 +377,7 @@ def read_signal(path, domain: str = "vertex") -> GraphSignal:
     values.real[index] = table["re"]
     values.imag[index] = table["im"]
     try:
-        return GraphSignal(values, domain)
+        return GraphSignal(values)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

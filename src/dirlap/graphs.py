@@ -125,12 +125,21 @@ def directed_laplacian(g: DirectedGraph) -> np.ndarray:
     return np.diag(degree) - a
 
 
-def _square(m) -> np.ndarray:
+def _square(m, real: bool = False) -> np.ndarray:
+    """``m`` as an array, refused unless it is a non-empty square matrix of finite numbers.
+
+    The one gate of ``decompose`` and both indices; ``real`` refuses complex
+    entries too. The dtype is checked first, so ``np.isfinite`` sees numbers only.
+    """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise DimensionMismatchError("expected a non-empty square matrix, got shape (0, 0)")
+    if m.dtype.kind not in ("biuf" if real else "biufc"):
+        raise ValueError("matrix entries must be real" if real else "matrix entries must be numbers")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     return m
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .eigen import SpectralDecomposition
 from .errors import DimensionMismatchError, RankDeficientError
-from .transform import GraphSignal, VERTEX, _finite, _indices, _is_a
+from .transform import GraphSignal, _finite, _indices, _is_a
 
 #: singular values below RANK_RTOL * sigma_max count as zero (rank boundary)
 RANK_RTOL = 1e-12
@@ -115,7 +115,7 @@ def synthesize_bandlimited(band: BandModel, c) -> GraphSignal:
     c = np.asarray(c, dtype=np.complex128)
     if c.shape != (band.k,):
         raise DimensionMismatchError(f"expected {band.k} coefficients, got shape {c.shape}")
-    return GraphSignal(band.v_omega @ c, VERTEX)
+    return GraphSignal(band.v_omega @ c)
 
 
 def plan_sampling(band: BandModel, sample_set: Iterable[int]) -> SamplingPlan:
@@ -161,7 +161,7 @@ def recover(plan: SamplingPlan, y) -> GraphSignal:
     if y.shape != (plan.m,):
         raise DimensionMismatchError(f"expected {plan.m} samples, got shape {y.shape}")
     pinv = np.linalg.pinv(plan.b, rcond=RANK_RTOL)
-    return GraphSignal(_finite("the recovery", lambda: plan.band.v_omega @ (pinv @ y)), VERTEX)
+    return GraphSignal(_finite("the recovery", lambda: plan.band.v_omega @ (pinv @ y)))
 
 
 def noise_certificate(plan: SamplingPlan, eta_norm: float) -> float:

@@ -16,8 +16,11 @@ and the directed total variation ``||L x||^2`` is sandwiched between
 ``sum |lambda_k|^2 |xhat_k|^2``, so the spread of the sandwich is exactly
 the squared eigenvector condition number.
 
-A transform or filter whose result overflows float64 raises
-:class:`NonFiniteError` naming it; numpy's overflow warnings stay off.
+A signal is its values. :class:`GraphSignal` holds one 1-D complex vector
+of finite entries, whether it lists vertex values or spectral coefficients;
+a transform takes either and cannot tell them apart. A transform or filter
+whose result overflows float64 raises :class:`NonFiniteError` naming it;
+numpy's overflow warnings stay off.
 """
 from __future__ import annotations
 
@@ -30,24 +33,18 @@ import numpy as np
 from .eigen import SpectralDecomposition, gram_matrix
 from .errors import DimensionMismatchError, NonFiniteError
 
-VERTEX = "vertex"
-SPECTRAL = "spectral"
-
 
 @dataclass(frozen=True, eq=False)
 class GraphSignal:
-    """Complex signal over vertices or over frequency bins.
+    """A complex signal: vertex values or spectral coefficients, the same record for both.
 
-    The ``domain`` tag exists so that transforms can reject input that is
-    already in the target domain instead of silently double-transforming.
+    ``values`` is stored as a 1-D complex128 copy whose entries are all finite;
+    anything else raises ``ValueError``.
     """
 
     values: np.ndarray
-    domain: str
 
     def __post_init__(self):
-        if self.domain not in (VERTEX, SPECTRAL):
-            raise ValueError(f"domain must be {VERTEX!r} or {SPECTRAL!r}, got {self.domain!r}")
         values = np.array(self.values, dtype=np.complex128)
         if values.ndim != 1:
             raise ValueError(f"signal must be one-dimensional, got shape {values.shape}")
@@ -61,10 +58,6 @@ class GraphSignal:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-
-def vertex_signal(values) -> GraphSignal:
-    return GraphSignal(np.asarray(values), VERTEX)
 
 
 def _is_a(value, kind) -> bool:
@@ -105,9 +98,8 @@ def _finite(what: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
     return values
 
 
-def _expect(x: GraphSignal, domain: str, n: int) -> None:
-    if x.domain != domain:
-        raise ValueError(f"expected a {domain}-domain signal, got {x.domain}-domain")
+def _expect(x: GraphSignal, n: int) -> None:
+    """Refuse a signal whose length is not the decomposition's ``n``."""
     if x.n != n:
         raise DimensionMismatchError(f"signal has length {x.n}, decomposition has n={n}")
 
@@ -156,15 +148,14 @@ class TvBounds:
 
 def forward(x: GraphSignal, dec: SpectralDecomposition) -> GraphSignal:
     """Analysis transform ``xhat = U* x = V^{-1} x`` (projection on the dual basis)."""
-    _expect(x, VERTEX, dec.n)
-    return GraphSignal(_finite("the forward transform", lambda: dec.u.conj().T @ x.values),
-                       SPECTRAL)
+    _expect(x, dec.n)
+    return GraphSignal(_finite("the forward transform", lambda: dec.u.conj().T @ x.values))
 
 
 def inverse(xhat: GraphSignal, dec: SpectralDecomposition) -> GraphSignal:
     """Synthesis transform ``x = V xhat``."""
-    _expect(xhat, SPECTRAL, dec.n)
-    return GraphSignal(_finite("the inverse transform", lambda: dec.v @ xhat.values), VERTEX)
+    _expect(xhat, dec.n)
+    return GraphSignal(_finite("the inverse transform", lambda: dec.v @ xhat.values))
 
 
 def energy_identity(x: GraphSignal, dec: SpectralDecomposition) -> tuple[float, float]:
@@ -174,7 +165,6 @@ def energy_identity(x: GraphSignal, dec: SpectralDecomposition) -> tuple[float, 
     the Gram quadratic form is mathematically real, so only the real part
     is returned.
     """
-    _expect(x, VERTEX, dec.n)
     xhat = forward(x, dec).values
     gram_energy = float(np.real(np.vdot(xhat, gram_matrix(dec) @ xhat)))
     return float(np.linalg.norm(x.values) ** 2), gram_energy
@@ -187,13 +177,13 @@ def apply_filter(x: GraphSignal, filt: SpectralFilter, dec: SpectralDecompositio
     spanned right eigensubspace (idempotent, but not Hermitian unless the
     operator is normal).
     """
-    _expect(x, VERTEX, dec.n)
+    _expect(x, dec.n)
     if filt.response.shape[0] != dec.n:
         raise DimensionMismatchError(
             f"filter has {filt.response.shape[0]} taps, decomposition has n={dec.n}"
         )
     y = _finite("the filter", lambda: dec.v @ (filt.response * (dec.u.conj().T @ x.values)))
-    return GraphSignal(y, VERTEX)
+    return GraphSignal(y)
 
 
 def tv_bounds(x: GraphSignal, dec: SpectralDecomposition) -> TvBounds:
@@ -207,7 +197,6 @@ def tv_bounds(x: GraphSignal, dec: SpectralDecomposition) -> TvBounds:
     Raises:
         NonFiniteError: one of the four numbers overflowed float64.
     """
-    _expect(x, VERTEX, dec.n)
     xhat = forward(x, dec).values
 
     def energies():

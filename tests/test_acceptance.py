@@ -15,6 +15,7 @@ from dirlap import (
     BandModel,
     DirectedGraph,
     ExperimentConfig,
+    GraphSignal,
     RankDeficientError,
     decompose,
     directed_laplacian,
@@ -31,7 +32,6 @@ from dirlap import (
     select_sampling_set,
     synthesize_bandlimited,
     tv_bounds,
-    vertex_signal,
 )
 
 
@@ -118,7 +118,7 @@ def test_criterion_5_energy_identity():
         dec = decompose(lap)
         parseval = henrici_departure(dec) <= 1e-8
         for _ in range(1000):
-            x = vertex_signal(complex_gaussian(rng, dec.n))
+            x = GraphSignal(complex_gaussian(rng, dec.n))
             vertex_e, gram_e = energy_identity(x, dec)
             worst = max(worst, abs(vertex_e - gram_e) / (1e-8 * vertex_e))
             if parseval:
@@ -136,7 +136,7 @@ def test_criterion_6_tv_sandwich():
     for name, g in graph_family():
         dec = decompose(directed_laplacian(g))
         for _ in range(1000):
-            b = tv_bounds(vertex_signal(complex_gaussian(rng, dec.n)), dec)
+            b = tv_bounds(GraphSignal(complex_gaussian(rng, dec.n)), dec)
             scale = max(b.actual, 1e-30)
             if b.lower > b.actual * (1 + 1e-10) + 1e-12 * scale:
                 violations += 1

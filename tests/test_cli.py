@@ -61,6 +61,15 @@ def perturbed_csv(tmp_path, runner):
     return path
 
 
+@pytest.fixture
+def signal20_csv(tmp_path):
+    """A complex signal on 20 vertices, written literally so its bytes depend on no writer."""
+    path = tmp_path / "x.csv"
+    path.write_text("vertex,re,im\n" + "".join(f"{v},{v % 7 - 3},{(3 * v) % 8 / 4}\n"
+                                               for v in range(20)))
+    return path
+
+
 def test_each_error_type_carries_its_exit_code():
     # the documented exit codes live on the error types, nowhere else
     codes = {FileFormatError: 3, DimensionMismatchError: 4, RankDeficientError: 5,
@@ -334,7 +343,7 @@ def test_directed_path_exits_near_defective_from_every_command(tmp_path, runner,
     graph = tmp_path / "path.csv"
     graph.write_text("src,dst,weight\n" + "".join(f"{i},{i + 1},1\n" for i in range(n - 1)))
     signal = tmp_path / "x.csv"
-    fileio.write_signal(dirlap.vertex_signal(np.ones(n)), signal)
+    fileio.write_signal(dirlap.GraphSignal(np.ones(n)), signal)
     spec = tmp_path / "lp.json"
     spec.write_text(json.dumps({"kind": "ideal", "omega": [0]}))
     out = tmp_path / "out.csv"
@@ -350,11 +359,30 @@ def test_directed_path_exits_near_defective_from_every_command(tmp_path, runner,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gft", "filter", "sample"])
+def test_wrong_length_signal_is_one_refusal(runner, tmp_path, command):
+    graph, signal, spec = tmp_path / "c3.csv", tmp_path / "x.csv", tmp_path / "lp.json"
+    assert runner.invoke(main, ["gen", "cycle", "--n", "3", "--out", str(graph)]).exit_code == 0
+    signal.write_text("vertex,re,im\n0,1,0\n")
+    spec.write_text(json.dumps({"kind": "ideal", "omega": [0]}))
+    out, plan = tmp_path / "out.csv", tmp_path / "plan.json"
+    argv = {
+        "gft": ["gft", str(graph), str(signal), "--out", str(out)],
+        "filter": ["filter", str(graph), str(signal), "--spec", str(spec), "--out", str(out)],
+        "sample": ["sample", str(graph), "--k", "1", "--m", "2", "--signal", str(signal),
+                   "--recover-out", str(out), "--out", str(plan)],
+    }[command]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == DimensionMismatchError.exit_code
+    assert result.stderr == "error: signal has length 1, decomposition has n=3\n"
+    assert not out.exists() and not plan.exists()
+
+
 class TestGft:
     def test_round_trip_through_files(self, cycle_csv, runner, tmp_path, rng):
         x = rng.standard_normal(20)
         sig = tmp_path / "x.csv"
-        fileio.write_signal(__import__("dirlap").vertex_signal(x), sig)
+        fileio.write_signal(dirlap.GraphSignal(x), sig)
         fwd = tmp_path / "xhat.csv"
         back = tmp_path / "back.csv"
         assert runner.invoke(
@@ -368,26 +396,39 @@ class TestGft:
 
     def test_constant_signal_concentrates_on_dc(self, perturbed_csv, runner, tmp_path):
         sig = tmp_path / "ones.csv"
-        fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(20)), sig)
+        fileio.write_signal(dirlap.GraphSignal(np.ones(20)), sig)
         out = tmp_path / "xhat.csv"
         runner.invoke(main, ["gft", str(perturbed_csv), str(sig), "--out", str(out)])
-        xhat = fileio.read_signal(out, domain="spectral").values
+        xhat = fileio.read_signal(out).values
         assert abs(xhat[0]) == pytest.approx(np.sqrt(20), abs=1e-6)
         assert np.max(np.abs(xhat[1:])) < 1e-6
 
     def test_wrong_length_signal_exit_code(self, cycle_csv, runner, tmp_path):
         sig = tmp_path / "short.csv"
-        fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(5)), sig)
+        fileio.write_signal(dirlap.GraphSignal(np.ones(5)), sig)
         result = runner.invoke(
             main, ["gft", str(cycle_csv), str(sig), "--out", str(tmp_path / "o.csv")]
         )
         assert result.exit_code == DimensionMismatchError.exit_code
 
 
+    @pytest.mark.parametrize("direction, sha256", [
+        ("forward", "154ed50a0d2aa42be3fbde3c36364565e7f5d48f91355ef45b4d6f26c4c4200c"),
+        ("inverse", "b961f038d068ef22215180b673b553678da4177c6cfd5c5e7cf5338fdd610499"),
+    ])
+    def test_golden_hash(self, perturbed_csv, signal20_csv, runner, tmp_path, direction, sha256):
+        # one input read as vertex values (forward) and as spectral coefficients (inverse)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, ["gft", str(perturbed_csv), str(signal20_csv),
+                                      "--direction", direction, "--out", str(out)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 class TestFilter:
     def test_ideal_low_pass(self, perturbed_csv, runner, tmp_path, rng):
         sig = tmp_path / "x.csv"
-        fileio.write_signal(__import__("dirlap").vertex_signal(rng.standard_normal(20)), sig)
+        fileio.write_signal(dirlap.GraphSignal(rng.standard_normal(20)), sig)
         spec = tmp_path / "filter.json"
         spec.write_text(json.dumps({"kind": "ideal", "omega": [0, 1, 2, 3, 4]}))
         out = tmp_path / "y.csv"
@@ -396,6 +437,20 @@ class TestFilter:
         )
         assert result.exit_code == 0
         assert fileio.read_signal(out).n == 20
+
+    @pytest.mark.parametrize("spec, sha256", [
+        ({"kind": "ideal", "omega": [0, 1, 2, 3, 4]},
+         "fedb94210e76e2e8e029d1cf94540d6fd09fc1b29611e14bc5702a6ebfa3b102"),
+        ({"kind": "diagonal", "response": [[1 / (1 + k), k / 8] for k in range(20)]},
+         "555c4de6744c03c1b47f9f35358a6f0ecd5ac093180bba3892878df9702ae28c"),
+    ], ids=["ideal", "diagonal"])
+    def test_golden_hash(self, perturbed_csv, signal20_csv, runner, tmp_path, spec, sha256):
+        spec_path, out = tmp_path / "spec.json", tmp_path / "y.csv"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["filter", str(perturbed_csv), str(signal20_csv),
+                                      "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_repeated_signal_index_exit_code(self, perturbed_csv, runner, tmp_path):
         sig = tmp_path / "x.csv"
@@ -411,7 +466,7 @@ class TestFilter:
 
     def test_bad_spec_exit_code(self, perturbed_csv, runner, tmp_path):
         sig = tmp_path / "x.csv"
-        fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(20)), sig)
+        fileio.write_signal(dirlap.GraphSignal(np.ones(20)), sig)
         spec = tmp_path / "filter.json"
         non_finite = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 19
         ones = [[1, 0]] * 19
@@ -473,9 +528,21 @@ class TestSample:
         recovered = fileio.read_signal(rec)
         assert np.linalg.norm(recovered.values - x.values) <= 1e-8 * x.norm()
 
+    def test_golden_hash(self, perturbed_csv, signal20_csv, runner, tmp_path):
+        # pins the greedy plan JSON and the recovery of a signal outside the band
+        plan_path, rec = tmp_path / "plan.json", tmp_path / "rec.csv"
+        result = runner.invoke(main, ["sample", str(perturbed_csv), "--k", "5", "--m", "8",
+                                      "--signal", str(signal20_csv), "--recover-out", str(rec),
+                                      "--out", str(plan_path)])
+        assert result.exit_code == 0
+        assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (plan_path, rec)) == (
+            "679a0e1541ff2622ae1132235565499db633c8bcb703d504e77cc7d243702212",
+            "54e7f34a7855f9eb0c22aa0e271f896cc38a1efc9728a879db31c87b94917fc2",
+        )
+
     def test_rank_deficient_exit_code(self, perturbed_csv, runner, tmp_path):
         sig = tmp_path / "x.csv"
-        fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(20)), sig)
+        fileio.write_signal(dirlap.GraphSignal(np.ones(20)), sig)
         result = runner.invoke(
             main,
             ["sample", str(perturbed_csv), "--k", "5", "--sample-set", "0,1",
@@ -485,7 +552,7 @@ class TestSample:
 
     def test_signal_without_recover_out_writes_nothing(self, perturbed_csv, runner, tmp_path):
         sig = tmp_path / "x.csv"
-        fileio.write_signal(__import__("dirlap").vertex_signal(np.ones(20)), sig)
+        fileio.write_signal(dirlap.GraphSignal(np.ones(20)), sig)
         plan_path = tmp_path / "plan.json"
         result = runner.invoke(
             main,
@@ -642,7 +709,7 @@ class TestVertexCount:
     @pytest.fixture
     def signal5(self, tmp_path):
         path = tmp_path / "x5.csv"
-        fileio.write_signal(dirlap.vertex_signal(np.arange(1.0, 6.0)), path)
+        fileio.write_signal(dirlap.GraphSignal(np.arange(1.0, 6.0)), path)
         return path
 
     @pytest.fixture
@@ -677,7 +744,7 @@ class TestVertexCount:
         argv = self.commands(triangle_csv, signal5, lowpass, out)[command]
         assert runner.invoke(main, argv + ["--n", "5"]).exit_code == 0
         if command in ("gft", "filter"):
-            assert len(fileio.read_signal(out, "spectral" if command == "gft" else "vertex").values) == 5
+            assert len(fileio.read_signal(out).values) == 5
             # without --n the graph has 3 vertices and the 5-vertex signal does not fit
             assert runner.invoke(main, argv).exit_code == DimensionMismatchError.exit_code
 
@@ -1150,7 +1217,7 @@ def test_command_loads_only_the_modules_it_runs(perturbed_csv, tmp_path, fresh_p
     # compiling a module costs milliseconds of every process that loads it, so each command
     # imports only the dirlap modules it runs, and json and csv only where it reads or writes them
     signal = tmp_path / "x.csv"
-    fileio.write_signal(dirlap.vertex_signal(np.ones(20)), signal)
+    fileio.write_signal(dirlap.GraphSignal(np.ones(20)), signal)
     spec = tmp_path / "lp.json"
     spec.write_text(json.dumps({"kind": "ideal", "omega": [0, 1]}))
     argv = [a.format(graph=perturbed_csv, signal=signal, spec=spec, out=tmp_path) for a in args]

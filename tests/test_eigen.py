@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from dirlap import (
     BandModel,
     DirectedGraph,
+    GraphSignal,
     NearDefectiveError,
     NonFiniteError,
     SpectralFilter,
@@ -26,7 +27,6 @@ from dirlap import (
     forward,
     inverse,
     normality_departure,
-    vertex_signal,
 )
 from dirlap import fileio
 from dirlap.eigen import _certify, _frequency_sort, _normalize_columns, _solve
@@ -266,7 +266,7 @@ class TestConditioning:
 
     def test_transforms_run_no_svd(self, rng):
         dec = decompose(_perturbed(20, 7))
-        x = vertex_signal(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        x = GraphSignal(rng.standard_normal(20) + 1j * rng.standard_normal(20))
         inverse(forward(x, dec), dec)
         apply_filter(x, SpectralFilter.ideal([0, 1, 2], 20), dec)
         assert "kappa" not in dec.__dict__

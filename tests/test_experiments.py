@@ -7,6 +7,7 @@ import pytest
 from dirlap import (
     BandModel,
     ExperimentConfig,
+    GraphSignal,
     NonFiniteError,
     SpectralFilter,
     apply_filter,
@@ -16,7 +17,6 @@ from dirlap import (
     reference_pair,
     run_noise_sweep,
     synthesize_bandlimited,
-    vertex_signal,
 )
 from dirlap import experiments
 from dirlap.experiments import (
@@ -245,7 +245,7 @@ def per_trial_sweep(config):
                     eta = sigma * (
                         rng.standard_normal(config.n) + 1j * rng.standard_normal(config.n)
                     ) / np.sqrt(2.0)
-                x_rec = apply_filter(vertex_signal(x0.values + eta), low_pass, dec)
+                x_rec = apply_filter(GraphSignal(x0.values + eta), low_pass, dec)
                 err_abs = float(np.linalg.norm(x_rec.values - x0.values))
                 rows.append((graph, sigma, trial, err_abs / x0.norm(), err_abs,
                              dec.kappa * float(np.linalg.norm(eta)) / x0.norm()))

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import dataclasses
-import inspect
 import io
 import itertools
 import json
@@ -31,9 +30,8 @@ from dirlap import (
     recover,
     reference_pair,
     run_noise_sweep,
-    vertex_signal,
 )
-from dirlap import fileio, transform
+from dirlap import fileio
 from dirlap.cli import main
 from dirlap.errors import DimensionMismatchError
 from dirlap.experiments import SweepCell
@@ -53,8 +51,6 @@ def test_import_loads_no_eigen_transform_json_or_csv(fresh_python):
     code = ("import sys, dirlap.fileio; print([m in sys.modules for m in "
             "('dirlap.eigen', 'dirlap.transform', 'json', 'csv')])")
     assert fresh_python("-c", code, check=True).stdout.strip() == "[False, False, False, False]"
-    # so read_signal's default domain is a literal, which must stay transform's name for it
-    assert inspect.signature(fileio.read_signal).parameters["domain"].default == transform.VERTEX
 
 
 class TestEdgeList:
@@ -625,15 +621,13 @@ BROKEN_JSON = (b"\xff\xfe{}", b'{"kind": "ideal", "omega": [' + b"9" * 5000 + b"
 class TestReaderFuzz:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(signal_files(), st.binary(max_size=40).map(
-        lambda body: SIGNAL_HEADER.encode() + b"\n" + body)),
-        st.sampled_from(["vertex", "spectral"]))
-    def test_signal_reads_finite_or_is_refused(self, fuzz_path, data, domain):
+        lambda body: SIGNAL_HEADER.encode() + b"\n" + body)))
+    def test_signal_reads_finite_or_is_refused(self, fuzz_path, data):
         fuzz_path.write_bytes(data)
-        signal = read_or_refuse(fileio.read_signal, fuzz_path, domain)
+        signal = read_or_refuse(fileio.read_signal, fuzz_path)
         if signal is not None:
             assert signal.values.ndim == 1 and signal.n >= 1
             assert np.isfinite(signal.values).all()
-            assert signal.domain == domain
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
@@ -662,17 +656,12 @@ class TestReaderFuzz:
 
 class TestSignals:
     def test_round_trip(self, tmp_path, rng):
-        sig = vertex_signal(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        sig = GraphSignal(rng.standard_normal(9) + 1j * rng.standard_normal(9))
         path = tmp_path / "x.csv"
         fileio.write_signal(sig, path)
         back = fileio.read_signal(path)
+        assert isinstance(back, GraphSignal)
         assert np.allclose(back.values, sig.values, atol=1e-11)
-        assert back.domain == "vertex"
-
-    def test_spectral_domain_flag(self, tmp_path):
-        path = tmp_path / "xhat.csv"
-        fileio.write_signal(GraphSignal(np.array([1.0, 2.0]), "spectral"), path)
-        assert fileio.read_signal(path, domain="spectral").domain == "spectral"
 
     def test_gap_in_indices_rejected(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -181,6 +181,23 @@ def test_indices_reject_empty(index):
         index(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("index", [asymmetry_index, normality_departure])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_indices_reject_non_finite(index, bad):
+    # decompose's gate: a refusal, not nan after numpy's invalid-value warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            index(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("index", [asymmetry_index, normality_departure])
+def test_indices_take_complex_and_refuse_non_numeric(index):
+    assert index(np.diag([1j, 2.0])) == 0.0  # symmetric and normal
+    with pytest.raises(ValueError, match="^matrix entries must be numbers$"):
+        index(np.array([["1", "0"], ["0", "1"]]))
+
+
 class TestGershgorin:
     @pytest.mark.parametrize("seed", range(4))
     def test_eigenvalues_inside_disk_union(self, seed):

@@ -9,6 +9,7 @@ from dirlap import (
     BandModel,
     DimensionMismatchError,
     DirectedGraph,
+    GraphSignal,
     NearDefectiveError,
     NonFiniteError,
     RankDeficientError,
@@ -22,7 +23,6 @@ from dirlap import (
     recover,
     select_sampling_set,
     synthesize_bandlimited,
-    vertex_signal,
 )
 from dirlap import fileio, sampling
 from dirlap.cli import main
@@ -115,7 +115,7 @@ class TestBandModel:
         runner = CliRunner()
         graph, signal = tmp_path / "g.csv", tmp_path / "x.csv"
         fileio.write_edge_list(gen_perturbed_cycle(20, 0.2, 0.8, seed=7), graph)
-        fileio.write_signal(vertex_signal(np.arange(20.0)), signal)
+        fileio.write_signal(GraphSignal(np.arange(20.0)), signal)
         for args in (
             ["sample", str(graph), "--k", "5", "--m", "8", "--signal", str(signal),
              "--recover-out", str(tmp_path / "r.csv"), "--out", str(tmp_path / "plan.json")],

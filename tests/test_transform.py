@@ -19,38 +19,32 @@ from dirlap import (
     gram_matrix,
     inverse,
     tv_bounds,
-    vertex_signal,
 )
-from dirlap.transform import SPECTRAL
-
-
-def spectral_signal(values):
-    return GraphSignal(np.asarray(values), SPECTRAL)
 
 
 def random_signal(rng, n):
-    return vertex_signal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return GraphSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 class TestTransformPair:
     def test_eigenvector_maps_to_coordinate(self, perturbed20):
         _, dec = perturbed20
         for k in (0, 3, 19):
-            xhat = forward(vertex_signal(dec.v[:, k]), dec)
+            xhat = forward(GraphSignal(dec.v[:, k]), dec)
             ek = np.zeros(20)
             ek[k] = 1.0
             assert np.linalg.norm(xhat.values - ek) < 1e-9
 
     def test_constant_signal_hits_dc_bin(self, perturbed20):
         _, dec = perturbed20
-        xhat = forward(vertex_signal(np.ones(20)), dec).values
+        xhat = forward(GraphSignal(np.ones(20)), dec).values
         assert abs(xhat[0] - np.sqrt(20)) < 1e-8
         assert np.max(np.abs(xhat[1:])) < 1e-8
 
     def test_cycle4_impulse_is_flat_spectrum(self, cycle4):
         # DFT eigenbasis: the impulse spreads evenly, |xhat_k| = 1/2
         _, dec = cycle4
-        xhat = forward(vertex_signal([1.0, 0.0, 0.0, 0.0]), dec)
+        xhat = forward(GraphSignal([1.0, 0.0, 0.0, 0.0]), dec)
         assert np.allclose(np.abs(xhat.values), 0.5, atol=1e-9)
 
     def test_round_trip(self, perturbed20, rng):
@@ -64,22 +58,17 @@ class TestTransformPair:
         _, dec = perturbed20
         e0 = np.zeros(20)
         e0[0] = 1.0
-        x = inverse(spectral_signal(e0), dec)
+        x = inverse(GraphSignal(e0), dec)
         assert np.allclose(x.values, np.ones(20) / np.sqrt(20), atol=1e-9)
 
     def test_zero_spectrum_is_zero_signal(self, cycle4):
         _, dec = cycle4
-        assert inverse(spectral_signal(np.zeros(4)), dec).norm() == 0.0
-
-    def test_forward_rejects_spectral_input(self, cycle4):
-        _, dec = cycle4
-        with pytest.raises(ValueError, match="vertex"):
-            forward(spectral_signal(np.zeros(4)), dec)
+        assert inverse(GraphSignal(np.zeros(4)), dec).norm() == 0.0
 
     def test_dimension_mismatch(self, cycle4):
         _, dec = cycle4
         with pytest.raises(DimensionMismatchError):
-            forward(vertex_signal(np.zeros(5)), dec)
+            forward(GraphSignal(np.zeros(5)), dec)
 
 
 class TestOverflow:
@@ -89,14 +78,14 @@ class TestOverflow:
 
     def test_forward(self, cycle4):
         with pytest.raises(NonFiniteError, match="^the forward transform overflowed float64$"):
-            forward(vertex_signal(self.BIG), cycle4[1])
+            forward(GraphSignal(self.BIG), cycle4[1])
 
     def test_inverse(self, cycle4):
         with pytest.raises(NonFiniteError, match="^the inverse transform overflowed float64$"):
-            inverse(spectral_signal(self.BIG), cycle4[1])
+            inverse(GraphSignal(self.BIG), cycle4[1])
 
     def test_filter(self, cycle4):
-        x = vertex_signal(self.BIG.real * 1e-8)  # the forward part stays finite
+        x = GraphSignal(self.BIG.real * 1e-8)  # the forward part stays finite
         with pytest.raises(NonFiniteError, match="^the filter overflowed float64$"):
             apply_filter(x, SpectralFilter(np.full(4, 1e300)), cycle4[1])
 
@@ -106,11 +95,11 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="^the total variation overflowed float64$"):
-                tv_bounds(vertex_signal(np.ones(4)), dec)
+                tv_bounds(GraphSignal(np.ones(4)), dec)
 
     def test_non_finite_input_is_still_refused_by_the_signal(self):
         with pytest.raises(ValueError, match="signal entries must be finite"):
-            vertex_signal([1.0, np.inf])
+            GraphSignal([1.0, np.inf])
 
 
 class TestEnergyIdentity:
@@ -135,7 +124,7 @@ class TestEnergyIdentity:
         for _ in range(20):
             xhat = rng.standard_normal(20) + 1j * rng.standard_normal(20)
             xhat /= np.linalg.norm(xhat)
-            x = inverse(spectral_signal(xhat), dec)
+            x = inverse(GraphSignal(xhat), dec)
             assert eigs[0] - 1e-9 <= x.norm() ** 2 <= eigs[-1] + 1e-9
 
 
@@ -167,7 +156,7 @@ class TestFilters:
         filt = SpectralFilter(rng.standard_normal(20) + 1j * rng.standard_normal(20))
         x, y = random_signal(rng, 20), random_signal(rng, 20)
         a, b = 1.7 - 0.3j, -0.4 + 2.1j
-        combo = apply_filter(vertex_signal(a * x.values + b * y.values), filt, dec)
+        combo = apply_filter(GraphSignal(a * x.values + b * y.values), filt, dec)
         split = a * apply_filter(x, filt, dec).values + b * apply_filter(y, filt, dec).values
         assert np.linalg.norm(combo.values - split) <= 1e-10 * max(1.0, np.linalg.norm(split))
 
@@ -205,18 +194,18 @@ class TestFilters:
 class TestTotalVariation:
     def test_constant_signal_has_zero_variation(self, perturbed20):
         _, dec = perturbed20
-        assert tv_bounds(vertex_signal(np.ones(20)), dec).actual < 1e-20
+        assert tv_bounds(GraphSignal(np.ones(20)), dec).actual < 1e-20
 
     def test_eigenvector_variation_is_eigenvalue_squared(self, perturbed20):
         _, dec = perturbed20
         for k in (1, 7, 19):
-            tv = tv_bounds(vertex_signal(dec.v[:, k]), dec).actual
+            tv = tv_bounds(GraphSignal(dec.v[:, k]), dec).actual
             assert tv == pytest.approx(abs(dec.lambdas[k]) ** 2, rel=1e-8, abs=1e-12)
 
     def test_alternating_cycle_signal(self, cycle4):
         # x=(1,-1,1,-1) on the 4-cycle: Lx = 2x entrywise, so ||Lx||^2 = 16
         _, dec = cycle4
-        assert tv_bounds(vertex_signal([1.0, -1.0, 1.0, -1.0]), dec).actual == pytest.approx(16.0)
+        assert tv_bounds(GraphSignal([1.0, -1.0, 1.0, -1.0]), dec).actual == pytest.approx(16.0)
 
 
 class TestTvBounds:
@@ -238,7 +227,7 @@ class TestTvBounds:
 
     def test_constant_signal_all_zero(self, perturbed20):
         _, dec = perturbed20
-        b = tv_bounds(vertex_signal(np.ones(20)), dec)
+        b = tv_bounds(GraphSignal(np.ones(20)), dec)
         assert b.lower < 1e-12 and b.actual < 1e-12 and b.upper < 1e-12
 
 
@@ -267,7 +256,7 @@ class TestSpectralPerturbationBound:
             bound = dec.kappa * np.linalg.norm(eta) / xhat.norm()
             assert bound == pytest.approx(np.linalg.norm(eta) / xhat.norm(), rel=1e-9)
             err = np.linalg.norm(
-                inverse(spectral_signal(xhat.values + eta), dec).values - x.values
+                inverse(GraphSignal(xhat.values + eta), dec).values - x.values
             )
             assert err / x.norm() <= bound * (1 + 1e-10)
 
@@ -285,7 +274,7 @@ class TestSpectralPerturbationBound:
         # signal on the bottom singular direction, noise on the top one
         _, dec = perturbed20
         _, _, vh = np.linalg.svd(dec.v)
-        xhat = spectral_signal(np.conj(vh[-1]))
+        xhat = GraphSignal(np.conj(vh[-1]))
         eta = np.conj(vh[0])
         x = inverse(xhat, dec)
         err = np.linalg.norm(dec.v @ eta) / x.norm()
@@ -302,7 +291,7 @@ class TestSpectralPerturbationBound:
 def test_round_trip_property(n, seed):
     dec = decompose(directed_laplacian(gen_perturbed_cycle(n, 0.3, 0.8, seed)))
     rng = np.random.default_rng(seed)
-    x = vertex_signal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x = GraphSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     back = inverse(forward(x, dec), dec)
     assert np.linalg.norm(back.values - x.values) <= max(dec.kappa * n * 1e-12, 1e-13) * x.norm()
 
@@ -312,6 +301,6 @@ def test_parseval_restoration_on_normal_graphs(rng):
     for n in (4, 9, 16):
         dec = decompose(directed_laplacian(gen_directed_cycle(n)))
         for _ in range(30):
-            x = vertex_signal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            x = GraphSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
             xhat = forward(x, dec)
             assert abs(xhat.norm() ** 2 - x.norm() ** 2) <= 1e-8 * x.norm() ** 2
