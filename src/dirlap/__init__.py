@@ -42,7 +42,6 @@ _EXPORTS = {
     ),
     "transform": (
         "GraphSignal",
-        "SpectralFilter",
         "TvBounds",
         "forward",
         "inverse",

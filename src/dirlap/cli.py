@@ -151,9 +151,9 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
     from .transform import apply_filter
 
     dec = _load_decomposition(graph_path, n)
-    filt = fileio.read_filter_spec(spec_path, dec.n)
+    response = fileio.read_filter_spec(spec_path, dec.n)
     sig = fileio.read_signal(signal_path)
-    fileio.write_signal(apply_filter(sig, filt, dec), out)
+    fileio.write_signal(apply_filter(sig, response, dec), out)
 
 
 @main.command()

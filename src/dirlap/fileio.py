@@ -44,7 +44,8 @@ Formats (all numeric output uses 12 significant digits):
 - spectrum CSV, header ``k,re_lambda,im_lambda,abs_lambda``
 - filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` (integer indices,
   each at most once) or ``{"kind": "diagonal", "response": [[re, im], ...]}``
-  (real numbers, no bools); no other key
+  (finite real numbers, no bools); no other key; read as the filter's
+  length-n complex response, the indicator of ``omega`` or the taps
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
 - metrics JSON (``analyze``), ``{n, alpha, delta, henrici, kappa, spectrum_csv}``;
   its writers take the graph's decomposition, and one builder reads the four
@@ -85,7 +86,7 @@ if TYPE_CHECKING:
     from .eigen import SpectralDecomposition
     from .experiments import ExperimentConfig, NoiseSweep, SweepCell
     from .sampling import SamplingPlan
-    from .transform import GraphSignal, SpectralFilter
+    from .transform import GraphSignal
 
 
 def fmt(x: float) -> str:
@@ -423,9 +424,13 @@ def _tap(re, im) -> complex:
 _FILTER_FIELDS = {"ideal": "omega", "diagonal": "response"}
 
 
-def read_filter_spec(path, n: int) -> SpectralFilter:
-    """Parse a filter spec: ``kind`` and its kind's one field, no other key, each index once."""
-    from .transform import SpectralFilter
+def read_filter_spec(path, n: int) -> np.ndarray:
+    """Parse a filter spec into its length-``n`` complex response.
+
+    An ideal spec's ``omega`` (each index once) gives its indicator, a diagonal
+    spec lists the ``n`` taps; no key but ``kind`` and that one field is allowed.
+    """
+    from .transform import _indices, _vector
 
     spec = read_json_object(path, "filter spec")
     kind = spec.get("kind")
@@ -440,16 +445,21 @@ def read_filter_spec(path, n: int) -> SpectralFilter:
         if not isinstance(omega, list):
             raise FileFormatError(f"bad ideal filter spec: omega must be an array, got {omega!r}")
         try:
-            return SpectralFilter.ideal(omega, n)
+            omega = _indices(omega, n, "band indices")
         except ValueError as exc:
             raise FileFormatError(f"bad ideal filter spec: {exc}") from exc
+        counts = np.bincount(omega, minlength=n)
+        repeated = np.flatnonzero(counts > 1)
+        if repeated.size:
+            raise FileFormatError(f"bad ideal filter spec: band index {repeated[0]} appears more than once")
+        return counts.astype(np.complex128)  # no index repeats, so this is omega's indicator
     try:
-        filt = SpectralFilter([_tap(re, im) for re, im in spec["response"]])
+        response = _vector([_tap(re, im) for re, im in spec["response"]], "filter response")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad diagonal filter spec: {exc}") from exc
-    if filt.response.shape != (n,):
-        raise FileFormatError(f"diagonal filter has {filt.response.shape[0]} taps, graph has {n}")
-    return filt
+    if response.shape != (n,):
+        raise FileFormatError(f"diagonal filter has {response.shape[0]} taps, graph has {n}")
+    return response
 
 
 # -- sampling plans -----------------------------------------------------------

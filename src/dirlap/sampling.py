@@ -28,7 +28,7 @@ import numpy as np
 
 from .eigen import SpectralDecomposition
 from .errors import DimensionMismatchError, RankDeficientError
-from .transform import GraphSignal, _finite, _indices, _is_a
+from .transform import GraphSignal, _finite, _indices, _is_a, _vector
 
 #: singular values below RANK_RTOL * sigma_max count as zero (rank boundary)
 RANK_RTOL = 1e-12
@@ -111,11 +111,15 @@ class SamplingPlan:
 
 
 def synthesize_bandlimited(band: BandModel, c) -> GraphSignal:
-    """Synthesize ``x = V_omega c`` (exactly bandlimited by construction)."""
-    c = np.asarray(c, dtype=np.complex128)
+    """Synthesize ``x = V_omega c`` (exactly bandlimited by construction).
+
+    Raises:
+        NonFiniteError: the synthesized signal overflowed float64.
+    """
+    c = _vector(c, "coefficients")
     if c.shape != (band.k,):
         raise DimensionMismatchError(f"expected {band.k} coefficients, got shape {c.shape}")
-    return GraphSignal(band.v_omega @ c)
+    return GraphSignal(_finite("the synthesis", lambda: band.v_omega @ c))
 
 
 def plan_sampling(band: BandModel, sample_set: Iterable[int]) -> SamplingPlan:
@@ -157,7 +161,7 @@ def recover(plan: SamplingPlan, y) -> GraphSignal:
         NonFiniteError: the recovered signal overflowed float64.
     """
     _require_full_rank(plan)
-    y = np.asarray(y, dtype=np.complex128)
+    y = _vector(y, "samples")
     if y.shape != (plan.m,):
         raise DimensionMismatchError(f"expected {plan.m} samples, got shape {y.shape}")
     pinv = np.linalg.pinv(plan.b, rcond=RANK_RTOL)
@@ -172,7 +176,7 @@ def noise_certificate(plan: SamplingPlan, eta_norm: float) -> float:
     ``RankDeficientError`` on the plans :func:`recover` refuses.
     """
     _require_full_rank(plan)
-    if not (np.isfinite(eta_norm) and eta_norm >= 0.0):
+    if not (_is_a(eta_norm, numbers.Real) and np.isfinite(eta_norm) and eta_norm >= 0.0):
         raise ValueError(f"noise norm must be finite and nonnegative, got {eta_norm!r}")
     return plan.band.synthesis_norm * eta_norm / plan.gamma
 
@@ -207,10 +211,12 @@ def select_sampling_set(
     graph, say) are decided by the rule, not by rounding, even where the
     scores themselves are tiny.
     ``"random"`` draws a uniform sample without replacement from a PCG64
-    generator seeded with ``seed``.
+    generator seeded with ``seed``, a nonnegative integer.
     """
     if not _is_a(m, numbers.Integral):
         raise ValueError(f"sample budget must be an integer, got {m!r}")
+    if not (_is_a(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not band.k <= m <= band.n:
         raise ValueError(f"sample budget must lie in [{band.k}, {band.n}], got {m}")
     if strategy == "random":

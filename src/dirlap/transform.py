@@ -18,7 +18,9 @@ the squared eigenvector condition number.
 
 A signal is its values. :class:`GraphSignal` holds one 1-D complex vector
 of finite entries, whether it lists vertex values or spectral coefficients;
-a transform takes either and cannot tell them apart. A transform or filter
+a transform takes either and cannot tell them apart. A filter is its
+length-n complex response ``h``, applied as ``V diag(h) V^{-1}``. One gate,
+:func:`_vector`, checks every complex input vector. A transform or filter
 whose result overflows float64 raises :class:`NonFiniteError` naming it;
 numpy's overflow warnings stay off.
 """
@@ -34,23 +36,27 @@ from .eigen import SpectralDecomposition, gram_matrix
 from .errors import DimensionMismatchError, NonFiniteError
 
 
+def _vector(values, what: str) -> np.ndarray:
+    """``values`` as a 1-D complex128 copy with finite entries; ``what`` names it in errors.
+
+    A wrong dimension raises :class:`DimensionMismatchError`, a NaN or infinite entry ``ValueError``.
+    """
+    values = np.array(values, dtype=np.complex128)
+    if values.ndim != 1:
+        raise DimensionMismatchError(f"{what} must be one-dimensional, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} entries must be finite")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class GraphSignal:
-    """A complex signal: vertex values or spectral coefficients, the same record for both.
-
-    ``values`` is stored as a 1-D complex128 copy whose entries are all finite;
-    anything else raises ``ValueError``.
-    """
+    """A complex signal, vertex values or spectral coefficients alike, kept as :func:`_vector`'s copy."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.complex128)
-        if values.ndim != 1:
-            raise ValueError(f"signal must be one-dimensional, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("signal entries must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _vector(self.values, "signal"))
 
     @property
     def n(self) -> int:
@@ -104,32 +110,6 @@ def _expect(x: GraphSignal, n: int) -> None:
         raise DimensionMismatchError(f"signal has length {x.n}, decomposition has n={n}")
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralFilter:
-    """Diagonal spectral response, one complex gain per frequency bin."""
-
-    response: np.ndarray
-
-    def __post_init__(self):
-        response = np.array(self.response, dtype=np.complex128)
-        if response.ndim != 1:
-            raise ValueError("filter response must be one-dimensional")
-        if not np.all(np.isfinite(response)):
-            raise ValueError("filter response must be finite")
-        object.__setattr__(self, "response", response)
-
-    @classmethod
-    def ideal(cls, omega: Iterable[int], n: int) -> "SpectralFilter":
-        """Indicator response on the index set ``omega``, each index at most once."""
-        omega = _indices(omega, n, "band indices")
-        repeated = np.flatnonzero(np.bincount(omega, minlength=n) > 1)
-        if repeated.size:
-            raise ValueError(f"band index {repeated[0]} appears more than once")
-        response = np.zeros(n, dtype=np.complex128)
-        response[omega] = 1.0
-        return cls(response)
-
-
 @dataclass(frozen=True)
 class TvBounds:
     """Two-sided spectral bound on the directed total variation.
@@ -164,26 +144,29 @@ def energy_identity(x: GraphSignal, dec: SpectralDecomposition) -> tuple[float, 
     The two agree as an algebraic identity on every graph, normal or not;
     the Gram quadratic form is mathematically real, so only the real part
     is returned.
+
+    Raises:
+        NonFiniteError: either energy overflowed float64.
     """
     xhat = forward(x, dec).values
-    gram_energy = float(np.real(np.vdot(xhat, gram_matrix(dec) @ xhat)))
-    return float(np.linalg.norm(x.values) ** 2), gram_energy
+    vertex_energy, gram_energy = _finite("the energy identity", lambda: np.array(
+        [np.linalg.norm(x.values) ** 2, np.vdot(xhat, gram_matrix(dec) @ xhat).real])).tolist()
+    return vertex_energy, gram_energy
 
 
-def apply_filter(x: GraphSignal, filt: SpectralFilter, dec: SpectralDecomposition) -> GraphSignal:
-    """Apply the diagonal spectral filter: ``V diag(h) V^{-1} x``.
+def apply_filter(x: GraphSignal, response, dec: SpectralDecomposition) -> GraphSignal:
+    """Apply the filter whose response is ``h``: ``V diag(h) V^{-1} x``.
 
-    For an ideal indicator response this is the oblique projector onto the
+    ``response`` holds one complex gain per frequency bin, ``n`` in all. For
+    an ideal indicator response this is the oblique projector onto the
     spanned right eigensubspace (idempotent, but not Hermitian unless the
     operator is normal).
     """
     _expect(x, dec.n)
-    if filt.response.shape[0] != dec.n:
-        raise DimensionMismatchError(
-            f"filter has {filt.response.shape[0]} taps, decomposition has n={dec.n}"
-        )
-    y = _finite("the filter", lambda: dec.v @ (filt.response * (dec.u.conj().T @ x.values)))
-    return GraphSignal(y)
+    h = _vector(response, "filter response")
+    if h.shape[0] != dec.n:
+        raise DimensionMismatchError(f"filter has {h.shape[0]} taps, decomposition has n={dec.n}")
+    return GraphSignal(_finite("the filter", lambda: dec.v @ (h * (dec.u.conj().T @ x.values))))
 
 
 def tv_bounds(x: GraphSignal, dec: SpectralDecomposition) -> TvBounds:

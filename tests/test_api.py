@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "DirectedGraph", "adjacency", "directed_laplacian", "asymmetry_index",
     "normality_departure", "gen_directed_cycle", "gen_perturbed_cycle",
     "SpectralDecomposition", "decompose", "gram_matrix", "henrici_departure",
-    "GraphSignal", "SpectralFilter", "TvBounds", "forward", "inverse", "energy_identity",
+    "GraphSignal", "TvBounds", "forward", "inverse", "energy_identity",
     "apply_filter", "tv_bounds",
     "BandModel", "SamplingPlan", "synthesize_bandlimited", "plan_sampling", "recover",
     "noise_certificate", "select_sampling_set",
@@ -62,3 +62,5 @@ def test_unknown_name_is_an_attribute_error():
         dirlap.make_band  # noqa: B018
     with pytest.raises(AttributeError, match="no attribute 'vertex_signal'"):
         dirlap.vertex_signal  # noqa: B018
+    with pytest.raises(AttributeError, match="no attribute 'SpectralFilter'"):
+        dirlap.SpectralFilter  # noqa: B018

@@ -9,7 +9,6 @@ from dirlap import (
     ExperimentConfig,
     GraphSignal,
     NonFiniteError,
-    SpectralFilter,
     apply_filter,
     asymmetry_index,
     henrici_departure,
@@ -229,7 +228,7 @@ def per_trial_sweep(config):
     rows = []
     for graph, dec in reference_pair(config).items():
         band = BandModel(dec, config.k)
-        low_pass = SpectralFilter.ideal(band.omega, config.n)
+        low_pass = np.arange(config.n) < band.k  # the ideal filter's indicator response
         stream = {"cycle": 0, "perturbed": 1}[graph]
         for sigma_index, sigma in enumerate(config.sigmas):
             # one stream per cell, its trials drawn one after another

@@ -22,7 +22,6 @@ from dirlap import (
     GraphSignal,
     NonFiniteError,
     RankDeficientError,
-    SpectralFilter,
     decompose,
     directed_laplacian,
     gen_perturbed_cycle,
@@ -638,8 +637,8 @@ class TestReaderFuzz:
         fuzz_path.write_bytes(data)
         filt = read_or_refuse(fileio.read_filter_spec, fuzz_path, n)
         if filt is not None:
-            assert filt.response.shape == (n,)
-            assert np.isfinite(filt.response).all()
+            assert filt.shape == (n,)
+            assert np.isfinite(filt).all()
 
     @pytest.mark.parametrize("data", BROKEN_JSON[:3], ids=["utf8", "digits", "nesting"])
     def test_unparsable_json_is_a_parse_error(self, tmp_path, data):
@@ -740,19 +739,20 @@ class TestSpectrumCsv:
 
 class TestFilterSpec:
     def test_ideal_round_trip(self, tmp_path):
-        filt = SpectralFilter.ideal([0, 2, 3], 6)
+        filt = np.array([1, 0, 1, 1, 0, 0], dtype=np.complex128)
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"kind": "ideal", "omega": [0, 2, 3]}))
         back = fileio.read_filter_spec(path, 6)
-        assert np.array_equal(back.response, filt.response)
+        assert back.dtype == np.complex128
+        assert np.array_equal(back, filt)
 
     def test_diagonal_round_trip(self, tmp_path, rng):
-        filt = SpectralFilter(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        filt = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         path = tmp_path / "f.json"
-        response = [[z.real, z.imag] for z in filt.response]
+        response = [[z.real, z.imag] for z in filt]
         path.write_text(json.dumps({"kind": "diagonal", "response": response}))
         back = fileio.read_filter_spec(path, 5)
-        assert np.array_equal(back.response, filt.response)
+        assert np.array_equal(back, filt)
 
     def test_non_object_spec(self, tmp_path):
         path = tmp_path / "f.json"
@@ -793,7 +793,27 @@ class TestFilterSpec:
     def test_empty_ideal_band_is_accepted(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"kind": "ideal", "omega": []}))
-        assert not fileio.read_filter_spec(path, 3).response.any()
+        assert not fileio.read_filter_spec(path, 3).any()
+
+    def test_ideal_rejects_out_of_range(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"kind": "ideal", "omega": [7]}))
+        with pytest.raises(FileFormatError, match=r"band indices must lie in \[0, 4\)"):
+            fileio.read_filter_spec(path, 4)
+
+    @pytest.mark.parametrize("index", [0.9, 1.5, 2.0, True, "2"])
+    def test_ideal_rejects_non_integer_index(self, tmp_path, index):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"kind": "ideal", "omega": [0, index]}))
+        with pytest.raises(FileFormatError, match="band indices must be integers"):
+            fileio.read_filter_spec(path, 4)
+
+    @pytest.mark.parametrize("omega, repeated", [([1, 1], 1), ([3, 0, 2, 0, 3], 0)])
+    def test_ideal_rejects_repeated_index(self, tmp_path, omega, repeated):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"kind": "ideal", "omega": omega}))
+        with pytest.raises(FileFormatError, match=f"band index {repeated} appears more than once$"):
+            fileio.read_filter_spec(path, 4)
 
 
 class TestPlanJson:

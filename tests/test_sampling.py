@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,14 @@ class TestSynthesize:
         band = BandModel(dec, 5)
         with pytest.raises(DimensionMismatchError):
             synthesize_bandlimited(band, np.ones(4))
+
+    def test_overflow_is_refused_by_name(self, perturbed20):
+        # finite coefficients whose synthesis passes float64: no matmul warning escapes
+        band = BandModel(perturbed20[1], 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^the synthesis overflowed float64$"):
+                synthesize_bandlimited(band, np.full(5, 1.5e308))
 
 
 class TestPlanSampling:
@@ -323,9 +332,10 @@ class TestCertificates:
         with pytest.raises(RankDeficientError):
             noise_certificate(plan, 1.0)
 
-    @pytest.mark.parametrize("eta_norm", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("eta_norm", [np.nan, np.inf, -1.0, True, "1", None])
     def test_noise_norm_must_be_finite_and_nonnegative(self, perturbed20, eta_norm):
-        # a NaN fails every comparison, so a sign check alone would certify nan
+        # a NaN fails every comparison, so a sign check alone would certify nan; numpy
+        # reads True as 1.0 and would raise its own TypeError on "1"
         _, dec = perturbed20
         plan = plan_sampling(BandModel(dec, 4), range(12))
         with pytest.raises(ValueError, match="noise norm must be finite and nonnegative"):
@@ -382,6 +392,13 @@ class TestSelectSamplingSet:
         a = select_sampling_set(band, 6, "random", 11)
         b = select_sampling_set(band, 6, "random", 11)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, 2.0, -1, "1", None])
+    def test_seed_must_be_a_nonnegative_integer(self, perturbed20, seed):
+        # numpy would run True as seed 1 and raise its own TypeError on 1.5
+        band = BandModel(perturbed20[1], 3)
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
+            select_sampling_set(band, 6, "random", seed)
 
     def test_budget_below_band_rejected(self, perturbed20):
         _, dec = perturbed20
