@@ -41,16 +41,15 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .eigen import SpectralDecomposition, decompose
 from .errors import NonFiniteError
-from .graphs import MAX_VERTICES, directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
+from .graphs import (_PARAMETERS, _scalar, directed_laplacian, gen_directed_cycle,
+                     gen_perturbed_cycle)
 from .sampling import BandModel
-from .transform import _is_a
 
 GENERATOR_NAME = "PCG64"
 
@@ -64,20 +63,16 @@ _GRAPH_STREAM = {"cycle": 0, "perturbed": 1}
 BLOCK_ENTRIES = 2**15
 
 
-#: the type of each scalar field of :class:`ExperimentConfig`, checked before its value
-_FIELD_KINDS = (
-    ("n", numbers.Integral, "an integer"),
-    ("k", numbers.Integral, "an integer"),
-    ("trials", numbers.Integral, "an integer"),
-    ("seed", numbers.Integral, "an integer"),
-    ("p", numbers.Real, "a real number"),
-    ("w", numbers.Real, "a real number"),
-    ("real_noise", bool, "true or false"),
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The parameters of both experiments, each field kept as :func:`graphs._scalar` returns it.
+
+    Integers: ``n`` in ``[2, MAX_VERTICES]``, ``seed`` nonnegative (as the
+    generators take them), ``k`` in ``[1, n]``, ``trials`` in ``[1, 2**32 - 1]``.
+    Reals: ``p`` in ``[0, 1]``, ``w`` finite and positive, ``sigmas`` a non-empty
+    ascending grid of finite nonnegative ones. ``real_noise`` is a bool.
+    """
+
     n: int = 20
     p: float = 0.2
     w: float = 0.8
@@ -88,42 +83,18 @@ class ExperimentConfig:
     real_noise: bool = False
 
     def __post_init__(self):
-        for name, kind, what in _FIELD_KINDS:
-            value = getattr(self, name)
-            if not _is_a(value, kind):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"n must be at most MAX_VERTICES = {MAX_VERTICES}, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if not 0.0 < self.w <= sys.float_info.max:  # false for NaN and for ints beyond float64
-            raise ValueError(f"w must be finite and positive, got {self.w}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError("k must lie in [1, n]")
-        sigmas = tuple(self.sigmas)
-        if not all(_is_a(s, numbers.Real) for s in sigmas):
-            raise ValueError(f"sigmas must be real numbers, got {self.sigmas!r}")
-        try:
-            sigmas = tuple(float(s) for s in sigmas)
-        except OverflowError:  # an int beyond float64
-            raise ValueError(f"sigmas must be finite, got {list(sigmas)}") from None
-        if not sigmas:
-            raise ValueError("sigma grid must not be empty")
-        if not all(math.isfinite(s) for s in sigmas):
-            raise ValueError(f"sigmas must be finite, got {list(sigmas)}")
-        if any(s < 0 for s in sigmas) or list(sigmas) != sorted(sigmas):
-            raise ValueError("sigmas must be nonnegative and ascending")
-        object.__setattr__(self, "sigmas", sigmas)
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.trials >= 2**32:
-            # the documented range of trials; a cell holds four float64 entries a trial,
-            # 128 GiB at 2**32 trials, so memory runs out long before the bound
-            raise ValueError("trials must be below 2**32")
+        fields = {name: _scalar(getattr(self, name), *spec) for name, spec in _PARAMETERS.items()}
+        fields["k"] = _scalar(self.k, numbers.Integral, "k", 1, fields["n"])
+        # the documented range of trials; a cell holds four float64 entries a trial,
+        # 128 GiB at 2**32 trials, so memory runs out long before the bound
+        fields["trials"] = _scalar(self.trials, numbers.Integral, "trials", 1, 2**32 - 1)
+        sigmas = tuple(_scalar(s, numbers.Real, "sigmas", 0, math.inf) for s in self.sigmas)
+        if not sigmas or list(sigmas) != sorted(sigmas):
+            raise ValueError(f"sigmas must be a non-empty ascending grid, got {list(sigmas)}")
+        if not isinstance(self.real_noise, bool):
+            raise ValueError(f"real_noise must be true or false, got {self.real_noise!r}")
+        for name, value in {**fields, "sigmas": sigmas}.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -78,7 +78,8 @@ import numpy as np
 
 from . import __version__
 from .errors import FileFormatError, NonFiniteError, RankDeficientError
-from .graphs import MAX_VERTICES, DirectedGraph, asymmetry_index, normality_departure
+from .graphs import (MAX_VERTICES, DirectedGraph, _is_a, _scalar, asymmetry_index,
+                     normality_departure)
 
 if TYPE_CHECKING:
     # a reader or writer imports the modules it needs when called (json and csv
@@ -321,12 +322,11 @@ def read_edge_list(path, n: int | None = None) -> DirectedGraph:
     isolated vertices or no edges at all.
 
     Raises:
-        ValueError: ``n`` is outside ``[1, MAX_VERTICES]`` or below the
-            largest vertex index plus one (the argument is at fault).
+        ValueError: ``n`` is not an integer in ``[1, MAX_VERTICES]``, or is
+            below the largest vertex index plus one (the argument is at fault).
         FileFormatError: the file is unreadable or its rows are invalid.
     """
-    if n is not None and not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"n must lie in [1, MAX_VERTICES = {MAX_VERTICES}], got {n}")
+    n = None if n is None else _scalar(n, numbers.Integral, "n", 1, MAX_VERTICES)
     edges, _ = _read_table(path, "src,dst,weight", _EDGE_DTYPE)
     src, dst, weight = edges["src"], edges["dst"], edges["weight"]
     top = int(max(src.max(), dst.max())) + 1 if src.size else 0
@@ -413,8 +413,6 @@ def read_json_object(path, what: str) -> dict:
 
 def _tap(re, im) -> complex:
     """One diagonal filter tap; a bool or string part is refused, not read as a number."""
-    from .transform import _is_a
-
     if not (_is_a(re, numbers.Real) and _is_a(im, numbers.Real)):
         raise ValueError(f"taps must be pairs of real numbers, got {[re, im]!r}")
     return complex(re, im)
@@ -496,7 +494,13 @@ def _metrics_payload(dec: SpectralDecomposition, spectrum_csv: str | None) -> di
 
 def write_metrics(dec: SpectralDecomposition, spectrum_csv: str | None, form: str,
                   path=None) -> None:
-    """Export the metrics of one graph's decomposition as ``form``, ``json`` or ``csv``."""
+    """Export the metrics of one graph's decomposition as ``form``, ``json`` or ``csv``.
+
+    Raises:
+        ValueError: ``form`` is neither ``json`` nor ``csv``; nothing is written.
+    """
+    if form not in ("json", "csv"):
+        raise ValueError(f"metrics format must be json or csv, got {form!r}")
     payload = _metrics_payload(dec, spectrum_csv)
     if form == "json":
         write_json(payload, path)

@@ -7,7 +7,9 @@ vector is always in the null space and acts as the DC mode of the spectral
 analysis built on top.
 
 A graph is three parallel arrays ``src``, ``dst`` and ``weight``, validated
-in numpy; ``A`` is those weighted arcs scattered into a dense matrix.
+in numpy; ``A`` is those weighted arcs scattered into a dense matrix. One
+gate checks every matrix, :func:`_square`, and one every scalar parameter,
+:func:`_scalar`.
 
 Two scalar indices separate plain asymmetry from non-normality:
 
@@ -21,6 +23,8 @@ they are scale invariant and finite at every finite scale.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +60,12 @@ class DirectedGraph:
     weight: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
-        n = int(self.n)
+        n = _scalar(self.n, numbers.Integral, "vertex count", 1, MAX_VERTICES)
         try:
             src = np.array(self.src, dtype=np.int64)
             dst = np.array(self.dst, dtype=np.int64)
         except OverflowError as exc:
             raise ValueError(f"vertex index out of range for n={n}: {exc}") from exc
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} exceeds MAX_VERTICES = {MAX_VERTICES}")
         weight = np.array(self.weight, dtype=np.float64)
         if not (src.ndim == dst.ndim == weight.ndim == 1 and src.size == dst.size == weight.size):
             raise ValueError(
@@ -125,6 +125,41 @@ def directed_laplacian(g: DirectedGraph) -> np.ndarray:
     return np.diag(degree) - a
 
 
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is a ``kind`` of number; a bool is never a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _scalar(value, kind, what: str, lo, hi):
+    """``value`` as a Python int or finite float in ``[lo, hi]``, else ValueError naming ``what``.
+
+    The one gate of every scalar parameter: ``kind`` is ``numbers.Integral``
+    or ``numbers.Real``, and an integer beyond float64 is no finite real.
+    """
+    if not _is_a(value, kind):
+        article = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{what} must be {article}, got {value!r}")
+    if kind is numbers.Integral:
+        value = int(value)
+    else:
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float64
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"{what} must be finite, got {value}")
+        value = number
+    if not lo <= value <= hi:
+        raise ValueError(f"{what} must lie in [{lo}, {hi}], got {value}")
+    return value
+
+
+#: the _scalar arguments of gen_perturbed_cycle's parameters, in order; ExperimentConfig shares them
+_PARAMETERS = {"n": (numbers.Integral, "n", 2, MAX_VERTICES), "p": (numbers.Real, "p", 0, 1),
+               "w": (numbers.Real, "w", math.ulp(0.0), math.inf),
+               "seed": (numbers.Integral, "seed", 0, math.inf)}
+
+
 def _square(m, real: bool = False) -> np.ndarray:
     """``m`` as an array, refused unless it is a non-empty square matrix of finite numbers.
 
@@ -176,19 +211,11 @@ def normality_departure(m) -> float:
     return float(np.linalg.norm(m @ mh - mh @ m, "fro") / fro2)
 
 
-def _cycle_arcs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n < 2:
-        raise ValueError(f"a directed cycle needs n >= 2, got {n}")
-    if n > MAX_VERTICES:
-        raise ValueError(f"n must be at most MAX_VERTICES = {MAX_VERTICES}, got {n}")
-    src = np.arange(n)
-    return src, (src + 1) % n
-
-
 def gen_directed_cycle(n: int) -> DirectedGraph:
     """Unweighted directed cycle ``0 -> 1 -> ... -> n-1 -> 0`` (n >= 2)."""
-    src, dst = _cycle_arcs(n)
-    return DirectedGraph(n, src, dst, np.ones(n))
+    n = _scalar(n, *_PARAMETERS["n"])
+    src = np.arange(n)
+    return DirectedGraph(n, src, (src + 1) % n, np.ones(n))
 
 
 def gen_perturbed_cycle(n: int, p: float, w: float, seed: int) -> DirectedGraph:
@@ -207,12 +234,12 @@ def gen_perturbed_cycle(n: int, p: float, w: float, seed: int) -> DirectedGraph:
     and only the indices of the hits are kept: time is linear in the
     ``n (n - 2)`` draws, and memory in the edges plus one block, with no
     ``n x n`` array.
+
+    Raises:
+        ValueError: a parameter outside its ``_PARAMETERS`` range, named in the error.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    if not np.isfinite(w) or w <= 0.0:
-        raise ValueError(f"perturbation weight must be finite and positive, got {w}")
-    cycle_src, cycle_dst = _cycle_arcs(n)
+    n, p, w, seed = (_scalar(value, *spec)
+                     for value, spec in zip((n, p, w, seed), _PARAMETERS.values()))
     rng = np.random.default_rng(seed)
     per_row = n - 2
     total = n * per_row
@@ -223,7 +250,7 @@ def gen_perturbed_cycle(n: int, p: float, w: float, seed: int) -> DirectedGraph:
     extra_dst = np.where(extra_src == n - 1, r + 1, np.where(r < extra_src, r, r + 2))
     return DirectedGraph(
         n,
-        np.concatenate([cycle_src, extra_src]),
-        np.concatenate([cycle_dst, extra_dst]),
-        np.concatenate([np.ones(n), np.full(extra_src.size, float(w))]),
+        np.concatenate([np.arange(n), extra_src]),
+        np.concatenate([(np.arange(n) + 1) % n, extra_dst]),
+        np.concatenate([np.ones(n), np.full(extra_src.size, w)]),
     )

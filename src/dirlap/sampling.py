@@ -19,6 +19,7 @@ A band also carries the ideal low-pass filter's noise gain ``||P_omega||_2``
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +29,8 @@ import numpy as np
 
 from .eigen import SpectralDecomposition
 from .errors import DimensionMismatchError, RankDeficientError
-from .transform import GraphSignal, _finite, _indices, _is_a, _vector
+from .graphs import _PARAMETERS, _scalar
+from .transform import GraphSignal, _finite, _indices, _vector
 
 #: singular values below RANK_RTOL * sigma_max count as zero (rank boundary)
 RANK_RTOL = 1e-12
@@ -50,11 +52,8 @@ class BandModel:
     k: int
 
     def __post_init__(self):
-        if not _is_a(self.k, numbers.Integral):
-            raise ValueError(f"band size must be an integer, got {self.k!r}")
-        if not 1 <= self.k <= self.decomposition.n:
-            raise ValueError(f"band size must lie in [1, {self.decomposition.n}], got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _scalar(self.k, numbers.Integral, "band size", 1,
+                                              self.decomposition.n))
 
     @property
     def omega(self) -> np.ndarray:
@@ -172,12 +171,14 @@ def noise_certificate(plan: SamplingPlan, eta_norm: float) -> float:
     """Guaranteed error ceiling ``||V_omega||_2 * eta_norm / gamma``.
 
     Bounds ``||x_rec - x||_2`` for least-squares recovery of a bandlimited
-    signal whose samples carry additive noise of norm ``eta_norm``; raises
-    ``RankDeficientError`` on the plans :func:`recover` refuses.
+    signal whose samples carry additive noise of norm ``eta_norm``.
+
+    Raises:
+        RankDeficientError: the plan is one :func:`recover` refuses.
+        ValueError: ``eta_norm`` is not a finite nonnegative real.
     """
     _require_full_rank(plan)
-    if not (_is_a(eta_norm, numbers.Real) and np.isfinite(eta_norm) and eta_norm >= 0.0):
-        raise ValueError(f"noise norm must be finite and nonnegative, got {eta_norm!r}")
+    eta_norm = _scalar(eta_norm, numbers.Real, "noise norm", 0, math.inf)
     return plan.band.synthesis_norm * eta_norm / plan.gamma
 
 
@@ -211,14 +212,14 @@ def select_sampling_set(
     graph, say) are decided by the rule, not by rounding, even where the
     scores themselves are tiny.
     ``"random"`` draws a uniform sample without replacement from a PCG64
-    generator seeded with ``seed``, a nonnegative integer.
+    generator seeded with ``seed``.
+
+    Raises:
+        ValueError: ``m`` not an integer in ``[k, n]``, ``seed`` not one in
+            ``[0, inf]``, or an unknown ``strategy``.
     """
-    if not _is_a(m, numbers.Integral):
-        raise ValueError(f"sample budget must be an integer, got {m!r}")
-    if not (_is_a(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not band.k <= m <= band.n:
-        raise ValueError(f"sample budget must lie in [{band.k}, {band.n}], got {m}")
+    m = _scalar(m, numbers.Integral, "sample budget", band.k, band.n)
+    seed = _scalar(seed, *_PARAMETERS["seed"])
     if strategy == "random":
         rng = np.random.default_rng(seed)
         return np.sort(rng.choice(band.n, size=m, replace=False))

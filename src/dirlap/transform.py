@@ -34,6 +34,7 @@ import numpy as np
 
 from .eigen import SpectralDecomposition, gram_matrix
 from .errors import DimensionMismatchError, NonFiniteError
+from .graphs import _is_a
 
 
 def _vector(values, what: str) -> np.ndarray:
@@ -64,11 +65,6 @@ class GraphSignal:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-
-def _is_a(value, kind) -> bool:
-    """Whether ``value`` is a ``kind``; a bool is a bool only, never a number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _indices(values: Iterable, n: int, what: str) -> np.ndarray:

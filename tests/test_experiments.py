@@ -1,4 +1,6 @@
 import math
+import numbers
+import re
 import statistics
 
 import numpy as np
@@ -6,21 +8,99 @@ import pytest
 
 from dirlap import (
     BandModel,
+    DirectedGraph,
     ExperimentConfig,
     GraphSignal,
     NonFiniteError,
     apply_filter,
     asymmetry_index,
+    decompose,
+    directed_laplacian,
+    gen_directed_cycle,
+    gen_perturbed_cycle,
     henrici_departure,
+    noise_certificate,
     normality_departure,
+    plan_sampling,
     reference_pair,
     run_noise_sweep,
+    select_sampling_set,
     synthesize_bandlimited,
 )
-from dirlap import experiments
+from dirlap import experiments, fileio
 from dirlap.experiments import (
     _GRAPH_STREAM, SUMMARY_FIELDS, SweepCell, _block_trials,
 )
+
+
+#: every scalar parameter of the library: its kind, the name its errors give, a value in its
+#: range, and one outside it with its range's text
+GATED = {
+    "DirectedGraph.n": (numbers.Integral, "vertex count", 3, 0, "[1, 10000]"),
+    "gen_directed_cycle.n": (numbers.Integral, "n", 3, 1, "[2, 10000]"),
+    "gen_perturbed_cycle.n": (numbers.Integral, "n", 6, 10_001, "[2, 10000]"),
+    "gen_perturbed_cycle.p": (numbers.Real, "p", 0.5, 1.5, "[0, 1]"),
+    "gen_perturbed_cycle.w": (numbers.Real, "w", 0.8, 0.0, "[5e-324, inf]"),
+    "gen_perturbed_cycle.seed": (numbers.Integral, "seed", 3, -1, "[0, inf]"),
+    "read_edge_list.n": (numbers.Integral, "n", 4, 10_001, "[1, 10000]"),
+    "BandModel.k": (numbers.Integral, "band size", 2, 7, "[1, 6]"),
+    "select_sampling_set.m": (numbers.Integral, "sample budget", 3, 1, "[2, 6]"),
+    "select_sampling_set.seed": (numbers.Integral, "seed", 3, -1, "[0, inf]"),
+    "noise_certificate.eta_norm": (numbers.Real, "noise norm", 0.8, -0.5, "[0, inf]"),
+    "ExperimentConfig.n": (numbers.Integral, "n", 12, 1, "[2, 10000]"),
+    "ExperimentConfig.p": (numbers.Real, "p", 0.8, -0.5, "[0, 1]"),
+    "ExperimentConfig.w": (numbers.Real, "w", 0.8, -1, "[5e-324, inf]"),
+    "ExperimentConfig.seed": (numbers.Integral, "seed", 3, -1, "[0, inf]"),
+    "ExperimentConfig.k": (numbers.Integral, "k", 3, 21, "[1, 20]"),
+    "ExperimentConfig.trials": (numbers.Integral, "trials", 3, 2**32, "[1, 4294967295]"),
+    "ExperimentConfig.sigmas": (numbers.Real, "sigmas", 0.8, -0.5, "[0, inf]"),
+}
+
+
+def _refusals():
+    """(parameter, value, full error text) for each value every gated parameter refuses."""
+    for param, (kind, what, _, outside, bounds) in GATED.items():
+        integral = kind is numbers.Integral
+        not_kind = f"{what} must be {'an integer' if integral else 'a real number'}, got "
+        # None asks read_edge_list to infer n; everywhere else it is no number
+        cases = [(value, not_kind + repr(value)) for value in (True, "1", None)
+                 if (param, value) != ("read_edge_list.n", None)]
+        if integral:
+            cases += [(value, not_kind + repr(value)) for value in (2.5, 20.0)]
+        else:
+            cases += [(value, f"{what} must be finite, got {value}")
+                      for value in (math.nan, math.inf, 10**400)]
+        shown = outside if integral else float(outside)
+        cases.append((outside, f"{what} must lie in {bounds}, got {shown}"))
+        for value, message in cases:
+            label = "10**400" if value == 10**400 else repr(value)
+            yield pytest.param(param, value, message, id=f"{param}-{label}")
+
+
+@pytest.fixture(scope="module")
+def gated_calls(tmp_path_factory):
+    """Each gated parameter's call: it passes a value, the other arguments valid, and
+    returns what the library kept of it or made with it."""
+    edges = tmp_path_factory.mktemp("gated") / "g.csv"
+    edges.write_text("src,dst,weight\n0,1,1\n1,2,1\n2,0,1\n")
+    band = BandModel(decompose(directed_laplacian(gen_directed_cycle(6))), 2)
+    plan = plan_sampling(band, range(6))
+    return {
+        "DirectedGraph.n": lambda v: DirectedGraph(v, [0], [1], [1.0]).n,
+        "gen_directed_cycle.n": lambda v: gen_directed_cycle(v).n,
+        "gen_perturbed_cycle.n": lambda v: gen_perturbed_cycle(v, 0.5, 0.8, 0).dst.tolist(),
+        "gen_perturbed_cycle.p": lambda v: gen_perturbed_cycle(6, v, 0.8, 0).dst.tolist(),
+        "gen_perturbed_cycle.w": lambda v: gen_perturbed_cycle(6, 1, v, 0).weight.tolist(),
+        "gen_perturbed_cycle.seed": lambda v: gen_perturbed_cycle(6, 0.5, 0.8, v).dst.tolist(),
+        "read_edge_list.n": lambda v: fileio.read_edge_list(edges, v).n,
+        "BandModel.k": lambda v: BandModel(band.decomposition, v).k,
+        "select_sampling_set.m": lambda v: select_sampling_set(band, v).tolist(),
+        "select_sampling_set.seed": lambda v: select_sampling_set(band, 3, "random", v).tolist(),
+        "noise_certificate.eta_norm": lambda v: noise_certificate(plan, v),
+        "ExperimentConfig.sigmas": lambda v: ExperimentConfig(sigmas=(v,)).sigmas[0],
+        **{f"ExperimentConfig.{name}": lambda v, name=name: getattr(
+            ExperimentConfig(**{name: v}), name) for name in ("n", "p", "w", "seed", "k", "trials")},
+    }
 
 
 class TestConfig:
@@ -88,9 +168,9 @@ class TestConfig:
             ({"p": "0.2"}, "p must be a real number"),
             ({"w": True}, "w must be a real number"),
             ({"w": "0.8"}, "w must be a real number"),
-            ({"sigmas": ("0.1",)}, "sigmas must be real numbers"),
-            ({"sigmas": (0.1, True)}, "sigmas must be real numbers"),
-            ({"sigmas": "0.1"}, "sigmas must be real numbers"),
+            ({"sigmas": ("0.1",)}, "sigmas must be a real number"),
+            ({"sigmas": (0.1, True)}, "sigmas must be a real number"),
+            ({"sigmas": "0.1"}, "sigmas must be a real number"),
             ({"real_noise": "false"}, "real_noise must be true or false"),
             ({"real_noise": 1}, "real_noise must be true or false"),
         ],
@@ -111,6 +191,32 @@ class TestConfig:
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig(n=np.int64(12), k=np.int32(3), trials=np.int64(4), seed=np.uint8(9))
         assert (cfg.n, cfg.k, cfg.trials, cfg.seed) == (12, 3, 4, 9)
+
+    @pytest.mark.parametrize("param, value, message", _refusals())
+    def test_every_gated_parameter_refuses_by_one_rule(self, gated_calls, param, value, message):
+        # a bool or a string is no number, a float no integer, and an integer past float64
+        # no finite real; each error is a ValueError naming the parameter, from one gate
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gated_calls[param](value)
+
+    @pytest.mark.parametrize("param", GATED)
+    def test_numpy_scalar_acts_as_its_python_value(self, gated_calls, param):
+        kind, _, inside, _, _ = GATED[param]
+        scalar = np.int64(inside) if kind is numbers.Integral else np.float32(inside)
+        # the w rows: np.float32(0.8) compared with a float64 bound warns of a cast overflow
+        kept, expected = gated_calls[param](scalar), gated_calls[param](scalar.item())
+        assert kept == expected and type(kept) is type(expected)
+
+    def test_numpy_config_writes_the_files_of_the_python_config(self, tmp_path):
+        # the writers need the fields as Python values: json refuses np.int64, and the
+        # sweep's block size calls int.bit_length on n
+        def files(config, out):
+            fileio.write_spectrum_comparison(config, reference_pair(config), out / "fig1")
+            fileio.write_noise_sweep(config, run_noise_sweep(config), out / "fig2")
+            return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
+
+        python = files(ExperimentConfig(n=20, trials=3), tmp_path / "python")
+        assert files(ExperimentConfig(n=np.int64(20), trials=np.int64(3)), tmp_path / "numpy") == python
 
     def test_to_dict_round_trips(self):
         cfg = ExperimentConfig(sigmas=(0.1, 0.2), trials=3)

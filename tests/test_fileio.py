@@ -131,7 +131,8 @@ class TestEdgeList:
         # one row would otherwise make every later stage allocate a 60001 x 60001 matrix
         path = tmp_path / "sparse.csv"
         path.write_text("src,dst,weight\n0,60000,1\n")
-        with pytest.raises(FileFormatError, match="vertex count 60001 exceeds MAX_VERTICES"):
+        message = r": vertex count must lie in \[1, 10000\], got 60001$"
+        with pytest.raises(FileFormatError, match=message):
             fileio.read_edge_list(path)
 
     def test_duplicate_edge_becomes_format_error(self, tmp_path):
@@ -168,7 +169,7 @@ class TestEdgeList:
         ("0,1,-inf", "needs a finite positive weight, got -inf"),
         ("0,1,1e400", "needs a finite positive weight, got inf"),
         (f"{2**63},0,1", "vertex index out of range"),
-        (f"{2**63 - 1},0,1", "exceeds MAX_VERTICES"),
+        (f"{2**63 - 1},0,1", r": vertex count must lie in \[1, 10000\], got 9223372036854775808$"),
         # accepted by int() and float(), not by numpy's parser
         ("1_0,0,1", ":2: invalid literal for int: '1_0' \\(column 1\\)"),
         ("0,1,1_0", ":2: could not convert string to float: '1_0' \\(column 3\\)"),
@@ -926,6 +927,17 @@ class TestMetricsCsv:
             rows = list(csv.reader(fh))
         assert all(len(row) == 2 for row in rows)
         assert rows[-1] == ["spectrum_csv", spectrum]
+
+    @pytest.mark.parametrize("form", ["xml", "JSON", None])
+    def test_unknown_format_refused_before_writing(self, tmp_path, capsys, form):
+        # any form but json used to take the CSV branch
+        dec = decompose(directed_laplacian(gen_perturbed_cycle(5, 0.3, 0.8, seed=1)))
+        message = f"^metrics format must be json or csv, got {re.escape(repr(form))}$"
+        for path in (tmp_path / "m.out", None):
+            with pytest.raises(ValueError, match=message):
+                fileio.write_metrics(dec, None, form, path)
+        assert not (tmp_path / "m.out").exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestTrialsCsv:

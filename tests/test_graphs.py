@@ -47,7 +47,7 @@ class TestDirectedGraph:
 
     def test_rejects_bool_n(self):
         # a bool is no vertex count, as everywhere else in the library
-        with pytest.raises(ValueError, match="vertex count must be a positive integer, got True"):
+        with pytest.raises(ValueError, match="^vertex count must be an integer, got True$"):
             DirectedGraph(True, [], [], [])
 
     def test_rejects_nonpositive_n(self):
@@ -56,7 +56,7 @@ class TestDirectedGraph:
 
     @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**20])
     def test_rejects_more_than_max_vertices(self, n):
-        with pytest.raises(ValueError, match=f"vertex count {n} exceeds MAX_VERTICES = {MAX_VERTICES}"):
+        with pytest.raises(ValueError, match=rf"^vertex count must lie in \[1, {MAX_VERTICES}\], got {n}$"):
             DirectedGraph(n, [0], [1], [1.0])
 
     def test_accepts_max_vertices(self):
@@ -220,7 +220,7 @@ class TestGenerators:
     def test_generators_reject_more_than_max_vertices(self, n):
         # checked before any array of size n is allocated
         for make in (gen_directed_cycle, lambda n: gen_perturbed_cycle(n, 0.2, 0.8, 0)):
-            with pytest.raises(ValueError, match=f"n must be at most MAX_VERTICES = {MAX_VERTICES}"):
+            with pytest.raises(ValueError, match=rf"^n must lie in \[2, {MAX_VERTICES}\], got {n}$"):
                 make(n)
 
     def test_cycle_n2_symmetric_laplacian(self):

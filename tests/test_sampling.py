@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -338,7 +339,11 @@ class TestCertificates:
         # reads True as 1.0 and would raise its own TypeError on "1"
         _, dec = perturbed20
         plan = plan_sampling(BandModel(dec, 4), range(12))
-        with pytest.raises(ValueError, match="noise norm must be finite and nonnegative"):
+        message = {"nan": "noise norm must be finite, got nan",
+                   "inf": "noise norm must be finite, got inf",
+                   "-1.0": "noise norm must lie in [0, inf], got -1.0"}.get(
+                       str(eta_norm), f"noise norm must be a real number, got {eta_norm!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             noise_certificate(plan, eta_norm)
 
 
@@ -397,7 +402,9 @@ class TestSelectSamplingSet:
     def test_seed_must_be_a_nonnegative_integer(self, perturbed20, seed):
         # numpy would run True as seed 1 and raise its own TypeError on 1.5
         band = BandModel(perturbed20[1], 3)
-        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
+        message = {-1: "seed must lie in [0, inf], got -1"}.get(
+            seed, f"seed must be an integer, got {seed!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             select_sampling_set(band, 6, "random", seed)
 
     def test_budget_below_band_rejected(self, perturbed20):
