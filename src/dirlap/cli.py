@@ -9,9 +9,20 @@ included), and for a library fault the ``exit_code`` of its
 :mod:`dirlap.errors` type: 3 file parse error, 4 dimension mismatch, 5
 rank-deficient sampling, 6 near-defective operator, 7 an output number
 that overflowed to infinity or NaN.
+
+:func:`run` is the process entry, of both the installed ``dirlap`` command and
+``python -m dirlap.cli``: it runs :func:`main` and then freezes the garbage
+collector, so the interpreter's exit-time collections skip every object still
+alive (the functions, classes and modules of numpy, click and dirlap), about
+20 ms of each command. What that gives up: the ``__del__`` of cyclic garbage
+left at exit does not run, and no dirlap object relies on it, because every
+file is closed by its ``with``. Python still flushes stdio and runs atexit
+handlers. :func:`main` itself leaves the collector alone, for in-process
+callers such as click's ``CliRunner``, whose process goes on after the command.
 """
 from __future__ import annotations
 
+import gc
 import sys
 from typing import TYPE_CHECKING
 
@@ -285,5 +296,13 @@ def fig2(config_path, sigmas, out_dir, **flags):
     click.echo(str(fileio.write_noise_sweep(config, run_noise_sweep(config), out_dir)))
 
 
+def run():
+    """Run :func:`main` as a process that ends with it, then freeze the collector for the exit."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -70,7 +71,9 @@ class ExperimentConfig:
     Integers: ``n`` in ``[2, MAX_VERTICES]``, ``seed`` nonnegative (as the
     generators take them), ``k`` in ``[1, n]``, ``trials`` in ``[1, 2**32 - 1]``.
     Reals: ``p`` in ``[0, 1]``, ``w`` finite and positive, ``sigmas`` a non-empty
-    ascending grid of finite nonnegative ones. ``real_noise`` is a bool.
+    ascending grid of finite nonnegative ones, given as a sequence or a 1-D array
+    (a scalar, ``None``, a mapping or a set is refused, and a string is one value
+    that is not a number). ``real_noise`` is a bool.
     """
 
     n: int = 20
@@ -88,7 +91,12 @@ class ExperimentConfig:
         # the documented range of trials; a cell holds four float64 entries a trial,
         # 128 GiB at 2**32 trials, so memory runs out long before the bound
         fields["trials"] = _scalar(self.trials, numbers.Integral, "trials", 1, 2**32 - 1)
-        sigmas = tuple(_scalar(s, numbers.Real, "sigmas", 0, math.inf) for s in self.sigmas)
+        grid = self.sigmas
+        if isinstance(grid, (str, bytes, bytearray)):
+            grid = (grid,)  # one value that is not a number, not a grid of characters
+        elif not (isinstance(grid, Sequence) or isinstance(grid, np.ndarray) and grid.ndim == 1):
+            raise ValueError(f"sigmas must be a sequence of real numbers, got {grid!r}")
+        sigmas = tuple(_scalar(s, numbers.Real, "sigmas", 0, math.inf) for s in grid)
         if not sigmas or list(sigmas) != sorted(sigmas):
             raise ValueError(f"sigmas must be a non-empty ascending grid, got {list(sigmas)}")
         if not isinstance(self.real_noise, bool):

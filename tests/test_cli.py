@@ -1,9 +1,11 @@
 import csv
+import gc
 import hashlib
 import json
 import math
 import subprocess
 import warnings
+from pathlib import Path
 
 import click
 import numpy as np
@@ -895,6 +897,28 @@ class TestExperimentCommands:
         )
         assert result.exit_code == FileFormatError.exit_code
 
+    @pytest.mark.parametrize(
+        "sigmas, message",
+        [
+            ("0.1", "sigmas must be a sequence of real numbers, got 0.1"),
+            ("null", "sigmas must be a sequence of real numbers, got None"),
+            ('{"0.1": 1}', "sigmas must be a sequence of real numbers, got {'0.1': 1}"),
+            ('"0.1"', "sigmas must be a real number, got '0.1'"),
+        ],
+        ids=["number", "null", "object", "string"],
+    )
+    def test_fig2_config_sigmas_not_a_list_names_the_field(self, runner, tmp_path, sigmas,
+                                                          message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"sigmas": {sigmas}}}')
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["experiment", "fig2", "--config", str(cfg), "--out-dir", str(out)]
+        )
+        assert result.exit_code == FileFormatError.exit_code
+        assert result.stderr == f"error: bad config {cfg}: {message}\n"
+        assert not out.exists()
+
     def test_fig2_noiseless_sanity(self, runner, tmp_path):
         out = tmp_path / "zero"
         result = runner.invoke(
@@ -1177,6 +1201,76 @@ def test_closed_stdout_pipe_ends_quietly(fresh_python):
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert stderr == b""
+
+
+class TestProcessEntry:
+    """``python -m dirlap.cli`` and the installed command run through ``cli.run``."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["gen", "cycle", "--n", "5", "--out", "{out}"], 0),
+            (["gen", "perturbed-cycle", "--n", "20", "--seed", "-1"], 2),
+            (["analyze", "{header_only}"], FileFormatError.exit_code),
+            (["gft", "{cycle3}", "{one_entry}", "--out", "{out}"],
+             DimensionMismatchError.exit_code),
+            (["sample", "{perturbed}", "--k", "5", "--sample-set", "0,1", "--signal", "{ones}",
+              "--recover-out", "{out}"], RankDeficientError.exit_code),
+            (["analyze", "{path}"], NearDefectiveError.exit_code),
+            (["analyze", "{overflow}"], NonFiniteError.exit_code),
+        ],
+        ids=["ok", "usage", "parse", "dimension", "rank", "defective", "non-finite"],
+    )
+    def test_each_exit_code_without_traceback(self, perturbed_csv, tmp_path, fresh_python, args,
+                                              code):
+        # the inputs of the in-process tests of each code
+        files = {"header_only": "src,dst\n0,1\n",
+                 "cycle3": "src,dst,weight\n0,1,1\n1,2,1\n2,0,1\n",
+                 "one_entry": "vertex,re,im\n0,1,0\n",
+                 "path": "src,dst,weight\n" + "".join(f"{i},{i + 1},1\n" for i in range(7)),
+                 "overflow": "src,dst,weight\n0,1,1.7e308\n0,2,1.7e308\n1,2,1\n2,0,1\n"}
+        names = {"perturbed": perturbed_csv, "out": tmp_path / "out.csv"}
+        for name, text in files.items():
+            names[name] = tmp_path / f"{name}.csv"
+            names[name].write_text(text)
+        names["ones"] = tmp_path / "ones.csv"
+        fileio.write_signal(dirlap.GraphSignal(np.ones(20)), names["ones"])
+        done = fresh_python("-m", "dirlap.cli", *(arg.format(**names) for arg in args))
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") == (code > 2)
+
+    @pytest.mark.parametrize(
+        "entry, frozen",
+        [("from dirlap.cli import run; run()", True),
+         ("import runpy; runpy.run_module('dirlap.cli', run_name='__main__')", True),
+         ("from dirlap.cli import main; main()", False)],
+        ids=["run", "module", "main"],
+    )
+    def test_process_exits_with_a_frozen_collector(self, fresh_python, entry, frozen):
+        # an atexit handler runs after the entry's freeze and before the exit-time collections
+        code = ("import atexit, gc, sys; "
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count())); "
+                f"sys.argv = ['dirlap', '--version']; {entry}")
+        done = fresh_python("-c", code)
+        assert done.returncode == 0 and done.stderr == ""
+        version, probe = done.stdout.splitlines()
+        assert version == f"dirlap, version {dirlap.__version__}"
+        assert (int(probe.removeprefix("frozen ")) > 0) is frozen
+
+    def test_in_process_calls_leave_the_collector_alone(self, runner, tmp_path):
+        # a freeze would keep this process's cyclic garbage for good
+        before = gc.get_freeze_count()
+        assert runner.invoke(main, ["--version"]).exit_code == 0
+        assert runner.invoke(main, ["gen", "cycle", "--n", "5"]).exit_code == 0
+        main(["gen", "cycle", "--n", "5", "--out", str(tmp_path / "g.csv")], standalone_mode=False)
+        assert gc.get_freeze_count() == before
+
+    def test_installed_command_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"dirlap": "dirlap.cli:run"}
 
 
 def test_cli_import_loads_no_scipy(fresh_python):

@@ -218,6 +218,30 @@ class TestConfig:
         python = files(ExperimentConfig(n=20, trials=3), tmp_path / "python")
         assert files(ExperimentConfig(n=np.int64(20), trials=np.int64(3)), tmp_path / "numpy") == python
 
+    @pytest.mark.parametrize(
+        "sigmas, message",
+        [
+            (0.1, "sigmas must be a sequence of real numbers, got 0.1"),
+            (None, "sigmas must be a sequence of real numbers, got None"),
+            ({0.1: 1}, "sigmas must be a sequence of real numbers, got {0.1: 1}"),
+            ({0.1}, "sigmas must be a sequence of real numbers, got {0.1}"),
+            (np.array(0.1), "sigmas must be a sequence of real numbers, got array(0.1)"),
+            # a string is one value that is not a number, never a grid of its characters
+            ("0.1", "sigmas must be a real number, got '0.1'"),
+            (b"0.1", "sigmas must be a real number, got b'0.1'"),
+            (b"\x01\x02", "sigmas must be a real number, got b'\\x01\\x02'"),
+        ],
+        ids=["scalar", "none", "mapping", "set", "0-d-array", "str", "bytes", "byte-values"],
+    )
+    def test_sigmas_not_a_sequence_refused(self, sigmas, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(sigmas=sigmas)
+
+    @pytest.mark.parametrize("sigmas", [[0.1, 0.2], range(2), np.array([0.1, 0.2])],
+                             ids=["list", "range", "1-d-array"])
+    def test_sigmas_sequence_accepted(self, sigmas):
+        assert ExperimentConfig(sigmas=sigmas).sigmas == tuple(float(s) for s in sigmas)
+
     def test_to_dict_round_trips(self):
         cfg = ExperimentConfig(sigmas=(0.1, 0.2), trials=3)
         assert ExperimentConfig(**{**cfg.to_dict(), "sigmas": tuple(cfg.to_dict()["sigmas"])}) == cfg
