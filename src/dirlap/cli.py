@@ -11,19 +11,32 @@ rank-deficient sampling, 6 near-defective operator, 7 an output number
 that overflowed to infinity or NaN.
 
 :func:`run` is the process entry, of both the installed ``dirlap`` command and
-``python -m dirlap.cli``: it runs :func:`main` and then freezes the garbage
-collector, so the interpreter's exit-time collections skip every object still
-alive (the functions, classes and modules of numpy, click and dirlap), about
-20 ms of each command. What that gives up: the ``__del__`` of cyclic garbage
-left at exit does not run, and no dirlap object relies on it, because every
-file is closed by its ``with``. Python still flushes stdio and runs atexit
-handlers. :func:`main` itself leaves the collector alone, for in-process
-callers such as click's ``CliRunner``, whose process goes on after the command.
+``python -m dirlap.cli``. The command runs with the garbage collector off, and
+the collector is frozen at exit, so the interpreter's exit-time collections skip
+every object still alive (the functions, classes and modules of numpy, click and
+dirlap), about 20 ms of each command. ``python -m dirlap.cli`` turns the
+collector off before its first import, which saves the 36 collections that
+loading numpy, click and dirlap runs, about 6 ms more. The installed command
+imports this module before it calls :func:`run`, so its imports still collect;
+its command does not. What that gives up: cyclic garbage made during a command
+is freed only at exit (a command allocates arrays, not containers, and
+perfbench's peak RSS did not move on either workload), and the ``__del__`` of
+cyclic garbage left at exit does not run, which no dirlap object relies on,
+because every file is closed by its ``with``. Python still flushes stdio and
+runs atexit handlers. :func:`main` and ``import dirlap.cli`` leave the collector
+alone, for in-process callers such as click's ``CliRunner``, whose process goes
+on after the command.
 """
 from __future__ import annotations
 
 import gc
 import sys
+
+# only the interpreter that runs this module as its program is changed: an import leaves
+# the collector on, and run turns it off for the installed command
+if __name__ == "__main__":
+    gc.disable()
+
 from typing import TYPE_CHECKING
 
 import click
@@ -297,7 +310,12 @@ def fig2(config_path, sigmas, out_dir, **flags):
 
 
 def run():
-    """Run :func:`main` as a process that ends with it, then freeze the collector for the exit."""
+    """Run :func:`main` as a process that ends with it: the collector off, then frozen for the exit.
+
+    Interpreter finalization collects even with the collector off, so the
+    freeze is what lets it skip every object still alive.
+    """
+    gc.disable()
     try:
         main()
     finally:

@@ -8,8 +8,8 @@ analysis built on top.
 
 A graph is three parallel arrays ``src``, ``dst`` and ``weight``, validated
 in numpy; ``A`` is those weighted arcs scattered into a dense matrix. One
-gate checks every matrix, :func:`_square`, and one every scalar parameter,
-:func:`_scalar`.
+gate checks every matrix, :func:`_square`, one every scalar parameter,
+:func:`_scalar`, and one the dtype of every input array, :func:`_array`.
 
 Two scalar indices separate plain asymmetry from non-normality:
 
@@ -61,12 +61,9 @@ class DirectedGraph:
 
     def __post_init__(self):
         n = _scalar(self.n, numbers.Integral, "vertex count", 1, MAX_VERTICES)
-        try:
-            src = np.array(self.src, dtype=np.int64)
-            dst = np.array(self.dst, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError(f"vertex index out of range for n={n}: {exc}") from exc
-        weight = np.array(self.weight, dtype=np.float64)
+        src = _array(self.src, "integers", "src")
+        dst = _array(self.dst, "integers", "dst")
+        weight = _array(self.weight, "real numbers", "weight").astype(np.float64)
         if not (src.ndim == dst.ndim == weight.ndim == 1 and src.size == dst.size == weight.size):
             raise ValueError(
                 "src, dst and weight must be 1-D arrays of equal length, got shapes "
@@ -76,6 +73,8 @@ class DirectedGraph:
         if bad.size:
             k = bad[0]
             raise ValueError(f"edge ({src[k]}, {dst[k]}) out of range for n={n}")
+        # in range, so the int64 copies are exact: a uint64 index past int64 was refused above
+        src, dst = src.astype(np.int64), dst.astype(np.int64)
         bad = np.flatnonzero(src == dst)
         if bad.size:
             raise ValueError(f"self-loop at vertex {src[bad[0]]} rejected")
@@ -154,6 +153,23 @@ def _scalar(value, kind, what: str, lo, hi):
     return value
 
 
+#: the dtype kinds an array gate admits, by the name its refusals give them
+_ARRAY_KINDS = {"integers": "iu", "real numbers": "iuf", "numbers": "iufc"}
+
+
+def _array(values, kind: str, what: str) -> np.ndarray:
+    """``values`` as an array of ``kind`` (see ``_ARRAY_KINDS``), else ValueError naming ``what``.
+
+    The array counterpart of :func:`_scalar`: a bool, string or object array
+    is refused, not converted, and a fractional index is refused, not
+    truncated. An empty array passes at any dtype, as numpy reads ``[]`` as float64.
+    """
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in _ARRAY_KINDS[kind]:
+        raise ValueError(f"{what} entries must be {kind}, got dtype {values.dtype}")
+    return values
+
+
 #: the _scalar arguments of gen_perturbed_cycle's parameters, in order; ExperimentConfig shares them
 _PARAMETERS = {"n": (numbers.Integral, "n", 2, MAX_VERTICES), "p": (numbers.Real, "p", 0, 1),
                "w": (numbers.Real, "w", math.ulp(0.0), math.inf),
@@ -166,13 +182,11 @@ def _square(m, real: bool = False) -> np.ndarray:
     The one gate of ``decompose`` and both indices; ``real`` refuses complex
     entries too. The dtype is checked first, so ``np.isfinite`` sees numbers only.
     """
-    m = np.asarray(m)
+    m = _array(m, "real numbers" if real else "numbers", "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise DimensionMismatchError("expected a non-empty square matrix, got shape (0, 0)")
-    if m.dtype.kind not in ("biuf" if real else "biufc"):
-        raise ValueError("matrix entries must be real" if real else "matrix entries must be numbers")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m

@@ -34,15 +34,16 @@ import numpy as np
 
 from .eigen import SpectralDecomposition, gram_matrix
 from .errors import DimensionMismatchError, NonFiniteError
-from .graphs import _is_a
+from .graphs import _array, _is_a
 
 
 def _vector(values, what: str) -> np.ndarray:
     """``values`` as a 1-D complex128 copy with finite entries; ``what`` names it in errors.
 
-    A wrong dimension raises :class:`DimensionMismatchError`, a NaN or infinite entry ``ValueError``.
+    A wrong dimension raises :class:`DimensionMismatchError`; a bool, string or
+    object array, or a NaN or infinite entry, ``ValueError``.
     """
-    values = np.array(values, dtype=np.complex128)
+    values = _array(values, "numbers", what).astype(np.complex128)
     if values.ndim != 1:
         raise DimensionMismatchError(f"{what} must be one-dimensional, got shape {values.shape}")
     if not np.all(np.isfinite(values)):

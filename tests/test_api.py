@@ -1,4 +1,6 @@
 import ast
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +66,20 @@ def test_unknown_name_is_an_attribute_error():
         dirlap.vertex_signal  # noqa: B018
     with pytest.raises(AttributeError, match="no attribute 'SpectralFilter'"):
         dirlap.SpectralFilter  # noqa: B018
+
+
+def test_library_imports_numpy_click_and_the_standard_library_only():
+    # scipy and sympy are installed for the tests alone; test_cli_import_loads_no_scipy
+    # misses an import inside a function, so every import statement of the package is read
+    allowed = set(sys.stdlib_module_names) | {"numpy", "click"}
+    foreign = []
+    for path in sorted(Path(dirlap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # level > 0: dirlap's own
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, name) for name in names if name.split(".")[0] not in allowed]
+    assert foreign == []

@@ -1240,31 +1240,54 @@ class TestProcessEntry:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") == (code > 2)
 
+    #: each process entry, with ``{probe}`` where the collection counter goes in, and whether
+    #: it runs its command with the collector off and exits frozen
+    ENTRIES = {
+        "run": ("from dirlap.cli import run; {probe}; run()", True),
+        "module": ("import runpy; {probe}; runpy.run_module('dirlap.cli', run_name='__main__')",
+                   True),
+        "main": ("from dirlap.cli import main; {probe}; main()", False),
+    }
+
     @pytest.mark.parametrize(
-        "entry, frozen",
-        [("from dirlap.cli import run; run()", True),
-         ("import runpy; runpy.run_module('dirlap.cli', run_name='__main__')", True),
-         ("from dirlap.cli import main; main()", False)],
-        ids=["run", "module", "main"],
+        "args, first_line",
+        [(["--version"], f"dirlap, version {dirlap.__version__}"),
+         (["experiment", "fig1", "--n", "20", "--trials", "3", "--out-dir", "{out}"],
+          "{out}/metrics.json")],
+        ids=["version", "fig1"],
     )
-    def test_process_exits_with_a_frozen_collector(self, fresh_python, entry, frozen):
-        # an atexit handler runs after the entry's freeze and before the exit-time collections
-        code = ("import atexit, gc, sys; "
-                "atexit.register(lambda: print('frozen', gc.get_freeze_count())); "
-                f"sys.argv = ['dirlap', '--version']; {entry}")
-        done = fresh_python("-c", code)
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_process_collector_policy(self, fresh_python, tmp_path, entry, args, first_line):
+        # the counter starts on an empty young generation, so it counts what the entry runs:
+        # the module entry's imports and each entry's command; the atexit probe runs after the
+        # entry's freeze and before the exit-time collections
+        code, process_entry = self.ENTRIES[entry]
+        probe = ("gc.collect(); collections = []; "
+                 "gc.callbacks.append(lambda phase, info: collections.append(phase)); "
+                 "atexit.register(lambda: print(len(collections), gc.isenabled(), "
+                 "gc.get_freeze_count() > 0))")
+        out = tmp_path / "fig1"
+        argv = ["dirlap", *(arg.format(out=out) for arg in args)]
+        done = fresh_python("-c", f"import atexit, gc, sys; sys.argv = {argv!r}; "
+                            + code.format(probe=probe))
         assert done.returncode == 0 and done.stderr == ""
-        version, probe = done.stdout.splitlines()
-        assert version == f"dirlap, version {dirlap.__version__}"
-        assert (int(probe.removeprefix("frozen ")) > 0) is frozen
+        lines = done.stdout.splitlines()
+        assert lines[0] == first_line.format(out=out)
+        collections, enabled, frozen = lines[-1].split()
+        if process_entry:
+            assert (collections, enabled, frozen) == ("0", "False", "True")
+        else:
+            assert (enabled, frozen) == ("True", "False")
 
     def test_in_process_calls_leave_the_collector_alone(self, runner, tmp_path):
-        # a freeze would keep this process's cyclic garbage for good
+        # a freeze would keep this process's cyclic garbage for good, and importing the
+        # module or calling main leaves the collector on
+        assert gc.isenabled()
         before = gc.get_freeze_count()
         assert runner.invoke(main, ["--version"]).exit_code == 0
         assert runner.invoke(main, ["gen", "cycle", "--n", "5"]).exit_code == 0
         main(["gen", "cycle", "--n", "5", "--out", str(tmp_path / "g.csv")], standalone_mode=False)
-        assert gc.get_freeze_count() == before
+        assert gc.get_freeze_count() == before and gc.isenabled()
 
     def test_installed_command_is_the_process_entry(self):
         tomllib = pytest.importorskip("tomllib")

@@ -267,7 +267,7 @@ class TestConditioning:
         dec = decompose(_perturbed(20, 7))
         x = GraphSignal(rng.standard_normal(20) + 1j * rng.standard_normal(20))
         inverse(forward(x, dec), dec)
-        apply_filter(x, np.arange(20) < 3, dec)
+        apply_filter(x, (np.arange(20) < 3).astype(float), dec)
         assert "kappa" not in dec.__dict__
         assert "_sigma_extremes" not in dec.__dict__
 

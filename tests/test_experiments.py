@@ -358,7 +358,7 @@ def per_trial_sweep(config):
     rows = []
     for graph, dec in reference_pair(config).items():
         band = BandModel(dec, config.k)
-        low_pass = np.arange(config.n) < band.k  # the ideal filter's indicator response
+        low_pass = (np.arange(config.n) < band.k).astype(float)  # the ideal filter's indicator
         stream = {"cycle": 0, "perturbed": 1}[graph]
         for sigma_index, sigma in enumerate(config.sigmas):
             # one stream per cell, its trials drawn one after another

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -12,6 +13,7 @@ from dirlap import (
     NonFiniteError,
     adjacency,
     asymmetry_index,
+    decompose,
     directed_laplacian,
     gen_directed_cycle,
     gen_perturbed_cycle,
@@ -194,8 +196,44 @@ def test_indices_reject_non_finite(index, bad):
 @pytest.mark.parametrize("index", [asymmetry_index, normality_departure])
 def test_indices_take_complex_and_refuse_non_numeric(index):
     assert index(np.diag([1j, 2.0])) == 0.0  # symmetric and normal
-    with pytest.raises(ValueError, match="^matrix entries must be numbers$"):
+    with pytest.raises(ValueError, match="^matrix entries must be numbers, got dtype <U1$"):
         index(np.array([["1", "0"], ["0", "1"]]))
+
+
+#: inputs the array gates once converted, with the refusal that names the array: an index
+#: was truncated or parsed, a weight or matrix entry read True as 1 and dropped an imaginary
+#: part, and a uint64 index past int64 wrapped to a negative one
+REFUSED_ARRAYS = {
+    "fractional src": (lambda: DirectedGraph(3, [0.5], [1], [1.0]),
+                       "src entries must be integers, got dtype float64"),
+    "fractional dst array": (lambda: DirectedGraph(3, [0], np.array([0.9]), [1.0]),
+                             "dst entries must be integers, got dtype float64"),
+    "string src": (lambda: DirectedGraph(3, ["0"], [1], [1.0]),
+                   "src entries must be integers, got dtype <U1"),
+    "bool dst": (lambda: DirectedGraph(3, [0], [True], [1.0]),
+                 "dst entries must be integers, got dtype bool"),
+    "uint64 src": (lambda: DirectedGraph(3, np.array([2**63], dtype=np.uint64), [1], [1.0]),
+                   f"edge ({2**63}, 1) out of range for n=3"),
+    "string weight": (lambda: DirectedGraph(3, [0], [1], ["1"]),
+                      "weight entries must be real numbers, got dtype <U1"),
+    "bool weight": (lambda: DirectedGraph(3, [0], [1], [True]),
+                    "weight entries must be real numbers, got dtype bool"),
+    "complex weight": (lambda: DirectedGraph(3, [0], [1], [1 + 0j]),
+                       "weight entries must be real numbers, got dtype complex128"),
+    "bool matrix index": (lambda: asymmetry_index(np.eye(2, dtype=bool)),
+                          "matrix entries must be numbers, got dtype bool"),
+    "bool matrix decompose": (lambda: decompose(np.eye(2, dtype=bool)),
+                              "matrix entries must be real numbers, got dtype bool"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_ARRAYS))
+def test_array_gates_refuse_what_the_scalar_gate_refuses(case):
+    call, refusal = REFUSED_ARRAYS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            call()
 
 
 class TestGershgorin:

@@ -129,16 +129,20 @@ GATED_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "2-D"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "2-D", bool, str])
 @pytest.mark.parametrize("what", list(GATED_INPUTS))
 def test_every_input_vector_passes_one_gate(perturbed20, what, bad):
-    # unchecked, a NaN sample reads as "the recovery overflowed float64", and an
-    # infinite coefficient lets numpy's matmul warning escape
+    # unchecked, a NaN sample reads as "the recovery overflowed float64", an
+    # infinite coefficient lets numpy's matmul warning escape, and True or "1" reads as 1
     size, call = GATED_INPUTS[what]
     if bad == "2-D":
         values = np.ones((size, 1))
         refusal = pytest.raises(
             DimensionMismatchError, match=rf"^{what} must be one-dimensional, got shape \({size}, 1\)$")
+    elif bad in (bool, str):
+        values = np.ones(size, dtype=bad)
+        refusal = pytest.raises(
+            ValueError, match=f"^{what} entries must be numbers, got dtype {values.dtype}$")
     else:
         values = np.ones(size, dtype=np.complex128)
         values[-1] = bad
