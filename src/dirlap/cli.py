@@ -37,6 +37,7 @@ import sys
 if __name__ == "__main__":
     gc.disable()
 
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
@@ -97,6 +98,20 @@ class _Real(click.types.FloatParamType):
 _INTEGER, _REAL = _Integer(), _Real()
 
 
+def _number_list(text: str, kind: type, option: str) -> list:
+    """Each comma-separated token of ``option``'s value read as ``kind``; a blank token is refused."""
+    try:
+        return [fileio.parse_number(tok, kind) for tok in text.split(",")]
+    except ValueError as exc:
+        raise click.UsageError(f"bad {option}: {exc}") from exc
+
+
+def _distinct_outputs(first: str, first_path, second: str, second_path) -> None:
+    """Refuse two output options that name one file, which the second write would replace."""
+    if None not in (first_path, second_path) and Path(first_path).resolve() == Path(second_path).resolve():
+        raise click.UsageError(f"{first} and {second} name the same file")
+
+
 def _load_decomposition(graph_path, n: int | None) -> SpectralDecomposition:
     """Read an edge list on ``n`` vertices (default: inferred) and decompose its directed Laplacian."""
     from .eigen import decompose
@@ -141,6 +156,7 @@ def gen(kind, n, p, w, seed, out):
 @click.option("--spectrum-out", type=click.Path(dir_okay=False), default=None, help="Eigenvalue CSV path.")
 def analyze(graph_path, n, out, fmt, spectrum_out):
     """Asymmetry/normality metrics and spectrum of a graph's Laplacian."""
+    _distinct_outputs("--out", out, "--spectrum-out", spectrum_out)
     dec = _load_decomposition(graph_path, n)
     if spectrum_out is not None:
         fileio.write_spectrum(dec.lambdas, spectrum_out)
@@ -198,20 +214,17 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
 def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
     """Plan a sampling set for a band and optionally recover a signal."""
     from .sampling import BandModel, plan_sampling, recover, select_sampling_set
-    from .transform import _expect
+    from .transform import _vector
 
     if signal_path is not None and recover_out is None:
         raise click.UsageError("--signal requires --recover-out")
     if recover_out is not None and signal_path is None:
         raise click.UsageError("--recover-out requires --signal")
+    _distinct_outputs("--out", out, "--recover-out", recover_out)
     dec = _load_decomposition(graph_path, n)
     band = BandModel(dec, k)
     if sample_set is not None:
-        try:
-            # a blank token, as in "1,,2", is refused, not skipped
-            vertices = [fileio.parse_number(tok, int) for tok in sample_set.split(",")]
-        except ValueError as exc:
-            raise click.UsageError(f"bad --sample-set: {exc}") from exc
+        vertices = _number_list(sample_set, int, "--sample-set")
     else:
         if m is None:
             raise click.UsageError("provide either --m or --sample-set")
@@ -220,9 +233,8 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
     # the signal is read and recovered before either file is written, so a fault leaves neither
     recovered = None
     if signal_path is not None:
-        sig = fileio.read_signal(signal_path)
-        _expect(sig, dec.n)
-        recovered = recover(plan, sig.values[plan.sample_set])
+        values = _vector(fileio.read_signal(signal_path).values, "signal", dec.n)
+        recovered = recover(plan, values[plan.sample_set])
     fileio.write_plan(plan, out)
     if recovered is not None:
         fileio.write_signal(recovered, recover_out)
@@ -239,10 +251,7 @@ def _config_from(config_path, sigmas=None, **flags) -> ExperimentConfig:
     base = {} if config_path is None else fileio.read_json_object(config_path, "config")
     overrides = {key: val for key, val in flags.items() if val is not None}
     if sigmas is not None:
-        try:
-            overrides["sigmas"] = tuple(fileio.parse_number(t, float) for t in sigmas.split(","))
-        except ValueError as exc:
-            raise click.UsageError(f"bad --sigmas: {exc}") from exc
+        overrides["sigmas"] = _number_list(sigmas, float, "--sigmas")
     try:
         return ExperimentConfig(**{**base, **overrides})
     except (TypeError, ValueError):
@@ -264,29 +273,19 @@ class _ConfigOption(click.Option):
         return opts, f"{what} [default: {getattr(ExperimentConfig, self.name)}]."
 
 
-_config_options = [
-    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                 default=None, help="JSON config; explicit flags override it."),
-    *(click.option(f"--{name}", cls=_ConfigOption, type=kind, default=None, help=what)
-      for name, kind, what in (("n", _INTEGER, "Graph size"),
-                               ("p", _REAL, "Perturbation probability"),
-                               ("w", _REAL, "Perturbation weight"), ("k", _INTEGER, "Band size"),
-                               ("trials", _INTEGER, "Trials per noise level"),
-                               ("seed", _INTEGER, "Base seed"))),
-]
-
-
-def _add_options(options):
-    def deco(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return deco
+def _config_options(fn):
+    """``fn`` with ``--config`` and then one option per config field."""
+    for name, kind, what in reversed((
+            ("n", _INTEGER, "Graph size"), ("p", _REAL, "Perturbation probability"),
+            ("w", _REAL, "Perturbation weight"), ("k", _INTEGER, "Band size"),
+            ("trials", _INTEGER, "Trials per noise level"), ("seed", _INTEGER, "Base seed"))):
+        fn = click.option(f"--{name}", cls=_ConfigOption, type=kind, default=None, help=what)(fn)
+    return click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+                        default=None, help="JSON config; explicit flags override it.")(fn)
 
 
 @experiment.command()
-@_add_options(_config_options)
+@_config_options
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 def fig1(config_path, out_dir, **flags):
     """Spectrum and normality-metrics comparison (writes metrics + spectra)."""
@@ -297,7 +296,7 @@ def fig1(config_path, out_dir, **flags):
 
 
 @experiment.command()
-@_add_options(_config_options)
+@_config_options
 @click.option("--sigmas", default=None, help="Comma-separated ascending noise levels.")
 @click.option("--real-noise", is_flag=True, default=None, help="Real Gaussian noise instead of circular complex.")
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)

@@ -44,8 +44,8 @@ Formats (all numeric output uses 12 significant digits):
 - spectrum CSV, header ``k,re_lambda,im_lambda,abs_lambda``
 - filter spec JSON, ``{"kind": "ideal", "omega": [...]}`` (integer indices,
   each at most once) or ``{"kind": "diagonal", "response": [[re, im], ...]}``
-  (finite real numbers, no bools); no other key; read as the filter's
-  length-n complex response, the indicator of ``omega`` or the taps
+  (exactly n taps of finite real numbers, no bools); no other key; read as
+  the filter's length-n complex response, the indicator of ``omega`` or the taps
 - sampling plan JSON, ``{omega, sample_set, gamma, b_norm, certificate}``
 - metrics JSON (``analyze``), ``{n, alpha, delta, henrici, kappa, spectrum_csv}``;
   its writers take the graph's decomposition, and one builder reads the four
@@ -427,6 +427,9 @@ def read_filter_spec(path, n: int) -> np.ndarray:
 
     An ideal spec's ``omega`` (each index once) gives its indicator, a diagonal
     spec lists the ``n`` taps; no key but ``kind`` and that one field is allowed.
+
+    Raises:
+        FileFormatError: the spec breaks the format, a tap count other than ``n`` included.
     """
     from .transform import _indices, _vector
 
@@ -452,12 +455,9 @@ def read_filter_spec(path, n: int) -> np.ndarray:
             raise FileFormatError(f"bad ideal filter spec: band index {repeated[0]} appears more than once")
         return counts.astype(np.complex128)  # no index repeats, so this is omega's indicator
     try:
-        response = _vector([_tap(re, im) for re, im in spec["response"]], "filter response")
+        return _vector([_tap(re, im) for re, im in spec["response"]], "filter response", n)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad diagonal filter spec: {exc}") from exc
-    if response.shape != (n,):
-        raise FileFormatError(f"diagonal filter has {response.shape[0]} taps, graph has {n}")
-    return response
 
 
 # -- sampling plans -----------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .eigen import SpectralDecomposition
-from .errors import DimensionMismatchError, RankDeficientError
+from .errors import RankDeficientError
 from .graphs import _PARAMETERS, _scalar
 from .transform import GraphSignal, _finite, _indices, _vector
 
@@ -113,11 +113,10 @@ def synthesize_bandlimited(band: BandModel, c) -> GraphSignal:
     """Synthesize ``x = V_omega c`` (exactly bandlimited by construction).
 
     Raises:
+        DimensionMismatchError: ``c`` does not have length ``k``.
         NonFiniteError: the synthesized signal overflowed float64.
     """
-    c = _vector(c, "coefficients")
-    if c.shape != (band.k,):
-        raise DimensionMismatchError(f"expected {band.k} coefficients, got shape {c.shape}")
+    c = _vector(c, "coefficients", band.k)
     return GraphSignal(_finite("the synthesis", lambda: band.v_omega @ c))
 
 
@@ -157,12 +156,11 @@ def recover(plan: SamplingPlan, y) -> GraphSignal:
         RankDeficientError: when ``gamma`` sits below the rank boundary
             ``RANK_RTOL * sigma_max``; the samples do not determine the
             band coefficients.
+        DimensionMismatchError: ``y`` does not have length ``m``.
         NonFiniteError: the recovered signal overflowed float64.
     """
     _require_full_rank(plan)
-    y = _vector(y, "samples")
-    if y.shape != (plan.m,):
-        raise DimensionMismatchError(f"expected {plan.m} samples, got shape {y.shape}")
+    y = _vector(y, "samples", plan.m)
     pinv = np.linalg.pinv(plan.b, rcond=RANK_RTOL)
     return GraphSignal(_finite("the recovery", lambda: plan.band.v_omega @ (pinv @ y)))
 

@@ -20,9 +20,9 @@ A signal is its values. :class:`GraphSignal` holds one 1-D complex vector
 of finite entries, whether it lists vertex values or spectral coefficients;
 a transform takes either and cannot tell them apart. A filter is its
 length-n complex response ``h``, applied as ``V diag(h) V^{-1}``. One gate,
-:func:`_vector`, checks every complex input vector. A transform or filter
-whose result overflows float64 raises :class:`NonFiniteError` naming it;
-numpy's overflow warnings stay off.
+:func:`_vector`, checks every complex input vector, its length included. A
+transform or filter whose result overflows float64 raises
+:class:`NonFiniteError` naming it; numpy's overflow warnings stay off.
 """
 from __future__ import annotations
 
@@ -37,17 +37,20 @@ from .errors import DimensionMismatchError, NonFiniteError
 from .graphs import _array, _is_a
 
 
-def _vector(values, what: str) -> np.ndarray:
-    """``values`` as a 1-D complex128 copy with finite entries; ``what`` names it in errors.
+def _vector(values, what: str, n: int | None = None) -> np.ndarray:
+    """``values`` as a 1-D complex128 copy of finite entries, ``n`` if given; ``what`` names it.
 
-    A wrong dimension raises :class:`DimensionMismatchError`; a bool, string or
-    object array, or a NaN or infinite entry, ``ValueError``.
+    Checked in order: a bool, string or object array raises ``ValueError``, a wrong
+    dimension :class:`DimensionMismatchError`, a NaN or infinite entry ``ValueError``,
+    and a length other than ``n`` ``DimensionMismatchError: {what} must have length {n}, got {m}``.
     """
     values = _array(values, "numbers", what).astype(np.complex128)
     if values.ndim != 1:
         raise DimensionMismatchError(f"{what} must be one-dimensional, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} entries must be finite")
+    if n is not None and values.shape[0] != n:
+        raise DimensionMismatchError(f"{what} must have length {n}, got {values.shape[0]}")
     return values
 
 
@@ -77,14 +80,9 @@ def _indices(values: Iterable, n: int, what: str) -> np.ndarray:
     for i in values:
         if not _is_a(i, numbers.Integral):
             raise ValueError(f"{what} must be integers, got {i!r}")
-    out_of_range = f"{what} must lie in [0, {n})"
-    try:
-        idx = np.asarray(values, dtype=int)
-    except OverflowError as exc:
-        raise ValueError(out_of_range) from exc
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(out_of_range)
-    return idx
+    if not all(0 <= i < n for i in values):
+        raise ValueError(f"{what} must lie in [0, {n})")
+    return np.asarray(values, dtype=int)
 
 
 def _finite(what: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
@@ -99,12 +97,6 @@ def _finite(what: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise NonFiniteError(f"{what} overflowed float64")
     return values
-
-
-def _expect(x: GraphSignal, n: int) -> None:
-    """Refuse a signal whose length is not the decomposition's ``n``."""
-    if x.n != n:
-        raise DimensionMismatchError(f"signal has length {x.n}, decomposition has n={n}")
 
 
 @dataclass(frozen=True)
@@ -124,15 +116,23 @@ class TvBounds:
 
 
 def forward(x: GraphSignal, dec: SpectralDecomposition) -> GraphSignal:
-    """Analysis transform ``xhat = U* x = V^{-1} x`` (projection on the dual basis)."""
-    _expect(x, dec.n)
-    return GraphSignal(_finite("the forward transform", lambda: dec.u.conj().T @ x.values))
+    """Analysis transform ``xhat = U* x = V^{-1} x`` (projection on the dual basis).
+
+    Raises:
+        DimensionMismatchError: ``x`` does not have length ``n``.
+    """
+    x = _vector(x.values, "signal", dec.n)
+    return GraphSignal(_finite("the forward transform", lambda: dec.u.conj().T @ x))
 
 
 def inverse(xhat: GraphSignal, dec: SpectralDecomposition) -> GraphSignal:
-    """Synthesis transform ``x = V xhat``."""
-    _expect(xhat, dec.n)
-    return GraphSignal(_finite("the inverse transform", lambda: dec.v @ xhat.values))
+    """Synthesis transform ``x = V xhat``.
+
+    Raises:
+        DimensionMismatchError: ``xhat`` does not have length ``n``.
+    """
+    xhat = _vector(xhat.values, "signal", dec.n)
+    return GraphSignal(_finite("the inverse transform", lambda: dec.v @ xhat))
 
 
 def energy_identity(x: GraphSignal, dec: SpectralDecomposition) -> tuple[float, float]:
@@ -158,12 +158,13 @@ def apply_filter(x: GraphSignal, response, dec: SpectralDecomposition) -> GraphS
     an ideal indicator response this is the oblique projector onto the
     spanned right eigensubspace (idempotent, but not Hermitian unless the
     operator is normal).
+
+    Raises:
+        DimensionMismatchError: ``x`` or ``response`` does not have length ``n``.
     """
-    _expect(x, dec.n)
-    h = _vector(response, "filter response")
-    if h.shape[0] != dec.n:
-        raise DimensionMismatchError(f"filter has {h.shape[0]} taps, decomposition has n={dec.n}")
-    return GraphSignal(_finite("the filter", lambda: dec.v @ (h * (dec.u.conj().T @ x.values))))
+    x = _vector(x.values, "signal", dec.n)
+    h = _vector(response, "filter response", dec.n)
+    return GraphSignal(_finite("the filter", lambda: dec.v @ (h * (dec.u.conj().T @ x))))
 
 
 def tv_bounds(x: GraphSignal, dec: SpectralDecomposition) -> TvBounds:

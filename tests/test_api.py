@@ -83,3 +83,20 @@ def test_library_imports_numpy_click_and_the_standard_library_only():
                 continue
             foreign += [(path.name, name) for name in names if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_dimension_mismatch_is_raised_by_the_two_gates_only():
+    # every length or shape refusal goes through graphs._square or transform._vector, so a
+    # hand-written length check elsewhere cannot bring back a text of its own
+    def raisers(node, module, function=None):
+        """(module, enclosing function) of each ``DimensionMismatchError(...)`` below ``node``."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith("DimensionMismatchError"):
+                yield module, function
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            yield from raisers(child, module, inner)
+
+    found = set()
+    for path in sorted(Path(dirlap.__file__).parent.glob("*.py")):
+        found |= set(raisers(ast.parse(path.read_text(), str(path)), path.stem))
+    assert found == {("graphs", "_square"), ("transform", "_vector")}

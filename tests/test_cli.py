@@ -364,23 +364,83 @@ def test_directed_path_exits_near_defective_from_every_command(tmp_path, runner,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gft", "filter", "sample"])
+#: each command line given an input of the wrong length on a 3-cycle, its exit code and its
+#: error text: one text for every length refusal, a spec's wrapped as a file fault
+WRONG_LENGTH = {
+    "gft": (["gft", "{graph}", "{short}", "--out", "{out}"],
+            DimensionMismatchError.exit_code, "signal must have length 3, got 1"),
+    "gft-inverse": (["gft", "{graph}", "{short}", "--direction", "inverse", "--out", "{out}"],
+                    DimensionMismatchError.exit_code, "signal must have length 3, got 1"),
+    "filter": (["filter", "{graph}", "{short}", "--spec", "{ideal}", "--out", "{out}"],
+               DimensionMismatchError.exit_code, "signal must have length 3, got 1"),
+    "sample": (["sample", "{graph}", "--k", "1", "--m", "2", "--signal", "{short}",
+                "--recover-out", "{out}", "--out", "{plan}"],
+               DimensionMismatchError.exit_code, "signal must have length 3, got 1"),
+    "filter-spec": (["filter", "{graph}", "{fits}", "--spec", "{diagonal}", "--out", "{out}"],
+                    FileFormatError.exit_code,
+                    "bad diagonal filter spec: filter response must have length 3, got 1"),
+}
+
+
+@pytest.mark.parametrize("command", list(WRONG_LENGTH))
 def test_wrong_length_signal_is_one_refusal(runner, tmp_path, command):
-    graph, signal, spec = tmp_path / "c3.csv", tmp_path / "x.csv", tmp_path / "lp.json"
-    assert runner.invoke(main, ["gen", "cycle", "--n", "3", "--out", str(graph)]).exit_code == 0
-    signal.write_text("vertex,re,im\n0,1,0\n")
-    spec.write_text(json.dumps({"kind": "ideal", "omega": [0]}))
-    out, plan = tmp_path / "out.csv", tmp_path / "plan.json"
-    argv = {
-        "gft": ["gft", str(graph), str(signal), "--out", str(out)],
-        "filter": ["filter", str(graph), str(signal), "--spec", str(spec), "--out", str(out)],
-        "sample": ["sample", str(graph), "--k", "1", "--m", "2", "--signal", str(signal),
-                   "--recover-out", str(out), "--out", str(plan)],
+    names = {name: tmp_path / file for name, file in (
+        ("graph", "c3.csv"), ("short", "x.csv"), ("fits", "x3.csv"), ("ideal", "lp.json"),
+        ("diagonal", "diag.json"), ("out", "out.csv"), ("plan", "plan.json"))}
+    gen = runner.invoke(main, ["gen", "cycle", "--n", "3", "--out", str(names["graph"])])
+    assert gen.exit_code == 0
+    names["short"].write_text("vertex,re,im\n0,1,0\n")
+    names["fits"].write_text("vertex,re,im\n0,1,0\n1,1,0\n2,1,0\n")
+    names["ideal"].write_text(json.dumps({"kind": "ideal", "omega": [0]}))
+    names["diagonal"].write_text(json.dumps({"kind": "diagonal", "response": [[1, 0]]}))
+    argv, exit_code, message = WRONG_LENGTH[command]
+    result = runner.invoke(main, [arg.format(**names) for arg in argv])
+    assert result.exit_code == exit_code
+    assert result.stderr == f"error: {message}\n"
+    assert not names["out"].exists() and not names["plan"].exists()
+
+
+@pytest.mark.parametrize("first, second", [("m.json", "m.json"), ("m.json", "./m.json"),
+                                           ("m.json", "{tmp}/m.json")],
+                         ids=["same", "dot-slash", "absolute"])
+@pytest.mark.parametrize("command", ["analyze", "sample"])
+def test_two_outputs_naming_one_file_are_refused(runner, tmp_path, monkeypatch, command, first,
+                                                 second):
+    # the check runs before the graph is read, so an unreadable graph still exits 2
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_text("not,a,graph\n")
+    Path("x.csv").write_text("vertex,re,im\n0,1,0\n")
+    second = second.format(tmp=tmp_path)
+    options, argv = {
+        "analyze": ("--out and --spectrum-out",
+                    ["analyze", "bad.csv", "--out", first, "--spectrum-out", second]),
+        "sample": ("--out and --recover-out",
+                   ["sample", "bad.csv", "--k", "1", "--m", "2", "--out", first, "--signal",
+                    "x.csv", "--recover-out", second]),
     }[command]
     result = runner.invoke(main, argv)
-    assert result.exit_code == DimensionMismatchError.exit_code
-    assert result.stderr == "error: signal has length 1, decomposition has n=3\n"
-    assert not out.exists() and not plan.exists()
+    assert result.exit_code == 2
+    assert f"Error: {options} name the same file" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "x.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "fig2", "--sigmas", "0.1,,1", "--out-dir", "o"],
+     "bad --sigmas: could not convert string to float: ''"),
+    (["experiment", "fig2", "--sigmas", "0.1,x", "--out-dir", "o"],
+     "bad --sigmas: could not convert string to float: 'x'"),
+    (["sample", "g.csv", "--k", "1", "--sample-set", "0,,1"],
+     "bad --sample-set: invalid literal for int: ''"),
+    (["sample", "g.csv", "--k", "1", "--sample-set", "0,1.5"],
+     "bad --sample-set: invalid literal for int: '1.5'"),
+], ids=["sigmas-blank", "sigmas-word", "sample-set-blank", "sample-set-float"])
+def test_comma_lists_are_read_token_by_token(runner, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert runner.invoke(main, ["gen", "cycle", "--n", "3", "--out", "g.csv"]).exit_code == 0
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.output.endswith(f"Error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
 
 
 class TestGft:
@@ -407,15 +467,6 @@ class TestGft:
         xhat = fileio.read_signal(out).values
         assert abs(xhat[0]) == pytest.approx(np.sqrt(20), abs=1e-6)
         assert np.max(np.abs(xhat[1:])) < 1e-6
-
-    def test_wrong_length_signal_exit_code(self, cycle_csv, runner, tmp_path):
-        sig = tmp_path / "short.csv"
-        fileio.write_signal(dirlap.GraphSignal(np.ones(5)), sig)
-        result = runner.invoke(
-            main, ["gft", str(cycle_csv), str(sig), "--out", str(tmp_path / "o.csv")]
-        )
-        assert result.exit_code == DimensionMismatchError.exit_code
-
 
     @pytest.mark.parametrize("direction, sha256", [
         ("forward", "154ed50a0d2aa42be3fbde3c36364565e7f5d48f91355ef45b4d6f26c4c4200c"),

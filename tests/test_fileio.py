@@ -764,7 +764,8 @@ class TestFilterSpec:
     def test_wrong_tap_count(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"kind": "diagonal", "response": [[1, 0]]}))
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=(
+                r"^bad diagonal filter spec: filter response must have length 3, got 1$")):
             fileio.read_filter_spec(path, 3)
 
     def test_unknown_kind(self, tmp_path):

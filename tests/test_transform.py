@@ -75,11 +75,6 @@ class TestTransformPair:
         _, dec = cycle4
         assert inverse(GraphSignal(np.zeros(4)), dec).norm() == 0.0
 
-    def test_dimension_mismatch(self, cycle4):
-        _, dec = cycle4
-        with pytest.raises(DimensionMismatchError):
-            forward(GraphSignal(np.zeros(5)), dec)
-
 
 class TestOverflow:
     """A result past float64 raises NonFiniteError by name, with numpy's warnings off."""
@@ -119,14 +114,56 @@ class TestOverflow:
             GraphSignal([1.0, np.inf])
 
 
+#: each call that gates a complex input vector of a set length: the vector's name in
+#: errors, its length on the perturbed 20-cycle, and the call given the vector
+LENGTH_CHECKED = {
+    "forward": ("signal", 20, lambda dec, v: forward(GraphSignal(v), dec)),
+    "inverse": ("signal", 20, lambda dec, v: inverse(GraphSignal(v), dec)),
+    "energy_identity": ("signal", 20, lambda dec, v: energy_identity(GraphSignal(v), dec)),
+    "tv_bounds": ("signal", 20, lambda dec, v: tv_bounds(GraphSignal(v), dec)),
+    "apply_filter-signal": (
+        "signal", 20, lambda dec, v: apply_filter(GraphSignal(v), np.ones(20), dec)),
+    "apply_filter-response": (
+        "filter response", 20, lambda dec, v: apply_filter(GraphSignal(np.ones(20)), v, dec)),
+    "synthesize_bandlimited": (
+        "coefficients", 5, lambda dec, v: synthesize_bandlimited(BandModel(dec, 5), v)),
+    "recover": ("samples", 10,
+                lambda dec, v: recover(plan_sampling(BandModel(dec, 5), range(0, 20, 2)), v)),
+}
+
+
+@pytest.mark.parametrize("length", ["empty", "short", "long"])
+@pytest.mark.parametrize("call", list(LENGTH_CHECKED))
+def test_every_length_refusal_is_one_text(perturbed20, call, length):
+    what, size, run = LENGTH_CHECKED[call]
+    got = {"empty": 0, "short": size - 1, "long": size + 1}[length]
+    with pytest.raises(DimensionMismatchError, match=f"^{what} must have length {size}, got {got}$"):
+        run(perturbed20[1], np.ones(got))
+
+
 #: each complex input vector's name in errors, its length on the perturbed 20-cycle, and a
 #: call that passes it through the gate
 GATED_INPUTS = {
-    "signal": (20, lambda dec, v: GraphSignal(v)),
-    "filter response": (20, lambda dec, v: apply_filter(GraphSignal(np.ones(20)), v, dec)),
-    "coefficients": (5, lambda dec, v: synthesize_bandlimited(BandModel(dec, 5), v)),
-    "samples": (10, lambda dec, v: recover(plan_sampling(BandModel(dec, 5), range(0, 20, 2)), v)),
+    "signal": (20, LENGTH_CHECKED["forward"][2]),
+    "filter response": (20, LENGTH_CHECKED["apply_filter-response"][2]),
+    "coefficients": (5, LENGTH_CHECKED["synthesize_bandlimited"][2]),
+    "samples": (10, LENGTH_CHECKED["recover"][2]),
 }
+
+
+def _refused(what: str, size: int, bad):
+    """A vector of ``size`` entries that the gate refuses for ``bad``, and its refusal."""
+    if bad == "2-D":
+        values = np.ones((size, 1))
+        return values, pytest.raises(
+            DimensionMismatchError, match=rf"^{what} must be one-dimensional, got shape \({size}, 1\)$")
+    if bad in (bool, str):
+        values = np.ones(size, dtype=bad)
+        return values, pytest.raises(
+            ValueError, match=f"^{what} entries must be numbers, got dtype {values.dtype}$")
+    values = np.ones(size, dtype=np.complex128)
+    values[-1] = bad
+    return values, pytest.raises(ValueError, match=f"^{what} entries must be finite$")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "2-D", bool, str])
@@ -135,22 +172,21 @@ def test_every_input_vector_passes_one_gate(perturbed20, what, bad):
     # unchecked, a NaN sample reads as "the recovery overflowed float64", an
     # infinite coefficient lets numpy's matmul warning escape, and True or "1" reads as 1
     size, call = GATED_INPUTS[what]
-    if bad == "2-D":
-        values = np.ones((size, 1))
-        refusal = pytest.raises(
-            DimensionMismatchError, match=rf"^{what} must be one-dimensional, got shape \({size}, 1\)$")
-    elif bad in (bool, str):
-        values = np.ones(size, dtype=bad)
-        refusal = pytest.raises(
-            ValueError, match=f"^{what} entries must be numbers, got dtype {values.dtype}$")
-    else:
-        values = np.ones(size, dtype=np.complex128)
-        values[-1] = bad
-        refusal = pytest.raises(ValueError, match=f"^{what} entries must be finite$")
+    values, refusal = _refused(what, size, bad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with refusal:
             call(perturbed20[1], values)
+
+
+@pytest.mark.parametrize("bad", [bool, "2-D", np.nan], ids=["dtype", "dimension", "finite"])
+@pytest.mark.parametrize("what", list(GATED_INPUTS))
+def test_length_is_checked_last(perturbed20, what, bad):
+    # a vector one entry too long that also fails an earlier check is refused by that check
+    size, call = GATED_INPUTS[what]
+    values, refusal = _refused(what, size + 1, bad)
+    with refusal:
+        call(perturbed20[1], values)
 
 
 class TestEnergyIdentity:
@@ -221,11 +257,6 @@ class TestFilters:
             + apply_filter(x, indicator(rest, 20), dec).values
         )
         assert np.linalg.norm(total - x.values) <= dec.kappa * 1e-10 * x.norm()
-
-    def test_tap_count_mismatch(self, cycle4, rng):
-        _, dec = cycle4
-        with pytest.raises(DimensionMismatchError):
-            apply_filter(random_signal(rng, 4), np.ones(6), dec)
 
 
 class TestTotalVariation:
