@@ -11,21 +11,24 @@ rank-deficient sampling, 6 near-defective operator, 7 an output number
 that overflowed to infinity or NaN.
 
 :func:`run` is the process entry, of both the installed ``dirlap`` command and
-``python -m dirlap.cli``. The command runs with the garbage collector off, and
-the collector is frozen at exit, so the interpreter's exit-time collections skip
-every object still alive (the functions, classes and modules of numpy, click and
-dirlap), about 20 ms of each command. ``python -m dirlap.cli`` turns the
-collector off before its first import, which saves the 36 collections that
-loading numpy, click and dirlap runs, about 6 ms more. The installed command
-imports this module before it calls :func:`run`, so its imports still collect;
-its command does not. What that gives up: cyclic garbage made during a command
-is freed only at exit (a command allocates arrays, not containers, and
-perfbench's peak RSS did not move on either workload), and the ``__del__`` of
-cyclic garbage left at exit does not run, which no dirlap object relies on,
-because every file is closed by its ``with``. Python still flushes stdio and
-runs atexit handlers. :func:`main` and ``import dirlap.cli`` leave the collector
-alone, for in-process callers such as click's ``CliRunner``, whose process goes
-on after the command.
+``python -m dirlap.cli``. The command runs with the garbage collector off.
+``python -m dirlap.cli`` turns the collector off before its first import, which
+saves the 36 collections that loading numpy, click and dirlap runs, about 6 ms;
+the installed command imports this module before it calls :func:`run`, so its
+imports still collect, and its command does not. As the command ends the
+process ends at its last write: :func:`run` runs the atexit handlers, flushes
+stdout and stderr and calls ``os._exit`` with the exit status, which skips the
+interpreter's finalization of the modules of numpy, click and dirlap, about
+3.5 ms of each command. Where that exit could differ from CPython's (see
+:func:`run`) the process exits as before, with the collector frozen so the
+exit-time collections skip every object still alive, about 20 ms. What that
+gives up: cyclic garbage made during a command is freed only at exit (a command
+allocates arrays, not containers, and perfbench's peak RSS did not move on
+either workload), the ``__del__`` of an object alive at exit does not run,
+which no dirlap object relies on, because every file is closed by its
+``with``, and neither do C-level exit hooks. :func:`main` and ``import
+dirlap.cli`` change neither the collector nor the exit, for in-process callers
+such as click's ``CliRunner``, whose process goes on after the command.
 """
 from __future__ import annotations
 
@@ -37,6 +40,9 @@ import sys
 if __name__ == "__main__":
     gc.disable()
 
+import atexit
+import os
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -308,17 +314,50 @@ def fig2(config_path, sigmas, out_dir, **flags):
     click.echo(str(fileio.write_noise_sweep(config, run_noise_sweep(config), out_dir)))
 
 
-def run():
-    """Run :func:`main` as a process that ends with it: the collector off, then frozen for the exit.
+def _exit_is_plain(code) -> bool:
+    """Whether CPython's exit after ``sys.exit(code)`` would only run atexit handlers, flush and end.
 
-    Interpreter finalization collects even with the collector off, so the
-    freeze is what lets it skip every object still alive.
+    It would not for a code that is no C int (CPython prints it, or truncates
+    it), with another thread alive (CPython joins it first), under a tracer or
+    profiler (whose caller, such as cProfile, goes on after the program), or
+    under ``python -i``, which opens its prompt instead.
+    """
+    return ((code is None or isinstance(code, int) and -2**31 <= code < 2**31)
+            and threading.active_count() == 1
+            and sys.gettrace() is None and sys.getprofile() is None
+            and not sys.flags.inspect)
+
+
+def run():
+    """Run :func:`main` as a process that ends at its last write.
+
+    The command runs with the collector off, which is frozen as the command
+    ends. Where CPython's exit would be plain (:func:`_exit_is_plain`), the
+    process takes that exit's first steps itself, the atexit handlers and a
+    flush of stdout and stderr, and ends by ``os._exit`` with the exit status,
+    skipping module finalization. Otherwise the ``SystemExit`` of :func:`main`,
+    or an uncaught exception, propagates to CPython's own exit; if a flush
+    raises, so does a new ``SystemExit``, and that exit flushes again, prints
+    ``Exception ignored in: ...`` and exits 120.
     """
     gc.disable()
     try:
         main()
+    except SystemExit as stop:
+        if not _exit_is_plain(stop.code):
+            raise
+        code = stop.code or 0
+    else:
+        return  # click's standalone main ends by SystemExit; a return exits as before
     finally:
         gc.freeze()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)  # CPython's exit flushes again, fails alike and reports it
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ analysis built on top.
 A graph is three parallel arrays ``src``, ``dst`` and ``weight``, validated
 in numpy; ``A`` is those weighted arcs scattered into a dense matrix. One
 gate checks every matrix, :func:`_square`, one every scalar parameter,
-:func:`_scalar`, and one the dtype of every input array, :func:`_array`.
+:func:`_scalar`, one the dtype of every input array, :func:`_array`, and one
+the shape of every vector, :func:`_vector_shape`.
 
 Two scalar indices separate plain asymmetry from non-normality:
 
@@ -43,6 +44,8 @@ class DirectedGraph:
 
     The ``k``-th edge runs ``src[k] -> dst[k]`` with weight ``weight[k]``;
     the three arrays are stored as read-only int64, int64 and float64 copies.
+    Each must be one-dimensional and as long as ``src``, else
+    :class:`DimensionMismatchError` names the first that is not.
     ``n`` is at most ``MAX_VERTICES``, checked before anything of size ``n``
     is allocated.
 
@@ -64,11 +67,8 @@ class DirectedGraph:
         src = _array(self.src, "integers", "src")
         dst = _array(self.dst, "integers", "dst")
         weight = _array(self.weight, "real numbers", "weight").astype(np.float64)
-        if not (src.ndim == dst.ndim == weight.ndim == 1 and src.size == dst.size == weight.size):
-            raise ValueError(
-                "src, dst and weight must be 1-D arrays of equal length, got shapes "
-                f"{src.shape}, {dst.shape}, {weight.shape}"
-            )
+        for what, arr in (("src", src), ("dst", dst), ("weight", weight)):
+            _vector_shape(arr, what, src.size)
         bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
         if bad.size:
             k = bad[0]
@@ -168,6 +168,18 @@ def _array(values, kind: str, what: str) -> np.ndarray:
     if values.size and values.dtype.kind not in _ARRAY_KINDS[kind]:
         raise ValueError(f"{what} entries must be {kind}, got dtype {values.dtype}")
     return values
+
+
+def _vector_shape(values: np.ndarray, what: str, n: int | None = None) -> None:
+    """Refuse ``values`` unless it is one-dimensional and, if ``n`` is given, of length ``n``.
+
+    The one source of the vector shape texts, ``DimensionMismatchError: {what} must
+    be one-dimensional, got shape ...`` and ``{what} must have length {n}, got {m}``.
+    """
+    if values.ndim != 1:
+        raise DimensionMismatchError(f"{what} must be one-dimensional, got shape {values.shape}")
+    if n is not None and values.shape[0] != n:
+        raise DimensionMismatchError(f"{what} must have length {n}, got {values.shape[0]}")
 
 
 #: the _scalar arguments of gen_perturbed_cycle's parameters, in order; ExperimentConfig shares them

@@ -33,8 +33,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .eigen import SpectralDecomposition, gram_matrix
-from .errors import DimensionMismatchError, NonFiniteError
-from .graphs import _array, _is_a
+from .errors import NonFiniteError
+from .graphs import _array, _is_a, _vector_shape
 
 
 def _vector(values, what: str, n: int | None = None) -> np.ndarray:
@@ -45,12 +45,11 @@ def _vector(values, what: str, n: int | None = None) -> np.ndarray:
     and a length other than ``n`` ``DimensionMismatchError: {what} must have length {n}, got {m}``.
     """
     values = _array(values, "numbers", what).astype(np.complex128)
-    if values.ndim != 1:
-        raise DimensionMismatchError(f"{what} must be one-dimensional, got shape {values.shape}")
+    _vector_shape(values, what)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} entries must be finite")
-    if n is not None and values.shape[0] != n:
-        raise DimensionMismatchError(f"{what} must have length {n}, got {values.shape[0]}")
+    if n is not None:
+        _vector_shape(values, what, n)
     return values
 
 

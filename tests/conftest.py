@@ -18,14 +18,17 @@ from dirlap import (
 SRC = str(Path(dirlap.__file__).resolve().parents[1])
 
 
-def _fresh_python(*args, spawn=subprocess.run, **kwargs):
+def _fresh_python(*args, spawn=subprocess.run, env=(), **kwargs):
     """Start ``python *args`` through ``spawn`` in a fresh interpreter that imports this dirlap.
 
+    ``env`` overrides this process's environment, a ``None`` value removing the name.
     ``kwargs`` go to ``spawn``; :func:`subprocess.run` captures the output as text by default.
     """
     if spawn is subprocess.run:
         kwargs = {"capture_output": True, "text": True, **kwargs}
-    return spawn([sys.executable, *args], env={**os.environ, "PYTHONPATH": SRC}, **kwargs)
+    env = {**os.environ, "PYTHONPATH": SRC, **dict(env)}
+    return spawn([sys.executable, *args], env={k: v for k, v in env.items() if v is not None},
+                 **kwargs)
 
 
 @pytest.fixture(scope="session")

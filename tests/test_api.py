@@ -86,8 +86,9 @@ def test_library_imports_numpy_click_and_the_standard_library_only():
 
 
 def test_dimension_mismatch_is_raised_by_the_two_gates_only():
-    # every length or shape refusal goes through graphs._square or transform._vector, so a
-    # hand-written length check elsewhere cannot bring back a text of its own
+    # every length or shape refusal goes through graphs._square (matrices) or
+    # graphs._vector_shape (transform._vector and DirectedGraph's arrays), so a hand-written
+    # length check elsewhere cannot bring back a text of its own
     def raisers(node, module, function=None):
         """(module, enclosing function) of each ``DimensionMismatchError(...)`` below ``node``."""
         for child in ast.iter_child_nodes(node):
@@ -99,4 +100,4 @@ def test_dimension_mismatch_is_raised_by_the_two_gates_only():
     found = set()
     for path in sorted(Path(dirlap.__file__).parent.glob("*.py")):
         found |= set(raisers(ast.parse(path.read_text(), str(path)), path.stem))
-    assert found == {("graphs", "_square"), ("transform", "_vector")}
+    assert found == {("graphs", "_square"), ("graphs", "_vector_shape")}

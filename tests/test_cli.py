@@ -1311,7 +1311,8 @@ class TestProcessEntry:
     def test_process_collector_policy(self, fresh_python, tmp_path, entry, args, first_line):
         # the counter starts on an empty young generation, so it counts what the entry runs:
         # the module entry's imports and each entry's command; the atexit probe runs after the
-        # entry's freeze and before the exit-time collections
+        # entry's freeze, as the first step of either exit: the process entry's own, or under
+        # main the interpreter's, before its finalization collects
         code, process_entry = self.ENTRIES[entry]
         probe = ("gc.collect(); collections = []; "
                  "gc.callbacks.append(lambda phase, info: collections.append(phase)); "
@@ -1345,6 +1346,100 @@ class TestProcessEntry:
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts == {"dirlap": "dirlap.cli:run"}
+
+
+class TestProcessExit:
+    """``cli.run`` ends the process at its last write, keeping what a program can see of its exit.
+
+    Each run drops ``PYTHONUNBUFFERED``, so stdout is block-buffered when it is not a
+    terminal and the exit's own flush has something to write, and pins stdout's encoding,
+    which CPython's report of a failed flush names.
+    """
+
+    BUFFERED = {"PYTHONUNBUFFERED": None, "PYTHONIOENCODING": "utf-8"}
+
+    def _run(self, fresh_python, prelude, argv, **kwargs):
+        """``prelude``, then ``run()`` on ``argv`` in a fresh interpreter."""
+        code = f"import sys\nfrom dirlap.cli import main, run\n{prelude}\nsys.argv = {argv!r}\nrun()"
+        return fresh_python("-c", code, env=self.BUFFERED, **kwargs)
+
+    def test_atexit_handler_prints_to_stdout(self, fresh_python):
+        done = self._run(fresh_python, "import atexit; atexit.register(print, 'atexit ran')",
+                         ["dirlap", "--version"])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"dirlap, version {dirlap.__version__}\natexit ran\n"
+
+    @pytest.mark.parametrize("n", ["5", "10000"])
+    def test_stdout_pipe_gets_every_byte(self, fresh_python, tmp_path, n):
+        # 5 rows stay in stdout's buffer until the exit's flush; 10,000 outgrow the 64 KiB
+        # pipe buffer, so the command writes while the reader drains
+        out = tmp_path / "g.csv"
+        assert fresh_python("-m", "dirlap.cli", "gen", "cycle", "--n", n, "--out", str(out),
+                            env=self.BUFFERED).returncode == 0
+        done = fresh_python("-m", "dirlap.cli", "gen", "cycle", "--n", n,
+                            env=self.BUFFERED, text=False)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == out.read_bytes()
+        assert len(done.stdout) > 2**16 or n == "5"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_stdout_exits_120_as_python_does(self, fresh_python):
+        # the rows fit stdout's buffer, so only the exit's flush meets the full device
+        with open("/dev/full", "w") as full:
+            done = fresh_python("-m", "dirlap.cli", "gen", "cycle", "--n", "5",
+                                env=self.BUFFERED, capture_output=False, stdout=full,
+                                stderr=subprocess.PIPE)
+        assert done.returncode == 120
+        assert done.stderr == ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' "
+                               "mode='w' encoding='utf-8'>\n"
+                               "OSError: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("code, status, stderr", [("'text'", 1, "text\n"), ("2**40 + 3", 3, "")],
+                             ids=["message", "beyond-c-int"])
+    def test_exit_code_is_read_as_python_reads_it(self, fresh_python, code, status, stderr):
+        # a message is printed with status 1; an int beyond C's int is cast, as CPython's exit does
+        done = self._run(fresh_python, f"main.command('quit')(lambda: sys.exit({code}))",
+                         ["dirlap", "quit"])
+        assert (done.returncode, done.stdout, done.stderr) == (status, "", stderr)
+
+    def test_uncaught_exception_prints_its_traceback(self, fresh_python):
+        done = self._run(fresh_python, "def boom():\n    raise RuntimeError('boom')\n"
+                         "main.command('boom')(boom)", ["dirlap", "boom"])
+        assert done.returncode == 1
+        assert done.stderr.startswith("Traceback (most recent call last):\n")
+        assert done.stderr.endswith("RuntimeError: boom\n")
+
+    def test_live_thread_is_joined(self, fresh_python):
+        # the thread outlives the command, so the process must wait for it to print
+        prelude = ("import threading, time\n"
+                   "def late():\n    time.sleep(0.3)\n    print('joined')\n"
+                   "main.command('spawn')(lambda: threading.Thread(target=late).start())")
+        done = self._run(fresh_python, prelude, ["dirlap", "spawn"])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "joined\n", "")
+
+    @pytest.mark.parametrize(
+        "flags, stdin, shown",
+        [(["-m", "cProfile"], None, "function calls"), (["-i"], "print('prompt ' + 'open')", "prompt open")],
+        ids=["profiler", "interactive"],
+    )
+    def test_what_runs_after_the_program_still_runs(self, fresh_python, flags, stdin, shown):
+        # a profiler reports and python -i opens its prompt once the program has exited
+        done = fresh_python(*flags, "-m", "dirlap.cli", "--version", input=stdin, env=self.BUFFERED)
+        assert done.returncode == 0
+        assert shown in done.stdout
+
+    @pytest.mark.parametrize("entry, finalized", [("main", True), ("run", False)])
+    def test_object_alive_at_exit_is_not_finalized(self, fresh_python, entry, finalized):
+        # what the exit skips: finalization wipes each module still alive, which drops the
+        # objects it holds and runs their __del__; a freeze alone does not skip that
+        code = ("import os, sys, types\nfrom dirlap.cli import main, run\n"
+                "class Noisy:\n    def __del__(self, write=os.write):\n"
+                "        write(1, b'finalized\\n')\n"
+                "sys.modules['holder'] = holder = types.ModuleType('holder')\n"
+                f"holder.keep = Noisy()\nsys.argv = ['dirlap', '--version']\n{entry}()")
+        done = fresh_python("-c", code, env=self.BUFFERED)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert ("finalized" in done.stdout) == finalized
 
 
 def test_cli_import_loads_no_scipy(fresh_python):

@@ -65,8 +65,21 @@ class TestDirectedGraph:
         assert DirectedGraph(MAX_VERTICES, [0], [MAX_VERTICES - 1], [1.0]).n == MAX_VERTICES
 
     def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(DimensionMismatchError, match="^weight must have length 2, got 1$"):
             DirectedGraph(3, [0, 1], [1, 2], [1.0])
+
+    @pytest.mark.parametrize(
+        "src, dst, weight, text",
+        [([0, 1], [1], [1.0], "dst must have length 2, got 1"),
+         ([0, 1], [1, 2, 0], [1.0, 1.0, 1.0], "dst must have length 2, got 3"),
+         ([[0, 1]], [1, 2], [1.0, 1.0], r"src must be one-dimensional, got shape \(1, 2\)"),
+         ([0, 1], [1, 2], 1.0, r"weight must be one-dimensional, got shape \(\)")],
+        ids=["dst-first", "dst-longer", "src-2d", "weight-0d"],
+    )
+    def test_shape_refusal_names_the_first_array_that_differs(self, src, dst, weight, text):
+        # the texts of transform._vector, the gate of every other input vector
+        with pytest.raises(DimensionMismatchError, match=f"^{text}$"):
+            DirectedGraph(3, src, dst, weight)
 
     @settings(max_examples=100, deadline=None)
     @given(
