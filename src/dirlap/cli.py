@@ -335,22 +335,31 @@ def run():
     ends. Where CPython's exit would be plain (:func:`_exit_is_plain`), the
     process takes that exit's first steps itself, the atexit handlers and a
     flush of stdout and stderr, and ends by ``os._exit`` with the exit status,
-    skipping module finalization. Otherwise the ``SystemExit`` of :func:`main`,
-    or an uncaught exception, propagates to CPython's own exit; if a flush
-    raises, so does a new ``SystemExit``, and that exit flushes again, prints
-    ``Exception ignored in: ...`` and exits 120.
+    skipping module finalization. Otherwise the exit status goes to CPython's
+    own exit by ``SystemExit``, and an uncaught exception propagates to it; if a
+    flush raises, so does a new ``SystemExit``, and that exit flushes again,
+    prints ``Exception ignored in: ...`` and exits 120.
+
+    An ``OSError`` that escapes :func:`main`, as a write of ``--version`` or
+    ``--help`` to an output that cannot take it does (click writes both while
+    it parses the arguments, outside the commands' handler), is one ``error:``
+    line on stderr and exit status 2, as an unwritable output path is.
     """
     gc.disable()
     try:
         main()
     except SystemExit as stop:
-        if not _exit_is_plain(stop.code):
-            raise
-        code = stop.code or 0
+        code = stop.code
+    except OSError as err:
+        sys.stderr.write(f"error: {err}\n")
+        code = 2
     else:
         return  # click's standalone main ends by SystemExit; a return exits as before
     finally:
         gc.freeze()
+    if not _exit_is_plain(code):
+        sys.exit(code)
+    code = code or 0
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

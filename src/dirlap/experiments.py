@@ -88,8 +88,8 @@ class ExperimentConfig:
     def __post_init__(self):
         fields = {name: _scalar(getattr(self, name), *spec) for name, spec in _PARAMETERS.items()}
         fields["k"] = _scalar(self.k, numbers.Integral, "k", 1, fields["n"])
-        # the documented range of trials; a cell holds four float64 entries a trial,
-        # 128 GiB at 2**32 trials, so memory runs out long before the bound
+        # the documented range of trials; a running cell holds five float64 entries a
+        # trial, 160 GiB at 2**32 trials, so memory runs out long before the bound
         fields["trials"] = _scalar(self.trials, numbers.Integral, "trials", 1, 2**32 - 1)
         grid = self.sigmas
         if isinstance(grid, (str, bytes, bytearray)):
@@ -181,16 +181,6 @@ def _block_trials(n: int) -> int:
     return 1 << (max(1, BLOCK_ENTRIES // n).bit_length() - 1)
 
 
-def _circular(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Circular complex Gaussian variates with unit variance from their two parts, in ``out``.
-
-    The same values as ``(re + 1j * im) / np.sqrt(2.0)``.
-    """
-    out.real, out.imag = re, im
-    out /= np.sqrt(2.0)
-    return out
-
-
 def _fmean(values: np.ndarray) -> float:
     """The mean of ``values`` as ``statistics.fmean`` computes it: ``fsum`` over the count.
 
@@ -215,8 +205,7 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
 
     A (graph, sigma) cell's trials run in blocks of ``_block_trials(n)``,
     one column per trial, so each block is one draw from the cell's stream
-    and three thin matrix products, O(n k) per trial. One block's
-    arrays are allocated once per sweep and reused by every block.
+    and three thin matrix products, O(n k) per trial.
 
     Raises:
         NonFiniteError: a trial's error or bound overflowed float64, as a
@@ -224,14 +213,7 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
     """
     bands = {graph: BandModel(dec, config.k) for graph, dec in reference_pair(config).items()}
     k, n, trials = config.k, config.n, config.trials
-    width = min(_block_trials(n), trials)
-    # the draws, coefficients and noise of a block, one row per trial, then x0, y = x0 + eta
-    # (which x_rec - x0 overwrites) and U_omega^* y, one column per trial
-    z = np.empty((width, 2 * k + (n if config.real_noise else 2 * n)))
-    coefficients = np.empty((width, k), dtype=np.complex128)
-    noise = np.empty((width, n), dtype=np.float64 if config.real_noise else np.complex128)
-    x0, y = (np.empty((n, width), dtype=np.complex128) for _ in range(2))
-    xhat = np.empty((max(k, 2), width), dtype=np.complex128)
+    width = _block_trials(n)
     cells: list[SweepCell] = []
     for graph, band in bands.items():
         dec, v_omega = band.decomposition, band.v_omega
@@ -242,33 +224,28 @@ def run_noise_sweep(config: ExperimentConfig) -> NoiseSweep:
         for sigma_index, sigma in enumerate(config.sigmas):
             generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
                 entropy=config.seed, spawn_key=(_GRAPH_STREAM[graph], sigma_index))))
-            err_abs, x0_norm, bound = (np.empty(trials) for _ in range(3))
+            err_abs, x0_norm, eta_norm = (np.empty(trials) for _ in range(3))
             # an overflow is refused below, by name, in place of numpy's warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, trials, width):
-                    stop = min(start + width, trials)
-                    # one call fills the block's rows in C order, so a trial's row does not
-                    # depend on the block width
-                    zb = generator.standard_normal(out=z[: stop - start])
-                    # the block's rows and columns of each buffer, the first stop - start
-                    c, eta = coefficients[: stop - start], noise[: stop - start]
-                    x0_b, y_b, xhat_b = (a[:, : stop - start] for a in (x0, y, xhat))
-                    np.matmul(v_omega, _circular(zb[:, :k], zb[:, k : 2 * k], c).T, out=x0_b)
+                    # one call draws the block's rows in C order, one row per trial, so a
+                    # trial's row does not depend on the block width
+                    z = generator.standard_normal(
+                        (min(width, trials - start), 2 * k + (n if config.real_noise else 2 * n)))
+                    c = (z[:, :k] + 1j * z[:, k : 2 * k]) / np.sqrt(2.0)
                     if config.real_noise:
-                        eta = np.multiply(zb[:, 2 * k :], sigma, out=eta).T
+                        eta = z[:, 2 * k :] * sigma
                     else:
-                        eta = _circular(zb[:, 2 * k : 2 * k + n], zb[:, 2 * k + n :], eta)
-                        eta = np.multiply(eta, sigma, out=eta).T
-                    np.add(x0_b, eta, out=y_b)
-                    np.matmul(uh_omega, y_b, out=xhat_b)
-                    err_b = np.matmul(v_omega, xhat_b[:k], out=y_b)
-                    err_b -= x0_b
-                    err_abs[start:stop] = np.linalg.norm(err_b, axis=0)
-                    x0_norm[start:stop] = np.linalg.norm(x0_b, axis=0)
-                    bound[start:stop] = dec.kappa * np.linalg.norm(eta, axis=0)
-                    bound[start:stop] /= x0_norm[start:stop]
-            cell = SweepCell(graph=graph, sigma=sigma, err_l2=err_abs / x0_norm, err_abs=err_abs,
-                             bound=bound)
+                        eta = (z[:, 2 * k : 2 * k + n] + 1j * z[:, 2 * k + n :]) / np.sqrt(2.0) * sigma
+                    # x0 and x_rec - x0 one column per trial; eta one row per trial
+                    x0 = v_omega @ c.T
+                    err = v_omega @ (uh_omega @ (x0 + eta.T))[:k] - x0
+                    block = slice(start, start + len(z))
+                    err_abs[block] = np.linalg.norm(err, axis=0)
+                    x0_norm[block] = np.linalg.norm(x0, axis=0)
+                    eta_norm[block] = np.linalg.norm(eta, axis=1)
+                cell = SweepCell(graph=graph, sigma=sigma, err_l2=err_abs / x0_norm,
+                                 err_abs=err_abs, bound=dec.kappa * eta_norm / x0_norm)
             for name in ("err_l2", "bound"):
                 if not np.all(np.isfinite(getattr(cell, name))):
                     raise NonFiniteError(f"{name} of the {graph} graph at sigma {sigma:g} "

@@ -1394,6 +1394,26 @@ class TestProcessExit:
                                "mode='w' encoding='utf-8'>\n"
                                "OSError: [Errno 28] No space left on device\n")
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("option", ["--version", "--help"])
+    @pytest.mark.parametrize(
+        "unbuffered, status, after",
+        [(None, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                     "encoding='utf-8'>\nOSError: [Errno 28] No space left on device\n"),
+         ("1", 2, "")],
+        ids=["buffered", "unbuffered"],
+    )
+    def test_option_to_full_stdout_is_one_error_line(self, fresh_python, option, unbuffered,
+                                                     status, after):
+        # click writes both while it parses the arguments, outside the commands' handler;
+        # buffered, the text stays in stdout's buffer, so the exit's flush fails as well
+        with open("/dev/full", "w") as full:
+            done = fresh_python("-m", "dirlap.cli", option,
+                                env={**self.BUFFERED, "PYTHONUNBUFFERED": unbuffered},
+                                capture_output=False, stdout=full, stderr=subprocess.PIPE)
+        assert done.returncode == status
+        assert done.stderr == "error: [Errno 28] No space left on device\n" + after
+
     @pytest.mark.parametrize("code, status, stderr", [("'text'", 1, "text\n"), ("2**40 + 3", 3, "")],
                              ids=["message", "beyond-c-int"])
     def test_exit_code_is_read_as_python_reads_it(self, fresh_python, code, status, stderr):

@@ -2,6 +2,7 @@ import math
 import numbers
 import re
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,8 +389,15 @@ def per_trial_sweep(config):
         {"sigmas": (0.0, 0.05, 0.3), "trials": 259, "seed": 4, "real_noise": True},
         {"n": 9, "k": 2, "sigmas": (0.2,), "trials": 1, "seed": 1},
         {"n": 9, "k": 2, "sigmas": (0.2,), "trials": 1, "seed": 1, "real_noise": True},
+        # one mode, whose U_omega^* carries a second, unused row
+        {"k": 1, "sigmas": (0.0, 0.05, 0.3), "trials": 259, "seed": 4},
+        {"k": 1, "sigmas": (0.0, 0.05, 0.3), "trials": 259, "seed": 4, "real_noise": True},
+        # the whole spectrum, where P_omega = I
+        {"n": 9, "k": 9, "sigmas": (0.0, 0.2), "trials": 130, "seed": 1},
+        {"n": 9, "k": 9, "sigmas": (0.0, 0.2), "trials": 130, "seed": 1, "real_noise": True},
     ],
-    ids=["complex", "real", "one-trial-complex", "one-trial-real"],
+    ids=["complex", "real", "one-trial-complex", "one-trial-real", "one-mode-complex",
+         "one-mode-real", "whole-band-complex", "whole-band-real"],
 )
 def test_sweep_matches_per_trial_loop(kwargs, monkeypatch):
     # a block's one draw from its cell's stream gives each trial the variates that four
@@ -468,6 +476,24 @@ class TestTrialStreams:
 
 class TestSweepBlocks:
     CONFIG = {"n": 10, "k": 3, "sigmas": (0.05, 0.3), "trials": 300, "seed": 2}
+
+    #: float64 entries per trial and cell a sweep may hold at once: err_abs, ||x0|| and
+    #: ||eta|| while the cell runs, then err_l2 and bound
+    RESULT_ENTRIES_PER_TRIAL = 5
+
+    def test_working_memory_is_one_block(self):
+        # 16 times the trials grow the peak by the per-trial results alone: the draws and
+        # products of a block stay one block wide however many trials a cell runs
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                cells = len(run_noise_sweep(ExperimentConfig(trials=trials)).cells)
+                return tracemalloc.get_traced_memory()[1], cells
+            finally:
+                tracemalloc.stop()
+
+        (small, cells), (large, _) = peak(2**12), peak(2**16)
+        assert large - small <= self.RESULT_ENTRIES_PER_TRIAL * 8 * cells * (2**16 - 2**12)
 
     @pytest.mark.parametrize(
         "n, trials", [(2, 2**14), (20, 1024), (256, 128), (10000, 2), (2**15 + 1, 1)]
