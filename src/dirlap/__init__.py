@@ -41,7 +41,6 @@ _EXPORTS = {
         "henrici_departure",
     ),
     "transform": (
-        "GraphSignal",
         "TvBounds",
         "forward",
         "inverse",

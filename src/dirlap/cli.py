@@ -163,10 +163,7 @@ def gen(kind, n, p, w, seed, out):
 def analyze(graph_path, n, out, fmt, spectrum_out):
     """Asymmetry/normality metrics and spectrum of a graph's Laplacian."""
     _distinct_outputs("--out", out, "--spectrum-out", spectrum_out)
-    dec = _load_decomposition(graph_path, n)
-    if spectrum_out is not None:
-        fileio.write_spectrum(dec.lambdas, spectrum_out)
-    fileio.write_metrics(dec, spectrum_out, fmt, out)
+    fileio.write_metrics(_load_decomposition(graph_path, n), spectrum_out, fmt, out)
 
 
 @main.command()
@@ -239,7 +236,7 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
     # the signal is read and recovered before either file is written, so a fault leaves neither
     recovered = None
     if signal_path is not None:
-        values = _vector(fileio.read_signal(signal_path).values, "signal", dec.n)
+        values = _vector(fileio.read_signal(signal_path), "signal", dec.n)
         recovered = recover(plan, values[plan.sample_set])
     fileio.write_plan(plan, out)
     if recovered is not None:

@@ -25,7 +25,7 @@ Every output byte leaves through :func:`write_text`, the one sink; it
 writes to stdout when ``path`` is None, so stdout carries exactly the
 bytes of the file. JSON files are rendered as strict JSON: a non-finite
 number raises :class:`NonFiniteError`, naming its key, before any byte is
-written, and a writer of several files renders its JSON file first. CSV files are
+written; a writer of several files, and the metrics CSV's, renders JSON first. CSV files are
 rendered by one columnar renderer, in chunks of a bounded number of rows.
 A writer hands it whole columns, each either values with one ``%`` code
 (``%d``, ``%s`` or ``%.12g``) or table-rendered cells: a table holding each
@@ -87,7 +87,6 @@ if TYPE_CHECKING:
     from .eigen import SpectralDecomposition
     from .experiments import ExperimentConfig, NoiseSweep, SweepCell
     from .sampling import SamplingPlan
-    from .transform import GraphSignal
 
 
 def fmt(x: float) -> str:
@@ -344,8 +343,11 @@ def read_edge_list(path, n: int | None = None) -> DirectedGraph:
 
 # -- signals ------------------------------------------------------------------
 
-def write_signal(signal: GraphSignal, path) -> None:
-    values = signal.values
+def write_signal(values, path) -> None:
+    """Write a signal as a signal CSV; ``values`` pass :func:`transform._vector`'s gate first."""
+    from .transform import _vector
+
+    values = _vector(values, "signal")
     columns = (np.arange(values.shape[0]), values.real, values.imag)
     _write_csv(("vertex", "re", "im"), ("%d", "%.12g", "%.12g"), columns, path)
 
@@ -353,13 +355,13 @@ def write_signal(signal: GraphSignal, path) -> None:
 _SIGNAL_DTYPE = np.dtype([("index", "i8"), ("re", "f8"), ("im", "f8")])
 
 
-def read_signal(path) -> GraphSignal:
-    """Read a signal CSV; its one header ``vertex,re,im`` serves both domains.
+def read_signal(path) -> np.ndarray:
+    """Read a signal CSV (one header, ``vertex,re,im``, in both domains) as a complex array.
 
     Raises:
         FileFormatError: a bad row, a repeated or missing index, or a non-finite value.
     """
-    from .transform import GraphSignal
+    from .transform import _vector
 
     table, rows = _read_table(path, "vertex,re,im", _SIGNAL_DTYPE)
     index = table["index"]
@@ -378,7 +380,7 @@ def read_signal(path) -> GraphSignal:
     values.real[index] = table["re"]
     values.imag[index] = table["im"]
     try:
-        return GraphSignal(values)
+        return _vector(values, "signal")
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -496,14 +498,20 @@ def write_metrics(dec: SpectralDecomposition, spectrum_csv: str | None, form: st
                   path=None) -> None:
     """Export the metrics of one graph's decomposition as ``form``, ``json`` or ``csv``.
 
+    The spectrum CSV, if ``spectrum_csv`` is given, is written first, after the metrics pass
+    :func:`_json_text`'s check in either form, so a non-finite metric writes nothing.
+
     Raises:
         ValueError: ``form`` is neither ``json`` nor ``csv``; nothing is written.
     """
     if form not in ("json", "csv"):
         raise ValueError(f"metrics format must be json or csv, got {form!r}")
     payload = _metrics_payload(dec, spectrum_csv)
+    text = _json_text(payload)
+    if spectrum_csv is not None:
+        write_spectrum(dec.lambdas, spectrum_csv)
     if form == "json":
-        write_json(payload, path)
+        write_text(text, path)
     else:
         # spectrum_csv is a user-given path, the one cell of any CSV output that may need quoting
         values = ["" if value is None else _quote(str(value)) for value in payload.values()]

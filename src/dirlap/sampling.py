@@ -30,7 +30,7 @@ import numpy as np
 from .eigen import SpectralDecomposition
 from .errors import RankDeficientError
 from .graphs import _PARAMETERS, _scalar
-from .transform import GraphSignal, _finite, _indices, _vector
+from .transform import _finite, _indices, _vector
 
 #: singular values below RANK_RTOL * sigma_max count as zero (rank boundary)
 RANK_RTOL = 1e-12
@@ -109,7 +109,7 @@ class SamplingPlan:
         return self.sample_set.shape[0]
 
 
-def synthesize_bandlimited(band: BandModel, c) -> GraphSignal:
+def synthesize_bandlimited(band: BandModel, c) -> np.ndarray:
     """Synthesize ``x = V_omega c`` (exactly bandlimited by construction).
 
     Raises:
@@ -117,7 +117,7 @@ def synthesize_bandlimited(band: BandModel, c) -> GraphSignal:
         NonFiniteError: the synthesized signal overflowed float64.
     """
     c = _vector(c, "coefficients", band.k)
-    return GraphSignal(_finite("the synthesis", lambda: band.v_omega @ c))
+    return _finite("the synthesis", lambda: band.v_omega @ c)
 
 
 def plan_sampling(band: BandModel, sample_set: Iterable[int]) -> SamplingPlan:
@@ -146,7 +146,7 @@ def _require_full_rank(plan: SamplingPlan) -> None:
         )
 
 
-def recover(plan: SamplingPlan, y) -> GraphSignal:
+def recover(plan: SamplingPlan, y) -> np.ndarray:
     """Least-squares recovery ``c = pinv(B) y``, returning ``x = V_omega c``.
 
     Exact (to rounding) when ``y`` consists of noiseless samples of a
@@ -162,7 +162,7 @@ def recover(plan: SamplingPlan, y) -> GraphSignal:
     _require_full_rank(plan)
     y = _vector(y, "samples", plan.m)
     pinv = np.linalg.pinv(plan.b, rcond=RANK_RTOL)
-    return GraphSignal(_finite("the recovery", lambda: plan.band.v_omega @ (pinv @ y)))
+    return _finite("the recovery", lambda: plan.band.v_omega @ (pinv @ y))
 
 
 def noise_certificate(plan: SamplingPlan, eta_norm: float) -> float:

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "DirectedGraph", "adjacency", "directed_laplacian", "asymmetry_index",
     "normality_departure", "gen_directed_cycle", "gen_perturbed_cycle",
     "SpectralDecomposition", "decompose", "gram_matrix", "henrici_departure",
-    "GraphSignal", "TvBounds", "forward", "inverse", "energy_identity",
+    "TvBounds", "forward", "inverse", "energy_identity",
     "apply_filter", "tv_bounds",
     "BandModel", "SamplingPlan", "synthesize_bandlimited", "plan_sampling", "recover",
     "noise_certificate", "select_sampling_set",
@@ -66,6 +66,40 @@ def test_unknown_name_is_an_attribute_error():
         dirlap.vertex_signal  # noqa: B018
     with pytest.raises(AttributeError, match="no attribute 'SpectralFilter'"):
         dirlap.SpectralFilter  # noqa: B018
+    with pytest.raises(AttributeError, match="no attribute 'GraphSignal'"):
+        dirlap.GraphSignal  # noqa: B018
+
+
+def _graph_signal_mentions(tree: ast.AST) -> list[str]:
+    """Each node of ``tree`` that names ``GraphSignal``, unparsed (a class definition by its header)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            named = node.name == "GraphSignal"
+        elif isinstance(node, ast.Name):
+            named = node.id == "GraphSignal"
+        elif isinstance(node, ast.Attribute):
+            named = node.attr == "GraphSignal"
+        elif isinstance(node, ast.alias):
+            named = node.name == "GraphSignal"
+        elif isinstance(node, ast.Constant):
+            named = isinstance(node.value, str) and "GraphSignal" in node.value
+        else:
+            continue
+        if named:
+            found.append(f"class {node.name}" if isinstance(node, ast.ClassDef) else ast.unparse(node))
+    return found
+
+
+def test_signal_record_is_named_by_its_definition_only():
+    # a signal is a complex array: no library function builds, takes, returns or exports
+    # the GraphSignal record, which only perfbench's tracer still times
+    mentions = {}
+    for path in sorted(Path(dirlap.__file__).parent.glob("*.py")):
+        found = _graph_signal_mentions(ast.parse(path.read_text(), str(path)))
+        if found:
+            mentions[path.name] = found
+    assert mentions == {"transform.py": ["class GraphSignal"]}
 
 
 def test_library_imports_numpy_click_and_the_standard_library_only():
@@ -101,3 +135,11 @@ def test_dimension_mismatch_is_raised_by_the_two_gates_only():
     for path in sorted(Path(dirlap.__file__).parent.glob("*.py")):
         found |= set(raisers(ast.parse(path.read_text(), str(path)), path.stem))
     assert found == {("graphs", "_square"), ("graphs", "_vector_shape")}
+
+
+def test_readme_library_tour_runs():
+    # the tour's code block is the first example a reader copies; the bool low-pass
+    # response it once passed to apply_filter is refused by the gate
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md", "exec"), {})

@@ -12,7 +12,6 @@ from scipy.optimize import linear_sum_assignment
 from dirlap import (
     BandModel,
     DirectedGraph,
-    GraphSignal,
     NearDefectiveError,
     NonFiniteError,
     apply_filter,
@@ -265,7 +264,7 @@ class TestConditioning:
 
     def test_transforms_run_no_svd(self, rng):
         dec = decompose(_perturbed(20, 7))
-        x = GraphSignal(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        x = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         inverse(forward(x, dec), dec)
         apply_filter(x, (np.arange(20) < 3).astype(float), dec)
         assert "kappa" not in dec.__dict__

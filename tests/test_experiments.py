@@ -11,7 +11,6 @@ from dirlap import (
     BandModel,
     DirectedGraph,
     ExperimentConfig,
-    GraphSignal,
     NonFiniteError,
     apply_filter,
     asymmetry_index,
@@ -375,10 +374,10 @@ def per_trial_sweep(config):
                     eta = sigma * (
                         rng.standard_normal(config.n) + 1j * rng.standard_normal(config.n)
                     ) / np.sqrt(2.0)
-                x_rec = apply_filter(GraphSignal(x0.values + eta), low_pass, dec)
-                err_abs = float(np.linalg.norm(x_rec.values - x0.values))
-                rows.append((graph, sigma, trial, err_abs / x0.norm(), err_abs,
-                             dec.kappa * float(np.linalg.norm(eta)) / x0.norm()))
+                x_rec = apply_filter(x0 + eta, low_pass, dec)
+                err_abs = float(np.linalg.norm(x_rec - x0))
+                rows.append((graph, sigma, trial, err_abs / np.linalg.norm(x0), err_abs,
+                             dec.kappa * float(np.linalg.norm(eta)) / np.linalg.norm(x0)))
     return rows
 
 

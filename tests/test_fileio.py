@@ -19,7 +19,6 @@ from dirlap import (
     DirectedGraph,
     ExperimentConfig,
     FileFormatError,
-    GraphSignal,
     NonFiniteError,
     RankDeficientError,
     decompose,
@@ -626,8 +625,8 @@ class TestReaderFuzz:
         fuzz_path.write_bytes(data)
         signal = read_or_refuse(fileio.read_signal, fuzz_path)
         if signal is not None:
-            assert signal.values.ndim == 1 and signal.n >= 1
-            assert np.isfinite(signal.values).all()
+            assert signal.ndim == 1 and signal.size >= 1
+            assert np.isfinite(signal).all()
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
@@ -656,12 +655,32 @@ class TestReaderFuzz:
 
 class TestSignals:
     def test_round_trip(self, tmp_path, rng):
-        sig = GraphSignal(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        sig = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         path = tmp_path / "x.csv"
         fileio.write_signal(sig, path)
         back = fileio.read_signal(path)
-        assert isinstance(back, GraphSignal)
-        assert np.allclose(back.values, sig.values, atol=1e-11)
+        assert back.dtype == np.complex128 and back.shape == (9,)
+        assert np.allclose(back, sig, atol=1e-11)
+
+    def test_every_form_reads_back_as_one_complex_array(self, tmp_path):
+        # write_signal gates a list, an int, a float and a complex array of the same
+        # values alike, and read_signal returns the same complex128 bits for each
+        ints = [3, -1, 0, 7]
+        forms = (ints, np.array(ints), np.array(ints, dtype=float), np.array(ints, dtype=complex))
+        for i, values in enumerate(forms):
+            fileio.write_signal(values, tmp_path / f"{i}.csv")
+        texts = {(tmp_path / f"{i}.csv").read_bytes() for i in range(len(forms))}
+        assert texts == {b"vertex,re,im\n0,3,0\n1,-1,0\n2,0,0\n3,7,0\n"}
+        back = fileio.read_signal(tmp_path / "0.csv")
+        assert type(back) is np.ndarray and back.dtype == np.complex128 and back.shape == (4,)
+        assert back.tobytes() == forms[-1].tobytes()
+
+    def test_writer_refuses_what_the_gate_refuses(self, tmp_path):
+        for values, message in (([1.0, np.inf], "^signal entries must be finite$"),
+                                (np.ones((2, 1)), r"^signal must be one-dimensional")):
+            with pytest.raises(ValueError, match=message):
+                fileio.write_signal(values, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_gap_in_indices_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -694,7 +713,7 @@ class TestSignals:
         with pytest.raises(FileFormatError, match="finite"):
             fileio.read_signal(path)
         path.write_text("vertex,re,im\n2,3,-0.5\n0,1,-0.0\n1, 2 ,\"0\"\n")
-        values = fileio.read_signal(path).values
+        values = fileio.read_signal(path)
         assert values.tolist() == [complex(1, -0.0), 2, complex(3, -0.5)]
         assert np.signbit(values.imag).tolist() == [True, False, True]
 
@@ -919,9 +938,11 @@ class TestMetricsCsv:
         [("s.csv", "s.csv"), ("a,b.csv", '"a,b.csv"'), ('say "hi".csv', '"say ""hi"".csv"'),
          ("line\nbreak", '"line\nbreak"'), ("cr\r", '"cr\r"')],
     )
-    def test_spectrum_path_quoted_only_when_needed(self, tmp_path, spectrum, quoted):
+    def test_spectrum_path_quoted_only_when_needed(self, tmp_path, monkeypatch, spectrum, quoted):
+        monkeypatch.chdir(tmp_path)  # the writer also writes the spectrum, at the relative path
         dec = decompose(directed_laplacian(gen_perturbed_cycle(5, 0.3, 0.8, seed=1)))
         fileio.write_metrics(dec, spectrum, "csv", tmp_path / "m.csv")
+        assert (tmp_path / spectrum).read_text().startswith("k,re_lambda,im_lambda,abs_lambda\n")
         text = (tmp_path / "m.csv").read_bytes().decode()
         assert text.endswith(f"\nspectrum_csv,{quoted}\n")
         with open(tmp_path / "m.csv", newline="") as fh:

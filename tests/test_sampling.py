@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from dirlap import (
     BandModel,
     DirectedGraph,
-    GraphSignal,
     NearDefectiveError,
     NonFiniteError,
     RankDeficientError,
@@ -59,7 +58,7 @@ class TestMakeBand:
         _, dec = perturbed20
         band = BandModel(dec, 1)
         x = synthesize_bandlimited(band, np.array([2.0 + 1.0j]))
-        assert np.max(np.abs(x.values - x.values[0])) < 1e-8
+        assert np.max(np.abs(x - x[0])) < 1e-8
 
     def test_band_indices_are_lowest_magnitudes(self, perturbed20):
         _, dec = perturbed20
@@ -116,7 +115,7 @@ class TestBandModel:
         runner = CliRunner()
         graph, signal = tmp_path / "g.csv", tmp_path / "x.csv"
         fileio.write_edge_list(gen_perturbed_cycle(20, 0.2, 0.8, seed=7), graph)
-        fileio.write_signal(GraphSignal(np.arange(20.0)), signal)
+        fileio.write_signal(np.arange(20.0), signal)
         for args in (
             ["sample", str(graph), "--k", "5", "--m", "8", "--signal", str(signal),
              "--recover-out", str(tmp_path / "r.csv"), "--out", str(tmp_path / "plan.json")],
@@ -132,14 +131,14 @@ class TestSynthesize:
         _, dec = perturbed20
         band = BandModel(dec, 4)
         x = synthesize_bandlimited(band, np.array([1.0, 0, 0, 0]))
-        assert np.linalg.norm(x.values - dec.v[:, 0]) < 1e-12
+        assert np.linalg.norm(x - dec.v[:, 0]) < 1e-12
 
     def test_out_of_band_mass_vanishes(self, perturbed20, rng):
         _, dec = perturbed20
         band = BandModel(dec, 5)
         c = complex_gaussian(rng, 5)
         xhat = forward(synthesize_bandlimited(band, c), dec)
-        assert np.linalg.norm(xhat.values[5:]) <= 1e-9 * np.linalg.norm(c)
+        assert np.linalg.norm(xhat[5:]) <= 1e-9 * np.linalg.norm(c)
 
     def test_overflow_is_refused_by_name(self, perturbed20):
         # finite coefficients whose synthesis passes float64: no matmul warning escapes
@@ -224,14 +223,14 @@ class TestRecover:
         for _ in range(25):
             c = complex_gaussian(rng, 5)
             x = synthesize_bandlimited(band, c)
-            x_rec = recover(plan, x.values[plan.sample_set])
-            assert np.linalg.norm(x_rec.values - x.values) <= 1e-9 * x.norm()
+            x_rec = recover(plan, x[plan.sample_set])
+            assert np.linalg.norm(x_rec - x) <= 1e-9 * np.linalg.norm(x)
 
     def test_zero_samples_zero_reconstruction(self, perturbed20):
         _, dec = perturbed20
         band = BandModel(dec, 3)
         plan = plan_sampling(band, range(10))
-        assert recover(plan, np.zeros(10, dtype=complex)).norm() == 0.0
+        assert np.linalg.norm(recover(plan, np.zeros(10, dtype=complex))) == 0.0
 
     def test_rank_deficient_plan_refused(self, perturbed20):
         _, dec = perturbed20
@@ -289,9 +288,9 @@ class TestCertificates:
             c = complex_gaussian(rng, 5)
             x = synthesize_bandlimited(band, c)
             eta = 0.1 * complex_gaussian(rng, plan.m)
-            y = x.values[plan.sample_set] + eta
+            y = x[plan.sample_set] + eta
             x_rec = band.v_omega @ (pinv @ y)
-            err = np.linalg.norm(x_rec - x.values)
+            err = np.linalg.norm(x_rec - x)
             assert err <= noise_certificate(plan, np.linalg.norm(eta))
 
     def test_out_of_band_tail_bounded(self, perturbed20, rng):
@@ -519,5 +518,5 @@ def test_exact_recovery_across_graphs(rng):
             plan = plan_sampling(band, rng.choice(dec.n, size=m, replace=False))
         c = complex_gaussian(rng, k)
         x = synthesize_bandlimited(band, c)
-        x_rec = recover(plan, x.values[plan.sample_set])
-        assert np.linalg.norm(x_rec.values - x.values) <= 1e-9 * x.norm()
+        x_rec = recover(plan, x[plan.sample_set])
+        assert np.linalg.norm(x_rec - x) <= 1e-9 * np.linalg.norm(x)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dirlap import (
     BandModel,
     DimensionMismatchError,
-    GraphSignal,
     NonFiniteError,
     apply_filter,
     decompose,
@@ -26,7 +25,7 @@ from dirlap import (
 
 
 def random_signal(rng, n):
-    return GraphSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def indicator(omega, n):
@@ -40,40 +39,40 @@ class TestTransformPair:
     def test_eigenvector_maps_to_coordinate(self, perturbed20):
         _, dec = perturbed20
         for k in (0, 3, 19):
-            xhat = forward(GraphSignal(dec.v[:, k]), dec)
+            xhat = forward(dec.v[:, k], dec)
             ek = np.zeros(20)
             ek[k] = 1.0
-            assert np.linalg.norm(xhat.values - ek) < 1e-9
+            assert np.linalg.norm(xhat - ek) < 1e-9
 
     def test_constant_signal_hits_dc_bin(self, perturbed20):
         _, dec = perturbed20
-        xhat = forward(GraphSignal(np.ones(20)), dec).values
+        xhat = forward(np.ones(20), dec)
         assert abs(xhat[0] - np.sqrt(20)) < 1e-8
         assert np.max(np.abs(xhat[1:])) < 1e-8
 
     def test_cycle4_impulse_is_flat_spectrum(self, cycle4):
         # DFT eigenbasis: the impulse spreads evenly, |xhat_k| = 1/2
         _, dec = cycle4
-        xhat = forward(GraphSignal([1.0, 0.0, 0.0, 0.0]), dec)
-        assert np.allclose(np.abs(xhat.values), 0.5, atol=1e-9)
+        xhat = forward([1.0, 0.0, 0.0, 0.0], dec)
+        assert np.allclose(np.abs(xhat), 0.5, atol=1e-9)
 
     def test_round_trip(self, perturbed20, rng):
         _, dec = perturbed20
         for _ in range(20):
             x = random_signal(rng, 20)
             back = inverse(forward(x, dec), dec)
-            assert np.linalg.norm(back.values - x.values) <= dec.kappa * 20 * 1e-12 * x.norm()
+            assert np.linalg.norm(back - x) <= dec.kappa * 20 * 1e-12 * np.linalg.norm(x)
 
     def test_dc_bin_synthesizes_constant(self, perturbed20):
         _, dec = perturbed20
         e0 = np.zeros(20)
         e0[0] = 1.0
-        x = inverse(GraphSignal(e0), dec)
-        assert np.allclose(x.values, np.ones(20) / np.sqrt(20), atol=1e-9)
+        x = inverse(e0, dec)
+        assert np.allclose(x, np.ones(20) / np.sqrt(20), atol=1e-9)
 
     def test_zero_spectrum_is_zero_signal(self, cycle4):
         _, dec = cycle4
-        assert inverse(GraphSignal(np.zeros(4)), dec).norm() == 0.0
+        assert np.linalg.norm(inverse(np.zeros(4), dec)) == 0.0
 
 
 class TestOverflow:
@@ -83,14 +82,14 @@ class TestOverflow:
 
     def test_forward(self, cycle4):
         with pytest.raises(NonFiniteError, match="^the forward transform overflowed float64$"):
-            forward(GraphSignal(self.BIG), cycle4[1])
+            forward(self.BIG, cycle4[1])
 
     def test_inverse(self, cycle4):
         with pytest.raises(NonFiniteError, match="^the inverse transform overflowed float64$"):
-            inverse(GraphSignal(self.BIG), cycle4[1])
+            inverse(self.BIG, cycle4[1])
 
     def test_filter(self, cycle4):
-        x = GraphSignal(self.BIG.real * 1e-8)  # the forward part stays finite
+        x = self.BIG.real * 1e-8  # the forward part stays finite
         with pytest.raises(NonFiniteError, match="^the filter overflowed float64$"):
             apply_filter(x, np.full(4, 1e300), cycle4[1])
 
@@ -100,31 +99,31 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="^the total variation overflowed float64$"):
-                tv_bounds(GraphSignal(np.ones(4)), dec)
+                tv_bounds(np.ones(4), dec)
 
     def test_energy_identity(self, perturbed20):
         # forward stays finite, while ||x||^2 = 2e601 does not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="^the energy identity overflowed float64$"):
-                energy_identity(GraphSignal(np.full(20, 1e300)), perturbed20[1])
+                energy_identity(np.full(20, 1e300), perturbed20[1])
 
-    def test_non_finite_input_is_still_refused_by_the_signal(self):
-        with pytest.raises(ValueError, match="signal entries must be finite"):
-            GraphSignal([1.0, np.inf])
+    def test_non_finite_input_is_still_refused_by_the_signal(self, cycle4):
+        with pytest.raises(ValueError, match="^signal entries must be finite$"):
+            forward([1.0, np.inf, 0.0, 0.0], cycle4[1])
 
 
 #: each call that gates a complex input vector of a set length: the vector's name in
 #: errors, its length on the perturbed 20-cycle, and the call given the vector
 LENGTH_CHECKED = {
-    "forward": ("signal", 20, lambda dec, v: forward(GraphSignal(v), dec)),
-    "inverse": ("signal", 20, lambda dec, v: inverse(GraphSignal(v), dec)),
-    "energy_identity": ("signal", 20, lambda dec, v: energy_identity(GraphSignal(v), dec)),
-    "tv_bounds": ("signal", 20, lambda dec, v: tv_bounds(GraphSignal(v), dec)),
+    "forward": ("signal", 20, lambda dec, v: forward(v, dec)),
+    "inverse": ("signal", 20, lambda dec, v: inverse(v, dec)),
+    "energy_identity": ("signal", 20, lambda dec, v: energy_identity(v, dec)),
+    "tv_bounds": ("signal", 20, lambda dec, v: tv_bounds(v, dec)),
     "apply_filter-signal": (
-        "signal", 20, lambda dec, v: apply_filter(GraphSignal(v), np.ones(20), dec)),
+        "signal", 20, lambda dec, v: apply_filter(v, np.ones(20), dec)),
     "apply_filter-response": (
-        "filter response", 20, lambda dec, v: apply_filter(GraphSignal(np.ones(20)), v, dec)),
+        "filter response", 20, lambda dec, v: apply_filter(np.ones(20), v, dec)),
     "synthesize_bandlimited": (
         "coefficients", 5, lambda dec, v: synthesize_bandlimited(BandModel(dec, 5), v)),
     "recover": ("samples", 10,
@@ -179,6 +178,19 @@ def test_every_input_vector_passes_one_gate(perturbed20, what, bad):
             call(perturbed20[1], values)
 
 
+@pytest.mark.parametrize("call", [call for call in LENGTH_CHECKED if call not in (
+    "energy_identity", "tv_bounds")])
+def test_every_signal_is_a_complex_array_whatever_its_input_form(perturbed20, call):
+    # a list, an int, a float and a complex array of the same values give the same bits
+    _, size, run = LENGTH_CHECKED[call]
+    ints = list(range(1, size + 1))
+    forms = (ints, np.array(ints), np.array(ints, dtype=float), np.array(ints, dtype=complex))
+    outs = [run(perturbed20[1], values) for values in forms]
+    for out in outs:
+        assert type(out) is np.ndarray and out.dtype == np.complex128 and out.shape == (20,)
+        assert out.tobytes() == outs[0].tobytes()
+
+
 @pytest.mark.parametrize("bad", [bool, "2-D", np.nan], ids=["dtype", "dimension", "finite"])
 @pytest.mark.parametrize("what", list(GATED_INPUTS))
 def test_length_is_checked_last(perturbed20, what, bad):
@@ -196,7 +208,7 @@ class TestEnergyIdentity:
         vertex_e, gram_e = energy_identity(x, dec)
         xhat = forward(x, dec)
         assert gram_e == pytest.approx(vertex_e, rel=1e-10)
-        assert xhat.norm() ** 2 == pytest.approx(vertex_e, rel=1e-8)
+        assert np.linalg.norm(xhat) ** 2 == pytest.approx(vertex_e, rel=1e-8)
 
     def test_identity_holds_off_normal(self, perturbed20, rng):
         _, dec = perturbed20
@@ -211,8 +223,8 @@ class TestEnergyIdentity:
         for _ in range(20):
             xhat = rng.standard_normal(20) + 1j * rng.standard_normal(20)
             xhat /= np.linalg.norm(xhat)
-            x = inverse(GraphSignal(xhat), dec)
-            assert eigs[0] - 1e-9 <= x.norm() ** 2 <= eigs[-1] + 1e-9
+            x = inverse(xhat, dec)
+            assert eigs[0] - 1e-9 <= np.linalg.norm(x) ** 2 <= eigs[-1] + 1e-9
 
 
 class TestFilters:
@@ -221,7 +233,7 @@ class TestFilters:
         filt = np.ones(20)
         x = random_signal(rng, 20)
         y = apply_filter(x, filt, dec)
-        assert np.linalg.norm(y.values - x.values) <= dec.kappa * 1e-10 * x.norm()
+        assert np.linalg.norm(y - x) <= dec.kappa * 1e-10 * np.linalg.norm(x)
 
     def test_ideal_projector_idempotent(self, perturbed20, rng):
         _, dec = perturbed20
@@ -229,23 +241,23 @@ class TestFilters:
         x = random_signal(rng, 20)
         once = apply_filter(x, filt, dec)
         twice = apply_filter(once, filt, dec)
-        assert np.linalg.norm(twice.values - once.values) <= 1e-8 * max(1.0, once.norm())
+        assert np.linalg.norm(twice - once) <= 1e-8 * max(1.0, np.linalg.norm(once))
 
     def test_dc_projector_extracts_mean_mode(self, perturbed20, rng):
         _, dec = perturbed20
         x = random_signal(rng, 20)
         y = apply_filter(x, indicator([0], 20), dec)
-        expected = np.vdot(dec.u[:, 0], x.values) * dec.v[:, 0]
-        assert np.linalg.norm(y.values - expected) < 1e-9
+        expected = np.vdot(dec.u[:, 0], x) * dec.v[:, 0]
+        assert np.linalg.norm(y - expected) < 1e-9
 
     def test_linearity(self, perturbed20, rng):
         _, dec = perturbed20
         filt = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         x, y = random_signal(rng, 20), random_signal(rng, 20)
         a, b = 1.7 - 0.3j, -0.4 + 2.1j
-        combo = apply_filter(GraphSignal(a * x.values + b * y.values), filt, dec)
-        split = a * apply_filter(x, filt, dec).values + b * apply_filter(y, filt, dec).values
-        assert np.linalg.norm(combo.values - split) <= 1e-10 * max(1.0, np.linalg.norm(split))
+        combo = apply_filter(a * x + b * y, filt, dec)
+        split = a * apply_filter(x, filt, dec) + b * apply_filter(y, filt, dec)
+        assert np.linalg.norm(combo - split) <= 1e-10 * max(1.0, np.linalg.norm(split))
 
     def test_complementary_projectors_sum_to_identity(self, perturbed20, rng):
         _, dec = perturbed20
@@ -253,27 +265,27 @@ class TestFilters:
         rest = [k for k in range(20) if k not in omega]
         x = random_signal(rng, 20)
         total = (
-            apply_filter(x, indicator(omega, 20), dec).values
-            + apply_filter(x, indicator(rest, 20), dec).values
+            apply_filter(x, indicator(omega, 20), dec)
+            + apply_filter(x, indicator(rest, 20), dec)
         )
-        assert np.linalg.norm(total - x.values) <= dec.kappa * 1e-10 * x.norm()
+        assert np.linalg.norm(total - x) <= dec.kappa * 1e-10 * np.linalg.norm(x)
 
 
 class TestTotalVariation:
     def test_constant_signal_has_zero_variation(self, perturbed20):
         _, dec = perturbed20
-        assert tv_bounds(GraphSignal(np.ones(20)), dec).actual < 1e-20
+        assert tv_bounds(np.ones(20), dec).actual < 1e-20
 
     def test_eigenvector_variation_is_eigenvalue_squared(self, perturbed20):
         _, dec = perturbed20
         for k in (1, 7, 19):
-            tv = tv_bounds(GraphSignal(dec.v[:, k]), dec).actual
+            tv = tv_bounds(dec.v[:, k], dec).actual
             assert tv == pytest.approx(abs(dec.lambdas[k]) ** 2, rel=1e-8, abs=1e-12)
 
     def test_alternating_cycle_signal(self, cycle4):
         # x=(1,-1,1,-1) on the 4-cycle: Lx = 2x entrywise, so ||Lx||^2 = 16
         _, dec = cycle4
-        assert tv_bounds(GraphSignal([1.0, -1.0, 1.0, -1.0]), dec).actual == pytest.approx(16.0)
+        assert tv_bounds([1.0, -1.0, 1.0, -1.0], dec).actual == pytest.approx(16.0)
 
 
 class TestTvBounds:
@@ -295,7 +307,7 @@ class TestTvBounds:
 
     def test_constant_signal_all_zero(self, perturbed20):
         _, dec = perturbed20
-        b = tv_bounds(GraphSignal(np.ones(20)), dec)
+        b = tv_bounds(np.ones(20), dec)
         assert b.lower < 1e-12 and b.actual < 1e-12 and b.upper < 1e-12
 
 
@@ -321,12 +333,12 @@ class TestSpectralPerturbationBound:
             xhat = forward(random_signal(rng, 20), dec)
             x = inverse(xhat, dec)
             eta = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-            bound = dec.kappa * np.linalg.norm(eta) / xhat.norm()
-            assert bound == pytest.approx(np.linalg.norm(eta) / xhat.norm(), rel=1e-9)
+            bound = dec.kappa * np.linalg.norm(eta) / np.linalg.norm(xhat)
+            assert bound == pytest.approx(np.linalg.norm(eta) / np.linalg.norm(xhat), rel=1e-9)
             err = np.linalg.norm(
-                inverse(GraphSignal(xhat.values + eta), dec).values - x.values
+                inverse(xhat + eta, dec) - x
             )
-            assert err / x.norm() <= bound * (1 + 1e-10)
+            assert err / np.linalg.norm(x) <= bound * (1 + 1e-10)
 
     def test_monte_carlo_never_violated(self, perturbed20, rng):
         _, dec = perturbed20
@@ -334,19 +346,19 @@ class TestSpectralPerturbationBound:
             xhat = forward(random_signal(rng, 20), dec)
             x = inverse(xhat, dec)
             eta = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-            bound = dec.kappa * np.linalg.norm(eta) / xhat.norm()
-            err = np.linalg.norm(dec.v @ eta) / x.norm()
+            bound = dec.kappa * np.linalg.norm(eta) / np.linalg.norm(xhat)
+            err = np.linalg.norm(dec.v @ eta) / np.linalg.norm(x)
             assert err <= bound * (1 + 1e-10)
 
     def test_adversarial_alignment_attains_bound(self, perturbed20):
         # signal on the bottom singular direction, noise on the top one
         _, dec = perturbed20
         _, _, vh = np.linalg.svd(dec.v)
-        xhat = GraphSignal(np.conj(vh[-1]))
+        xhat = np.conj(vh[-1])
         eta = np.conj(vh[0])
         x = inverse(xhat, dec)
-        err = np.linalg.norm(dec.v @ eta) / x.norm()
-        bound = dec.kappa * np.linalg.norm(eta) / xhat.norm()
+        err = np.linalg.norm(dec.v @ eta) / np.linalg.norm(x)
+        bound = dec.kappa * np.linalg.norm(eta) / np.linalg.norm(xhat)
         assert err <= bound * (1 + 1e-10)
         assert err >= bound / 2.0
 
@@ -359,9 +371,9 @@ class TestSpectralPerturbationBound:
 def test_round_trip_property(n, seed):
     dec = decompose(directed_laplacian(gen_perturbed_cycle(n, 0.3, 0.8, seed)))
     rng = np.random.default_rng(seed)
-    x = GraphSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     back = inverse(forward(x, dec), dec)
-    assert np.linalg.norm(back.values - x.values) <= max(dec.kappa * n * 1e-12, 1e-13) * x.norm()
+    assert np.linalg.norm(back - x) <= max(dec.kappa * n * 1e-12, 1e-13) * np.linalg.norm(x)
 
 
 def test_parseval_restoration_on_normal_graphs(rng):
@@ -369,6 +381,6 @@ def test_parseval_restoration_on_normal_graphs(rng):
     for n in (4, 9, 16):
         dec = decompose(directed_laplacian(gen_directed_cycle(n)))
         for _ in range(30):
-            x = GraphSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             xhat = forward(x, dec)
-            assert abs(xhat.norm() ** 2 - x.norm() ** 2) <= 1e-8 * x.norm() ** 2
+            assert abs(np.linalg.norm(xhat) ** 2 - np.linalg.norm(x) ** 2) <= 1e-8 * np.linalg.norm(x) ** 2
