@@ -10,6 +10,13 @@ included), and for a library fault the ``exit_code`` of its
 rank-deficient sampling, 6 near-defective operator, 7 an output number
 that overflowed to infinity or NaN.
 
+``analyze``, ``gft``, ``filter`` and ``sample`` read their graph through one
+path, :func:`_load_decomposition`. From ``_STORE_MIN_N`` vertices it takes the
+eigensolve of a Laplacian solved before, in the same numeric environment,
+from the on-disk store of :mod:`dirlap._store`, and stores each new one there.
+A stored basis passes ``eigen._certify`` as a fresh solve does, so the store
+changes no output byte, stderr line or exit code.
+
 :func:`run` is the process entry, of both the installed ``dirlap`` command and
 ``python -m dirlap.cli``. The command runs with the garbage collector off.
 ``python -m dirlap.cli`` turns the collector off before its first import, which
@@ -55,8 +62,9 @@ from .graphs import directed_laplacian, gen_directed_cycle, gen_perturbed_cycle
 
 # fileio and graphs serve every command; each other module is imported by the
 # commands that call it, so --version and gen load neither eigen nor transform,
-# analyze adds eigen, gft and filter add transform, sample adds sampling, and
-# fig1 and fig2 add experiments (which loads the other three)
+# analyze adds eigen (and _store from _STORE_MIN_N vertices), gft and filter add
+# transform, sample adds sampling, and fig1 and fig2 add experiments (which loads
+# eigen, transform and sampling)
 if TYPE_CHECKING:
     from .eigen import SpectralDecomposition
     from .experiments import ExperimentConfig
@@ -118,11 +126,24 @@ def _distinct_outputs(first: str, first_path, second: str, second_path) -> None:
         raise click.UsageError(f"{first} and {second} name the same file")
 
 
-def _load_decomposition(graph_path, n: int | None) -> SpectralDecomposition:
-    """Read an edge list on ``n`` vertices (default: inferred) and decompose its directed Laplacian."""
-    from .eigen import decompose
+#: the smallest vertex count whose eigensolve goes through the on-disk store. At one BLAS
+#: thread a hit saves 2.1 ms of solve at n = 64, about what compiling dirlap._store costs a
+#: process that writes no bytecode, and 7.3 ms at n = 96, where a miss adds 1.0 ms
+_STORE_MIN_N = 96
 
-    return decompose(directed_laplacian(fileio.read_edge_list(graph_path, n)))
+
+def _load_decomposition(graph_path, n: int | None) -> SpectralDecomposition:
+    """Read an edge list on ``n`` vertices (default: inferred) and decompose its directed Laplacian.
+
+    From ``_STORE_MIN_N`` vertices the solve is read from, or written to, the
+    store of :mod:`dirlap._store`, which gives what :func:`eigen.decompose` gives.
+    """
+    lap = directed_laplacian(fileio.read_edge_list(graph_path, n))
+    if lap.shape[0] < _STORE_MIN_N:
+        from .eigen import decompose
+    else:
+        from ._store import decompose
+    return decompose(lap)
 
 
 _vertex_count_option = click.option(
@@ -216,8 +237,8 @@ def filter_cmd(graph_path, signal_path, n, spec_path, out):
               help="Recovered signal CSV (requires --signal).")
 def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, recover_out):
     """Plan a sampling set for a band and optionally recover a signal."""
+    from .graphs import _vector_shape
     from .sampling import BandModel, plan_sampling, recover, select_sampling_set
-    from .transform import _vector
 
     if signal_path is not None and recover_out is None:
         raise click.UsageError("--signal requires --recover-out")
@@ -236,7 +257,8 @@ def sample(graph_path, n, k, m, strategy, seed, sample_set, out, signal_path, re
     # the signal is read and recovered before either file is written, so a fault leaves neither
     recovered = None
     if signal_path is not None:
-        values = _vector(fileio.read_signal(signal_path), "signal", dec.n)
+        values = fileio.read_signal(signal_path)
+        _vector_shape(values, "signal", dec.n)
         recovered = recover(plan, values[plan.sample_set])
     fileio.write_plan(plan, out)
     if recovered is not None:

@@ -41,7 +41,9 @@ singular values of ``V`` come from a real SVD of ``W``, rebuilt from ``v``
 and the stored pair positions on the first read of any of them, so a caller
 that never reads them pays no SVD.
 
-Every basis, whatever solver produces it, passes ``_certify``'s residual and refusals.
+Every basis, whatever produces it, passes ``_certify``'s residual and refusals:
+a fresh solve, and a solve the CLI reads back from its on-disk store
+(:mod:`dirlap._store`). ``decompose`` itself reads and writes no file.
 """
 from __future__ import annotations
 

@@ -113,7 +113,11 @@ def forward(x, dec: SpectralDecomposition) -> np.ndarray:
     Raises:
         DimensionMismatchError: ``x`` does not have length ``n``.
     """
-    x = _vector(x, "signal", dec.n)
+    return _analysis(_vector(x, "signal", dec.n), dec)
+
+
+def _analysis(x: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
+    """:func:`forward` of a signal that has passed its gate."""
     return _finite("the forward transform", lambda: dec.u.conj().T @ x)
 
 
@@ -138,7 +142,7 @@ def energy_identity(x, dec: SpectralDecomposition) -> tuple[float, float]:
         NonFiniteError: either energy overflowed float64.
     """
     x = _vector(x, "signal", dec.n)
-    xhat = forward(x, dec)
+    xhat = _analysis(x, dec)
     vertex_energy, gram_energy = _finite("the energy identity", lambda: np.array(
         [np.linalg.norm(x) ** 2, np.vdot(xhat, gram_matrix(dec) @ xhat).real])).tolist()
     return vertex_energy, gram_energy
@@ -172,7 +176,7 @@ def tv_bounds(x, dec: SpectralDecomposition) -> TvBounds:
         NonFiniteError: one of the four numbers overflowed float64.
     """
     x = _vector(x, "signal", dec.n)
-    xhat = forward(x, dec)
+    xhat = _analysis(x, dec)
 
     def energies():
         spectral = np.sum((np.abs(dec.lambdas) * np.abs(xhat)) ** 2)

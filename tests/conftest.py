@@ -31,6 +31,16 @@ def _fresh_python(*args, spawn=subprocess.run, env=(), **kwargs):
                  **kwargs)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_store(tmp_path_factory):
+    """Point the CLI's eigensolve store at a directory of this session, for every in-process
+    command and every ``fresh_python`` child: no test reads or writes the user's cache."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture(scope="session")
 def fresh_python():
     return _fresh_python
@@ -52,6 +62,23 @@ def perturbed20():
 def cycle4():
     lap = directed_laplacian(gen_directed_cycle(4))
     return lap, decompose(lap)
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """The ``what`` of every ``transform._vector`` gate run in this test, in order."""
+    from dirlap import sampling, transform
+
+    seen = []
+    gate = transform._vector
+
+    def counted(values, what, n=None):
+        seen.append(what)
+        return gate(values, what, n)
+
+    for module in (transform, sampling):  # sampling holds the gate under its own name
+        monkeypatch.setattr(module, "_vector", counted)
+    return seen
 
 
 @pytest.fixture

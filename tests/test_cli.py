@@ -601,6 +601,16 @@ class TestSample:
         recovered = fileio.read_signal(rec)
         assert np.linalg.norm(recovered - x) <= 1e-8 * np.linalg.norm(x)
 
+    def test_signal_is_gated_once(self, perturbed_csv, signal20_csv, runner, tmp_path,
+                                  gate_calls):
+        # read_signal's gate is the signal's one, the command checks only its length; then
+        # recover gates its samples and write_signal the recovered signal
+        result = runner.invoke(main, ["sample", str(perturbed_csv), "--k", "5", "--m", "8",
+                                      "--signal", str(signal20_csv), "--recover-out",
+                                      str(tmp_path / "rec.csv"), "--out", str(tmp_path / "p.json")])
+        assert result.exit_code == 0
+        assert gate_calls == ["signal", "samples", "signal"]
+
     def test_golden_hash(self, perturbed_csv, signal20_csv, runner, tmp_path):
         # pins the greedy plan JSON and the recovery of a signal outside the band
         plan_path, rec = tmp_path / "plan.json", tmp_path / "rec.csv"

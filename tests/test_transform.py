@@ -178,6 +178,14 @@ def test_every_input_vector_passes_one_gate(perturbed20, what, bad):
             call(perturbed20[1], values)
 
 
+@pytest.mark.parametrize("call", list(LENGTH_CHECKED))
+def test_each_input_vector_is_gated_once(perturbed20, call, gate_calls):
+    # a second gate of one vector is one more O(n) copy and finiteness pass
+    what, size, run = LENGTH_CHECKED[call]
+    run(perturbed20[1], np.ones(size))
+    assert gate_calls.count(what) == 1
+
+
 @pytest.mark.parametrize("call", [call for call in LENGTH_CHECKED if call not in (
     "energy_identity", "tv_bounds")])
 def test_every_signal_is_a_complex_array_whatever_its_input_form(perturbed20, call):
